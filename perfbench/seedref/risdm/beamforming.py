@@ -1,0 +1,299 @@
+"""Transmit, artificial-noise, and receive beamformer construction.
+
+Two transmit designs are provided: the dominant-singular-pair design
+("max-sv") and the generalized leakage design ("leakage", SLNR for the
+message stream, leakage-to-signal ratio for the noise stream).  Receivers
+use either the dominant left singular vector (max-sv) or a zero-forcing
+separation of the arriving paths followed by coherent recombination.  The
+eavesdropper always runs the four-branch ZF combiner.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from . import linalg
+from .channels import effective_channels
+
+# A projected steering vector shorter than this means two arrival
+# directions nearly coincide; the branch is dropped instead of amplified.
+DEGENERATE_BRANCH_TOL = 1e-10
+AN_FALLBACK_TOL = 1e-12
+
+
+class DegenerateChannelError(ValueError):
+    """Raised when an effective channel is identically zero."""
+
+
+class InsufficientAntennasError(ValueError):
+    """Raised when a receiver lacks the antennas for the requested ZF split."""
+
+
+@dataclass(frozen=True)
+class BeamformerSet:
+    """All seven unit-norm beamformers of one scenario plus the method tag."""
+
+    v_at: np.ndarray
+    v_bt: np.ndarray
+    w_a: np.ndarray
+    w_b: np.ndarray
+    v_ar: np.ndarray
+    v_br: np.ndarray
+    v_er: np.ndarray
+    method: str
+
+
+def _unit(v):
+    n = np.linalg.norm(v)
+    if n == 0:
+        raise DegenerateChannelError("cannot normalize a zero vector")
+    return v / n
+
+
+def max_sv_design(eff):
+    """Transmit/receive pairs from the dominant singular pairs.
+
+    Returns (v_at, v_br, v_bt, v_ar): the right/left dominant singular
+    vectors of the Alice->Bob effective channel and of the Bob->Alice one.
+    """
+    if np.linalg.norm(eff.h_b) == 0 or np.linalg.norm(eff.h_a) == 0:
+        raise DegenerateChannelError("effective channel is identically zero")
+    dec_b = linalg.svd(eff.h_b)
+    dec_a = linalg.svd(eff.h_a)
+    return dec_b.v[:, 0], dec_b.u[:, 0], dec_a.v[:, 0], dec_a.u[:, 0]
+
+
+def an_nullspace_design(v_cm, h_eve_departure):
+    """Artificial-noise vector: eavesdropper-pointing, orthogonal to the message.
+
+    Projects the eavesdropper departure steering onto the orthogonal
+    complement of the message beamformer and renormalizes to unit norm
+    (the power split carries the budget, not the vector).  If the
+    eavesdropper direction lies inside the message subspace, any unit
+    vector orthogonal to it is returned and the fallback is flagged.
+
+    Returns (w, fallback_used).
+    """
+    v = np.asarray(v_cm, dtype=complex)
+    h = np.asarray(h_eve_departure, dtype=complex)
+    t = np.eye(v.size) - np.outer(v, v.conj())
+    u = t.conj().T @ h
+    if np.linalg.norm(u) < AN_FALLBACK_TOL:
+        # Eve parallel to the message direction: pick any orthogonal unit vector.
+        basis = np.eye(v.size, dtype=complex)
+        proj = basis - np.outer(v, v.conj() @ basis)
+        k = int(np.argmax(np.linalg.norm(proj, axis=0)))
+        return _unit(proj[:, k]), True
+    return _unit(t @ (u / np.linalg.norm(u))), False
+
+
+def _zf_branches(steerings):
+    """Per-branch ZF vectors: each nulls every other arrival steering.
+
+    Returns (vectors, dropped) where dropped marks branches whose desired
+    direction was annihilated by the nulling projector.
+    """
+    n = steerings[0].size
+    vectors, dropped = [], []
+    for i, h_i in enumerate(steerings):
+        others = np.vstack([steerings[j].conj() for j in range(len(steerings)) if j != i])
+        gram = others @ others.conj().T
+        proj = np.eye(n) - others.conj().T @ linalg.pinv(gram) @ others
+        v_i = proj @ h_i
+        if np.linalg.norm(v_i) < DEGENERATE_BRANCH_TOL:
+            vectors.append(np.zeros(n, dtype=complex))
+            dropped.append(True)
+        else:
+            vectors.append(v_i)
+            dropped.append(False)
+    return vectors, dropped
+
+
+def _mrc_weight(signal):
+    """Unit-magnitude combining weight conj(s)/|s|; 0 for a dead branch."""
+    mag = abs(signal)
+    if mag < 1e-300:
+        return 0.0
+    return np.conj(signal) / mag
+
+
+def eve_combiner_parts(channels, reflections, v_at, v_bt, config):
+    """ZF sub-vectors, unit-magnitude weights, and drop flags of Eve's combiner.
+
+    Branch order: surface-1 reflection, surface-2 reflection, Alice direct,
+    Bob direct.
+    """
+    if config.Ne < 4:
+        raise InsufficientAntennasError(
+            f"eavesdropper needs >= 4 antennas for four-way ZF, has {config.Ne}"
+        )
+    refl1, refl2 = reflections
+    t1, t2 = refl1.matrix(), refl2.matrix()
+    steer = [
+        channels.arrival_steering("i1", "e"),
+        channels.arrival_steering("i2", "e"),
+        channels.arrival_steering("a", "e"),
+        channels.arrival_steering("b", "e"),
+    ]
+    vecs, dropped = _zf_branches(steer)
+
+    b1, b2 = config.beta1, config.beta2
+    pa, pb = config.pa_mw, config.pb_mw
+    signals = [
+        vecs[0].conj() @ channels.mat("i1", "e") @ t1 @ (
+            math.sqrt(b1 * pa * channels.cascade_gain("a", "i1", "e")) * channels.mat("a", "i1") @ v_at
+            + math.sqrt(b2 * pb * channels.cascade_gain("b", "i1", "e")) * channels.mat("b", "i1") @ v_bt
+        ),
+        vecs[1].conj() @ channels.mat("i2", "e") @ t2 @ (
+            math.sqrt(b1 * pa * channels.cascade_gain("a", "i2", "e")) * channels.mat("a", "i2") @ v_at
+            + math.sqrt(b2 * pb * channels.cascade_gain("b", "i2", "e")) * channels.mat("b", "i2") @ v_bt
+        ),
+        vecs[2].conj() @ channels.mat("a", "e") @ v_at,
+        vecs[3].conj() @ channels.mat("b", "e") @ v_bt,
+    ]
+    weights = [0.0 if drop else _mrc_weight(s) for s, drop in zip(signals, dropped)]
+    return vecs, weights, dropped
+
+
+def zf_mrc_eve(channels, reflections, v_at, v_bt, config):
+    """Four-branch ZF-separating, coherently-recombining combiner at Eve.
+
+    Each ZF sub-vector nulls the other three arrival directions; weights
+    are unit-magnitude phase conjugates of the branch message signal; the
+    assembled vector is normalized to unit norm.
+    """
+    vecs, weights, _ = eve_combiner_parts(channels, reflections, v_at, v_bt, config)
+    combined = sum(np.conj(w) * v for w, v in zip(weights, vecs))
+    return _unit(combined)
+
+
+def _leakage_matrices(channels, config, side):
+    """Desired-power and eavesdropper-leakage matrices of one transmit side."""
+    m = channels.mat
+    g = channels.gain
+    if side == "a":
+        desired = (
+            g("a", "i1") * m("a", "i1").conj().T @ m("a", "i1")
+            + g("a", "i2") * m("a", "i2").conj().T @ m("a", "i2")
+            + g("a", "b") * m("a", "b").conj().T @ m("a", "b")
+        )
+        eve = g("a", "e") * m("a", "e").conj().T @ m("a", "e")
+    elif side == "b":
+        desired = (
+            g("b", "i1") * m("b", "i1").conj().T @ m("b", "i1")
+            + g("b", "i2") * m("b", "i2").conj().T @ m("b", "i2")
+            + g("a", "b") * m("b", "a").conj().T @ m("b", "a")
+        )
+        eve = g("b", "e") * m("b", "e").conj().T @ m("b", "e")
+    else:
+        raise ValueError(f"side must be 'a' or 'b', got '{side}'")
+    return desired, eve
+
+
+def slnr_transmit(channels, config, side):
+    """Message beamformer maximizing the signal-to-leakage-and-noise ratio.
+
+    The dominant generalized eigenvector of (desired-channel power,
+    eavesdropper leakage + scaled receiver noise).
+    """
+    beta = config.beta1 if side == "a" else config.beta2
+    power = config.pa_mw if side == "a" else config.pb_mw
+    if beta <= 0:
+        raise ValueError("SLNR design requires a positive message power fraction")
+    desired, eve = _leakage_matrices(channels, config, side)
+    n = desired.shape[0]
+    noise = config.sigma2_e_mw / (beta * power)
+    return linalg.dominant_generalized_eigvec(desired, eve + noise * np.eye(n))
+
+
+def lansr_an(channels, config, side):
+    """Noise beamformer maximizing the leakage-to-signal ratio at Eve.
+
+    The dominant generalized eigenvector of (eavesdropper power,
+    desired-channel leakage + scaled noise).
+    """
+    beta = config.beta1 if side == "a" else config.beta2
+    power = config.pa_mw if side == "a" else config.pb_mw
+    if beta >= 1:
+        raise ValueError("LANSR design requires a positive noise power fraction")
+    desired, eve = _leakage_matrices(channels, config, side)
+    n = desired.shape[0]
+    sigma2 = config.sigma2_b_mw if side == "a" else config.sigma2_a_mw
+    noise = sigma2 / ((1.0 - beta) * power)
+    return linalg.dominant_generalized_eigvec(eve, desired + noise * np.eye(n))
+
+
+def three_way_combiner_parts(channels, reflections, v_t_other_side, config, side):
+    """ZF sub-vectors, weights, and drop flags of the legitimate combiners.
+
+    Branches: surface-1 reflection, surface-2 reflection, direct path from
+    the other end.
+    """
+    n_rx = config.Na if side == "a" else config.Nb
+    if n_rx < 3:
+        raise InsufficientAntennasError(
+            f"receiver '{side}' needs >= 3 antennas for three-way ZF, has {n_rx}"
+        )
+    refl1, refl2 = reflections
+    t1, t2 = refl1.matrix(), refl2.matrix()
+    other = "b" if side == "a" else "a"
+    steer = [
+        channels.arrival_steering("i1", side),
+        channels.arrival_steering("i2", side),
+        channels.arrival_steering(other, side),
+    ]
+    vecs, dropped = _zf_branches(steer)
+    signals = [
+        vecs[0].conj() @ channels.mat("i1", side) @ t1 @ channels.mat(other, "i1") @ v_t_other_side,
+        vecs[1].conj() @ channels.mat("i2", side) @ t2 @ channels.mat(other, "i2") @ v_t_other_side,
+        vecs[2].conj() @ channels.mat(other, side) @ v_t_other_side,
+    ]
+    weights = [0.0 if drop else _mrc_weight(s) for s, drop in zip(signals, dropped)]
+    return vecs, weights, dropped
+
+
+def zf_mrc_three_way(channels, reflections, v_t_other_side, config, side):
+    """Three-branch ZF-separating combiner at Alice or Bob.
+
+    ``v_t_other_side`` is the transmit beamformer whose signal the
+    branches are phase-aligned to.
+    """
+    vecs, weights, _ = three_way_combiner_parts(
+        channels, reflections, v_t_other_side, config, side
+    )
+    combined = sum(np.conj(w) * v for w, v in zip(weights, vecs))
+    return _unit(combined)
+
+
+def design_beamformers(channels, reflections, config, method, eff=None):
+    """Build the full beamformer set for one scenario.
+
+    method "max-sv": dominant singular pairs for the message streams,
+    null-space noise vectors, dominant left singular vectors as receivers.
+    method "leakage": SLNR message + LANSR noise transmitters, three-way ZF
+    receivers at Alice/Bob.  Both use the four-way ZF combiner at Eve.
+    """
+    refl1, refl2 = reflections
+    if eff is None:
+        eff = effective_channels(channels, refl1, refl2)
+    if method == "max-sv":
+        v_at, v_br, v_bt, v_ar = max_sv_design(eff)
+        w_a, _ = an_nullspace_design(v_at, channels.departure_steering("a", "e"))
+        w_b, _ = an_nullspace_design(v_bt, channels.departure_steering("b", "e"))
+    elif method == "leakage":
+        v_at = slnr_transmit(channels, config, "a")
+        v_bt = slnr_transmit(channels, config, "b")
+        w_a = lansr_an(channels, config, "a")
+        w_b = lansr_an(channels, config, "b")
+        v_br = zf_mrc_three_way(channels, reflections, v_at, config, "b")
+        v_ar = zf_mrc_three_way(channels, reflections, v_bt, config, "a")
+    else:
+        raise ValueError(f"unknown beamforming method '{method}'")
+    v_er = zf_mrc_eve(channels, reflections, v_at, v_bt, config)
+    return BeamformerSet(
+        v_at=v_at, v_bt=v_bt, w_a=w_a, w_b=w_b,
+        v_ar=v_ar, v_br=v_br, v_er=v_er, method=method,
+    )

@@ -1,0 +1,487 @@
+"""Power-split optimization between message and artificial-noise streams.
+
+Four strategies over the split factors (beta1, beta2):
+
+* ``epa``  : the fixed equal split (0.5, 0.5).
+* ``es-2d``: exhaustive grid search over the unit square.
+* ``es-1d``: exhaustive grid search along the diagonal beta1 = beta2.
+* ``hicf`` : hybrid iterative/closed-form.  The diagonal stationarity
+  condition is a monic sextic whose coefficients follow from the quartic
+  numerator/denominator of the rate expression; two Newton-Raphson root
+  extractions with synthetic deflation reduce it to a quartic solved by
+  Ferrari's radical formula, and the optimum is picked from the root
+  candidates plus the interval boundaries.
+
+Every stage degrades gracefully to the companion-matrix root oracle, and
+an exactly-degenerate sextic falls back to the 1-D grid search.
+"""
+
+from __future__ import annotations
+
+import cmath
+import math
+from dataclasses import dataclass, replace
+
+import numpy as np
+
+from . import linalg
+from .rates import rate_objective, ssr
+
+NEWTON_TOL = 1e-5  # stop when |beta^{p+1} - beta^p| falls below this
+NEWTON_MAX_ITER = 200
+NEWTON_RESTARTS = 8
+DERIVATIVE_TOL = 1e-14
+DEFLATION_RESIDUAL_TOL = 1e-6  # x coefficient scale
+REAL_ROOT_IMAG_TOL = 1e-8
+FERRARI_RESIDUAL_TOL = 1e-7  # x coefficient scale
+ETA1_DEGENERATE_TOL = 1e-10
+DEGENERATE_LEADING_RATIO = 1e-300
+DEFAULT_STEP_1D = 1e-3
+DEFAULT_STEP_2D = 1e-2
+
+
+class DegenerateSexticError(ValueError):
+    """The sextic's leading normalizer q1 q7 - q2 q6 vanished."""
+
+
+class NewtonError(RuntimeError):
+    """Newton iteration failed: derivative vanished or no convergence."""
+
+
+class DeflationError(ValueError):
+    """Refused to deflate: the claimed root has too large a residual."""
+
+
+@dataclass(frozen=True)
+class SexticCoeffs:
+    """q1..q10 quartic products and the monic sextic coefficients alpha1..alpha6."""
+
+    q: tuple
+    alpha: tuple
+
+    def monic(self):
+        return np.array([1.0, *self.alpha])
+
+
+@dataclass(frozen=True)
+class PaCandidate:
+    beta: float
+    objective: float  # unclamped rate objective at (beta, beta)
+    origin: str  # newton-1 | newton-2 | ferrari | boundary
+
+
+@dataclass(frozen=True)
+class PaOutcome:
+    """Chosen split, achieved secrecy sum rate, and per-candidate diagnostics."""
+
+    method: str
+    beta1: float
+    beta2: float
+    ssr: float
+    candidates: tuple
+    diagnostics: dict
+
+
+def quartic_pair(g):
+    """Numerator and denominator quartics N(beta), D(beta) of the diagonal
+    rate ratio, highest-degree coefficient first.
+
+    R(beta) = log2(N(beta) / D(beta)) on the diagonal beta1 = beta2.
+    """
+    s1, s2, s3, s4, s5, s6, s7, s8 = g.as_tuple()
+    a = s2 + g.sigma2_a
+    b = s4 + g.sigma2_b
+    c = s7 + s8 + g.sigma2_e
+
+    q1 = (s1 - s2) * (s3 - s4) * (-s7 - s8) ** 2
+    q2 = (
+        2.0 * (s1 - s2) * (s3 - s4) * (-s7 - s8) * c
+        + ((s1 - s2) * b + (s3 - s4) * a) * (-s7 - s8) ** 2
+    )
+    q3 = (
+        (s1 - s2) * (s3 - s4) * c**2
+        + 2.0 * (-s7 - s8) * c * ((s1 - s2) * b + (s3 - s4) * a)
+        + (-s7 - s8) ** 2 * a * b
+    )
+    q4 = ((s1 - s2) * b + (s3 - s4) * a) * c**2 + 2.0 * (-s7 - s8) * a * b * c
+    q5 = a * b * c**2
+    q6 = s2 * s4 * (s5 - s7 - s8) * (s6 - s7 - s8)
+    q7 = (
+        s2 * s4 * (s5 + s6 - 2.0 * s7 - 2.0 * s8) * c
+        + (s5 - s7 - s8) * (s6 - s7 - s8) * (-s2 * b - s4 * a)
+    )
+    q8 = (
+        s2 * s4 * c**2
+        + (s5 + s6 - 2.0 * s7 - 2.0 * s8) * c * (-s2 * b - s4 * a)
+        + (s5 - s7 - s8) * (s6 - s7 - s8) * a * b
+    )
+    q9 = (-s2 * b - s4 * a) * c**2 + (s5 + s6 - 2.0 * s7 - 2.0 * s8) * c * a * b
+    q10 = a * b * c**2
+    return np.array([q1, q2, q3, q4, q5]), np.array([q6, q7, q8, q9, q10])
+
+
+def sextic_coeffs(g):
+    """Monic sextic whose real roots in (0, 1) are the diagonal stationary points.
+
+    The raw stationarity polynomial is N'(beta) D(beta) - N(beta) D'(beta);
+    dividing by its leading coefficient q1 q7 - q2 q6 produces the monic
+    alpha form.
+
+    Raises
+    ------
+    DegenerateSexticError
+        If the leading normalizer vanishes (or monicizing overflows); the
+        optimizer then falls back to the 1-D grid search.
+    """
+    num, den = quartic_pair(g)
+    q1, q2, q3, q4, q5 = num
+    q6, q7, q8, q9, q10 = den
+    raw = np.array([
+        q1 * q7 - q2 * q6,
+        2.0 * q1 * q8 - 2.0 * q3 * q6,
+        3.0 * q1 * q9 + q2 * q8 - q3 * q7 - 3.0 * q4 * q6,
+        4.0 * q1 * q10 + 2.0 * q2 * q9 - 2.0 * q4 * q7 - 4.0 * q5 * q6,
+        3.0 * q2 * q10 + q3 * q9 - q4 * q8 - 3.0 * q5 * q7,
+        2.0 * q3 * q10 - 2.0 * q5 * q8,
+        q4 * q10 - q5 * q9,
+    ])
+    scale = np.max(np.abs(raw[1:]))
+    lead = raw[0]
+    if lead == 0.0 or abs(lead) < DEGENERATE_LEADING_RATIO * scale:
+        raise DegenerateSexticError("leading normalizer q1 q7 - q2 q6 vanished")
+    alpha = raw[1:] / lead
+    if not np.all(np.isfinite(alpha)):
+        raise DegenerateSexticError("monic sextic coefficients are not finite")
+    return SexticCoeffs(
+        q=(q1, q2, q3, q4, q5, q6, q7, q8, q9, q10),
+        alpha=tuple(alpha),
+    )
+
+
+def newton_root(coeffs, beta0, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
+    """Newton-Raphson on a real polynomial (highest-degree coefficient first).
+
+    Iterates beta <- beta - f(beta)/f'(beta) until the step is <= tol.
+    Raises :class:`NewtonError` when the derivative vanishes or the
+    iteration budget runs out.
+    """
+    if tol <= 0:
+        raise ValueError("tolerance must be positive")
+    coeffs = np.asarray(coeffs, dtype=float)
+    deriv = np.polyder(coeffs)
+    beta = float(beta0)
+    for _ in range(max_iter):
+        fval = np.polyval(coeffs, beta)
+        gval = np.polyval(deriv, beta)
+        if abs(gval) < DERIVATIVE_TOL:
+            raise NewtonError(f"derivative vanished at beta={beta!r}")
+        step = fval / gval
+        beta_next = beta - step
+        if not math.isfinite(beta_next):
+            raise NewtonError("iteration left the finite domain")
+        if abs(beta_next - beta) <= tol:
+            return beta_next
+        beta = beta_next
+    raise NewtonError(f"no convergence within {max_iter} iterations")
+
+
+def deflate(coeffs, root):
+    """Synthetic division of a monic polynomial by (beta - root).
+
+    Quotient coefficients follow the recurrence
+    alpha_bar_i = alpha_i + root * alpha_bar_{i-1}; the remainder is the
+    polynomial value at the root and must be negligible.
+    """
+    coeffs = np.asarray(coeffs, dtype=float)
+    scale = np.max(np.abs(coeffs))
+    quotient = np.empty(coeffs.size - 1)
+    acc = coeffs[0]
+    quotient[0] = acc
+    for i in range(1, coeffs.size - 1):
+        acc = coeffs[i] + root * acc
+        quotient[i] = acc
+    residual = coeffs[-1] + root * acc
+    if abs(residual) > DEFLATION_RESIDUAL_TOL * scale:
+        raise DeflationError(
+            f"residual {abs(residual):.3e} exceeds {DEFLATION_RESIDUAL_TOL:.0e} x scale {scale:.3e}"
+        )
+    return quotient
+
+
+def _resolvent_shifts(gamma1, gamma2):
+    """The three roots of the depressed resolvent cubic z^3 + gamma1 z + gamma2.
+
+    Branches are paired so the principal root is real for real input
+    (conjugate cube-root pairing below the discriminant's sign change).
+    """
+    disc = gamma2**2 / 4.0 + gamma1**3 / 27.0
+    if disc >= 0.0:
+        sq = math.sqrt(disc)
+        t1 = complex(math.copysign(abs(-gamma2 / 2.0 + sq) ** (1.0 / 3.0), -gamma2 / 2.0 + sq))
+        t2 = complex(math.copysign(abs(-gamma2 / 2.0 - sq) ** (1.0 / 3.0), -gamma2 / 2.0 - sq))
+    else:
+        t1 = (-gamma2 / 2.0 + 1j * math.sqrt(-disc)) ** (1.0 / 3.0)
+        t2 = t1.conjugate()
+    omega = cmath.exp(2j * cmath.pi / 3.0)
+    return [t1 * omega**k + t2 * omega**-k for k in range(3)]
+
+
+def _ferrari(a1, a2, a3, a4):
+    """Closed-form roots of the monic quartic, with a degeneracy flag.
+
+    Returns (roots as a length-4 complex array, used_companion_fallback).
+    The resolvent shift gamma3 is computed with principal branches; if the
+    chosen resolvent root makes eta1 vanish, the other resolvent roots are
+    tried, then the biquadratic branch, then the companion oracle.
+    """
+    for coeff in (a1, a2, a3, a4):
+        if not math.isfinite(coeff):
+            raise ValueError("quartic coefficients must be finite")
+    gamma1 = (3.0 * a1 * a3 - 12.0 * a4 - a2**2) / 3.0
+    gamma2 = (
+        -2.0 * a2**3 + 9.0 * a1 * a2 * a3 + 72.0 * a2 * a4
+        - 27.0 * a3**2 - 27.0 * a1**2 * a4
+    ) / 27.0
+    odd_term = 4.0 * a1 * a2 - 8.0 * a3 - a1**3
+    scale = max(1.0, abs(a1), abs(a2), abs(a3), abs(a4))
+
+    def residual_ok(roots):
+        residuals = np.abs(np.polyval([1.0, a1, a2, a3, a4], roots))
+        return np.max(residuals) <= FERRARI_RESIDUAL_TOL * scale
+
+    for shift in _resolvent_shifts(gamma1, gamma2):
+        gamma3 = a2 / 3.0 + shift
+        eta1 = cmath.sqrt(a1**2 / 4.0 - a2 + gamma3)
+        if abs(eta1) < ETA1_DEGENERATE_TOL:
+            continue
+        roots = []
+        for sign_s in (1.0, -1.0):
+            eta2 = cmath.sqrt(
+                0.75 * a1**2 - eta1**2 - 2.0 * a2 + sign_s * odd_term / (4.0 * eta1)
+            )
+            for sign_i in (1.0, -1.0):
+                roots.append(-a1 / 4.0 + sign_s * eta1 / 2.0 + sign_i * eta2 / 2.0)
+        roots = np.array(roots)
+        if residual_ok(roots):
+            return roots, False
+
+    # Depressed quartic may be biquadratic: y^4 + p y^2 + r.
+    p = a2 - 3.0 * a1**2 / 8.0
+    r = a4 - a1 * a3 / 4.0 + a1**2 * a2 / 16.0 - 3.0 * a1**4 / 256.0
+    inner = cmath.sqrt(p * p - 4.0 * r)
+    roots = []
+    for z in ((-p + inner) / 2.0, (-p - inner) / 2.0):
+        y = cmath.sqrt(z)
+        roots.extend([y - a1 / 4.0, -y - a1 / 4.0])
+    roots = np.array(roots)
+    if abs(odd_term) < ETA1_DEGENERATE_TOL * scale and residual_ok(roots):
+        return roots, False
+
+    return linalg.companion_roots([1.0, a1, a2, a3, a4]), True
+
+
+def ferrari_roots(a1, a2, a3, a4):
+    """The four complex roots of beta^4 + a1 beta^3 + a2 beta^2 + a3 beta + a4."""
+    roots, _ = _ferrari(a1, a2, a3, a4)
+    return roots
+
+
+def epa():
+    """The equal-split baseline."""
+    return 0.5, 0.5
+
+
+def _grid(step):
+    if not 0.0 < step <= 0.5:
+        raise ValueError("grid step must lie in (0, 0.5]")
+    n = max(1, round(1.0 / step))
+    return np.linspace(0.0, 1.0, n + 1)
+
+
+def es_1d(g, step=DEFAULT_STEP_1D):
+    """Exhaustive search of the unclamped objective along beta1 = beta2."""
+    grid = _grid(step)
+    values = rate_objective(grid, grid, g)
+    k = int(np.argmax(values))  # first max -> smallest beta on ties
+    beta = float(grid[k])
+    return PaOutcome(
+        method="es-1d", beta1=beta, beta2=beta, ssr=ssr(beta, beta, g),
+        candidates=(), diagnostics={"step": step, "evaluations": grid.size},
+    )
+
+
+def es_2d(g, step=DEFAULT_STEP_2D):
+    """Exhaustive search of the unclamped objective over the unit square.
+
+    Ties break toward smaller beta1, then smaller beta2.
+    """
+    grid = _grid(step)
+    b1, b2 = np.meshgrid(grid, grid, indexing="ij")
+    values = rate_objective(b1, b2, g)
+    k = int(np.argmax(values))  # C-order: beta1-major, so ties resolve as specified
+    i, j = divmod(k, grid.size)
+    beta1, beta2 = float(grid[i]), float(grid[j])
+    return PaOutcome(
+        method="es-2d", beta1=beta1, beta2=beta2, ssr=ssr(beta1, beta2, g),
+        candidates=(), diagnostics={"step": step, "evaluations": values.size},
+    )
+
+
+def _stage_inits(seed, stage, beta1=None):
+    """Deterministic stratified restart points for one Newton stage.
+
+    Stage 2 draws from the reduced domain (0, 0.5) u (beta(1), 1); if
+    beta(1) leaves no such split, from (0, 1) minus a small ball around
+    beta(1).  Stage 1 restarts cover (0, 1).
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([seed, stage]))
+    if stage == 1 or beta1 is None:
+        segments = [(0.0, 1.0)]
+    elif 0.5 < beta1 < 1.0:
+        segments = [(0.0, 0.5), (beta1, 1.0)]
+    else:
+        lo = min(max(beta1 - 0.02, 0.0), 1.0)
+        hi = min(max(beta1 + 0.02, 0.0), 1.0)
+        segments = [seg for seg in [(0.0, lo), (hi, 1.0)] if seg[0] < seg[1]]
+        if not segments:
+            segments = [(0.0, 1.0)]
+    lengths = np.array([hi - lo for lo, hi in segments])
+    total = lengths.sum()
+    points = []
+    for k in range(NEWTON_RESTARTS):
+        # stratify along the concatenated domain, jitter within the stratum
+        u = (k + rng.uniform()) / NEWTON_RESTARTS * total
+        for (lo, hi), length in zip(segments, lengths):
+            if u <= length or (lo, hi) == segments[-1]:
+                points.append(lo + min(u, length))
+                break
+            u -= length
+    return points
+
+
+def _newton_stage(coeffs, inits, tol, max_iter):
+    """Try Newton from each initial point until a deflatable root emerges.
+
+    Returns (root, attempts) or (None, attempts) when every restart failed.
+    """
+    scale = np.max(np.abs(coeffs))
+    attempts = 0
+    for beta0 in inits:
+        attempts += 1
+        try:
+            root = newton_root(coeffs, beta0, tol=tol, max_iter=max_iter)
+        except NewtonError:
+            continue
+        if abs(np.polyval(coeffs, root)) <= DEFLATION_RESIDUAL_TOL * scale:
+            return root, attempts
+    return None, attempts
+
+
+def _real_roots(values):
+    vals = np.atleast_1d(np.asarray(values, dtype=complex))
+    mask = np.abs(vals.imag) < REAL_ROOT_IMAG_TOL
+    return vals[mask].real
+
+
+def hicf(g, seed=0, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
+    """Hybrid iterative/closed-form split optimization on the diagonal.
+
+    Pipeline: sextic coefficients; Newton from 0.5 -> beta(1); deflate;
+    Newton on the quintic from a seeded point in the reduced domain ->
+    beta(2); deflate; Ferrari on the quartic -> beta(3..6); evaluate the
+    unclamped objective at every real candidate in [0, 1] plus the
+    boundaries and return the argmax (smallest beta on ties) applied to
+    both split factors.
+    """
+    diagnostics = {"fallbacks": [], "newton_attempts": {}, "root_residuals": []}
+    try:
+        coeffs = sextic_coeffs(g)
+    except DegenerateSexticError as err:
+        fallback = es_1d(g)
+        diagnostics["fallbacks"].append("degenerate-sextic->es-1d")
+        diagnostics["reason"] = str(err)
+        return replace(
+            fallback, method="hicf",
+            diagnostics={**fallback.diagnostics, **diagnostics},
+        )
+
+    sextic = coeffs.monic()
+    labeled = []  # (root, origin)
+
+    root1, attempts1 = _newton_stage(
+        sextic, [0.5, *_stage_inits(seed, 1)], tol, max_iter
+    )
+    diagnostics["newton_attempts"]["newton-1"] = attempts1
+    if root1 is None:
+        diagnostics["fallbacks"].append("oracle-fallback:newton-1")
+        labeled.extend((r, "newton-1") for r in linalg.companion_roots(sextic))
+    else:
+        labeled.append((root1, "newton-1"))
+        quintic = deflate(sextic, root1)
+        root2, attempts2 = _newton_stage(
+            quintic, _stage_inits(seed, 2, beta1=root1), tol, max_iter
+        )
+        diagnostics["newton_attempts"]["newton-2"] = attempts2
+        if root2 is None:
+            diagnostics["fallbacks"].append("oracle-fallback:newton-2")
+            labeled.extend((r, "newton-2") for r in linalg.companion_roots(quintic))
+        else:
+            labeled.append((root2, "newton-2"))
+            quartic = deflate(quintic, root2)
+            q_roots, used_oracle = _ferrari(*quartic[1:])
+            if used_oracle:
+                diagnostics["fallbacks"].append("oracle-fallback:ferrari")
+            labeled.extend((r, "ferrari") for r in q_roots)
+
+    diagnostics["roots"] = [complex(root) for root, _ in labeled]
+    diagnostics["origins"] = [origin for _, origin in labeled]
+    diagnostics["root_residuals"] = [
+        float(abs(np.polyval(sextic, root))) for root, _ in labeled
+    ]
+
+    candidates = []
+    for root, origin in labeled:
+        for beta in _real_roots(root):
+            if 0.0 <= beta <= 1.0:
+                candidates.append((float(beta), origin))
+    candidates.extend([(0.0, "boundary"), (1.0, "boundary")])
+    candidates.sort(key=lambda item: item[0])  # smallest beta wins ties
+
+    evaluated = tuple(
+        PaCandidate(beta=beta, objective=float(rate_objective(beta, beta, g)), origin=origin)
+        for beta, origin in candidates
+    )
+    best = max(evaluated, key=lambda cand: cand.objective)  # first max on ties
+    # max() keeps the earliest maximal element, i.e. the smallest beta.
+    beta = best.beta
+    return PaOutcome(
+        method="hicf", beta1=beta, beta2=beta, ssr=ssr(beta, beta, g),
+        candidates=evaluated, diagnostics=diagnostics,
+    )
+
+
+_METHOD_ALIASES = {
+    "epa": "epa",
+    "es-1d": "es-1d", "es1d": "es-1d",
+    "es-2d": "es-2d", "es2d": "es-2d",
+    "hicf": "hicf",
+}
+
+
+def allocate(g, method, grid_step=None, seed=0):
+    """Run one named power-allocation strategy and return its outcome."""
+    try:
+        canonical = _METHOD_ALIASES[method]
+    except KeyError:
+        raise ValueError(f"unknown power-allocation method '{method}'") from None
+    if canonical == "epa":
+        beta1, beta2 = epa()
+        return PaOutcome(
+            method="epa", beta1=beta1, beta2=beta2, ssr=ssr(beta1, beta2, g),
+            candidates=(), diagnostics={},
+        )
+    if canonical == "es-1d":
+        return es_1d(g, step=grid_step or DEFAULT_STEP_1D)
+    if canonical == "es-2d":
+        return es_2d(g, step=grid_step or DEFAULT_STEP_2D)
+    return hicf(g, seed=seed)

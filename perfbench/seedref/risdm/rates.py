@@ -1,0 +1,134 @@
+"""Achievable rates and the secrecy sum rate, in two equivalent forms.
+
+The scalar form reduces the whole network to eight nonnegative gains
+s1..s8 (mW-scaled squared channel-beamformer magnitudes) and evaluates the
+rate expression in closed form over the power-split factors; the matrix
+form rebuilds the quadratic-form numerators/denominators from the raw
+channels and serves as an independent oracle for the scalar path.
+
+Logs are base 2; rates are bits/s/Hz.  Clamping to zero happens once, at
+the secrecy-sum-rate level.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+
+@dataclass(frozen=True)
+class ScalarGains:
+    """The eight link-budget scalars plus the three noise powers (all mW)."""
+
+    s1: float
+    s2: float
+    s3: float
+    s4: float
+    s5: float
+    s6: float
+    s7: float
+    s8: float
+    sigma2_a: float
+    sigma2_b: float
+    sigma2_e: float
+
+    def __post_init__(self):
+        for name in ("s1", "s2", "s3", "s4", "s5", "s6", "s7", "s8"):
+            v = getattr(self, name)
+            if not np.isfinite(v) or v < 0:
+                raise ValueError(f"{name} must be finite and >= 0, got {v}")
+        for name in ("sigma2_a", "sigma2_b", "sigma2_e"):
+            v = getattr(self, name)
+            if not np.isfinite(v) or v <= 0:
+                raise ValueError(f"{name} must be finite and > 0, got {v}")
+
+    def as_tuple(self):
+        return (self.s1, self.s2, self.s3, self.s4, self.s5, self.s6, self.s7, self.s8)
+
+
+def _mag2(x):
+    return float(np.abs(x) ** 2)
+
+
+def scalar_gains(eff, bf, config):
+    """The s1..s8 scalars for a frozen beamformer set.
+
+    s1/s2: message/noise power reaching Alice, s3/s4: reaching Bob,
+    s5/s6: message power leaking to Eve from Alice/Bob, s7/s8: noise power
+    arriving at Eve from Alice/Bob.
+    """
+    pa, pb = config.pa_mw, config.pb_mw
+    return ScalarGains(
+        s1=pb * _mag2(bf.v_ar.conj() @ eff.h_a @ bf.v_bt),
+        s2=pb * _mag2(bf.v_ar.conj() @ eff.h_a @ bf.w_b),
+        s3=pa * _mag2(bf.v_br.conj() @ eff.h_b @ bf.v_at),
+        s4=pa * _mag2(bf.v_br.conj() @ eff.h_b @ bf.w_a),
+        s5=pa * _mag2(bf.v_er.conj() @ eff.h_e1 @ bf.v_at),
+        s6=pb * _mag2(bf.v_er.conj() @ eff.h_e2 @ bf.v_bt),
+        s7=pa * _mag2(bf.v_er.conj() @ eff.h_e1 @ bf.w_a),
+        s8=pb * _mag2(bf.v_er.conj() @ eff.h_e2 @ bf.w_b),
+        sigma2_a=config.sigma2_a_mw,
+        sigma2_b=config.sigma2_b_mw,
+        sigma2_e=config.sigma2_e_mw,
+    )
+
+
+def rate_objective(beta1, beta2, g):
+    """Unclamped secrecy objective R(beta1, beta2), scalar or elementwise on arrays.
+
+    Exposed unclamped because the power-split optimizer needs a function
+    without the flat clamped region.
+    """
+    beta1 = np.asarray(beta1, dtype=float)
+    beta2 = np.asarray(beta2, dtype=float)
+    if np.any(beta1 < 0) or np.any(beta1 > 1) or np.any(beta2 < 0) or np.any(beta2 > 1):
+        raise ValueError("power-split factors must lie in [0, 1]")
+    d_e = (1.0 - beta1) * g.s7 + (1.0 - beta2) * g.s8 + g.sigma2_e
+    r = (
+        np.log2(1.0 + beta2 * g.s1 / ((1.0 - beta2) * g.s2 + g.sigma2_a))
+        + np.log2(1.0 + beta1 * g.s3 / ((1.0 - beta1) * g.s4 + g.sigma2_b))
+        - np.log2(1.0 + beta1 * g.s5 / d_e)
+        - np.log2(1.0 + beta2 * g.s6 / d_e)
+    )
+    return r if r.ndim else float(r)
+
+
+def ssr(beta1, beta2, g):
+    """Secrecy sum rate max{0, R(beta1, beta2)} in bits/s/Hz."""
+    return max(0.0, rate_objective(beta1, beta2, g))
+
+
+def rates_matrix_form(eff, bf, config):
+    """(R_a, R_b, R_e) from the quadratic-form matrices.
+
+    Deliberately rebuilt from outer products so this path shares no
+    arithmetic with :func:`rate_objective`; the two must agree to 1e-10.
+    """
+    pa, pb = config.pa_mw, config.pb_mw
+    b1, b2 = config.beta1, config.beta2
+
+    def quad(vec, mat):
+        return float(np.real(vec.conj() @ mat @ vec))
+
+    def outer_of(channel, vec):
+        col = channel @ vec
+        return np.outer(col, col.conj())
+
+    a_mat = b2 * pb * outer_of(eff.h_a, bf.v_bt)
+    b_mat = (1.0 - b2) * pb * outer_of(eff.h_a, bf.w_b)
+    c_mat = b1 * pa * outer_of(eff.h_b, bf.v_at)
+    d_mat = (1.0 - b1) * pa * outer_of(eff.h_b, bf.w_a)
+    e_mat = b1 * pa * outer_of(eff.h_e1, bf.v_at)
+    f_mat = b2 * pb * outer_of(eff.h_e2, bf.v_bt)
+    g_mat = (1.0 - b1) * pa * outer_of(eff.h_e1, bf.w_a)
+    j_mat = (1.0 - b2) * pb * outer_of(eff.h_e2, bf.w_b)
+
+    r_a = np.log2(1.0 + quad(bf.v_ar, a_mat) / (quad(bf.v_ar, b_mat) + config.sigma2_a_mw))
+    r_b = np.log2(1.0 + quad(bf.v_br, c_mat) / (quad(bf.v_br, d_mat) + config.sigma2_b_mw))
+    eve_den = quad(bf.v_er, g_mat + j_mat) + config.sigma2_e_mw
+    r_e = (
+        np.log2(1.0 + quad(bf.v_er, e_mat) / eve_den)
+        + np.log2(1.0 + quad(bf.v_er, f_mat) / eve_den)
+    )
+    return float(r_a), float(r_b), float(r_e)

@@ -1,0 +1,170 @@
+"""Reflection settings for the two surfaces: geometric-parallelogram phase
+synthesis, the random-phase baseline, the all-off baseline, and the
+single-surface masks.
+
+Per element m the two cascaded paths through a surface contribute phasors
+exp(j theta1(m)) (toward Bob) and exp(j theta2(m)) (toward Alice); the
+synthesis phase rotates their vector sum onto the positive real axis so
+the reflected power delivered to both ends simultaneously is maximized.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from .channels import phase_ramp
+from .geometry import InvalidGeometryError
+
+MODES = ("gpg", "gpg-literal", "random", "none", "ris1-only", "ris2-only")
+
+# Antipodal leg phasors leave the synthesized power at zero for any phase.
+ANTIPODAL_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class RisReflection:
+    """Per-element amplitude (0 or 1) and phase in [0, 2 pi) for one surface."""
+
+    amplitudes: np.ndarray
+    phases: np.ndarray
+    flagged: np.ndarray | None = None  # elements where synthesis was degenerate
+
+    def __post_init__(self):
+        amps = np.asarray(self.amplitudes, dtype=float)
+        phases = np.asarray(self.phases, dtype=float)
+        if amps.shape != phases.shape or amps.ndim != 1 or amps.size < 1:
+            raise InvalidGeometryError("amplitudes and phases must be equal-length 1-D arrays")
+        if not np.all((amps == 0.0) | (amps == 1.0)):
+            raise InvalidGeometryError("amplitudes must be 0 or 1")
+        if np.any(phases < 0.0) or np.any(phases >= 2.0 * np.pi):
+            raise InvalidGeometryError("phases must lie in [0, 2 pi)")
+        object.__setattr__(self, "amplitudes", amps)
+        object.__setattr__(self, "phases", phases)
+
+    @property
+    def m(self):
+        return self.amplitudes.size
+
+    def matrix(self):
+        """The M x M diagonal reflection-coefficient matrix."""
+        return np.diag(self.amplitudes * np.exp(1j * self.phases))
+
+
+def _wrap_phase(phi):
+    return np.mod(phi, 2.0 * np.pi)
+
+
+def leg_phases(geom, which_ris, config):
+    """The per-element leg phases (theta1, theta2) of one surface, radians.
+
+    theta1 tracks the Alice -> surface -> Bob cascade, theta2 the
+    Bob -> surface -> Alice cascade.
+    """
+    ris = {1: "i1", 2: "i2"}[which_ris]
+    m, d = config.M, config.d_over_lambda
+    theta1 = 2.0 * np.pi * (
+        phase_ramp(geom[("a", ris)].theta_r, m, d) - phase_ramp(geom[(ris, "b")].theta_t, m, d)
+    )
+    theta2 = 2.0 * np.pi * (
+        phase_ramp(geom[("b", ris)].theta_r, m, d) - phase_ramp(geom[(ris, "a")].theta_t, m, d)
+    )
+    return theta1, theta2
+
+
+def parallelogram_chain(theta1, theta2, l1=1.0, l2=1.0):
+    """Parallelogram quantities (theta3, l3, theta4) from the two leg phases.
+
+    With equal weights l1 = l2 this reduces to l3 = l1 sqrt(2 - 2 cos theta3)
+    and theta4 = |theta2 - theta1| / 2.
+    """
+    theta1 = np.asarray(theta1, dtype=float)
+    theta2 = np.asarray(theta2, dtype=float)
+    theta3 = np.pi - theta2 + theta1
+    l3 = np.sqrt(l1**2 + l2**2 - 2.0 * l1 * l2 * np.cos(theta3))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ratio = (l1**2 + l3**2 - l2**2) / (2.0 * l1 * l3)
+    theta4 = np.arccos(np.clip(ratio, -1.0, 1.0))
+    theta4 = np.where(l3 < ANTIPODAL_TOL, 0.0, theta4)
+    return theta3, l3, theta4
+
+
+def synthesis_phase(theta1, theta2, mode="canonical"):
+    """Per-element reflection phase from the two leg phases.
+
+    canonical:
+        phi = -arg(exp(j theta1) + exp(j theta2)), the exact maximizer of
+        the combined reflected power.  Antipodal legs (|theta2 - theta1|
+        = pi) leave any phase powerless; those elements get phi = -theta1
+        and are flagged.
+    literal:
+        phi = -(theta1 + |theta2 - theta1| / 2), the equal-weight
+        parallelogram-diagonal form.  Agrees with canonical modulo 2 pi
+        whenever theta2 - theta1 lies in [0, pi).
+
+    Returns (phases in [0, 2 pi), flags).
+    """
+    theta1 = np.asarray(theta1, dtype=float)
+    theta2 = np.asarray(theta2, dtype=float)
+    if mode == "literal":
+        theta4 = np.abs(theta2 - theta1) / 2.0
+        return _wrap_phase(-(theta1 + theta4)), np.zeros(theta1.shape, bool)
+    if mode != "canonical":
+        raise ValueError(f"unknown synthesis mode '{mode}'")
+    total = np.exp(1j * theta1) + np.exp(1j * theta2)
+    degenerate = np.abs(total) < ANTIPODAL_TOL
+    phi = np.where(degenerate, -theta1, -np.angle(np.where(degenerate, 1.0, total)))
+    return _wrap_phase(phi), degenerate
+
+
+def gpg_phases(geom, which_ris, config, mode="canonical"):
+    """Reflection setting for one surface under the parallelogram criterion."""
+    theta1, theta2 = leg_phases(geom, which_ris, config)
+    phases, flags = synthesis_phase(theta1, theta2, mode=mode)
+    return RisReflection(
+        amplitudes=np.ones(config.M),
+        phases=phases,
+        flagged=flags if flags.any() else None,
+    )
+
+
+def random_phases(m, seed):
+    """Phases i.i.d. uniform on [0, 2 pi), all elements on; deterministic per seed."""
+    if m < 1:
+        raise InvalidGeometryError(f"element count must be >= 1, got {m}")
+    rng = np.random.default_rng(seed)
+    return RisReflection(amplitudes=np.ones(m), phases=rng.uniform(0.0, 2.0 * np.pi, size=m))
+
+
+def zero_reflection(m):
+    """All elements off: the no-surface baseline."""
+    if m < 1:
+        raise InvalidGeometryError(f"element count must be >= 1, got {m}")
+    return RisReflection(amplitudes=np.zeros(m), phases=np.zeros(m))
+
+
+def reflections_for(mode, geom, config, seed=0):
+    """The (Theta1, Theta2) pair for a named operating mode.
+
+    Single-surface modes keep the parallelogram design on the active
+    surface and switch the other one off.
+    """
+    if mode == "gpg":
+        return gpg_phases(geom, 1, config), gpg_phases(geom, 2, config)
+    if mode == "gpg-literal":
+        return (
+            gpg_phases(geom, 1, config, mode="literal"),
+            gpg_phases(geom, 2, config, mode="literal"),
+        )
+    if mode == "random":
+        rng = np.random.default_rng(seed)
+        lo, hi = rng.integers(0, 2**63 - 1, size=2)
+        return random_phases(config.M, int(lo)), random_phases(config.M, int(hi))
+    if mode == "none":
+        return zero_reflection(config.M), zero_reflection(config.M)
+    if mode == "ris1-only":
+        return gpg_phases(geom, 1, config), zero_reflection(config.M)
+    if mode == "ris2-only":
+        return zero_reflection(config.M), gpg_phases(geom, 2, config)
+    raise ValueError(f"unknown reflection mode '{mode}' (choose from {MODES})")

@@ -1,0 +1,245 @@
+"""Experiment driver: parameter sweeps, Monte-Carlo baselines, CSV output.
+
+A sweep walks one axis (transmit power, element count, split factor, or
+Alice-Bob distance) over a value list crossed with beamforming methods,
+reflection modes, and power-allocation modes, rebuilding the whole
+geometry/channel/beamformer pipeline at every point.  Records are sorted
+into a deterministic order before emission, so running points in parallel
+never changes the output bytes.
+
+Randomized points derive their sub-seed from the master seed and the
+(axis index, trial index) pair through the splitmix64 mixer, documented
+in the README; identical inputs therefore give byte-identical CSV.
+"""
+
+from __future__ import annotations
+
+import io
+import math
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, replace
+
+from .beamforming import design_beamformers
+from .channels import build_channels, effective_channels
+from .geometry import build_geometry
+from .power_allocation import allocate
+from .rates import rate_objective, scalar_gains, ssr
+from .ris import MODES as RIS_MODES
+from .ris import reflections_for
+
+AXES = ("power_dbm", "elements_m", "beta", "distance_ab")
+METHODS = ("max-sv", "leakage")
+PA_MODES = ("fixed", "epa", "es1d", "es2d", "hicf")
+
+CSV_HEADER = "axis,method,ris_mode,pa_mode,beta1,beta2,ssr_bits,trial,seed"
+
+_MASK64 = (1 << 64) - 1
+
+
+def splitmix64(state):
+    """One splitmix64 step: the 64-bit mixing function behind sub-seeding."""
+    state = (state + 0x9E3779B97F4A7C15) & _MASK64
+    z = state
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
+
+
+def sub_seed(seed, axis_index, trial):
+    """Deterministic per-point seed: seed mixed with the point coordinates."""
+    return splitmix64(splitmix64(seed & _MASK64) ^ splitmix64((axis_index << 32) ^ trial))
+
+
+@dataclass(frozen=True)
+class SweepSpec:
+    """One sweep description: axis, values, and the mode cross product.
+
+    ``pa_grid_step`` overrides the grid-search step (method default
+    otherwise); ``pa_seed`` pins the optimizer seed (per-point sub-seed
+    otherwise).
+    """
+
+    axis: str
+    values: tuple
+    methods: tuple = ("max-sv",)
+    ris_modes: tuple = ("gpg",)
+    pa_modes: tuple = ("fixed",)
+    trials: int = 1
+    seed: int = 0
+    pa_grid_step: float | None = None
+    pa_seed: int | None = None
+
+    def __post_init__(self):
+        if self.axis not in AXES:
+            raise ValueError(f"unknown sweep axis '{self.axis}' (choose from {AXES})")
+        if len(self.values) == 0:
+            raise ValueError("sweep needs at least one axis value")
+        if any(b >= a for a, b in zip(self.values[1:], self.values)):
+            raise ValueError("axis values must be strictly increasing")
+        if self.trials < 1:
+            raise ValueError("trials must be >= 1")
+        if self.pa_grid_step is not None and not 0.0 < self.pa_grid_step <= 0.5:
+            raise ValueError("pa_grid_step must lie in (0, 0.5]")
+        for m in self.methods:
+            if m not in METHODS:
+                raise ValueError(f"unknown method '{m}'")
+        for m in self.ris_modes:
+            if m not in RIS_MODES:
+                raise ValueError(f"unknown reflection mode '{m}'")
+        for m in self.pa_modes:
+            if m not in PA_MODES:
+                raise ValueError(f"unknown power-allocation mode '{m}'")
+
+
+@dataclass(frozen=True)
+class SweepRecord:
+    """One evaluated sweep point; a pure function of (config, spec, seed)."""
+
+    axis_value: float
+    method: str
+    ris_mode: str
+    pa_mode: str
+    beta1: float
+    beta2: float
+    ssr_bits: float
+    trial: int
+    seed: int
+
+
+def apply_axis(config, axis, value):
+    """The scenario with one swept parameter overridden."""
+    if axis == "power_dbm":
+        return config.replace(Pa_dbm=float(value), Pb_dbm=float(value))
+    if axis == "elements_m":
+        return config.replace(M=int(value))
+    if axis == "beta":
+        return config.replace(beta1=float(value), beta2=float(value))
+    if axis == "distance_ab":
+        placement = config.placement
+        ax, ay = placement.positions["a"]
+        bx, by = placement.positions["b"]
+        d_old = math.hypot(bx - ax, by - ay)
+        scale = float(value) / d_old
+        new_b = (ax + (bx - ax) * scale, ay + (by - ay) * scale)
+        positions = dict(placement.positions)
+        positions["b"] = new_b
+        return config.replace(placement=replace(placement, positions=positions))
+    raise ValueError(f"unknown sweep axis '{axis}'")
+
+
+def evaluate_point(config, axis, value, method, ris_mode, pa_mode, point_seed,
+                   pa_grid_step=None, pa_seed=None):
+    """Run the full pipeline for one sweep point; returns (beta1, beta2, ssr)."""
+    scenario = apply_axis(config, axis, value)
+    geom = build_geometry(scenario)
+    channels = build_channels(geom, scenario)
+    refls = reflections_for(ris_mode, geom, scenario, seed=point_seed)
+    eff = effective_channels(channels, *refls)
+    bf = design_beamformers(channels, refls, scenario, method, eff=eff)
+    gains = scalar_gains(eff, bf, scenario)
+    if pa_mode == "fixed":
+        b1, b2 = scenario.beta1, scenario.beta2
+        return b1, b2, ssr(b1, b2, gains)
+    outcome = allocate(
+        gains, pa_mode, grid_step=pa_grid_step,
+        seed=point_seed if pa_seed is None else pa_seed,
+    )
+    return outcome.beta1, outcome.beta2, outcome.ssr
+
+
+def run_sweep(config, spec, workers=1):
+    """Evaluate every (value x method x ris_mode x pa_mode x trial) point.
+
+    Errors from any point propagate with the offending parameter tuple
+    attached.  Records come back sorted deterministically regardless of
+    ``workers``.
+    """
+    points = [
+        (axis_index, value, method, ris_mode, pa_mode, trial)
+        for axis_index, value in enumerate(spec.values)
+        for method in spec.methods
+        for ris_mode in spec.ris_modes
+        for pa_mode in spec.pa_modes
+        for trial in range(spec.trials)
+    ]
+
+    def evaluate(point):
+        axis_index, value, method, ris_mode, pa_mode, trial = point
+        seed = sub_seed(spec.seed, axis_index, trial)
+        try:
+            b1, b2, rate = evaluate_point(
+                config, spec.axis, value, method, ris_mode, pa_mode, seed,
+                pa_grid_step=spec.pa_grid_step, pa_seed=spec.pa_seed,
+            )
+        except Exception as err:
+            raise RuntimeError(
+                f"sweep point failed: axis={spec.axis}={value} method={method} "
+                f"ris={ris_mode} pa={pa_mode} trial={trial}: {err}"
+            ) from err
+        return SweepRecord(
+            axis_value=float(value), method=method, ris_mode=ris_mode, pa_mode=pa_mode,
+            beta1=b1, beta2=b2, ssr_bits=rate, trial=trial, seed=seed,
+        )
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            records = list(pool.map(evaluate, points))
+    else:
+        records = [evaluate(p) for p in points]
+    records.sort(key=lambda r: (r.axis_value, r.method, r.ris_mode, r.pa_mode, r.trial))
+    return records
+
+
+def pa_surface(config, step=0.01, method="max-sv", ris_mode="gpg"):
+    """SSR over the (beta1, beta2) grid with beamformers frozen at the config split.
+
+    One record per grid point; the axis column carries beta1.
+    """
+    geom = build_geometry(config)
+    channels = build_channels(geom, config)
+    refls = reflections_for(ris_mode, geom, config, seed=config.seed)
+    eff = effective_channels(channels, *refls)
+    bf = design_beamformers(channels, refls, config, method, eff=eff)
+    gains = scalar_gains(eff, bf, config)
+
+    n = max(1, round(1.0 / step))
+    grid = [i / n for i in range(n + 1)]
+    records = []
+    for b1 in grid:
+        for b2 in grid:
+            records.append(SweepRecord(
+                axis_value=b1, method=method, ris_mode=ris_mode, pa_mode="surface",
+                beta1=b1, beta2=b2,
+                ssr_bits=max(0.0, float(rate_objective(b1, b2, gains))),
+                trial=0, seed=config.seed,
+            ))
+    return records
+
+
+def _fmt(x):
+    return f"{x:.12g}"
+
+
+def emit_csv(records):
+    """Render records as a CSV document (fixed header, LF endings, 12 sig digits)."""
+    if not records:
+        raise ValueError("no records to emit")
+    out = io.StringIO()
+    out.write(CSV_HEADER + "\n")
+    for r in records:
+        out.write(",".join([
+            _fmt(r.axis_value), r.method, r.ris_mode, r.pa_mode,
+            _fmt(r.beta1), _fmt(r.beta2), _fmt(r.ssr_bits),
+            str(r.trial), str(r.seed),
+        ]) + "\n")
+    return out.getvalue()
+
+
+def write_csv(records, path):
+    text = emit_csv(records)
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    except OSError as err:
+        raise OSError(f"cannot write CSV to {path}: {err}") from err
+    return text
