@@ -2,10 +2,11 @@
 
 A sweep walks one axis (transmit power, element count, split factor, or
 Alice-Bob distance) over a value list crossed with beamforming methods,
-reflection modes, and power-allocation modes, rebuilding the whole
-geometry/channel/beamformer pipeline at every point.  Records are sorted
-into a deterministic order before emission, so running points in parallel
-never changes the output bytes.
+reflection modes, and power-allocation modes.  The geometry-to-gains
+pipeline (:func:`point_gains`) runs once per (value, method, reflection
+mode, trial) unit, and every power-allocation mode runs on those gains.
+Records are sorted into a deterministic order before emission, so running
+units in parallel never changes the output bytes.
 
 Randomized points derive their sub-seed from the master seed and the
 (axis index, trial index) pair through the splitmix64 mixer, documented
@@ -18,6 +19,9 @@ import io
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import product
+
+import numpy as np
 
 from .beamforming import design_beamformers
 from .channels import build_channels, effective_channels
@@ -127,65 +131,63 @@ def apply_axis(config, axis, value):
     raise ValueError(f"unknown sweep axis '{axis}'")
 
 
-def evaluate_point(config, axis, value, method, ris_mode, pa_mode, point_seed,
-                   pa_grid_step=None, pa_seed=None):
-    """Run the full pipeline for one sweep point; returns (beta1, beta2, ssr)."""
-    scenario = apply_axis(config, axis, value)
+def point_gains(scenario, method, ris_mode, seed):
+    """Geometry through the s1..s8 link budget; reads no power-allocation input."""
     geom = build_geometry(scenario)
     channels = build_channels(geom, scenario)
-    refls = reflections_for(ris_mode, geom, scenario, seed=point_seed)
+    refls = reflections_for(ris_mode, geom, scenario, seed=seed)
     eff = effective_channels(channels, *refls)
     bf = design_beamformers(channels, refls, scenario, method, eff=eff)
-    gains = scalar_gains(eff, bf, scenario)
-    if pa_mode == "fixed":
-        b1, b2 = scenario.beta1, scenario.beta2
-        return b1, b2, ssr(b1, b2, gains)
-    outcome = allocate(
-        gains, pa_mode, grid_step=pa_grid_step,
-        seed=point_seed if pa_seed is None else pa_seed,
-    )
-    return outcome.beta1, outcome.beta2, outcome.ssr
+    return scalar_gains(eff, bf, scenario)
 
 
 def run_sweep(config, spec, workers=1):
     """Evaluate every (value x method x ris_mode x pa_mode x trial) point.
 
-    Errors from any point propagate with the offending parameter tuple
-    attached.  Records come back sorted deterministically regardless of
-    ``workers``.
+    Each (value, method, ris_mode, trial) unit builds its gains once and
+    runs every PA mode on them.  Errors propagate with the offending
+    parameters attached.  Records come back sorted regardless of ``workers``.
     """
-    points = [
-        (axis_index, value, method, ris_mode, pa_mode, trial)
+    units = [
+        (axis_index, value, method, ris_mode, trial)
         for axis_index, value in enumerate(spec.values)
         for method in spec.methods
         for ris_mode in spec.ris_modes
-        for pa_mode in spec.pa_modes
         for trial in range(spec.trials)
     ]
 
-    def evaluate(point):
-        axis_index, value, method, ris_mode, pa_mode, trial = point
+    def evaluate(unit):
+        axis_index, value, method, ris_mode, trial = unit
         seed = sub_seed(spec.seed, axis_index, trial)
+        pa_seed = seed if spec.pa_seed is None else spec.pa_seed
+        where = f"axis={spec.axis}={value} method={method} ris={ris_mode} trial={trial}"
         try:
-            b1, b2, rate = evaluate_point(
-                config, spec.axis, value, method, ris_mode, pa_mode, seed,
-                pa_grid_step=spec.pa_grid_step, pa_seed=spec.pa_seed,
-            )
+            scenario = apply_axis(config, spec.axis, value)
+            gains = point_gains(scenario, method, ris_mode, seed)
         except Exception as err:
-            raise RuntimeError(
-                f"sweep point failed: axis={spec.axis}={value} method={method} "
-                f"ris={ris_mode} pa={pa_mode} trial={trial}: {err}"
-            ) from err
-        return SweepRecord(
-            axis_value=float(value), method=method, ris_mode=ris_mode, pa_mode=pa_mode,
-            beta1=b1, beta2=b2, ssr_bits=rate, trial=trial, seed=seed,
-        )
+            raise RuntimeError(f"sweep point failed: {where}: {err}") from err
+        records = []
+        for pa_mode in spec.pa_modes:
+            try:
+                if pa_mode == "fixed":
+                    b1, b2 = scenario.beta1, scenario.beta2
+                    rate = ssr(b1, b2, gains)
+                else:
+                    out = allocate(gains, pa_mode, grid_step=spec.pa_grid_step, seed=pa_seed)
+                    b1, b2, rate = out.beta1, out.beta2, out.ssr
+            except Exception as err:
+                raise RuntimeError(f"sweep point failed: {where} pa={pa_mode}: {err}") from err
+            records.append(SweepRecord(
+                axis_value=float(value), method=method, ris_mode=ris_mode, pa_mode=pa_mode,
+                beta1=b1, beta2=b2, ssr_bits=rate, trial=trial, seed=seed,
+            ))
+        return records
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(evaluate, points))
+            records = [r for rs in pool.map(evaluate, units) for r in rs]
     else:
-        records = [evaluate(p) for p in points]
+        records = [r for u in units for r in evaluate(u)]
     records.sort(key=lambda r: (r.axis_value, r.method, r.ris_mode, r.pa_mode, r.trial))
     return records
 
@@ -195,25 +197,18 @@ def pa_surface(config, step=0.01, method="max-sv", ris_mode="gpg"):
 
     One record per grid point; the axis column carries beta1.
     """
-    geom = build_geometry(config)
-    channels = build_channels(geom, config)
-    refls = reflections_for(ris_mode, geom, config, seed=config.seed)
-    eff = effective_channels(channels, *refls)
-    bf = design_beamformers(channels, refls, config, method, eff=eff)
-    gains = scalar_gains(eff, bf, config)
-
+    gains = point_gains(config, method, ris_mode, config.seed)
     n = max(1, round(1.0 / step))
     grid = [i / n for i in range(n + 1)]
-    records = []
-    for b1 in grid:
-        for b2 in grid:
-            records.append(SweepRecord(
-                axis_value=b1, method=method, ris_mode=ris_mode, pa_mode="surface",
-                beta1=b1, beta2=b2,
-                ssr_bits=max(0.0, float(rate_objective(b1, b2, gains))),
-                trial=0, seed=config.seed,
-            ))
-    return records
+    b1, b2 = np.meshgrid(grid, grid, indexing="ij")
+    values = rate_objective(b1, b2, gains).ravel().tolist()
+    return [
+        SweepRecord(
+            axis_value=x, method=method, ris_mode=ris_mode, pa_mode="surface",
+            beta1=x, beta2=y, ssr_bits=max(0.0, r), trial=0, seed=config.seed,
+        )
+        for (x, y), r in zip(product(grid, grid), values)
+    ]
 
 
 def _fmt(x):

@@ -1,10 +1,12 @@
 """Shared generators: random planar scenarios and random link-budget gains."""
 
 import math
+import os
 
 import numpy as np
 import pytest
 
+import risdm
 from risdm.beamforming import design_beamformers
 from risdm.channels import build_channels, effective_channels
 from risdm.geometry import (
@@ -81,6 +83,15 @@ def pipeline(cfg, ris_mode="gpg", method="max-sv", seed=0):
 def pipeline_gains(cfg, ris_mode="gpg", method="max-sv", seed=0):
     _, _, _, eff, bf = pipeline(cfg, ris_mode=ris_mode, method=method, seed=seed)
     return scalar_gains(eff, bf, cfg)
+
+
+@pytest.fixture(autouse=True, scope="session")
+def child_pythonpath():
+    """CLI tests run ``python -m risdm`` in a child: import the same package there."""
+    src = os.path.dirname(os.path.dirname(risdm.__file__))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", src, prepend=os.pathsep)
+        yield
 
 
 @pytest.fixture

@@ -6,11 +6,14 @@ import math
 
 import pytest
 
+import risdm.sim
 from conftest import pipeline_gains
 from risdm.geometry import build_geometry, default_config
 from risdm.power_allocation import es_1d, es_2d
+from risdm.rates import rate_objective
 from risdm.sim import (
     CSV_HEADER,
+    PA_MODES,
     SweepSpec,
     apply_axis,
     emit_csv,
@@ -120,11 +123,54 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             SweepSpec(axis="power_dbm", values=(27.0,), pa_grid_step=0.9)
 
-    def test_point_failure_carries_context(self):
+    def test_point_failure_carries_context(self, monkeypatch):
         cfg = small_cfg(Ne=3)  # four-way ZF impossible
         spec = SweepSpec(axis="power_dbm", values=(27.0,))
-        with pytest.raises(RuntimeError, match="power_dbm=27"):
+        with pytest.raises(RuntimeError, match="power_dbm=27") as pipeline_err:
             run_sweep(cfg, spec)
+        assert "method=max-sv ris=gpg trial=0" in str(pipeline_err.value)
+        assert "pa=" not in str(pipeline_err.value)
+
+        def failing_allocate(gains, mode, **kwargs):
+            raise ValueError("no split")
+
+        monkeypatch.setattr(risdm.sim, "allocate", failing_allocate)
+        spec = SweepSpec(axis="power_dbm", values=(27.0,), pa_modes=("fixed", "hicf"))
+        with pytest.raises(RuntimeError, match="power_dbm=27") as pa_err:
+            run_sweep(small_cfg(), spec)
+        message = str(pa_err.value)
+        assert "method=max-sv ris=gpg trial=0" in message
+        assert "pa=hicf" in message and "no split" in message
+
+    def test_beamformers_built_once_per_unit(self, monkeypatch):
+        calls = []
+        design = risdm.sim.design_beamformers
+
+        def counting_design(*args, **kwargs):
+            calls.append(args)
+            return design(*args, **kwargs)
+
+        monkeypatch.setattr(risdm.sim, "design_beamformers", counting_design)
+        spec = SweepSpec(
+            axis="power_dbm", values=(7.0, 27.0), ris_modes=("gpg", "random"),
+            pa_modes=PA_MODES, trials=2, seed=3,
+        )
+        records = run_sweep(small_cfg(), spec)
+        assert len(records) == 2 * 2 * 5 * 2
+        assert len(calls) == 2 * 2 * 2
+
+    def test_all_pa_modes_match_single_mode_sweeps(self):
+        cfg = small_cfg()
+        base = dict(axis="power_dbm", values=(7.0, 27.0), methods=("max-sv", "leakage"),
+                    ris_modes=("gpg", "random"), trials=2, seed=13)
+
+        def rows(pa_modes):
+            return emit_csv(run_sweep(cfg, SweepSpec(**base, pa_modes=pa_modes))).splitlines()[1:]
+
+        combined = rows(PA_MODES)
+        single = [row for mode in PA_MODES for row in rows((mode,))]
+        assert len(combined) == len(single) == 2 * 2 * 2 * 5 * 2
+        assert sorted(combined) == sorted(single)
 
 
 class TestCsv:
@@ -188,3 +234,14 @@ class TestPaSurface:
         diag = {r.beta1: r.ssr_bits for r in records if r.beta1 == r.beta2}
         out = es_1d(gains, step=0.05)
         assert max(diag.values()) == pytest.approx(out.ssr, abs=1e-12)
+
+    def test_records_equal_scalar_objective(self):
+        cfg = small_cfg()
+        records = pa_surface(cfg, step=0.05)
+        gains = pipeline_gains(cfg, seed=cfg.seed)
+        assert [(r.beta1, r.beta2) for r in records] == [
+            (i / 20, j / 20) for i in range(21) for j in range(21)
+        ]
+        for r in records:
+            assert r.axis_value == r.beta1
+            assert r.ssr_bits == max(0.0, rate_objective(r.beta1, r.beta2, gains))
