@@ -19,7 +19,7 @@ refls = reflections_for("gpg", geom, cfg)
 eff = effective_channels(channels, *refls)
 
 for method in ("max-sv", "leakage"):
-    bf = design_beamformers(channels, refls, cfg, method, eff=eff)
+    bf = design_beamformers(channels, eff, cfg, method)
     g = scalar_gains(eff, bf, cfg)
     ra, rb, re = rates_matrix_form(eff, bf, cfg)
     print(f"=== {method} ===")
@@ -36,8 +36,8 @@ for method in ("max-sv", "leakage"):
           f"s7 (noise at Eve) = {g.s7:.3e} mW")
 
 print("\nEve's four-branch zero-forcing separation (max-sv design):")
-bf = design_beamformers(channels, refls, cfg, "max-sv", eff=eff)
-vecs, weights, dropped = eve_combiner_parts(channels, refls, bf.v_at, bf.v_bt, cfg)
+bf = design_beamformers(channels, eff, cfg, "max-sv")
+vecs, weights, dropped = eve_combiner_parts(channels, eff, bf.v_at, bf.v_bt, cfg)
 steer = [channels.arrival_steering(tx, "e") for tx in ("i1", "i2", "a", "b")]
 names = ("surface-1", "surface-2", "Alice", "Bob")
 for i, (v, w, name) in enumerate(zip(vecs, weights, names)):

@@ -58,7 +58,7 @@ geom = build_geometry(cfg)
 channels = build_channels(geom, cfg)
 refls = reflections_for("gpg", geom, cfg)
 eff = effective_channels(channels, *refls)
-bf = design_beamformers(channels, refls, cfg, "max-sv", eff=eff)
+bf = design_beamformers(channels, eff, cfg, "max-sv")
 gs = scalar_gains(eff, bf, cfg)
 best = hicf(gs, seed=cfg.seed)
 equal = allocate(gs, "epa")

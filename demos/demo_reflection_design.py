@@ -38,7 +38,7 @@ for mode in ("gpg", "gpg-literal", "ris1-only", "ris2-only", "none"):
     for method in ("max-sv", "leakage"):
         refls = reflections_for(mode, geom, cfg)
         eff = effective_channels(channels, *refls)
-        bf = design_beamformers(channels, refls, cfg, method, eff=eff)
+        bf = design_beamformers(channels, eff, cfg, method)
         row.append(ssr(cfg.beta1, cfg.beta2, scalar_gains(eff, bf, cfg)))
     print(f"{mode:>12} {row[0]:10.3f} {row[1]:10.3f}")
 
@@ -49,7 +49,7 @@ for method in ("max-sv", "leakage"):
     for k in range(trials):
         refls = reflections_for("random", geom, cfg, seed=k)
         eff = effective_channels(channels, *refls)
-        bf = design_beamformers(channels, refls, cfg, method, eff=eff)
+        bf = design_beamformers(channels, eff, cfg, method)
         values.append(ssr(cfg.beta1, cfg.beta2, scalar_gains(eff, bf, cfg)))
     means.append(np.mean(values))
 print(f"{'random(mean)':>12} {means[0]:10.3f} {means[1]:10.3f}   ({trials} seeds)")

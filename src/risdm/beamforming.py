@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .channels import effective_channels
 
 # A projected steering vector shorter than this means two arrival
 # directions nearly coincide; the branch is dropped instead of amplified.
@@ -120,77 +119,65 @@ def _mrc_weight(signal):
     return np.conj(signal) / mag
 
 
-def eve_combiner_parts(channels, reflections, v_at, v_bt, config):
+def _zf_mrc_parts(steerings, arrivals):
+    """ZF sub-vectors, unit-magnitude weights, and drop flags of one combiner.
+
+    ``arrivals[i]`` is the message signal vector arriving along
+    ``steerings[i]``; each weight phase-aligns its branch to it.
+    """
+    vecs, dropped = _zf_branches(steerings)
+    weights = [
+        0.0 if drop else _mrc_weight(v.conj() @ y) for v, y, drop in zip(vecs, arrivals, dropped)
+    ]
+    return vecs, weights, dropped
+
+
+def _combine(vecs, weights):
+    return _unit(sum(np.conj(w) * v for w, v in zip(weights, vecs)))
+
+
+def eve_combiner_parts(channels, eff, v_at, v_bt, config):
     """ZF sub-vectors, unit-magnitude weights, and drop flags of Eve's combiner.
 
     Branch order: surface-1 reflection, surface-2 reflection, Alice direct,
-    Bob direct.
+    Bob direct.  A surface branch carries both message streams at their
+    configured powers.
     """
     if config.Ne < 4:
         raise InsufficientAntennasError(
             f"eavesdropper needs >= 4 antennas for four-way ZF, has {config.Ne}"
         )
-    refl1, refl2 = reflections
-    t1, t2 = refl1.matrix(), refl2.matrix()
-    steer = [
-        channels.arrival_steering("i1", "e"),
-        channels.arrival_steering("i2", "e"),
-        channels.arrival_steering("a", "e"),
-        channels.arrival_steering("b", "e"),
-    ]
-    vecs, dropped = _zf_branches(steer)
-
-    b1, b2 = config.beta1, config.beta2
-    pa, pb = config.pa_mw, config.pb_mw
-    signals = [
-        vecs[0].conj() @ channels.mat("i1", "e") @ t1 @ (
-            math.sqrt(b1 * pa * channels.cascade_gain("a", "i1", "e")) * channels.mat("a", "i1") @ v_at
-            + math.sqrt(b2 * pb * channels.cascade_gain("b", "i1", "e")) * channels.mat("b", "i1") @ v_bt
-        ),
-        vecs[1].conj() @ channels.mat("i2", "e") @ t2 @ (
-            math.sqrt(b1 * pa * channels.cascade_gain("a", "i2", "e")) * channels.mat("a", "i2") @ v_at
-            + math.sqrt(b2 * pb * channels.cascade_gain("b", "i2", "e")) * channels.mat("b", "i2") @ v_bt
-        ),
-        vecs[2].conj() @ channels.mat("a", "e") @ v_at,
-        vecs[3].conj() @ channels.mat("b", "e") @ v_bt,
-    ]
-    weights = [0.0 if drop else _mrc_weight(s) for s, drop in zip(signals, dropped)]
-    return vecs, weights, dropped
+    steer = [channels.arrival_steering(tx, "e") for tx in ("i1", "i2", "a", "b")]
+    from_a, from_b = eff.paths["h_e1"], eff.paths["h_e2"]
+    amp_a = math.sqrt(config.beta1 * config.pa_mw)
+    amp_b = math.sqrt(config.beta2 * config.pb_mw)
+    arrivals = [amp_a * from_a[k] @ v_at + amp_b * from_b[k] @ v_bt for k in (0, 1)]
+    arrivals += [from_a[2] @ v_at, from_b[2] @ v_bt]
+    return _zf_mrc_parts(steer, arrivals)
 
 
-def zf_mrc_eve(channels, reflections, v_at, v_bt, config):
+def zf_mrc_eve(channels, eff, v_at, v_bt, config):
     """Four-branch ZF-separating, coherently-recombining combiner at Eve.
 
     Each ZF sub-vector nulls the other three arrival directions; weights
     are unit-magnitude phase conjugates of the branch message signal; the
     assembled vector is normalized to unit norm.
     """
-    vecs, weights, _ = eve_combiner_parts(channels, reflections, v_at, v_bt, config)
-    combined = sum(np.conj(w) * v for w, v in zip(weights, vecs))
-    return _unit(combined)
+    vecs, weights, _ = eve_combiner_parts(channels, eff, v_at, v_bt, config)
+    return _combine(vecs, weights)
 
 
 def _leakage_matrices(channels, config, side):
     """Desired-power and eavesdropper-leakage matrices of one transmit side."""
-    m = channels.mat
-    g = channels.gain
-    if side == "a":
-        desired = (
-            g("a", "i1") * m("a", "i1").conj().T @ m("a", "i1")
-            + g("a", "i2") * m("a", "i2").conj().T @ m("a", "i2")
-            + g("a", "b") * m("a", "b").conj().T @ m("a", "b")
-        )
-        eve = g("a", "e") * m("a", "e").conj().T @ m("a", "e")
-    elif side == "b":
-        desired = (
-            g("b", "i1") * m("b", "i1").conj().T @ m("b", "i1")
-            + g("b", "i2") * m("b", "i2").conj().T @ m("b", "i2")
-            + g("a", "b") * m("b", "a").conj().T @ m("b", "a")
-        )
-        eve = g("b", "e") * m("b", "e").conj().T @ m("b", "e")
-    else:
+    if side not in ("a", "b"):
         raise ValueError(f"side must be 'a' or 'b', got '{side}'")
-    return desired, eve
+    other = "b" if side == "a" else "a"
+
+    def power(rx):
+        link = channels.mat(side, rx)
+        return channels.gain(side, rx) * link.conj().T @ link
+
+    return power("i1") + power("i2") + power(other), power("e")
 
 
 def slnr_transmit(channels, config, side):
@@ -226,7 +213,7 @@ def lansr_an(channels, config, side):
     return linalg.dominant_generalized_eigvec(eve, desired + noise * np.eye(n))
 
 
-def three_way_combiner_parts(channels, reflections, v_t_other_side, config, side):
+def three_way_combiner_parts(channels, eff, v_t_other_side, config, side):
     """ZF sub-vectors, weights, and drop flags of the legitimate combiners.
 
     Branches: surface-1 reflection, surface-2 reflection, direct path from
@@ -237,48 +224,32 @@ def three_way_combiner_parts(channels, reflections, v_t_other_side, config, side
         raise InsufficientAntennasError(
             f"receiver '{side}' needs >= 3 antennas for three-way ZF, has {n_rx}"
         )
-    refl1, refl2 = reflections
-    t1, t2 = refl1.matrix(), refl2.matrix()
     other = "b" if side == "a" else "a"
-    steer = [
-        channels.arrival_steering("i1", side),
-        channels.arrival_steering("i2", side),
-        channels.arrival_steering(other, side),
-    ]
-    vecs, dropped = _zf_branches(steer)
-    signals = [
-        vecs[0].conj() @ channels.mat("i1", side) @ t1 @ channels.mat(other, "i1") @ v_t_other_side,
-        vecs[1].conj() @ channels.mat("i2", side) @ t2 @ channels.mat(other, "i2") @ v_t_other_side,
-        vecs[2].conj() @ channels.mat(other, side) @ v_t_other_side,
-    ]
-    weights = [0.0 if drop else _mrc_weight(s) for s, drop in zip(signals, dropped)]
-    return vecs, weights, dropped
+    steer = [channels.arrival_steering(tx, side) for tx in ("i1", "i2", other)]
+    arrivals = [term @ v_t_other_side for term in eff.paths[f"h_{side}"]]
+    return _zf_mrc_parts(steer, arrivals)
 
 
-def zf_mrc_three_way(channels, reflections, v_t_other_side, config, side):
+def zf_mrc_three_way(channels, eff, v_t_other_side, config, side):
     """Three-branch ZF-separating combiner at Alice or Bob.
 
     ``v_t_other_side`` is the transmit beamformer whose signal the
     branches are phase-aligned to.
     """
-    vecs, weights, _ = three_way_combiner_parts(
-        channels, reflections, v_t_other_side, config, side
-    )
-    combined = sum(np.conj(w) * v for w, v in zip(weights, vecs))
-    return _unit(combined)
+    vecs, weights, _ = three_way_combiner_parts(channels, eff, v_t_other_side, config, side)
+    return _combine(vecs, weights)
 
 
-def design_beamformers(channels, reflections, config, method, eff=None):
+def design_beamformers(channels, eff, config, method):
     """Build the full beamformer set for one scenario.
 
     method "max-sv": dominant singular pairs for the message streams,
     null-space noise vectors, dominant left singular vectors as receivers.
     method "leakage": SLNR message + LANSR noise transmitters, three-way ZF
     receivers at Alice/Bob.  Both use the four-way ZF combiner at Eve.
+    Every receiver reads the effective channels ``eff`` and their per-path
+    terms.
     """
-    refl1, refl2 = reflections
-    if eff is None:
-        eff = effective_channels(channels, refl1, refl2)
     if method == "max-sv":
         v_at, v_br, v_bt, v_ar = max_sv_design(eff)
         w_a, _ = an_nullspace_design(v_at, channels.departure_steering("a", "e"))
@@ -288,11 +259,11 @@ def design_beamformers(channels, reflections, config, method, eff=None):
         v_bt = slnr_transmit(channels, config, "b")
         w_a = lansr_an(channels, config, "a")
         w_b = lansr_an(channels, config, "b")
-        v_br = zf_mrc_three_way(channels, reflections, v_at, config, "b")
-        v_ar = zf_mrc_three_way(channels, reflections, v_bt, config, "a")
+        v_br = zf_mrc_three_way(channels, eff, v_at, config, "b")
+        v_ar = zf_mrc_three_way(channels, eff, v_bt, config, "a")
     else:
         raise ValueError(f"unknown beamforming method '{method}'")
-    v_er = zf_mrc_eve(channels, reflections, v_at, v_bt, config)
+    v_er = zf_mrc_eve(channels, eff, v_at, v_bt, config)
     return BeamformerSet(
         v_at=v_at, v_bt=v_bt, w_a=w_a, w_b=w_b,
         v_ar=v_ar, v_br=v_br, v_er=v_er, method=method,

@@ -82,12 +82,21 @@ def build_channels(geom, config):
 
 @dataclass(frozen=True)
 class EffectiveChannels:
-    """The four cascaded end-to-end channels as functions of (Theta1, Theta2)."""
+    """The four cascaded end-to-end channels as functions of (Theta1, Theta2).
+
+    ``paths[name]`` holds the surface-1, surface-2 and direct terms of the
+    channel ``name``; their sum is the channel.
+    """
 
     h_a: np.ndarray  # Na x Nb, Bob -> Alice
     h_b: np.ndarray  # Nb x Na, Alice -> Bob
     h_e1: np.ndarray  # Ne x Na, Alice -> Eve
     h_e2: np.ndarray  # Ne x Nb, Bob -> Eve
+    paths: dict
+
+
+# (effective channel, transmitter, receiver)
+EFFECTIVE_LINKS = (("h_a", "b", "a"), ("h_b", "a", "b"), ("h_e1", "a", "e"), ("h_e2", "b", "e"))
 
 
 def _theta_matrix(reflection, m):
@@ -103,36 +112,30 @@ def _theta_matrix(reflection, m):
     return theta
 
 
-def effective_channels(channels, reflection1, reflection2):
-    """Assemble H_a, H_b, H_e1, H_e2 for the given reflection settings.
+def _surface_terms(channels, ris, reflection):
+    """The reflected term through one surface of every effective channel.
 
-    Each is the sum of the two sqrt-composite-gain reflected paths and the
-    sqrt-gain direct path.
+    The surface's M x M matrix lives only inside this call.
     """
-    cfg = channels.config
-    t1 = _theta_matrix(reflection1, cfg.M)
-    t2 = _theta_matrix(reflection2, cfg.M)
+    t = _theta_matrix(reflection, channels.config.M)
     g = channels.cascade_gain
     m = channels.mat
+    return [math.sqrt(g(tx, ris, rx)) * m(ris, rx) @ t @ m(tx, ris) for _, tx, rx in EFFECTIVE_LINKS]
 
-    h_b = (
-        math.sqrt(g("a", "i1", "b")) * m("i1", "b") @ t1 @ m("a", "i1")
-        + math.sqrt(g("a", "i2", "b")) * m("i2", "b") @ t2 @ m("a", "i2")
-        + math.sqrt(channels.gain("a", "b")) * m("a", "b")
+
+def effective_channels(channels, reflection1, reflection2):
+    """Assemble H_a, H_b, H_e1, H_e2 and their per-path terms.
+
+    Each channel is the sum of the two sqrt-composite-gain reflected paths
+    and the sqrt-gain direct path, every gain taken from the directed links
+    the path traverses.
+    """
+    surface1 = _surface_terms(channels, "i1", reflection1)
+    surface2 = _surface_terms(channels, "i2", reflection2)
+    paths = {
+        name: (p1, p2, math.sqrt(channels.gain(tx, rx)) * channels.mat(tx, rx))
+        for (name, tx, rx), p1, p2 in zip(EFFECTIVE_LINKS, surface1, surface2)
+    }
+    return EffectiveChannels(
+        **{name: p1 + p2 + direct for name, (p1, p2, direct) in paths.items()}, paths=paths
     )
-    h_a = (
-        math.sqrt(g("a", "i1", "b")) * m("i1", "a") @ t1 @ m("b", "i1")
-        + math.sqrt(g("a", "i2", "b")) * m("i2", "a") @ t2 @ m("b", "i2")
-        + math.sqrt(channels.gain("a", "b")) * m("b", "a")
-    )
-    h_e1 = (
-        math.sqrt(g("a", "i1", "e")) * m("i1", "e") @ t1 @ m("a", "i1")
-        + math.sqrt(g("a", "i2", "e")) * m("i2", "e") @ t2 @ m("a", "i2")
-        + math.sqrt(channels.gain("a", "e")) * m("a", "e")
-    )
-    h_e2 = (
-        math.sqrt(g("b", "i1", "e")) * m("i1", "e") @ t1 @ m("b", "i1")
-        + math.sqrt(g("b", "i2", "e")) * m("i2", "e") @ t2 @ m("b", "i2")
-        + math.sqrt(channels.gain("b", "e")) * m("b", "e")
-    )
-    return EffectiveChannels(h_a=h_a, h_b=h_b, h_e1=h_e1, h_e2=h_e2)

@@ -291,11 +291,15 @@ def epa():
     return 0.5, 0.5
 
 
-def _grid(step):
+def grid_intervals(step):
+    """Intervals of the [0, 1] search grid for a step in (0, 0.5]."""
     if not 0.0 < step <= 0.5:
         raise ValueError("grid step must lie in (0, 0.5]")
-    n = max(1, round(1.0 / step))
-    return np.linspace(0.0, 1.0, n + 1)
+    return round(1.0 / step)
+
+
+def _grid(step):
+    return np.linspace(0.0, 1.0, grid_intervals(step) + 1)
 
 
 def es_1d(g, step=DEFAULT_STEP_1D):

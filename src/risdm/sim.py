@@ -26,7 +26,7 @@ import numpy as np
 from .beamforming import design_beamformers
 from .channels import build_channels, effective_channels
 from .geometry import build_geometry
-from .power_allocation import allocate
+from .power_allocation import allocate, grid_intervals
 from .rates import rate_objective, scalar_gains, ssr
 from .ris import MODES as RIS_MODES
 from .ris import reflections_for
@@ -80,6 +80,10 @@ class SweepSpec:
             raise ValueError("sweep needs at least one axis value")
         if any(b >= a for a, b in zip(self.values[1:], self.values)):
             raise ValueError("axis values must be strictly increasing")
+        if self.axis == "elements_m" and not all(
+            float(v).is_integer() and v >= 1 for v in self.values
+        ):
+            raise ValueError("elements_m values must be whole numbers >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.pa_grid_step is not None and not 0.0 < self.pa_grid_step <= 0.5:
@@ -135,9 +139,8 @@ def point_gains(scenario, method, ris_mode, seed):
     """Geometry through the s1..s8 link budget; reads no power-allocation input."""
     geom = build_geometry(scenario)
     channels = build_channels(geom, scenario)
-    refls = reflections_for(ris_mode, geom, scenario, seed=seed)
-    eff = effective_channels(channels, *refls)
-    bf = design_beamformers(channels, refls, scenario, method, eff=eff)
+    eff = effective_channels(channels, *reflections_for(ris_mode, geom, scenario, seed=seed))
+    bf = design_beamformers(channels, eff, scenario, method)
     return scalar_gains(eff, bf, scenario)
 
 
@@ -195,10 +198,11 @@ def run_sweep(config, spec, workers=1):
 def pa_surface(config, step=0.01, method="max-sv", ris_mode="gpg"):
     """SSR over the (beta1, beta2) grid with beamformers frozen at the config split.
 
-    One record per grid point; the axis column carries beta1.
+    One record per grid point; the axis column carries beta1.  ``step``
+    must lie in (0, 0.5].
     """
+    n = grid_intervals(step)
     gains = point_gains(config, method, ris_mode, config.seed)
-    n = max(1, round(1.0 / step))
     grid = [i / n for i in range(n + 1)]
     b1, b2 = np.meshgrid(grid, grid, indexing="ij")
     values = rate_objective(b1, b2, gains).ravel().tolist()

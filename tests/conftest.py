@@ -8,7 +8,7 @@ import pytest
 
 import risdm
 from risdm.beamforming import design_beamformers
-from risdm.channels import build_channels, effective_channels
+from risdm.channels import EffectiveChannels, build_channels, effective_channels
 from risdm.geometry import (
     NODES,
     InvalidGeometryError,
@@ -70,13 +70,19 @@ def random_gains(rng):
     return ScalarGains(*map(float, s), *map(float, sigma))
 
 
+def direct_only(h_a, h_b, h_e1, h_e2):
+    """Hand-built effective channels whose every channel is its direct term."""
+    chans = {"h_a": h_a, "h_b": h_b, "h_e1": h_e1, "h_e2": h_e2}
+    return EffectiveChannels(**chans, paths={k: (0 * h, 0 * h, h) for k, h in chans.items()})
+
+
 def pipeline(cfg, ris_mode="gpg", method="max-sv", seed=0):
     """Run geometry -> channels -> reflections -> beamformers for one scenario."""
     geom = build_geometry(cfg)
     channels = build_channels(geom, cfg)
     refls = reflections_for(ris_mode, geom, cfg, seed=seed)
     eff = effective_channels(channels, *refls)
-    bf = design_beamformers(channels, refls, cfg, method, eff=eff)
+    bf = design_beamformers(channels, eff, cfg, method)
     return geom, channels, refls, eff, bf
 
 

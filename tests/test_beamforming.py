@@ -1,13 +1,15 @@
 """Transmit, noise, and receive beamformer contracts."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from conftest import pipeline, random_config
+from conftest import direct_only, pipeline, random_config
 from risdm.beamforming import (
     InsufficientAntennasError,
+    _mrc_weight,
     an_nullspace_design,
     design_beamformers,
     eve_combiner_parts,
@@ -18,7 +20,7 @@ from risdm.beamforming import (
     zf_mrc_eve,
     zf_mrc_three_way,
 )
-from risdm.channels import EffectiveChannels, build_channels, effective_channels
+from risdm.channels import build_channels, effective_channels
 from risdm.geometry import Placement, build_geometry, default_config, default_placement
 from risdm.ris import reflections_for
 
@@ -32,14 +34,14 @@ class TestMaxSv:
     def make_eff(self, rng, na=6, nb=5, ne=4):
         def mat(rows, cols):
             return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-        return EffectiveChannels(h_a=mat(na, nb), h_b=mat(nb, na),
-                                 h_e1=mat(ne, na), h_e2=mat(ne, nb))
+        return direct_only(h_a=mat(na, nb), h_b=mat(nb, na),
+                           h_e1=mat(ne, na), h_e2=mat(ne, nb))
 
     def test_rank_one_channel_recovers_factors(self, rng):
         u = random_unit(rng, 5)[0]
         v = random_unit(rng, 6)[0]
         h_b = 0.37 * np.outer(u, v.conj())
-        eff = EffectiveChannels(h_a=h_b.conj().T, h_b=h_b, h_e1=np.eye(4, 6), h_e2=np.eye(4, 5))
+        eff = direct_only(h_a=h_b.conj().T, h_b=h_b, h_e1=np.eye(4, 6), h_e2=np.eye(4, 5))
         v_at, v_br, _, _ = max_sv_design(eff)
         assert abs(abs(v.conj() @ v_at) - 1.0) < 1e-10
         assert abs(abs(u.conj() @ v_br) - 1.0) < 1e-10
@@ -62,8 +64,8 @@ class TestMaxSv:
         assert achieved >= probe.max() - 1e-12
 
     def test_zero_channel_rejected(self):
-        eff = EffectiveChannels(h_a=np.zeros((4, 4)), h_b=np.zeros((4, 4)),
-                                h_e1=np.zeros((4, 4)), h_e2=np.zeros((4, 4)))
+        eff = direct_only(h_a=np.zeros((4, 4)), h_b=np.zeros((4, 4)),
+                          h_e1=np.zeros((4, 4)), h_e2=np.zeros((4, 4)))
         with pytest.raises(Exception):
             max_sv_design(eff)
 
@@ -117,7 +119,7 @@ class TestEveCombiner:
         refls = reflections_for("gpg", geom, cfg)
         eff = effective_channels(channels, *refls)
         v_at, _, v_bt, _ = max_sv_design(eff)
-        vecs, weights, dropped = eve_combiner_parts(channels, refls, v_at, v_bt, cfg)
+        vecs, weights, dropped = eve_combiner_parts(channels, eff, v_at, v_bt, cfg)
         steer = [channels.arrival_steering(tx, "e") for tx in ("i1", "i2", "a", "b")]
         for v, h in zip(vecs, steer):
             corr = abs(h.conj() @ v) / np.linalg.norm(v)
@@ -129,7 +131,7 @@ class TestEveCombiner:
         refls = reflections_for("gpg", geom, default_cfg)
         eff = effective_channels(channels, *refls)
         v_at, _, v_bt, _ = max_sv_design(eff)
-        vecs, weights, dropped = eve_combiner_parts(channels, refls, v_at, v_bt, default_cfg)
+        vecs, weights, dropped = eve_combiner_parts(channels, eff, v_at, v_bt, default_cfg)
         steer = [channels.arrival_steering(tx, "e") for tx in ("i1", "i2", "a", "b")]
         for i, v in enumerate(vecs):
             if dropped[i]:
@@ -149,7 +151,7 @@ class TestEveCombiner:
         eff = effective_channels(channels, *refls)
         v_at, _, v_bt, _ = max_sv_design(eff)
         with pytest.raises(InsufficientAntennasError):
-            zf_mrc_eve(channels, refls, v_at, v_bt, cfg)
+            zf_mrc_eve(channels, eff, v_at, v_bt, cfg)
 
 
 class TestLeakageDesigns:
@@ -239,10 +241,10 @@ class TestThreeWayCombiner:
     def test_zf_nulls(self, default_cfg):
         geom = build_geometry(default_cfg)
         channels = build_channels(geom, default_cfg)
-        refls = reflections_for("gpg", geom, default_cfg)
+        eff = effective_channels(channels, *reflections_for("gpg", geom, default_cfg))
         v_at = slnr_transmit(channels, default_cfg, "a")
         vecs, weights, dropped = three_way_combiner_parts(
-            channels, refls, v_at, default_cfg, "b")
+            channels, eff, v_at, default_cfg, "b")
         steer = [channels.arrival_steering(tx, "b") for tx in ("i1", "i2", "a")]
         for i, v in enumerate(vecs):
             if dropped[i]:
@@ -255,10 +257,10 @@ class TestThreeWayCombiner:
         cfg = default_config(Nb=2)
         geom = build_geometry(cfg)
         channels = build_channels(geom, cfg)
-        refls = reflections_for("gpg", geom, cfg)
+        eff = effective_channels(channels, *reflections_for("gpg", geom, cfg))
         v_at = slnr_transmit(channels, cfg, "a")
         with pytest.raises(InsufficientAntennasError):
-            zf_mrc_three_way(channels, refls, v_at, cfg, "b")
+            zf_mrc_three_way(channels, eff, v_at, cfg, "b")
 
     def test_coherent_recombination_oracle(self, default_cfg):
         # achieved message magnitude vs. an independently recomputed
@@ -268,7 +270,7 @@ class TestThreeWayCombiner:
         refls = reflections_for("gpg", geom, default_cfg)
         eff = effective_channels(channels, *refls)
         v_at = slnr_transmit(channels, default_cfg, "a")
-        v_br = zf_mrc_three_way(channels, refls, v_at, default_cfg, "b")
+        v_br = zf_mrc_three_way(channels, eff, v_at, default_cfg, "b")
         achieved = abs(v_br.conj() @ eff.h_b @ v_at)
 
         t1, t2 = refls[0].matrix(), refls[1].matrix()
@@ -278,7 +280,7 @@ class TestThreeWayCombiner:
             math.sqrt(channels.gain("a", "b")) * channels.mat("a", "b"),
         ]
         vecs, weights, dropped = three_way_combiner_parts(
-            channels, refls, v_at, default_cfg, "b")
+            channels, eff, v_at, default_cfg, "b")
         signals = [abs(v.conj() @ bm @ v_at) for v, bm in zip(vecs, branch_mats)]
         norm = np.linalg.norm(sum(np.conj(w) * v for w, v in zip(weights, vecs)))
         oracle = sum(signals) / norm
@@ -304,6 +306,86 @@ class TestFullSets:
     def test_unknown_method(self, default_cfg):
         geom = build_geometry(default_cfg)
         channels = build_channels(geom, default_cfg)
-        refls = reflections_for("gpg", geom, default_cfg)
+        eff = effective_channels(channels, *reflections_for("gpg", geom, default_cfg))
         with pytest.raises(ValueError):
-            design_beamformers(channels, refls, default_cfg, "mystery")
+            design_beamformers(channels, eff, default_cfg, "mystery")
+
+
+def dense_eve_signals(channels, refls, v_at, v_bt, vecs, config):
+    """Eve's branch message signals through the dense reflection matrices."""
+    t1, t2 = refls[0].matrix(), refls[1].matrix()
+    g, m = channels.cascade_gain, channels.mat
+    b1, b2, pa, pb = config.beta1, config.beta2, config.pa_mw, config.pb_mw
+    return [
+        vecs[0].conj() @ m("i1", "e") @ t1 @ (
+            math.sqrt(b1 * pa * g("a", "i1", "e")) * m("a", "i1") @ v_at
+            + math.sqrt(b2 * pb * g("b", "i1", "e")) * m("b", "i1") @ v_bt
+        ),
+        vecs[1].conj() @ m("i2", "e") @ t2 @ (
+            math.sqrt(b1 * pa * g("a", "i2", "e")) * m("a", "i2") @ v_at
+            + math.sqrt(b2 * pb * g("b", "i2", "e")) * m("b", "i2") @ v_bt
+        ),
+        vecs[2].conj() @ m("a", "e") @ v_at,
+        vecs[3].conj() @ m("b", "e") @ v_bt,
+    ]
+
+
+def dense_three_way_signals(channels, refls, v_t, vecs, side):
+    """A legitimate receiver's branch signals through the dense reflection matrices."""
+    t1, t2 = refls[0].matrix(), refls[1].matrix()
+    m = channels.mat
+    other = "b" if side == "a" else "a"
+    return [
+        vecs[0].conj() @ m("i1", side) @ t1 @ m(other, "i1") @ v_t,
+        vecs[1].conj() @ m("i2", side) @ t2 @ m(other, "i2") @ v_t,
+        vecs[2].conj() @ m(other, side) @ v_t,
+    ]
+
+
+def assembled(vecs, weights):
+    combined = sum(np.conj(w) * v for w, v in zip(weights, vecs))
+    return combined / np.linalg.norm(combined)
+
+
+class TestCombinersReadPathTerms:
+    @pytest.mark.parametrize("m", [7, 100, 400])
+    @pytest.mark.parametrize("mode", ["gpg", "random", "none", "ris1-only"])
+    @pytest.mark.parametrize("method", ["max-sv", "leakage"])
+    def test_match_dense_branch_signals(self, m, mode, method):
+        cfg = default_config(M=m)
+        geom = build_geometry(cfg)
+        channels = build_channels(geom, cfg)
+        refls = reflections_for(mode, geom, cfg, seed=5)
+        eff = effective_channels(channels, *refls)
+        if method == "max-sv":
+            v_at, _, v_bt, _ = max_sv_design(eff)
+        else:
+            v_at, v_bt = slnr_transmit(channels, cfg, "a"), slnr_transmit(channels, cfg, "b")
+
+        vecs, weights, dropped = eve_combiner_parts(channels, eff, v_at, v_bt, cfg)
+        signals = dense_eve_signals(channels, refls, v_at, v_bt, vecs, cfg)
+        want = [0.0 if d else _mrc_weight(s) for s, d in zip(signals, dropped)]
+        assert np.max(np.abs(np.subtract(weights, want))) < 1e-12
+        assert np.max(np.abs(zf_mrc_eve(channels, eff, v_at, v_bt, cfg) - assembled(vecs, want))) < 1e-12
+
+        for side, v_t in (("b", v_at), ("a", v_bt)):
+            vecs, weights, dropped = three_way_combiner_parts(channels, eff, v_t, cfg, side)
+            signals = dense_three_way_signals(channels, refls, v_t, vecs, side)
+            want = [0.0 if d else _mrc_weight(s) for s, d in zip(signals, dropped)]
+            assert np.max(np.abs(np.subtract(weights, want))) < 1e-12
+            got = zf_mrc_three_way(channels, eff, v_t, cfg, side)
+            assert np.max(np.abs(got - assembled(vecs, want))) < 1e-12
+
+    @pytest.mark.parametrize("method", ["max-sv", "leakage"])
+    def test_design_allocates_no_surface_sized_matrix(self, method):
+        cfg = default_config(M=1024)
+        geom = build_geometry(cfg)
+        channels = build_channels(geom, cfg)
+        eff = effective_channels(channels, *reflections_for("gpg", geom, cfg))
+        tracemalloc.start()
+        try:
+            design_beamformers(channels, eff, cfg, method)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20

@@ -1,13 +1,22 @@
 """Steering vectors, rank-1 link matrices, and effective-channel assembly."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from risdm.channels import build_channels, effective_channels, steering_vector
-from risdm.geometry import InvalidGeometryError, Link, LINKS, build_geometry, default_config
-from risdm.ris import RisReflection, zero_reflection
+from risdm.channels import EFFECTIVE_LINKS, build_channels, effective_channels, steering_vector
+from risdm.geometry import (
+    InvalidGeometryError,
+    Link,
+    LINKS,
+    Placement,
+    build_geometry,
+    default_config,
+    default_placement,
+)
+from risdm.ris import RisReflection, reflections_for, zero_reflection
 
 
 class TestSteeringVector:
@@ -158,3 +167,96 @@ class TestEffectiveChannels:
         b = effective_channels(channels, off2, off2)
         assert np.array_equal(a.h_b, b.h_b)
         assert np.array_equal(a.h_e1, b.h_e1)
+
+
+def dense_effective_channels(channels, reflection1, reflection2):
+    """The twelve-term dense assembly, written out term by term as a reference."""
+    t1, t2 = reflection1.matrix(), reflection2.matrix()
+    g = channels.cascade_gain
+    m = channels.mat
+    h_b = (
+        math.sqrt(g("a", "i1", "b")) * m("i1", "b") @ t1 @ m("a", "i1")
+        + math.sqrt(g("a", "i2", "b")) * m("i2", "b") @ t2 @ m("a", "i2")
+        + math.sqrt(channels.gain("a", "b")) * m("a", "b")
+    )
+    h_a = (
+        math.sqrt(g("a", "i1", "b")) * m("i1", "a") @ t1 @ m("b", "i1")
+        + math.sqrt(g("a", "i2", "b")) * m("i2", "a") @ t2 @ m("b", "i2")
+        + math.sqrt(channels.gain("a", "b")) * m("b", "a")
+    )
+    h_e1 = (
+        math.sqrt(g("a", "i1", "e")) * m("i1", "e") @ t1 @ m("a", "i1")
+        + math.sqrt(g("a", "i2", "e")) * m("i2", "e") @ t2 @ m("a", "i2")
+        + math.sqrt(channels.gain("a", "e")) * m("a", "e")
+    )
+    h_e2 = (
+        math.sqrt(g("b", "i1", "e")) * m("i1", "e") @ t1 @ m("b", "i1")
+        + math.sqrt(g("b", "i2", "e")) * m("i2", "e") @ t2 @ m("b", "i2")
+        + math.sqrt(channels.gain("b", "e")) * m("b", "e")
+    )
+    return {"h_a": h_a, "h_b": h_b, "h_e1": h_e1, "h_e2": h_e2}
+
+
+def pinned_config(link, distance):
+    placement = default_placement()
+    return default_config(placement=Placement(
+        positions=placement.positions, orientations=placement.orientations,
+        pinned={f"{link[0]}->{link[1]}": {"distance": distance}}))
+
+
+def path_links(tx, rx):
+    """The directed links traversed by the surface-1, surface-2 and direct terms."""
+    return [{(tx, "i1"), ("i1", rx)}, {(tx, "i2"), ("i2", rx)}, {(tx, rx)}]
+
+
+class TestPathTerms:
+    @pytest.mark.parametrize("m", [1, 7, 100])
+    @pytest.mark.parametrize("mode", ["gpg", "random", "none", "ris1-only"])
+    def test_bit_identical_to_dense_assembly(self, m, mode):
+        cfg = default_config(M=m)
+        geom = build_geometry(cfg)
+        channels = build_channels(geom, cfg)
+        refls = reflections_for(mode, geom, cfg, seed=11)
+        eff = effective_channels(channels, *refls)
+        want = dense_effective_channels(channels, *refls)
+        for name, h in want.items():
+            assert np.array_equal(getattr(eff, name), h), name
+
+    def test_terms_sum_to_channel(self, default_cfg):
+        geom = build_geometry(default_cfg)
+        channels = build_channels(geom, default_cfg)
+        eff = effective_channels(channels, *reflections_for("gpg", geom, default_cfg))
+        assert set(eff.paths) == {name for name, _, _ in EFFECTIVE_LINKS}
+        for name, (p1, p2, direct) in eff.paths.items():
+            assert np.array_equal(p1 + p2 + direct, getattr(eff, name))
+
+    @pytest.mark.parametrize("link", [
+        ("a", "i1"), ("b", "i1"), ("i1", "a"), ("i2", "e"), ("a", "b"), ("b", "a"), ("b", "e"),
+    ])
+    def test_pinned_link_moves_only_the_terms_through_it(self, default_cfg, link):
+        def terms(cfg):
+            geom = build_geometry(cfg)
+            channels = build_channels(geom, cfg)
+            return effective_channels(channels, *reflections_for("gpg", geom, cfg)).paths
+
+        base = terms(default_cfg)
+        moved = terms(pinned_config(link, 300.0))
+        for name, tx, rx in EFFECTIVE_LINKS:
+            for k, traversed in enumerate(path_links(tx, rx)):
+                unchanged = np.array_equal(base[name][k], moved[name][k])
+                assert unchanged == (link not in traversed), (name, k)
+
+    def test_peak_memory_one_surface_at_a_time(self):
+        m = 1024
+        cfg = default_config(M=m)
+        geom = build_geometry(cfg)
+        channels = build_channels(geom, cfg)
+        refls = reflections_for("gpg", geom, cfg)
+        tracemalloc.start()
+        try:
+            effective_channels(channels, *refls)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        dense = m * m * np.dtype(complex).itemsize
+        assert peak <= 1.25 * dense

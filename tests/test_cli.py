@@ -45,6 +45,16 @@ class TestSweepCommand:
         assert proc.returncode == 1
         assert "increasing" in proc.stderr
 
+    def test_fractional_element_count_rejected(self, config_path, tmp_path):
+        out = tmp_path / "x.csv"
+        proc = run_cli(
+            "sweep", "--config", config_path, "--axis", "elements_m",
+            "--values", "100.2,100.7", "--out", str(out),
+        )
+        assert proc.returncode == 1
+        assert "whole numbers" in proc.stderr
+        assert not out.exists()
+
     def test_unknown_config_field_rejected(self, tmp_path):
         doc = json.loads(default_config(M=8).to_json())
         doc["surprise"] = True
@@ -70,6 +80,14 @@ class TestPaSurfaceCommand:
         assert proc.returncode == 0, proc.stderr
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 1 + 11 * 11
+
+    @pytest.mark.parametrize("step", ["-0.1", "0", "0.7"])
+    def test_bad_step_rejected(self, config_path, tmp_path, step):
+        out = tmp_path / "surface.csv"
+        proc = run_cli("pa-surface", "--config", config_path, "--step", step, "--out", str(out))
+        assert proc.returncode == 1
+        assert "grid step must lie in (0, 0.5]" in proc.stderr
+        assert not out.exists()
 
 
 class TestScenarioDump:

@@ -6,8 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import pipeline, pipeline_gains, random_config, random_gains
-from risdm.channels import EffectiveChannels
+from conftest import direct_only, pipeline, pipeline_gains, random_config, random_gains
 from risdm.geometry import default_config
 from risdm.rates import ScalarGains, rate_objective, rates_matrix_form, scalar_gains, ssr
 
@@ -31,7 +30,7 @@ class TestScalarGains:
 
     def test_zero_channels_zero_gains(self, default_cfg):
         _, _, _, _, bf = pipeline(default_cfg)
-        zero = EffectiveChannels(
+        zero = direct_only(
             h_a=np.zeros((default_cfg.Na, default_cfg.Nb)),
             h_b=np.zeros((default_cfg.Nb, default_cfg.Na)),
             h_e1=np.zeros((default_cfg.Ne, default_cfg.Na)),
@@ -122,7 +121,7 @@ class TestMatrixFormOracle:
 
     def test_all_zero_channels(self, default_cfg):
         _, _, _, _, bf = pipeline(default_cfg)
-        zero = EffectiveChannels(
+        zero = direct_only(
             h_a=np.zeros((default_cfg.Na, default_cfg.Nb)),
             h_b=np.zeros((default_cfg.Nb, default_cfg.Na)),
             h_e1=np.zeros((default_cfg.Ne, default_cfg.Na)),

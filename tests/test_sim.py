@@ -44,6 +44,14 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec(axis="power_dbm", values=(5.0,), ris_modes=("nope",))
 
+    @pytest.mark.parametrize("values", [(100.2, 100.7), (0.0, 8.0), (-4.0,), (16.0, float("inf"))])
+    def test_elements_axis_takes_whole_counts(self, values):
+        with pytest.raises(ValueError, match="whole numbers"):
+            SweepSpec(axis="elements_m", values=values)
+
+    def test_elements_axis_accepts_integral_floats(self):
+        assert SweepSpec(axis="elements_m", values=(1.0, 8, 100.0)).values == (1.0, 8, 100.0)
+
     def test_apply_axis(self):
         cfg = small_cfg()
         assert apply_axis(cfg, "power_dbm", 12.0).Pa_dbm == 12.0
@@ -234,6 +242,11 @@ class TestPaSurface:
         diag = {r.beta1: r.ssr_bits for r in records if r.beta1 == r.beta2}
         out = es_1d(gains, step=0.05)
         assert max(diag.values()) == pytest.approx(out.ssr, abs=1e-12)
+
+    @pytest.mark.parametrize("step", [-0.1, 0.0, 0.7, float("nan")])
+    def test_bad_step_rejected(self, step):
+        with pytest.raises(ValueError, match=r"grid step must lie in \(0, 0.5\]"):
+            pa_surface(small_cfg(), step=step)
 
     def test_records_equal_scalar_objective(self):
         cfg = small_cfg()
