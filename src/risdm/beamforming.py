@@ -180,18 +180,28 @@ def _leakage_matrices(channels, config, side):
     return power("i1") + power("i2") + power(other), power("e")
 
 
+def _power_fraction(config, side):
+    """The message power fraction of one side; rejects values outside [0, 1]."""
+    beta = config.beta1 if side == "a" else config.beta2
+    if not 0.0 <= beta <= 1.0:
+        raise ValueError(f"message power fraction must lie in [0, 1], got {beta}")
+    return beta
+
+
 def slnr_transmit(channels, config, side):
     """Message beamformer maximizing the signal-to-leakage-and-noise ratio.
 
     The dominant generalized eigenvector of (desired-channel power,
-    eavesdropper leakage + scaled receiver noise).
+    eavesdropper leakage + scaled receiver noise).  At beta = 0 the noise
+    term is infinite, and the design is its limit: the dominant
+    eigenvector of the desired-channel power alone.
     """
-    beta = config.beta1 if side == "a" else config.beta2
+    beta = _power_fraction(config, side)
     power = config.pa_mw if side == "a" else config.pb_mw
-    if beta <= 0:
-        raise ValueError("SLNR design requires a positive message power fraction")
     desired, eve = _leakage_matrices(channels, config, side)
     n = desired.shape[0]
+    if beta == 0.0:
+        return linalg.dominant_generalized_eigvec(desired, np.eye(n))
     noise = config.sigma2_e_mw / (beta * power)
     return linalg.dominant_generalized_eigvec(desired, eve + noise * np.eye(n))
 
@@ -200,14 +210,16 @@ def lansr_an(channels, config, side):
     """Noise beamformer maximizing the leakage-to-signal ratio at Eve.
 
     The dominant generalized eigenvector of (eavesdropper power,
-    desired-channel leakage + scaled noise).
+    desired-channel leakage + scaled noise).  At beta = 1 the noise term
+    is infinite, and the design is its limit: the dominant eigenvector of
+    the eavesdropper power alone.
     """
-    beta = config.beta1 if side == "a" else config.beta2
+    beta = _power_fraction(config, side)
     power = config.pa_mw if side == "a" else config.pb_mw
-    if beta >= 1:
-        raise ValueError("LANSR design requires a positive noise power fraction")
     desired, eve = _leakage_matrices(channels, config, side)
     n = desired.shape[0]
+    if beta == 1.0:
+        return linalg.dominant_generalized_eigvec(eve, np.eye(n))
     sigma2 = config.sigma2_b_mw if side == "a" else config.sigma2_a_mw
     noise = sigma2 / ((1.0 - beta) * power)
     return linalg.dominant_generalized_eigvec(eve, desired + noise * np.eye(n))

@@ -143,8 +143,3 @@ def companion_roots(coeffs):
     if c[0] == 0.0:
         raise DegeneratePolynomialError("leading coefficient is zero")
     return np.roots(c)
-
-
-def polyval(coeffs, x):
-    """Horner evaluation of a highest-first coefficient polynomial."""
-    return np.polyval(np.asarray(coeffs), x)

@@ -158,6 +158,19 @@ def sextic_coeffs(g):
     )
 
 
+def _horner(coeffs, x):
+    """Value at x of a highest-first list of Python floats.
+
+    The operation sequence of ``np.polyval`` (``y = y * x + c`` from
+    y = 0), so the result is bit-identical, without its per-call array
+    overhead.
+    """
+    y = 0.0
+    for c in coeffs:
+        y = y * x + c
+    return y
+
+
 def newton_root(coeffs, beta0, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
     """Newton-Raphson on a real polynomial (highest-degree coefficient first).
 
@@ -168,11 +181,13 @@ def newton_root(coeffs, beta0, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     coeffs = np.asarray(coeffs, dtype=float)
-    deriv = np.polyder(coeffs)
+    deriv = np.polyder(coeffs).tolist()
+    coeffs = coeffs.tolist()
     beta = float(beta0)
     for _ in range(max_iter):
-        fval = np.polyval(coeffs, beta)
-        gval = np.polyval(deriv, beta)
+        # one pass each: a fused f, f' pass would round differently
+        fval = _horner(coeffs, beta)
+        gval = _horner(deriv, beta)
         if abs(gval) < DERIVATIVE_TOL:
             raise NewtonError(f"derivative vanished at beta={beta!r}")
         step = fval / gval
@@ -363,20 +378,30 @@ def _stage_inits(seed, stage, beta1=None):
     return points
 
 
+def _stage1_inits(seed):
+    """0.5, then the stage-1 restarts, drawn only when 0.5 has failed."""
+    yield 0.5
+    yield from _stage_inits(seed, 1)
+
+
 def _newton_stage(coeffs, inits, tol, max_iter):
     """Try Newton from each initial point until a deflatable root emerges.
+
+    ``inits`` is consumed lazily: points after the first success are never
+    drawn.
 
     Returns (root, attempts) or (None, attempts) when every restart failed.
     """
     scale = np.max(np.abs(coeffs))
+    values = np.asarray(coeffs, dtype=float).tolist()
     attempts = 0
     for beta0 in inits:
         attempts += 1
         try:
-            root = newton_root(coeffs, beta0, tol=tol, max_iter=max_iter)
+            root = newton_root(values, beta0, tol=tol, max_iter=max_iter)
         except NewtonError:
             continue
-        if abs(np.polyval(coeffs, root)) <= DEFLATION_RESIDUAL_TOL * scale:
+        if abs(_horner(values, root)) <= DEFLATION_RESIDUAL_TOL * scale:
             return root, attempts
     return None, attempts
 
@@ -412,9 +437,7 @@ def hicf(g, seed=0, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
     sextic = coeffs.monic()
     labeled = []  # (root, origin)
 
-    root1, attempts1 = _newton_stage(
-        sextic, [0.5, *_stage_inits(seed, 1)], tol, max_iter
-    )
+    root1, attempts1 = _newton_stage(sextic, _stage1_inits(seed), tol, max_iter)
     diagnostics["newton_attempts"]["newton-1"] = attempts1
     if root1 is None:
         diagnostics["fallbacks"].append("oracle-fallback:newton-1")
@@ -459,7 +482,7 @@ def hicf(g, seed=0, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
     # max() keeps the earliest maximal element, i.e. the smallest beta.
     beta = best.beta
     return PaOutcome(
-        method="hicf", beta1=beta, beta2=beta, ssr=ssr(beta, beta, g),
+        method="hicf", beta1=beta, beta2=beta, ssr=max(0.0, best.objective),
         candidates=evaluated, diagnostics=diagnostics,
     )
 

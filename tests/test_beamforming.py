@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -229,12 +230,38 @@ class TestLeakageDesigns:
         assert quotient(w) >= quotient(v) - 1e-12 * abs(quotient(w))
 
     def test_beta_bounds(self, default_cfg):
+        # a config cannot hold such a split, so a bare namespace carries it
         geom = build_geometry(default_cfg)
         channels = build_channels(geom, default_cfg)
-        with pytest.raises(ValueError):
-            slnr_transmit(channels, default_config(beta1=0.0), "a")
-        with pytest.raises(ValueError):
-            lansr_an(channels, default_config(beta1=1.0), "a")
+        for beta in (-0.1, 1.1, math.nan):
+            cfg = SimpleNamespace(
+                beta1=beta, beta2=0.5, pa_mw=default_cfg.pa_mw, pb_mw=default_cfg.pb_mw)
+            with pytest.raises(ValueError):
+                slnr_transmit(channels, cfg, "a")
+            with pytest.raises(ValueError):
+                lansr_an(channels, cfg, "a")
+
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_endpoints_are_the_limits(self, default_cfg, side):
+        # beta -> 0 (SLNR) and beta -> 1 (LANSR): the noise term dominates,
+        # leaving the dominant eigenvector of the other matrix alone
+        from risdm.beamforming import _leakage_matrices
+
+        channels = build_channels(build_geometry(default_cfg), default_cfg)
+
+        def at(beta):
+            return default_config(beta1=beta, beta2=beta)
+
+        def collinear(u, v):
+            return abs(abs(u.conj() @ v) - 1.0) < 1e-9
+
+        desired, eve = _leakage_matrices(channels, default_cfg, side)
+        v0 = slnr_transmit(channels, at(0.0), side)
+        assert collinear(v0, slnr_transmit(channels, at(1e-12), side))
+        assert collinear(v0, np.linalg.eigh(desired)[1][:, -1])
+        w1 = lansr_an(channels, at(1.0), side)
+        assert collinear(w1, lansr_an(channels, at(1.0 - 1e-12), side))
+        assert collinear(w1, np.linalg.eigh(eve)[1][:, -1])
 
 
 class TestThreeWayCombiner:

@@ -72,6 +72,20 @@ class TestSweepCommand:
         proc = run_cli("sweep", "--axis", "elements_m", "--values", "8,16", "--out", str(out))
         assert proc.returncode == 0, proc.stderr
 
+    def test_beta_axis_endpoints(self, tmp_path):
+        # beta = 0 and beta = 1 are the limits of the leakage designs, not errors
+        out = tmp_path / "beta.csv"
+        proc = run_cli(
+            "sweep", "--axis", "beta", "--values", "0,0.1,0.5,0.9,1",
+            "--methods", "max-sv,leakage", "--ris", "gpg,random", "--out", str(out),
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+        assert len(rows) == 5 * 2 * 2
+        assert {row[1] for row in rows} == {"max-sv", "leakage"}
+        at_zero = [row for row in rows if float(row[0]) == 0.0]
+        assert len(at_zero) == 4 and all(float(row[6]) == 0.0 for row in at_zero)
+
 
 class TestPaSurfaceCommand:
     def test_writes_grid(self, config_path, tmp_path):

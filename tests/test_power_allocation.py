@@ -1,13 +1,21 @@
 """Sextic construction, root-finding stages, and the split optimizers."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from conftest import pipeline_gains, random_gains
+import risdm.power_allocation as pa
 from risdm import linalg
 from risdm.geometry import default_config
 from risdm.power_allocation import (
+    DERIVATIVE_TOL,
+    NEWTON_MAX_ITER,
+    NEWTON_TOL,
     DeflationError,
     DegenerateSexticError,
     NewtonError,
@@ -23,6 +31,170 @@ from risdm.power_allocation import (
     sextic_coeffs,
 )
 from risdm.rates import ScalarGains, rate_objective, ssr
+
+
+# hicf outcomes pinned bit for bit: (s1..s8 with unit noise powers,
+# Newton seed, float.hex of beta1 and of ssr, newton_attempts,
+# fallbacks).  Log-uniform draws on [1e-3, 1e3]; they cover interior,
+# near-1 and boundary optima, stage-1 restarts after 0.5 fails, and
+# every oracle fallback.
+HICF_PINNED = [
+    (
+        (0.14907047155068237, 656.950251787758, 50.073848558124425, 0.024562155746005024,
+         0.3289669525199102, 0.11137672294570371, 0.07807832493559855, 1.3712145629219694),
+        2037155004, "0x1.0000000000000p+0", "0x1.53fd2a58313bcp+2",
+        {"newton-1": 1, "newton-2": 1}, [],
+    ),
+    (
+        (0.5068434056413071, 1.1462564497367027, 0.024343139522199325, 49.92157177768129,
+         337.67133391143415, 96.58575931207682, 5.565951253777117, 0.9260253631008347),
+        131663996, "0x0.0p+0", "0x0.0p+0",
+        {"newton-1": 1, "newton-2": 1}, [],
+    ),
+    (
+        (174.38301658686635, 41.57730537698671, 3.5819024072617074, 0.1810346668110375,
+         6.154614716771423, 0.03531454880366598, 4.21557067771349, 1.8665012096042901),
+        1747345870, "0x1.0000000000000p+0", "0x1.b0ba43f126180p+2",
+        {"newton-1": 1, "newton-2": 1}, [],
+    ),
+    (
+        (124.87440439859883, 0.08908916472635055, 558.2855590874965, 229.56177579174908,
+         0.0037131940795006382, 0.0012282702535025593, 0.3296466954536965, 339.7331652897927),
+        1194912379, "0x1.0000000000000p+0", "0x1.0189e3aceecb3p+4",
+        {"newton-1": 9}, ["oracle-fallback:newton-1"],
+    ),
+    (
+        (0.004105110971823435, 13.88832552914032, 1.5110081990176563, 0.004069843625398475,
+         0.09899313777160122, 0.6359924221556292, 12.325628543383505, 0.0011863315741247255),
+        1173736429, "0x1.964c7ab7e383fp-1", "0x1.d3dbdd354092fp-1",
+        {"newton-1": 1, "newton-2": 1}, [],
+    ),
+    (
+        (80.16002135576662, 0.022069268708924658, 0.00907276575214212, 8.578327787616352,
+         2.2652651415944716, 457.43006932972054, 69.37984938172688, 50.947963329990074),
+        435531204, "0x1.4f2ea71630e2cp-2", "0x1.9e1f3a443846cp+1",
+        {"newton-1": 1, "newton-2": 1}, [],
+    ),
+    (
+        (0.0013795112422231553, 30.8641913955548, 0.6219651944181606, 0.005930648631534586,
+         0.004532269087689847, 9.625800420651919, 302.43024175446067, 120.0349334899484),
+        1447242576, "0x1.8e6fd55db0577p-1", "0x1.d63975bdb34a4p-2",
+        {"newton-1": 1, "newton-2": 1}, [],
+    ),
+    (
+        (69.35356340964309, 0.04947456643013238, 0.1299099903936103, 240.93040267664313,
+         6.080639981859475, 841.0466726001818, 0.0032351542083720822, 15.487596195362483),
+        36001767, "0x1.5f4f596c4634bp-5", "0x1.a241120b6cea8p-3",
+        {"newton-1": 1, "newton-2": 1}, [],
+    ),
+    (
+        (12.47556010291356, 0.06897730230999162, 48.28519271269322, 1.8388851686981982,
+         0.004187732386175481, 0.8153017686640883, 165.76850511600003, 7.201969968750622),
+        1015327160, "0x1.f1caa637c017cp-1", "0x1.2142c2a568062p+3",
+        {"newton-1": 1, "newton-2": 1}, [],
+    ),
+    (
+        (0.002684564935972255, 87.94813822136099, 27.01740587754708, 12.880911162127925,
+         19.38579544144748, 0.8609946632761494, 0.013516931700704369, 0.15740247323391443),
+        597394029, "0x0.0p+0", "0x0.0p+0",
+        {"newton-1": 1, "newton-2": 8}, ["oracle-fallback:newton-2"],
+    ),
+    (
+        (597.5792360340379, 67.31308896001931, 40.27584436354652, 47.10145356467428,
+         2.9806706310090276, 69.54738379297827, 64.73848303146944, 8.259748183377317),
+        1205096567, "0x1.fcdb57cbe6ea6p-1", "0x1.a077697096905p+2",
+        {"newton-1": 1, "newton-2": 1}, [],
+    ),
+    (
+        (1.782314066024167, 0.2610904972869544, 16.98917328025931, 205.25853204389367,
+         5.091995436588671, 0.016633925539582078, 0.7013201137739461, 534.650055344248),
+        1425604421, "0x1.fdcf031027fdfp-1", "0x1.b8878fa9f0c74p+1",
+        {"newton-1": 1, "newton-2": 1}, [],
+    ),
+    (
+        (0.0027615440227246797, 441.21746743388366, 432.9565164304392, 238.15327209695351,
+         7.17383081839623, 0.04504357042344653, 0.002447561546976658, 0.9108818047893349),
+        2086032866, "0x1.0000000000000p+0", "0x1.6aee8c216b218p+2",
+        {"newton-1": 1, "newton-2": 8}, ["oracle-fallback:newton-2"],
+    ),
+    (
+        (57.389005042276594, 0.0019939999719597876, 0.002312188297268879, 2.501780527790416,
+         416.5216935255755, 20.674182093718827, 0.04178736869795908, 0.0032540762974316365),
+        1551183749, "0x0.0p+0", "0x0.0p+0",
+        {"newton-1": 2, "newton-2": 3}, [],
+    ),
+    (
+        (29.50180318895187, 0.005330111728119473, 0.0019945347540420333, 0.0033464104234697573,
+         86.27935759023974, 0.07249496260005873, 0.06314530096550339, 0.14842699637242135),
+        1269626459, "0x0.0p+0", "0x0.0p+0",
+        {"newton-1": 2, "newton-2": 1}, [],
+    ),
+    (
+        (0.3026970885938632, 43.44896745924584, 0.0013702301400249886, 28.565992688683338,
+         155.32379892787736, 0.09461090121254598, 923.8819642720069, 3.3428575704566854),
+        1352312938, "0x0.0p+0", "0x0.0p+0",
+        {"newton-1": 9}, ["oracle-fallback:newton-1"],
+    ),
+    (
+        (157.15560953812607, 0.12680012138586716, 1.241884669212918, 113.98035656093485,
+         4.147196345919341, 0.0073997990243644335, 0.005282097872077341, 0.00273343473196345),
+        1450780850, "0x1.0000000000000p+0", "0x1.861c814f1acebp+2",
+        {"newton-1": 2, "newton-2": 8}, ["oracle-fallback:newton-2"],
+    ),
+    (
+        (2.2753946483391316, 0.01438441784546954, 0.0011652953035099021, 0.004848329516208722,
+         94.25924116201666, 0.2330537358725576, 1.2105403228385696, 2.564144687276931),
+        227436572, "0x0.0p+0", "0x0.0p+0",
+        {"newton-1": 1, "newton-2": 1}, ["oracle-fallback:ferrari"],
+    ),
+    (
+        (0.002101926103631508, 0.005118654959161805, 0.4656849396238597, 0.00743928759951712,
+         10.961545227618869, 66.2657919325932, 88.28465251798355, 338.11955275750995),
+        689395609, "0x1.69e25cfdb5604p-2", "0x1.52763364108fap-4",
+        {"newton-1": 1, "newton-2": 1}, ["oracle-fallback:ferrari"],
+    ),
+    (
+        (0.026729966076360332, 18.402038061942868, 609.3823687188313, 0.0015221642556673058,
+         0.09438477634655676, 0.03048676223221444, 0.0021533128538410535, 0.001007892391066122),
+        128323984, "0x1.0000000000000p+0", "0x1.23c821ec30dd3p+3",
+        {"newton-1": 6, "newton-2": 2}, ["oracle-fallback:ferrari"],
+    ),
+]
+
+
+def polyval_newton(coeffs, beta0, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
+    """The np.polyval Newton loop that newton_root must reproduce bit for bit."""
+    coeffs = np.asarray(coeffs, dtype=float)
+    deriv = np.polyder(coeffs)
+    beta = float(beta0)
+    for _ in range(max_iter):
+        fval = np.polyval(coeffs, beta)
+        gval = np.polyval(deriv, beta)
+        if abs(gval) < DERIVATIVE_TOL:
+            raise NewtonError("derivative vanished")
+        beta_next = beta - fval / gval
+        if not math.isfinite(beta_next):
+            raise NewtonError("left the finite domain")
+        if abs(beta_next - beta) <= tol:
+            return beta_next
+        beta = beta_next
+    raise NewtonError("no convergence")
+
+
+def newton_outcome(solver, coeffs, beta0):
+    try:
+        return solver(coeffs, beta0)
+    except NewtonError:
+        return NewtonError
+
+
+# Monic quintics and sextics, from raw coefficients or from real roots
+# (so that both convergent and failing starts are common).
+_coefficient = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+monic_polys = st.one_of(
+    st.lists(_coefficient, min_size=5, max_size=6).map(lambda c: [1.0, *c]),
+    st.lists(st.floats(-1.0, 2.0), min_size=5, max_size=6).map(lambda r: np.poly(r).tolist()),
+)
 
 
 def matched_root_error(got, want):
@@ -116,6 +288,16 @@ class TestNewton:
     def test_max_iter_exhaustion(self):
         with pytest.raises(NewtonError):
             newton_root([1.0, 0.0, 1.0], 0.7, max_iter=50)  # no real root
+
+    @settings(max_examples=400, deadline=None)
+    @given(coeffs=monic_polys, beta0=st.floats(0.0, 1.0))
+    def test_matches_polyval_loop_bit_for_bit(self, coeffs, beta0):
+        want = newton_outcome(polyval_newton, coeffs, beta0)
+        got = newton_outcome(newton_root, coeffs, beta0)
+        if want is NewtonError:
+            assert got is NewtonError
+        else:
+            assert got == want
 
 
 class TestDeflation:
@@ -324,6 +506,29 @@ class TestHicf:
         fine = es_1d(g, step=1e-5)
         assert abs(out.beta1 - fine.beta1) <= 2e-5
         assert abs(out.ssr - fine.ssr) <= 1e-6
+
+
+class TestHicfPinned:
+    @pytest.mark.parametrize("s, seed, beta_hex, ssr_hex, attempts, fallbacks", HICF_PINNED)
+    def test_outcome_bit_for_bit(self, s, seed, beta_hex, ssr_hex, attempts, fallbacks):
+        out = hicf(ScalarGains(*s, 1.0, 1.0, 1.0), seed=seed)
+        assert out.beta1.hex() == beta_hex and out.beta2 == out.beta1
+        assert out.ssr.hex() == ssr_hex
+        assert out.diagnostics["newton_attempts"] == attempts
+        assert out.diagnostics["fallbacks"] == fallbacks
+
+    @pytest.mark.parametrize("s, seed, attempts", [row[:2] + row[4:5] for row in HICF_PINNED])
+    def test_stage1_restarts_drawn_only_after_half_fails(self, monkeypatch, s, seed, attempts):
+        calls = []
+        draw = pa._stage_inits
+
+        def counting(seed, stage, beta1=None):
+            calls.append(stage)
+            return draw(seed, stage, beta1=beta1)
+
+        monkeypatch.setattr(pa, "_stage_inits", counting)
+        hicf(ScalarGains(*s, 1.0, 1.0, 1.0), seed=seed)
+        assert calls.count(1) == (0 if attempts["newton-1"] == 1 else 1)
 
 
 class TestAllocate:
