@@ -3,7 +3,9 @@
 Each directed link (tx -> rx) is the unit-spectral-norm outer product
 h(theta_r) h(theta_t)^H of the receive and transmit steering vectors; path
 gains stay out of the link matrices and enter the effective channels as
-sqrt-composite weights, mirroring the system equations.
+sqrt-composite weights, mirroring the system equations.  A surface enters
+the cascades as its M reflection coefficients, never as an M x M matrix,
+so the cost of a cascade grows linearly in M.
 """
 
 from __future__ import annotations
@@ -99,28 +101,53 @@ class EffectiveChannels:
 EFFECTIVE_LINKS = (("h_a", "b", "a"), ("h_b", "a", "b"), ("h_e1", "a", "e"), ("h_e2", "b", "e"))
 
 
-def _theta_matrix(reflection, m):
-    """Accept a RisReflection or a raw M x M diagonal reflection matrix."""
-    if hasattr(reflection, "matrix"):
-        theta = reflection.matrix()
-    else:
-        theta = np.asarray(reflection, dtype=complex)
+# a @ diag(d) is taken in column blocks that start at multiples of
+# _DIAG_BLOCK and are _DIAG_BLOCK to 2 * _DIAG_BLOCK - 1 wide.  The zeros of a
+# dense diag(d) add exact zeros in gemm, so each output column depends only on
+# its own product and on its place in the kernel's unroll grid.  Aligned
+# starts keep that grid as in the dense product, and the minimum width keeps
+# narrow tails off other kernel paths (a one-column block rounds differently),
+# so every term is bit-identical to the dense a @ diag(d).
+_DIAG_BLOCK = 64
+
+
+def _coefficients(reflection, m):
+    """The M reflection coefficients of a RisReflection or a raw M x M diagonal matrix."""
+    if hasattr(reflection, "coefficients"):
+        coeffs = reflection.coefficients()
+        if coeffs.shape != (m,):
+            raise InvalidGeometryError(f"reflection has {coeffs.size} elements, expected {m}")
+        return coeffs
+    theta = np.asarray(reflection, dtype=complex)
     if theta.shape != (m, m):
         raise InvalidGeometryError(
             f"reflection matrix has shape {theta.shape}, expected ({m}, {m})"
         )
-    return theta
+    coeffs = np.diagonal(theta)
+    if np.count_nonzero(theta) != np.count_nonzero(coeffs):
+        raise InvalidGeometryError("reflection matrix has nonzero off-diagonal entries")
+    return coeffs
 
 
 def _surface_terms(channels, ris, reflection):
     """The reflected term through one surface of every effective channel.
 
-    The surface's M x M matrix lives only inside this call.
+    Each term is sqrt(g) * m(ris, rx) @ diag(d) @ m(tx, ris), with the
+    diagonal product taken in column blocks of at most 2 * _DIAG_BLOCK - 1.
     """
-    t = _theta_matrix(reflection, channels.config.M)
+    d = _coefficients(reflection, channels.config.M)
+    cuts = list(range(0, max(d.size - _DIAG_BLOCK, 0) + 1, _DIAG_BLOCK)) + [d.size]
+    blocks = [(s, e, np.diag(d[s:e])) for s, e in zip(cuts, cuts[1:])]
     g = channels.cascade_gain
     m = channels.mat
-    return [math.sqrt(g(tx, ris, rx)) * m(ris, rx) @ t @ m(tx, ris) for _, tx, rx in EFFECTIVE_LINKS]
+    terms = []
+    for _, tx, rx in EFFECTIVE_LINKS:
+        a = math.sqrt(g(tx, ris, rx)) * m(ris, rx)
+        reflected = np.empty_like(a)
+        for s, e, block in blocks:
+            reflected[:, s:e] = a[:, s:e] @ block
+        terms.append(reflected @ m(tx, ris))
+    return terms
 
 
 def effective_channels(channels, reflection1, reflection2):

@@ -47,9 +47,9 @@ class RisReflection:
     def m(self):
         return self.amplitudes.size
 
-    def matrix(self):
-        """The M x M diagonal reflection-coefficient matrix."""
-        return np.diag(self.amplitudes * np.exp(1j * self.phases))
+    def coefficients(self):
+        """The M complex reflection coefficients amplitude * exp(j phase)."""
+        return self.amplitudes * np.exp(1j * self.phases)
 
 
 def _wrap_phase(phi):

@@ -300,7 +300,7 @@ class TestThreeWayCombiner:
         v_br = zf_mrc_three_way(channels, eff, v_at, default_cfg, "b")
         achieved = abs(v_br.conj() @ eff.h_b @ v_at)
 
-        t1, t2 = refls[0].matrix(), refls[1].matrix()
+        t1, t2 = np.diag(refls[0].coefficients()), np.diag(refls[1].coefficients())
         branch_mats = [
             math.sqrt(channels.cascade_gain("a", "i1", "b")) * channels.mat("i1", "b") @ t1 @ channels.mat("a", "i1"),
             math.sqrt(channels.cascade_gain("a", "i2", "b")) * channels.mat("i2", "b") @ t2 @ channels.mat("a", "i2"),
@@ -340,7 +340,7 @@ class TestFullSets:
 
 def dense_eve_signals(channels, refls, v_at, v_bt, vecs, config):
     """Eve's branch message signals through the dense reflection matrices."""
-    t1, t2 = refls[0].matrix(), refls[1].matrix()
+    t1, t2 = np.diag(refls[0].coefficients()), np.diag(refls[1].coefficients())
     g, m = channels.cascade_gain, channels.mat
     b1, b2, pa, pb = config.beta1, config.beta2, config.pa_mw, config.pb_mw
     return [
@@ -359,7 +359,7 @@ def dense_eve_signals(channels, refls, v_at, v_bt, vecs, config):
 
 def dense_three_way_signals(channels, refls, v_t, vecs, side):
     """A legitimate receiver's branch signals through the dense reflection matrices."""
-    t1, t2 = refls[0].matrix(), refls[1].matrix()
+    t1, t2 = np.diag(refls[0].coefficients()), np.diag(refls[1].coefficients())
     m = channels.mat
     other = "b" if side == "a" else "a"
     return [

@@ -16,7 +16,7 @@ from risdm.geometry import (
     default_config,
     default_placement,
 )
-from risdm.ris import RisReflection, reflections_for, zero_reflection
+from risdm.ris import MODES, RisReflection, reflections_for, zero_reflection
 
 
 class TestSteeringVector:
@@ -152,6 +152,16 @@ class TestEffectiveChannels:
         scale = np.linalg.norm(lhs)
         assert np.linalg.norm(lhs - rhs) < 1e-11 * max(scale, 1.0)
 
+    def test_off_diagonal_reflection_rejected(self, default_cfg):
+        channels = build_channels(build_geometry(default_cfg), default_cfg)
+        m = default_cfg.M
+        theta = np.eye(m, dtype=complex)
+        theta[0, 1] = 1e-3
+        with pytest.raises(InvalidGeometryError, match="off-diagonal"):
+            effective_channels(channels, theta, zero_reflection(m))
+        with pytest.raises(InvalidGeometryError, match="off-diagonal"):
+            effective_channels(channels, zero_reflection(m), np.ones((m, m)))
+
     def test_size_mismatch_rejected(self, default_cfg):
         channels = build_channels(build_geometry(default_cfg), default_cfg)
         small = zero_reflection(default_cfg.M - 1)
@@ -171,7 +181,7 @@ class TestEffectiveChannels:
 
 def dense_effective_channels(channels, reflection1, reflection2):
     """The twelve-term dense assembly, written out term by term as a reference."""
-    t1, t2 = reflection1.matrix(), reflection2.matrix()
+    t1, t2 = np.diag(reflection1.coefficients()), np.diag(reflection2.coefficients())
     g = channels.cascade_gain
     m = channels.mat
     h_b = (
@@ -210,10 +220,20 @@ def path_links(tx, rx):
 
 
 class TestPathTerms:
-    @pytest.mark.parametrize("m", [1, 7, 100])
-    @pytest.mark.parametrize("mode", ["gpg", "random", "none", "ris1-only"])
+    # Block edges of the column-blocked diagonal product: one block up to
+    # M = 127, then blocks of 64..127 columns starting at multiples of 64.
+    @pytest.mark.parametrize("m", [1, 7, 63, 64, 65, 100, 127, 128, 129, 130, 193, 1025])
+    @pytest.mark.parametrize("mode", MODES)
     def test_bit_identical_to_dense_assembly(self, m, mode):
-        cfg = default_config(M=m)
+        self.check_bit_identical(default_config(M=m), mode)
+
+    @pytest.mark.parametrize("m", [7, 129, 1025])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_bit_identical_mixed_arrays(self, m, mode):
+        self.check_bit_identical(default_config(M=m, Na=3, Nb=5, Ne=2), mode)
+
+    @staticmethod
+    def check_bit_identical(cfg, mode):
         geom = build_geometry(cfg)
         channels = build_channels(geom, cfg)
         refls = reflections_for(mode, geom, cfg, seed=11)
@@ -260,3 +280,21 @@ class TestPathTerms:
             tracemalloc.stop()
         dense = m * m * np.dtype(complex).itemsize
         assert peak <= 1.25 * dense
+
+    def test_peak_memory_linear_in_surface_size(self):
+        def peak(m):
+            cfg = default_config(M=m)
+            geom = build_geometry(cfg)
+            channels = build_channels(geom, cfg)
+            refls = reflections_for("gpg", geom, cfg)
+            tracemalloc.start()
+            try:
+                effective_channels(channels, *refls)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(1024), peak(4096)
+        dense = 4096 * 4096 * np.dtype(complex).itemsize
+        assert large < dense / 16
+        assert large / small < 5
