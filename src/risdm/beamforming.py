@@ -6,6 +6,13 @@ message stream, leakage-to-signal ratio for the noise stream).  Receivers
 use either the dominant left singular vector (max-sv) or a zero-forcing
 separation of the arriving paths followed by coherent recombination.  The
 eavesdropper always runs the four-branch ZF combiner.
+
+The designs are split by the inputs each part reads, so a sweep can
+compute each part once per distinct input: the ZF vectors of a receiver
+(:func:`receiver_zf`) read only its arrival steerings, the max-sv vectors
+(:func:`max_sv_beamformers`) only the effective channels, and the leakage
+transmitters (:func:`leakage_transmitters`) the links, powers and split.
+:func:`design_beamformers` composes the parts for one scenario.
 """
 
 from __future__ import annotations
@@ -89,6 +96,11 @@ def an_nullspace_design(v_cm, h_eve_departure):
     return _unit(t @ (u / np.linalg.norm(u))), False
 
 
+# Arrival branches of each ZF receiver, in branch order: surface-1
+# reflection, surface-2 reflection, then the direct path(s).
+ZF_BRANCHES = {"a": ("i1", "i2", "b"), "b": ("i1", "i2", "a"), "e": ("i1", "i2", "a", "b")}
+
+
 def _zf_branches(steerings):
     """Per-branch ZF vectors: each nulls every other arrival steering.
 
@@ -111,6 +123,21 @@ def _zf_branches(steerings):
     return vectors, dropped
 
 
+def receiver_zf(channels, rx):
+    """ZF vectors and drop flags of receiver ``rx`` over its ``ZF_BRANCHES``.
+
+    Reads only the arrival steerings, so one channel set has one result
+    per receiver, whatever the powers, split or reflections.
+    """
+    steerings = [channels.arrival_steering(tx, rx) for tx in ZF_BRANCHES[rx]]
+    n, k = steerings[0].size, len(steerings)
+    if n < k:
+        raise InsufficientAntennasError(
+            f"receiver '{rx}' needs >= {k} antennas for {k}-way ZF, has {n}"
+        )
+    return _zf_branches(steerings)
+
+
 def _mrc_weight(signal):
     """Unit-magnitude combining weight conj(s)/|s|; 0 for a dead branch."""
     mag = abs(signal)
@@ -119,13 +146,14 @@ def _mrc_weight(signal):
     return np.conj(signal) / mag
 
 
-def _zf_mrc_parts(steerings, arrivals):
+def _mrc_parts(zf, arrivals):
     """ZF sub-vectors, unit-magnitude weights, and drop flags of one combiner.
 
-    ``arrivals[i]`` is the message signal vector arriving along
-    ``steerings[i]``; each weight phase-aligns its branch to it.
+    ``zf`` is a :func:`receiver_zf` result and ``arrivals[i]`` the message
+    signal vector arriving along branch i; each weight phase-aligns its
+    branch to it.
     """
-    vecs, dropped = _zf_branches(steerings)
+    vecs, dropped = zf
     weights = [
         0.0 if drop else _mrc_weight(v.conj() @ y) for v, y, drop in zip(vecs, arrivals, dropped)
     ]
@@ -136,24 +164,32 @@ def _combine(vecs, weights):
     return _unit(sum(np.conj(w) * v for w, v in zip(weights, vecs)))
 
 
-def eve_combiner_parts(channels, eff, v_at, v_bt, config):
-    """ZF sub-vectors, unit-magnitude weights, and drop flags of Eve's combiner.
+def zf_mrc(zf, arrivals):
+    """Unit-norm ZF-separating, coherently-recombining combiner.
+
+    Sums the ZF sub-vectors of ``zf``, each phase-aligned to its arrival.
+    """
+    vecs, weights, _ = _mrc_parts(zf, arrivals)
+    return _combine(vecs, weights)
+
+
+def eve_arrivals(eff, v_at, v_bt, config):
+    """The message signal arriving along each of Eve's four branches.
 
     Branch order: surface-1 reflection, surface-2 reflection, Alice direct,
     Bob direct.  A surface branch carries both message streams at their
     configured powers.
     """
-    if config.Ne < 4:
-        raise InsufficientAntennasError(
-            f"eavesdropper needs >= 4 antennas for four-way ZF, has {config.Ne}"
-        )
-    steer = [channels.arrival_steering(tx, "e") for tx in ("i1", "i2", "a", "b")]
     from_a, from_b = eff.paths["h_e1"], eff.paths["h_e2"]
     amp_a = math.sqrt(config.beta1 * config.pa_mw)
     amp_b = math.sqrt(config.beta2 * config.pb_mw)
     arrivals = [amp_a * from_a[k] @ v_at + amp_b * from_b[k] @ v_bt for k in (0, 1)]
-    arrivals += [from_a[2] @ v_at, from_b[2] @ v_bt]
-    return _zf_mrc_parts(steer, arrivals)
+    return arrivals + [from_a[2] @ v_at, from_b[2] @ v_bt]
+
+
+def eve_combiner_parts(channels, eff, v_at, v_bt, config):
+    """ZF sub-vectors, unit-magnitude weights, and drop flags of Eve's combiner."""
+    return _mrc_parts(receiver_zf(channels, "e"), eve_arrivals(eff, v_at, v_bt, config))
 
 
 def zf_mrc_eve(channels, eff, v_at, v_bt, config):
@@ -163,8 +199,7 @@ def zf_mrc_eve(channels, eff, v_at, v_bt, config):
     are unit-magnitude phase conjugates of the branch message signal; the
     assembled vector is normalized to unit norm.
     """
-    vecs, weights, _ = eve_combiner_parts(channels, eff, v_at, v_bt, config)
-    return _combine(vecs, weights)
+    return zf_mrc(receiver_zf(channels, "e"), eve_arrivals(eff, v_at, v_bt, config))
 
 
 def _leakage_matrices(channels, config, side):
@@ -188,21 +223,31 @@ def _power_fraction(config, side):
     return beta
 
 
+def _noise_loading(sigma2, stream_power):
+    """The diagonal loading sigma2 / stream_power of a leakage design.
+
+    Infinite where the stream power is 0, and where it is so small that
+    the quotient overflows.
+    """
+    return sigma2 / stream_power if stream_power > 0.0 else math.inf
+
+
 def slnr_transmit(channels, config, side):
     """Message beamformer maximizing the signal-to-leakage-and-noise ratio.
 
     The dominant generalized eigenvector of (desired-channel power,
-    eavesdropper leakage + scaled receiver noise).  At beta = 0 the noise
-    term is infinite, and the design is its limit: the dominant
-    eigenvector of the desired-channel power alone.
+    eavesdropper leakage + scaled receiver noise).  Where the noise term
+    is infinite (beta = 0, or a message power so small that it overflows),
+    the design is its limit: the dominant eigenvector of the
+    desired-channel power alone.
     """
     beta = _power_fraction(config, side)
     power = config.pa_mw if side == "a" else config.pb_mw
     desired, eve = _leakage_matrices(channels, config, side)
     n = desired.shape[0]
-    if beta == 0.0:
+    noise = _noise_loading(config.sigma2_e_mw, beta * power)
+    if math.isinf(noise):
         return linalg.dominant_generalized_eigvec(desired, np.eye(n))
-    noise = config.sigma2_e_mw / (beta * power)
     return linalg.dominant_generalized_eigvec(desired, eve + noise * np.eye(n))
 
 
@@ -210,46 +255,66 @@ def lansr_an(channels, config, side):
     """Noise beamformer maximizing the leakage-to-signal ratio at Eve.
 
     The dominant generalized eigenvector of (eavesdropper power,
-    desired-channel leakage + scaled noise).  At beta = 1 the noise term
-    is infinite, and the design is its limit: the dominant eigenvector of
-    the eavesdropper power alone.
+    desired-channel leakage + scaled noise).  Where the noise term is
+    infinite (beta = 1, or a noise power so small that it overflows), the
+    design is its limit: the dominant eigenvector of the eavesdropper
+    power alone.
     """
     beta = _power_fraction(config, side)
     power = config.pa_mw if side == "a" else config.pb_mw
     desired, eve = _leakage_matrices(channels, config, side)
     n = desired.shape[0]
-    if beta == 1.0:
-        return linalg.dominant_generalized_eigvec(eve, np.eye(n))
     sigma2 = config.sigma2_b_mw if side == "a" else config.sigma2_a_mw
-    noise = sigma2 / ((1.0 - beta) * power)
+    noise = _noise_loading(sigma2, (1.0 - beta) * power)
+    if math.isinf(noise):
+        return linalg.dominant_generalized_eigvec(eve, np.eye(n))
     return linalg.dominant_generalized_eigvec(eve, desired + noise * np.eye(n))
 
 
-def three_way_combiner_parts(channels, eff, v_t_other_side, config, side):
-    """ZF sub-vectors, weights, and drop flags of the legitimate combiners.
+def three_way_arrivals(eff, v_t_other_side, side):
+    """The message signal arriving at Alice or Bob along each of its three branches.
 
     Branches: surface-1 reflection, surface-2 reflection, direct path from
     the other end.
     """
-    n_rx = config.Na if side == "a" else config.Nb
-    if n_rx < 3:
-        raise InsufficientAntennasError(
-            f"receiver '{side}' needs >= 3 antennas for three-way ZF, has {n_rx}"
-        )
-    other = "b" if side == "a" else "a"
-    steer = [channels.arrival_steering(tx, side) for tx in ("i1", "i2", other)]
-    arrivals = [term @ v_t_other_side for term in eff.paths[f"h_{side}"]]
-    return _zf_mrc_parts(steer, arrivals)
+    return [term @ v_t_other_side for term in eff.paths[f"h_{side}"]]
 
 
-def zf_mrc_three_way(channels, eff, v_t_other_side, config, side):
+def three_way_combiner_parts(channels, eff, v_t_other_side, side):
+    """ZF sub-vectors, weights, and drop flags of the legitimate combiners."""
+    return _mrc_parts(receiver_zf(channels, side), three_way_arrivals(eff, v_t_other_side, side))
+
+
+def zf_mrc_three_way(channels, eff, v_t_other_side, side):
     """Three-branch ZF-separating combiner at Alice or Bob.
 
     ``v_t_other_side`` is the transmit beamformer whose signal the
     branches are phase-aligned to.
     """
-    vecs, weights, _ = three_way_combiner_parts(channels, eff, v_t_other_side, config, side)
-    return _combine(vecs, weights)
+    return zf_mrc(receiver_zf(channels, side), three_way_arrivals(eff, v_t_other_side, side))
+
+
+def max_sv_beamformers(channels, eff):
+    """The max-sv message, noise and receive vectors, as ``BeamformerSet`` fields.
+
+    Reads the effective channels and the departure steerings toward Eve;
+    no power or split.
+    """
+    v_at, v_br, v_bt, v_ar = max_sv_design(eff)
+    w_a, _ = an_nullspace_design(v_at, channels.departure_steering("a", "e"))
+    w_b, _ = an_nullspace_design(v_bt, channels.departure_steering("b", "e"))
+    return dict(v_at=v_at, v_bt=v_bt, w_a=w_a, w_b=w_b, v_ar=v_ar, v_br=v_br)
+
+
+def leakage_transmitters(channels, config):
+    """The SLNR message and LANSR noise vectors, as ``BeamformerSet`` fields.
+
+    Reads the link matrices, powers and split; no reflection.
+    """
+    return dict(
+        v_at=slnr_transmit(channels, config, "a"), v_bt=slnr_transmit(channels, config, "b"),
+        w_a=lansr_an(channels, config, "a"), w_b=lansr_an(channels, config, "b"),
+    )
 
 
 def design_beamformers(channels, eff, config, method):
@@ -263,20 +328,12 @@ def design_beamformers(channels, eff, config, method):
     terms.
     """
     if method == "max-sv":
-        v_at, v_br, v_bt, v_ar = max_sv_design(eff)
-        w_a, _ = an_nullspace_design(v_at, channels.departure_steering("a", "e"))
-        w_b, _ = an_nullspace_design(v_bt, channels.departure_steering("b", "e"))
+        parts = max_sv_beamformers(channels, eff)
     elif method == "leakage":
-        v_at = slnr_transmit(channels, config, "a")
-        v_bt = slnr_transmit(channels, config, "b")
-        w_a = lansr_an(channels, config, "a")
-        w_b = lansr_an(channels, config, "b")
-        v_br = zf_mrc_three_way(channels, eff, v_at, config, "b")
-        v_ar = zf_mrc_three_way(channels, eff, v_bt, config, "a")
+        parts = leakage_transmitters(channels, config)
+        parts["v_br"] = zf_mrc_three_way(channels, eff, parts["v_at"], "b")
+        parts["v_ar"] = zf_mrc_three_way(channels, eff, parts["v_bt"], "a")
     else:
         raise ValueError(f"unknown beamforming method '{method}'")
-    v_er = zf_mrc_eve(channels, eff, v_at, v_bt, config)
-    return BeamformerSet(
-        v_at=v_at, v_bt=v_bt, w_a=w_a, w_b=w_b,
-        v_ar=v_ar, v_br=v_br, v_er=v_er, method=method,
-    )
+    v_er = zf_mrc_eve(channels, eff, parts["v_at"], parts["v_bt"], config)
+    return BeamformerSet(**parts, v_er=v_er, method=method)

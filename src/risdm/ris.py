@@ -18,6 +18,8 @@ from .channels import phase_ramp
 from .geometry import InvalidGeometryError
 
 MODES = ("gpg", "gpg-literal", "random", "none", "ris1-only", "ris2-only")
+# The modes whose reflections read the seed; every other mode ignores it.
+SEEDED_MODES = ("random",)
 
 # Antipodal leg phasors leave the synthesized power at zero for any phase.
 ANTIPODAL_TOL = 1e-12

@@ -2,11 +2,17 @@
 
 A sweep walks one axis (transmit power, element count, split factor, or
 Alice-Bob distance) over a value list crossed with beamforming methods,
-reflection modes, and power-allocation modes.  The geometry-to-gains
-pipeline (:func:`point_gains`) runs once per (value, method, reflection
-mode, trial) unit, and every power-allocation mode runs on those gains.
-Records are sorted into a deterministic order before emission, so running
-units in parallel never changes the output bytes.
+reflection modes, and power-allocation modes.  Each (value, method,
+reflection mode, trial) unit runs the geometry-to-gains chain
+(:func:`point_gains`) and then every power-allocation mode, but each stage
+of that chain is computed once per distinct input it reads, through a
+:class:`StageMemo` that lives for one sweep.  A power or split sweep thus
+builds its channels once, a mode that reads no seed builds its effective
+channels once per site, and a power-allocation outcome is computed once per
+distinct set of gains.  Every stage result is the one the unit would have
+computed alone, and records are sorted into a deterministic order before
+emission, so neither sharing nor running units in parallel changes the
+output bytes.
 
 Randomized points derive their sub-seed from the master seed and the
 (axis index, trial index) pair through the splitmix64 mixer, documented
@@ -17,19 +23,28 @@ from __future__ import annotations
 
 import io
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import product
 
 import numpy as np
 
-from .beamforming import design_beamformers
+from .beamforming import (
+    BeamformerSet,
+    eve_arrivals,
+    leakage_transmitters,
+    max_sv_beamformers,
+    receiver_zf,
+    three_way_arrivals,
+    zf_mrc,
+)
 from .channels import build_channels, effective_channels
 from .geometry import build_geometry
 from .power_allocation import allocate, grid_intervals
 from .rates import rate_objective, scalar_gains, ssr
 from .ris import MODES as RIS_MODES
-from .ris import reflections_for
+from .ris import SEEDED_MODES, reflections_for
 
 AXES = ("power_dbm", "elements_m", "beta", "distance_ab")
 METHODS = ("max-sv", "leakage")
@@ -84,6 +99,10 @@ class SweepSpec:
             float(v).is_integer() and v >= 1 for v in self.values
         ):
             raise ValueError("elements_m values must be whole numbers >= 1")
+        if self.axis == "distance_ab" and not all(
+            math.isfinite(v) and v > 0 for v in self.values
+        ):
+            raise ValueError("distance_ab values must be finite and > 0")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.pa_grid_step is not None and not 0.0 < self.pa_grid_step <= 0.5:
@@ -135,22 +154,108 @@ def apply_axis(config, axis, value):
     raise ValueError(f"unknown sweep axis '{axis}'")
 
 
-def point_gains(scenario, method, ris_mode, seed):
-    """Geometry through the s1..s8 link budget; reads no power-allocation input."""
-    geom = build_geometry(scenario)
-    channels = build_channels(geom, scenario)
-    eff = effective_channels(channels, *reflections_for(ris_mode, geom, scenario, seed=seed))
-    bf = design_beamformers(channels, eff, scenario, method)
-    return scalar_gains(eff, bf, scenario)
+_PENDING = object()
+
+
+class StageMemo:
+    """Stage results keyed by the inputs each stage reads, for one sweep.
+
+    The first caller of a key computes it; concurrent callers of the same
+    key wait for that result instead of computing it again.  Keys of one
+    stage only ever wait on keys of earlier stages, so the per-key locks
+    cannot deadlock.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._slots = {}  # key -> [lock, result or _PENDING]
+
+    def get(self, key, compute, *args):
+        with self._lock:
+            slot = self._slots.get(key)
+            if slot is None:
+                slot = self._slots[key] = [threading.Lock(), _PENDING]
+        with slot[0]:
+            if slot[1] is _PENDING:
+                slot[1] = compute(*args)
+        return slot[1]
+
+
+# The scenario fields that neither the geometry, the channels, the
+# reflections nor the ZF vectors read; a site is a scenario with them reset.
+_SITE_RESET = dict(Pa_dbm=0.0, Pb_dbm=0.0, beta1=0.0, beta2=0.0, seed=0)
+
+
+def _site_channels(site):
+    geom = build_geometry(site)
+    return geom, build_channels(geom, site)
+
+
+def _effective(geom, channels, site, ris_mode, seed):
+    return effective_channels(channels, *reflections_for(ris_mode, geom, site, seed=seed))
+
+
+def point_gains(memo, scenario, method, ris_mode, seed):
+    """Geometry through the s1..s8 link budget; reads no power-allocation input.
+
+    Each stage is taken from ``memo`` under the inputs it reads:
+
+    * geometry and channels: the site (``scenario`` with its powers, split
+      and seed reset);
+    * reflections and effective channels: the site, the mode, and the
+      seed for a mode in ``ris.SEEDED_MODES``;
+    * ZF vectors: the site and the receiver;
+    * max-sv design: the effective channels;
+    * leakage transmitters: the site, powers and split;
+    * Eve's combiner, the leakage receivers and the gains: the effective
+      channels, method, powers and split.
+    """
+    site = scenario.replace(**_SITE_RESET)
+    site_key = site.to_json()
+    geom, channels = memo.get(("channels", site_key), _site_channels, site)
+    eff_key = (site_key, ris_mode, seed if ris_mode in SEEDED_MODES else None)
+    eff = memo.get(("eff", eff_key), _effective, geom, channels, site, ris_mode, seed)
+    budget = (scenario.Pa_dbm, scenario.Pb_dbm, scenario.beta1, scenario.beta2)
+
+    def zf(rx):
+        return memo.get(("zf", site_key, rx), receiver_zf, channels, rx)
+
+    def gains():
+        if method == "max-sv":
+            parts = memo.get(("max-sv", eff_key), max_sv_beamformers, channels, eff)
+        elif method == "leakage":
+            parts = dict(memo.get(("leakage", site_key, budget), leakage_transmitters,
+                                  channels, scenario))
+            parts["v_br"] = zf_mrc(zf("b"), three_way_arrivals(eff, parts["v_at"], "b"))
+            parts["v_ar"] = zf_mrc(zf("a"), three_way_arrivals(eff, parts["v_bt"], "a"))
+        else:
+            raise ValueError(f"unknown beamforming method '{method}'")
+        v_er = zf_mrc(zf("e"), eve_arrivals(eff, parts["v_at"], parts["v_bt"], scenario))
+        return scalar_gains(eff, BeamformerSet(**parts, v_er=v_er, method=method), scenario)
+
+    return memo.get(("gains", eff_key, method, budget), gains)
+
+
+def _split_outcome(gains, pa_mode, scenario, grid_step, pa_seed):
+    """(beta1, beta2, ssr) of one power-allocation mode on one set of gains."""
+    if pa_mode == "fixed":
+        b1, b2 = scenario.beta1, scenario.beta2
+        return b1, b2, ssr(b1, b2, gains)
+    out = allocate(gains, pa_mode, grid_step=grid_step, seed=pa_seed)
+    return out.beta1, out.beta2, out.ssr
 
 
 def run_sweep(config, spec, workers=1):
     """Evaluate every (value x method x ris_mode x pa_mode x trial) point.
 
-    Each (value, method, ris_mode, trial) unit builds its gains once and
-    runs every PA mode on them.  Errors propagate with the offending
-    parameters attached.  Records come back sorted regardless of ``workers``.
+    Every stage runs once per distinct input within this call (see
+    :func:`point_gains`); a power-allocation outcome is keyed by the gains,
+    plus the split for ``fixed`` and the optimizer seed for ``hicf``.
+    Errors propagate with the offending parameters attached.  Records come
+    back sorted regardless of ``workers``, which must be >= 1.
     """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     units = [
         (axis_index, value, method, ris_mode, trial)
         for axis_index, value in enumerate(spec.values)
@@ -158,6 +263,7 @@ def run_sweep(config, spec, workers=1):
         for ris_mode in spec.ris_modes
         for trial in range(spec.trials)
     ]
+    memo = StageMemo()
 
     def evaluate(unit):
         axis_index, value, method, ris_mode, trial = unit
@@ -166,18 +272,17 @@ def run_sweep(config, spec, workers=1):
         where = f"axis={spec.axis}={value} method={method} ris={ris_mode} trial={trial}"
         try:
             scenario = apply_axis(config, spec.axis, value)
-            gains = point_gains(scenario, method, ris_mode, seed)
+            gains = point_gains(memo, scenario, method, ris_mode, seed)
         except Exception as err:
             raise RuntimeError(f"sweep point failed: {where}: {err}") from err
         records = []
         for pa_mode in spec.pa_modes:
+            reads = {"fixed": (scenario.beta1, scenario.beta2), "hicf": pa_seed}.get(pa_mode)
             try:
-                if pa_mode == "fixed":
-                    b1, b2 = scenario.beta1, scenario.beta2
-                    rate = ssr(b1, b2, gains)
-                else:
-                    out = allocate(gains, pa_mode, grid_step=spec.pa_grid_step, seed=pa_seed)
-                    b1, b2, rate = out.beta1, out.beta2, out.ssr
+                b1, b2, rate = memo.get(
+                    ("pa", pa_mode, gains, reads), _split_outcome,
+                    gains, pa_mode, scenario, spec.pa_grid_step, pa_seed,
+                )
             except Exception as err:
                 raise RuntimeError(f"sweep point failed: {where} pa={pa_mode}: {err}") from err
             records.append(SweepRecord(
@@ -202,7 +307,7 @@ def pa_surface(config, step=0.01, method="max-sv", ris_mode="gpg"):
     must lie in (0, 0.5].
     """
     n = grid_intervals(step)
-    gains = point_gains(config, method, ris_mode, config.seed)
+    gains = point_gains(StageMemo(), config, method, ris_mode, config.seed)
     grid = [i / n for i in range(n + 1)]
     b1, b2 = np.meshgrid(grid, grid, indexing="ij")
     values = rate_objective(b1, b2, gains).ravel().tolist()

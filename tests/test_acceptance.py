@@ -268,7 +268,7 @@ def test_criterion_6_beamforming_properties():
             for j, h in enumerate(steer):
                 if j != k:
                     assert abs(h.conj() @ v) < 1e-9
-        vecs, _, dropped = three_way_combiner_parts(channels, eff, bf.v_at, cfg, "b")
+        vecs, _, dropped = three_way_combiner_parts(channels, eff, bf.v_at, "b")
         steer = [channels.arrival_steering(tx, "b") for tx in ("i1", "i2", "a")]
         for k, v in enumerate(vecs):
             if dropped[k]:

@@ -263,6 +263,22 @@ class TestLeakageDesigns:
         assert collinear(w1, lansr_an(channels, at(1.0 - 1e-12), side))
         assert collinear(w1, np.linalg.eigh(eve)[1][:, -1])
 
+    @pytest.mark.parametrize("side", ["a", "b"])
+    def test_overflowing_noise_term_takes_the_limit(self, default_cfg, side):
+        # a subnormal message power (SLNR) overflows the noise term, and a
+        # noise power that underflows to 0 (LANSR) leaves it infinite; the
+        # design is then the endpoint's limit
+        channels = build_channels(build_geometry(default_cfg), default_cfg)
+
+        def collinear(u, v):
+            return np.all(np.isfinite(u)) and abs(abs(u.conj() @ v) - 1.0) < 1e-9
+
+        v0 = slnr_transmit(channels, default_config(beta1=0.0, beta2=0.0), side)
+        assert collinear(slnr_transmit(channels, default_config(beta1=5e-324, beta2=5e-324), side), v0)
+        w1 = lansr_an(channels, default_config(beta1=1.0, beta2=1.0), side)
+        faint = default_config(Pa_dbm=-3235.0, Pb_dbm=-3235.0)  # about 3e-324 mW
+        assert collinear(lansr_an(channels, faint, side), w1)
+
 
 class TestThreeWayCombiner:
     def test_zf_nulls(self, default_cfg):
@@ -270,8 +286,7 @@ class TestThreeWayCombiner:
         channels = build_channels(geom, default_cfg)
         eff = effective_channels(channels, *reflections_for("gpg", geom, default_cfg))
         v_at = slnr_transmit(channels, default_cfg, "a")
-        vecs, weights, dropped = three_way_combiner_parts(
-            channels, eff, v_at, default_cfg, "b")
+        vecs, weights, dropped = three_way_combiner_parts(channels, eff, v_at, "b")
         steer = [channels.arrival_steering(tx, "b") for tx in ("i1", "i2", "a")]
         for i, v in enumerate(vecs):
             if dropped[i]:
@@ -287,7 +302,7 @@ class TestThreeWayCombiner:
         eff = effective_channels(channels, *reflections_for("gpg", geom, cfg))
         v_at = slnr_transmit(channels, cfg, "a")
         with pytest.raises(InsufficientAntennasError):
-            zf_mrc_three_way(channels, eff, v_at, cfg, "b")
+            zf_mrc_three_way(channels, eff, v_at, "b")
 
     def test_coherent_recombination_oracle(self, default_cfg):
         # achieved message magnitude vs. an independently recomputed
@@ -297,7 +312,7 @@ class TestThreeWayCombiner:
         refls = reflections_for("gpg", geom, default_cfg)
         eff = effective_channels(channels, *refls)
         v_at = slnr_transmit(channels, default_cfg, "a")
-        v_br = zf_mrc_three_way(channels, eff, v_at, default_cfg, "b")
+        v_br = zf_mrc_three_way(channels, eff, v_at, "b")
         achieved = abs(v_br.conj() @ eff.h_b @ v_at)
 
         t1, t2 = np.diag(refls[0].coefficients()), np.diag(refls[1].coefficients())
@@ -306,8 +321,7 @@ class TestThreeWayCombiner:
             math.sqrt(channels.cascade_gain("a", "i2", "b")) * channels.mat("i2", "b") @ t2 @ channels.mat("a", "i2"),
             math.sqrt(channels.gain("a", "b")) * channels.mat("a", "b"),
         ]
-        vecs, weights, dropped = three_way_combiner_parts(
-            channels, eff, v_at, default_cfg, "b")
+        vecs, weights, dropped = three_way_combiner_parts(channels, eff, v_at, "b")
         signals = [abs(v.conj() @ bm @ v_at) for v, bm in zip(vecs, branch_mats)]
         norm = np.linalg.norm(sum(np.conj(w) * v for w, v in zip(weights, vecs)))
         oracle = sum(signals) / norm
@@ -396,11 +410,11 @@ class TestCombinersReadPathTerms:
         assert np.max(np.abs(zf_mrc_eve(channels, eff, v_at, v_bt, cfg) - assembled(vecs, want))) < 1e-12
 
         for side, v_t in (("b", v_at), ("a", v_bt)):
-            vecs, weights, dropped = three_way_combiner_parts(channels, eff, v_t, cfg, side)
+            vecs, weights, dropped = three_way_combiner_parts(channels, eff, v_t, side)
             signals = dense_three_way_signals(channels, refls, v_t, vecs, side)
             want = [0.0 if d else _mrc_weight(s) for s, d in zip(signals, dropped)]
             assert np.max(np.abs(np.subtract(weights, want))) < 1e-12
-            got = zf_mrc_three_way(channels, eff, v_t, cfg, side)
+            got = zf_mrc_three_way(channels, eff, v_t, side)
             assert np.max(np.abs(got - assembled(vecs, want))) < 1e-12
 
     @pytest.mark.parametrize("method", ["max-sv", "leakage"])

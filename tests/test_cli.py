@@ -55,6 +55,28 @@ class TestSweepCommand:
         assert "whole numbers" in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("values", ["-80,80", "-200,-80"])
+    def test_nonpositive_distance_rejected(self, config_path, tmp_path, values):
+        out = tmp_path / "x.csv"
+        proc = run_cli(
+            "sweep", "--config", config_path, "--axis", "distance_ab",
+            f"--values={values}", "--out", str(out),
+        )
+        assert proc.returncode == 1
+        assert "distance_ab values must be finite and > 0" in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_rejected(self, config_path, tmp_path, workers):
+        out = tmp_path / "x.csv"
+        proc = run_cli(
+            "sweep", "--config", config_path, "--axis", "power_dbm", "--values", "27",
+            "--workers", workers, "--out", str(out),
+        )
+        assert proc.returncode == 1
+        assert "workers must be >= 1" in proc.stderr
+        assert not out.exists()
+
     def test_unknown_config_field_rejected(self, tmp_path):
         doc = json.loads(default_config(M=8).to_json())
         doc["surprise"] = True

@@ -3,17 +3,29 @@
 import csv
 import io
 import math
+import sys
+import threading
+import time
+from dataclasses import replace
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import risdm.sim
 from conftest import pipeline_gains
 from risdm.geometry import build_geometry, default_config
-from risdm.power_allocation import es_1d, es_2d
-from risdm.rates import rate_objective
+from risdm.power_allocation import allocate, es_1d, es_2d
+from risdm.rates import rate_objective, ssr
+from risdm.ris import MODES as RIS_MODES
 from risdm.sim import (
+    AXES,
     CSV_HEADER,
+    METHODS,
     PA_MODES,
+    StageMemo,
+    SweepRecord,
     SweepSpec,
     apply_axis,
     emit_csv,
@@ -48,6 +60,12 @@ class TestSweepSpec:
     def test_elements_axis_takes_whole_counts(self, values):
         with pytest.raises(ValueError, match="whole numbers"):
             SweepSpec(axis="elements_m", values=values)
+
+    @pytest.mark.parametrize("values", [(-80.0, 80.0), (-200.0, -80.0), (0.0, 80.0),
+                                        (80.0, float("inf")), (float("nan"),)])
+    def test_distance_axis_takes_positive_distances(self, values):
+        with pytest.raises(ValueError, match="distance_ab values must be finite and > 0"):
+            SweepSpec(axis="distance_ab", values=values)
 
     def test_elements_axis_accepts_integral_floats(self):
         assert SweepSpec(axis="elements_m", values=(1.0, 8, 100.0)).values == (1.0, 8, 100.0)
@@ -150,22 +168,51 @@ class TestRunSweep:
         assert "method=max-sv ris=gpg trial=0" in message
         assert "pa=hicf" in message and "no split" in message
 
-    def test_beamformers_built_once_per_unit(self, monkeypatch):
-        calls = []
-        design = risdm.sim.design_beamformers
+    def test_stages_built_once_per_distinct_input(self, monkeypatch):
+        calls = {}
 
-        def counting_design(*args, **kwargs):
-            calls.append(args)
-            return design(*args, **kwargs)
+        def counting(name):
+            func = getattr(risdm.sim, name)
 
-        monkeypatch.setattr(risdm.sim, "design_beamformers", counting_design)
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return func(*args, **kwargs)
+
+            monkeypatch.setattr(risdm.sim, name, wrapper)
+
+        stages = ("build_geometry", "build_channels", "reflections_for", "effective_channels",
+                  "receiver_zf", "max_sv_beamformers", "leakage_transmitters", "scalar_gains",
+                  "allocate")
+        for name in stages:
+            counting(name)
         spec = SweepSpec(
-            axis="power_dbm", values=(7.0, 27.0), ris_modes=("gpg", "random"),
-            pa_modes=PA_MODES, trials=2, seed=3,
+            axis="power_dbm", values=(7.0, 27.0), methods=METHODS,
+            ris_modes=("gpg", "random", "none"), pa_modes=PA_MODES, trials=2, seed=3,
         )
         records = run_sweep(small_cfg(), spec)
-        assert len(records) == 2 * 2 * 5 * 2
-        assert len(calls) == 2 * 2 * 2
+        assert len(records) == 2 * 2 * 3 * 5 * 2
+        # random: one effective-channel key per (value, trial); gpg and none: one each
+        effective = 1 + 4 + 1
+        # gains: both methods on every effective-channel key, at its powers
+        gains = 2 * (2 * 1 + 4 + 2 * 1)
+        assert calls == {
+            "build_geometry": 1, "build_channels": 1,
+            "reflections_for": effective, "effective_channels": effective,
+            "receiver_zf": 3, "max_sv_beamformers": effective, "leakage_transmitters": 2,
+            "scalar_gains": gains,
+            # epa, es1d and es2d once per set of gains; hicf once per unit (per-trial seed)
+            "allocate": 3 * gains + 2 * 2 * 3 * 2,
+        }
+
+        calls.clear()
+        run_sweep(small_cfg(), replace(spec, pa_modes=("hicf",), pa_seed=9))
+        assert calls["allocate"] == gains  # a pinned optimizer seed shares hicf across trials
+
+    def test_workers_below_one_rejected(self):
+        spec = SweepSpec(axis="power_dbm", values=(27.0,))
+        for workers in (0, -3):
+            with pytest.raises(ValueError, match="workers must be >= 1"):
+                run_sweep(small_cfg(), spec, workers=workers)
 
     def test_all_pa_modes_match_single_mode_sweeps(self):
         cfg = small_cfg()
@@ -179,6 +226,91 @@ class TestRunSweep:
         single = [row for mode in PA_MODES for row in rows((mode,))]
         assert len(combined) == len(single) == 2 * 2 * 2 * 5 * 2
         assert sorted(combined) == sorted(single)
+
+
+def unstaged_sweep(config, spec):
+    """The sweep with every stage recomputed for every unit and nothing shared."""
+    records = []
+    for (axis_index, value), method, ris_mode, trial in product(
+        enumerate(spec.values), spec.methods, spec.ris_modes, range(spec.trials)
+    ):
+        seed = sub_seed(spec.seed, axis_index, trial)
+        scenario = apply_axis(config, spec.axis, value)
+        gains = pipeline_gains(scenario, ris_mode=ris_mode, method=method, seed=seed)
+        for pa_mode in spec.pa_modes:
+            if pa_mode == "fixed":
+                b1, b2 = scenario.beta1, scenario.beta2
+                rate = ssr(b1, b2, gains)
+            else:
+                pa_seed = seed if spec.pa_seed is None else spec.pa_seed
+                out = allocate(gains, pa_mode, grid_step=spec.pa_grid_step, seed=pa_seed)
+                b1, b2, rate = out.beta1, out.beta2, out.ssr
+            records.append(SweepRecord(float(value), method, ris_mode, pa_mode, b1, b2, rate,
+                                       trial, seed))
+    records.sort(key=lambda r: (r.axis_value, r.method, r.ris_mode, r.pa_mode, r.trial))
+    return records
+
+
+AXIS_VALUES = {
+    "power_dbm": st.floats(-10.0, 40.0),
+    "elements_m": st.integers(1, 24),
+    "beta": st.floats(0.0, 1.0),
+    "distance_ab": st.floats(20.0, 160.0),
+}
+
+
+@st.composite
+def staged_cases(draw):
+    axis = draw(st.sampled_from(AXES))
+    spec = SweepSpec(
+        axis=axis,
+        values=tuple(sorted(draw(st.sets(AXIS_VALUES[axis], min_size=1, max_size=3)))),
+        methods=METHODS,
+        ris_modes=tuple(draw(st.lists(st.sampled_from(RIS_MODES), min_size=1, unique=True))),
+        pa_modes=PA_MODES,
+        trials=draw(st.integers(1, 3)),
+        seed=draw(st.integers(0, 2**32)),
+        pa_seed=draw(st.none() | st.integers(0, 2**31)),
+    )
+    return small_cfg(M=draw(st.integers(1, 24))), spec
+
+
+class TestStagedSweep:
+    def test_memo_computes_each_key_once_under_contention(self):
+        memo = StageMemo()
+        computed = []
+
+        def compute(key):
+            computed.append(key)
+            time.sleep(0.001)
+            return object()
+
+        results = {}
+
+        def worker(i):
+            results[i] = [memo.get(("stage", key), compute, key) for key in range(8)]
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(16)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(computed) == list(range(8))
+        assert all(results[i] == results[0] for i in range(16))
+
+    @settings(max_examples=25, deadline=None)
+    @given(case=staged_cases())
+    def test_csv_equals_unstaged_loop(self, case):
+        cfg, spec = case
+        want = emit_csv(unstaged_sweep(cfg, spec))
+        assert emit_csv(run_sweep(cfg, spec)) == want
+        assert emit_csv(run_sweep(cfg, spec, workers=3)) == want
 
 
 class TestCsv:
