@@ -8,7 +8,7 @@ zero-forcing path separation at every receiver.
 import numpy as np
 
 from risdm import build_channels, build_geometry, default_config, effective_channels
-from risdm.beamforming import design_beamformers, eve_combiner_parts
+from risdm.beamforming import design_beamformers, eve_arrivals, mrc_weights, receiver_zf
 from risdm.rates import rates_matrix_form, scalar_gains, ssr
 from risdm.ris import reflections_for
 
@@ -37,7 +37,8 @@ for method in ("max-sv", "leakage"):
 
 print("\nEve's four-branch zero-forcing separation (max-sv design):")
 bf = design_beamformers(channels, eff, cfg, "max-sv")
-vecs, weights, dropped = eve_combiner_parts(channels, eff, bf.v_at, bf.v_bt, cfg)
+zf = receiver_zf(channels, "e")
+vecs, weights = zf[0], mrc_weights(zf, eve_arrivals(eff, bf.v_at, bf.v_bt, cfg))
 steer = [channels.arrival_steering(tx, "e") for tx in ("i1", "i2", "a", "b")]
 names = ("surface-1", "surface-2", "Alice", "Bob")
 for i, (v, w, name) in enumerate(zip(vecs, weights, names)):

@@ -146,22 +146,17 @@ def _mrc_weight(signal):
     return np.conj(signal) / mag
 
 
-def _mrc_parts(zf, arrivals):
-    """ZF sub-vectors, unit-magnitude weights, and drop flags of one combiner.
+def mrc_weights(zf, arrivals):
+    """The unit-magnitude branch weights of one ZF+MRC combiner.
 
     ``zf`` is a :func:`receiver_zf` result and ``arrivals[i]`` the message
     signal vector arriving along branch i; each weight phase-aligns its
-    branch to it.
+    branch to it, and a dropped branch weighs 0.
     """
     vecs, dropped = zf
-    weights = [
+    return [
         0.0 if drop else _mrc_weight(v.conj() @ y) for v, y, drop in zip(vecs, arrivals, dropped)
     ]
-    return vecs, weights, dropped
-
-
-def _combine(vecs, weights):
-    return _unit(sum(np.conj(w) * v for w, v in zip(weights, vecs)))
 
 
 def zf_mrc(zf, arrivals):
@@ -169,8 +164,9 @@ def zf_mrc(zf, arrivals):
 
     Sums the ZF sub-vectors of ``zf``, each phase-aligned to its arrival.
     """
-    vecs, weights, _ = _mrc_parts(zf, arrivals)
-    return _combine(vecs, weights)
+    vecs, _ = zf
+    weights = mrc_weights(zf, arrivals)
+    return _unit(sum(np.conj(w) * v for w, v in zip(weights, vecs)))
 
 
 def eve_arrivals(eff, v_at, v_bt, config):
@@ -185,21 +181,6 @@ def eve_arrivals(eff, v_at, v_bt, config):
     amp_b = math.sqrt(config.beta2 * config.pb_mw)
     arrivals = [amp_a * from_a[k] @ v_at + amp_b * from_b[k] @ v_bt for k in (0, 1)]
     return arrivals + [from_a[2] @ v_at, from_b[2] @ v_bt]
-
-
-def eve_combiner_parts(channels, eff, v_at, v_bt, config):
-    """ZF sub-vectors, unit-magnitude weights, and drop flags of Eve's combiner."""
-    return _mrc_parts(receiver_zf(channels, "e"), eve_arrivals(eff, v_at, v_bt, config))
-
-
-def zf_mrc_eve(channels, eff, v_at, v_bt, config):
-    """Four-branch ZF-separating, coherently-recombining combiner at Eve.
-
-    Each ZF sub-vector nulls the other three arrival directions; weights
-    are unit-magnitude phase conjugates of the branch message signal; the
-    assembled vector is normalized to unit norm.
-    """
-    return zf_mrc(receiver_zf(channels, "e"), eve_arrivals(eff, v_at, v_bt, config))
 
 
 def _leakage_matrices(channels, config, side):
@@ -280,20 +261,6 @@ def three_way_arrivals(eff, v_t_other_side, side):
     return [term @ v_t_other_side for term in eff.paths[f"h_{side}"]]
 
 
-def three_way_combiner_parts(channels, eff, v_t_other_side, side):
-    """ZF sub-vectors, weights, and drop flags of the legitimate combiners."""
-    return _mrc_parts(receiver_zf(channels, side), three_way_arrivals(eff, v_t_other_side, side))
-
-
-def zf_mrc_three_way(channels, eff, v_t_other_side, side):
-    """Three-branch ZF-separating combiner at Alice or Bob.
-
-    ``v_t_other_side`` is the transmit beamformer whose signal the
-    branches are phase-aligned to.
-    """
-    return zf_mrc(receiver_zf(channels, side), three_way_arrivals(eff, v_t_other_side, side))
-
-
 def max_sv_beamformers(channels, eff):
     """The max-sv message, noise and receive vectors, as ``BeamformerSet`` fields.
 
@@ -331,9 +298,12 @@ def design_beamformers(channels, eff, config, method):
         parts = max_sv_beamformers(channels, eff)
     elif method == "leakage":
         parts = leakage_transmitters(channels, config)
-        parts["v_br"] = zf_mrc_three_way(channels, eff, parts["v_at"], "b")
-        parts["v_ar"] = zf_mrc_three_way(channels, eff, parts["v_bt"], "a")
+        parts["v_br"] = zf_mrc(receiver_zf(channels, "b"),
+                               three_way_arrivals(eff, parts["v_at"], "b"))
+        parts["v_ar"] = zf_mrc(receiver_zf(channels, "a"),
+                               three_way_arrivals(eff, parts["v_bt"], "a"))
     else:
         raise ValueError(f"unknown beamforming method '{method}'")
-    v_er = zf_mrc_eve(channels, eff, parts["v_at"], parts["v_bt"], config)
+    v_er = zf_mrc(receiver_zf(channels, "e"),
+                  eve_arrivals(eff, parts["v_at"], parts["v_bt"], config))
     return BeamformerSet(**parts, v_er=v_er, method=method)

@@ -111,31 +111,15 @@ EFFECTIVE_LINKS = (("h_a", "b", "a"), ("h_b", "a", "b"), ("h_e1", "a", "e"), ("h
 _DIAG_BLOCK = 64
 
 
-def _coefficients(reflection, m):
-    """The M reflection coefficients of a RisReflection or a raw M x M diagonal matrix."""
-    if hasattr(reflection, "coefficients"):
-        coeffs = reflection.coefficients()
-        if coeffs.shape != (m,):
-            raise InvalidGeometryError(f"reflection has {coeffs.size} elements, expected {m}")
-        return coeffs
-    theta = np.asarray(reflection, dtype=complex)
-    if theta.shape != (m, m):
-        raise InvalidGeometryError(
-            f"reflection matrix has shape {theta.shape}, expected ({m}, {m})"
-        )
-    coeffs = np.diagonal(theta)
-    if np.count_nonzero(theta) != np.count_nonzero(coeffs):
-        raise InvalidGeometryError("reflection matrix has nonzero off-diagonal entries")
-    return coeffs
-
-
 def _surface_terms(channels, ris, reflection):
     """The reflected term through one surface of every effective channel.
 
     Each term is sqrt(g) * m(ris, rx) @ diag(d) @ m(tx, ris), with the
     diagonal product taken in column blocks of at most 2 * _DIAG_BLOCK - 1.
     """
-    d = _coefficients(reflection, channels.config.M)
+    d, size = reflection.coefficients(), channels.config.M
+    if d.shape != (size,):
+        raise InvalidGeometryError(f"reflection has {d.size} elements, expected {size}")
     cuts = list(range(0, max(d.size - _DIAG_BLOCK, 0) + 1, _DIAG_BLOCK)) + [d.size]
     blocks = [(s, e, np.diag(d[s:e])) for s, e in zip(cuts, cuts[1:])]
     g = channels.cascade_gain
@@ -155,7 +139,8 @@ def effective_channels(channels, reflection1, reflection2):
 
     Each channel is the sum of the two sqrt-composite-gain reflected paths
     and the sqrt-gain direct path, every gain taken from the directed links
-    the path traverses.
+    the path traverses.  ``reflection1`` and ``reflection2`` are the
+    ``RisReflection`` settings of the two surfaces.
     """
     surface1 = _surface_terms(channels, "i1", reflection1)
     surface2 = _surface_terms(channels, "i2", reflection2)

@@ -61,7 +61,6 @@ def build_parser():
                        help="fixed optimizer seed (default: per-point sub-seed)")
     sweep.add_argument("--trials", type=int, default=1)
     sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--workers", type=int, default=1)
     sweep.add_argument("--out", required=True, help="output CSV path")
 
     surface = sub.add_parser("pa-surface", help="SSR over the (beta1, beta2) grid")
@@ -91,7 +90,7 @@ def main(argv=None):
                 trials=args.trials, seed=args.seed,
                 pa_grid_step=args.grid_step, pa_seed=args.pa_seed,
             )
-            records = run_sweep(config, spec, workers=args.workers)
+            records = run_sweep(config, spec)
             write_csv(records, args.out)
             print(f"wrote {len(records)} records to {args.out}")
         elif args.command == "pa-surface":

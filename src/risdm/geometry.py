@@ -195,11 +195,12 @@ class ScenarioConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1]")
-        if self.d_over_lambda <= 0:
-            raise ConfigError("d_over_lambda must be positive")
-        for name in ("Pa_dbm", "Pb_dbm", "sigma2_e_dbm"):
+        for name in ("d_over_lambda", "Pa_dbm", "Pb_dbm", "sigma2_e_dbm", "noise_ratio",
+                     "pathloss_alpha"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
+        if self.d_over_lambda <= 0:
+            raise ConfigError("d_over_lambda must be positive")
         if self.noise_ratio <= 0 or self.pathloss_alpha <= 0:
             raise ConfigError("noise_ratio and pathloss_alpha must be positive")
         unknown = set(self.pathloss_exp) - set(LINK_CLASSES)
@@ -208,6 +209,8 @@ class ScenarioConfig:
         for cls_name in LINK_CLASSES:
             if cls_name not in self.pathloss_exp:
                 raise ConfigError(f"pathloss_exp is missing class '{cls_name}'")
+            if not math.isfinite(self.pathloss_exp[cls_name]):
+                raise ConfigError(f"pathloss_exp['{cls_name}'] must be finite")
 
     # -- unit conversions ---------------------------------------------------
     @property

@@ -508,7 +508,7 @@ def allocate(g, method, grid_step=None, seed=0):
             candidates=(), diagnostics={},
         )
     if canonical == "es-1d":
-        return es_1d(g, step=grid_step or DEFAULT_STEP_1D)
+        return es_1d(g, step=DEFAULT_STEP_1D if grid_step is None else grid_step)
     if canonical == "es-2d":
-        return es_2d(g, step=grid_step or DEFAULT_STEP_2D)
+        return es_2d(g, step=DEFAULT_STEP_2D if grid_step is None else grid_step)
     return hicf(g, seed=seed)

@@ -40,7 +40,7 @@ class RisReflection:
             raise InvalidGeometryError("amplitudes and phases must be equal-length 1-D arrays")
         if not np.all((amps == 0.0) | (amps == 1.0)):
             raise InvalidGeometryError("amplitudes must be 0 or 1")
-        if np.any(phases < 0.0) or np.any(phases >= 2.0 * np.pi):
+        if not np.all((phases >= 0.0) & (phases < 2.0 * np.pi)):
             raise InvalidGeometryError("phases must lie in [0, 2 pi)")
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "phases", phases)

@@ -11,8 +11,7 @@ builds its channels once, a mode that reads no seed builds its effective
 channels once per site, and a power-allocation outcome is computed once per
 distinct set of gains.  Every stage result is the one the unit would have
 computed alone, and records are sorted into a deterministic order before
-emission, so neither sharing nor running units in parallel changes the
-output bytes.
+emission, so sharing does not change the output bytes.
 
 Randomized points derive their sub-seed from the master seed and the
 (axis index, trial index) pair through the splitmix64 mixer, documented
@@ -23,8 +22,6 @@ from __future__ import annotations
 
 import io
 import math
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import product
 
@@ -154,31 +151,20 @@ def apply_axis(config, axis, value):
     raise ValueError(f"unknown sweep axis '{axis}'")
 
 
-_PENDING = object()
-
-
 class StageMemo:
     """Stage results keyed by the inputs each stage reads, for one sweep.
 
-    The first caller of a key computes it; concurrent callers of the same
-    key wait for that result instead of computing it again.  Keys of one
-    stage only ever wait on keys of earlier stages, so the per-key locks
-    cannot deadlock.
+    The first caller of a key computes it and every later caller gets the
+    stored result; a stage that raises stores nothing.
     """
 
     def __init__(self):
-        self._lock = threading.Lock()
-        self._slots = {}  # key -> [lock, result or _PENDING]
+        self._results = {}
 
     def get(self, key, compute, *args):
-        with self._lock:
-            slot = self._slots.get(key)
-            if slot is None:
-                slot = self._slots[key] = [threading.Lock(), _PENDING]
-        with slot[0]:
-            if slot[1] is _PENDING:
-                slot[1] = compute(*args)
-        return slot[1]
+        if key not in self._results:
+            self._results[key] = compute(*args)
+        return self._results[key]
 
 
 # The scenario fields that neither the geometry, the channels, the
@@ -245,28 +231,20 @@ def _split_outcome(gains, pa_mode, scenario, grid_step, pa_seed):
     return out.beta1, out.beta2, out.ssr
 
 
-def run_sweep(config, spec, workers=1):
+def run_sweep(config, spec):
     """Evaluate every (value x method x ris_mode x pa_mode x trial) point.
 
     Every stage runs once per distinct input within this call (see
     :func:`point_gains`); a power-allocation outcome is keyed by the gains,
     plus the split for ``fixed`` and the optimizer seed for ``hicf``.
     Errors propagate with the offending parameters attached.  Records come
-    back sorted regardless of ``workers``, which must be >= 1.
+    back sorted.
     """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    units = [
-        (axis_index, value, method, ris_mode, trial)
-        for axis_index, value in enumerate(spec.values)
-        for method in spec.methods
-        for ris_mode in spec.ris_modes
-        for trial in range(spec.trials)
-    ]
     memo = StageMemo()
-
-    def evaluate(unit):
-        axis_index, value, method, ris_mode, trial = unit
+    records = []
+    for (axis_index, value), method, ris_mode, trial in product(
+        enumerate(spec.values), spec.methods, spec.ris_modes, range(spec.trials)
+    ):
         seed = sub_seed(spec.seed, axis_index, trial)
         pa_seed = seed if spec.pa_seed is None else spec.pa_seed
         where = f"axis={spec.axis}={value} method={method} ris={ris_mode} trial={trial}"
@@ -275,7 +253,6 @@ def run_sweep(config, spec, workers=1):
             gains = point_gains(memo, scenario, method, ris_mode, seed)
         except Exception as err:
             raise RuntimeError(f"sweep point failed: {where}: {err}") from err
-        records = []
         for pa_mode in spec.pa_modes:
             reads = {"fixed": (scenario.beta1, scenario.beta2), "hicf": pa_seed}.get(pa_mode)
             try:
@@ -289,13 +266,6 @@ def run_sweep(config, spec, workers=1):
                 axis_value=float(value), method=method, ris_mode=ris_mode, pa_mode=pa_mode,
                 beta1=b1, beta2=b2, ssr_bits=rate, trial=trial, seed=seed,
             ))
-        return records
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = [r for rs in pool.map(evaluate, units) for r in rs]
-    else:
-        records = [r for u in units for r in evaluate(u)]
     records.sort(key=lambda r: (r.axis_value, r.method, r.ris_mode, r.pa_mode, r.trial))
     return records
 

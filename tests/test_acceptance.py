@@ -19,12 +19,7 @@ from scipy.optimize import linear_sum_assignment
 
 from conftest import pipeline, random_config, random_gains
 from risdm import linalg
-from risdm.beamforming import (
-    _leakage_matrices,
-    eve_combiner_parts,
-    slnr_transmit,
-    three_way_combiner_parts,
-)
+from risdm.beamforming import _leakage_matrices, receiver_zf, slnr_transmit
 from risdm.geometry import build_geometry, default_config, default_placement
 from risdm.power_allocation import (
     allocate,
@@ -260,7 +255,7 @@ def test_criterion_6_beamforming_properties():
                 s_b[0], abs=1e-10)
 
         # zero-forcing nulls at Eve and at the legitimate receivers
-        vecs, _, dropped = eve_combiner_parts(channels, eff, bf.v_at, bf.v_bt, cfg)
+        vecs, dropped = receiver_zf(channels, "e")
         steer = [channels.arrival_steering(tx, "e") for tx in ("i1", "i2", "a", "b")]
         for k, v in enumerate(vecs):
             if dropped[k]:
@@ -268,7 +263,7 @@ def test_criterion_6_beamforming_properties():
             for j, h in enumerate(steer):
                 if j != k:
                     assert abs(h.conj() @ v) < 1e-9
-        vecs, _, dropped = three_way_combiner_parts(channels, eff, bf.v_at, "b")
+        vecs, dropped = receiver_zf(channels, "b")
         steer = [channels.arrival_steering(tx, "b") for tx in ("i1", "i2", "a")]
         for k, v in enumerate(vecs):
             if dropped[k]:

@@ -13,13 +13,14 @@ from risdm.beamforming import (
     _mrc_weight,
     an_nullspace_design,
     design_beamformers,
-    eve_combiner_parts,
+    eve_arrivals,
     lansr_an,
     max_sv_design,
+    mrc_weights,
+    receiver_zf,
     slnr_transmit,
-    three_way_combiner_parts,
-    zf_mrc_eve,
-    zf_mrc_three_way,
+    three_way_arrivals,
+    zf_mrc,
 )
 from risdm.channels import build_channels, effective_channels
 from risdm.geometry import Placement, build_geometry, default_config, default_placement
@@ -115,12 +116,8 @@ class TestEveCombiner:
         }
         cfg = default_config(Ne=4, placement=Placement(
             positions=placement.positions, orientations=placement.orientations, pinned=pinned))
-        geom = build_geometry(cfg)
-        channels = build_channels(geom, cfg)
-        refls = reflections_for("gpg", geom, cfg)
-        eff = effective_channels(channels, *refls)
-        v_at, _, v_bt, _ = max_sv_design(eff)
-        vecs, weights, dropped = eve_combiner_parts(channels, eff, v_at, v_bt, cfg)
+        channels = build_channels(build_geometry(cfg), cfg)
+        vecs, _ = receiver_zf(channels, "e")
         steer = [channels.arrival_steering(tx, "e") for tx in ("i1", "i2", "a", "b")]
         for v, h in zip(vecs, steer):
             corr = abs(h.conj() @ v) / np.linalg.norm(v)
@@ -132,7 +129,9 @@ class TestEveCombiner:
         refls = reflections_for("gpg", geom, default_cfg)
         eff = effective_channels(channels, *refls)
         v_at, _, v_bt, _ = max_sv_design(eff)
-        vecs, weights, dropped = eve_combiner_parts(channels, eff, v_at, v_bt, default_cfg)
+        zf = receiver_zf(channels, "e")
+        vecs, dropped = zf
+        weights = mrc_weights(zf, eve_arrivals(eff, v_at, v_bt, default_cfg))
         steer = [channels.arrival_steering(tx, "e") for tx in ("i1", "i2", "a", "b")]
         for i, v in enumerate(vecs):
             if dropped[i]:
@@ -152,7 +151,7 @@ class TestEveCombiner:
         eff = effective_channels(channels, *refls)
         v_at, _, v_bt, _ = max_sv_design(eff)
         with pytest.raises(InsufficientAntennasError):
-            zf_mrc_eve(channels, eff, v_at, v_bt, cfg)
+            zf_mrc(receiver_zf(channels, "e"), eve_arrivals(eff, v_at, v_bt, cfg))
 
 
 class TestLeakageDesigns:
@@ -286,7 +285,7 @@ class TestThreeWayCombiner:
         channels = build_channels(geom, default_cfg)
         eff = effective_channels(channels, *reflections_for("gpg", geom, default_cfg))
         v_at = slnr_transmit(channels, default_cfg, "a")
-        vecs, weights, dropped = three_way_combiner_parts(channels, eff, v_at, "b")
+        vecs, dropped = receiver_zf(channels, "b")
         steer = [channels.arrival_steering(tx, "b") for tx in ("i1", "i2", "a")]
         for i, v in enumerate(vecs):
             if dropped[i]:
@@ -302,7 +301,7 @@ class TestThreeWayCombiner:
         eff = effective_channels(channels, *reflections_for("gpg", geom, cfg))
         v_at = slnr_transmit(channels, cfg, "a")
         with pytest.raises(InsufficientAntennasError):
-            zf_mrc_three_way(channels, eff, v_at, "b")
+            zf_mrc(receiver_zf(channels, "b"), three_way_arrivals(eff, v_at, "b"))
 
     def test_coherent_recombination_oracle(self, default_cfg):
         # achieved message magnitude vs. an independently recomputed
@@ -312,7 +311,9 @@ class TestThreeWayCombiner:
         refls = reflections_for("gpg", geom, default_cfg)
         eff = effective_channels(channels, *refls)
         v_at = slnr_transmit(channels, default_cfg, "a")
-        v_br = zf_mrc_three_way(channels, eff, v_at, "b")
+        zf = receiver_zf(channels, "b")
+        arrivals = three_way_arrivals(eff, v_at, "b")
+        v_br = zf_mrc(zf, arrivals)
         achieved = abs(v_br.conj() @ eff.h_b @ v_at)
 
         t1, t2 = np.diag(refls[0].coefficients()), np.diag(refls[1].coefficients())
@@ -321,7 +322,7 @@ class TestThreeWayCombiner:
             math.sqrt(channels.cascade_gain("a", "i2", "b")) * channels.mat("i2", "b") @ t2 @ channels.mat("a", "i2"),
             math.sqrt(channels.gain("a", "b")) * channels.mat("a", "b"),
         ]
-        vecs, weights, dropped = three_way_combiner_parts(channels, eff, v_at, "b")
+        vecs, weights = zf[0], mrc_weights(zf, arrivals)
         signals = [abs(v.conj() @ bm @ v_at) for v, bm in zip(vecs, branch_mats)]
         norm = np.linalg.norm(sum(np.conj(w) * v for w, v in zip(weights, vecs)))
         oracle = sum(signals) / norm
@@ -403,19 +404,20 @@ class TestCombinersReadPathTerms:
         else:
             v_at, v_bt = slnr_transmit(channels, cfg, "a"), slnr_transmit(channels, cfg, "b")
 
-        vecs, weights, dropped = eve_combiner_parts(channels, eff, v_at, v_bt, cfg)
+        zf, arrivals = receiver_zf(channels, "e"), eve_arrivals(eff, v_at, v_bt, cfg)
+        vecs, dropped = zf
         signals = dense_eve_signals(channels, refls, v_at, v_bt, vecs, cfg)
         want = [0.0 if d else _mrc_weight(s) for s, d in zip(signals, dropped)]
-        assert np.max(np.abs(np.subtract(weights, want))) < 1e-12
-        assert np.max(np.abs(zf_mrc_eve(channels, eff, v_at, v_bt, cfg) - assembled(vecs, want))) < 1e-12
+        assert np.max(np.abs(np.subtract(mrc_weights(zf, arrivals), want))) < 1e-12
+        assert np.max(np.abs(zf_mrc(zf, arrivals) - assembled(vecs, want))) < 1e-12
 
         for side, v_t in (("b", v_at), ("a", v_bt)):
-            vecs, weights, dropped = three_way_combiner_parts(channels, eff, v_t, side)
+            zf, arrivals = receiver_zf(channels, side), three_way_arrivals(eff, v_t, side)
+            vecs, dropped = zf
             signals = dense_three_way_signals(channels, refls, v_t, vecs, side)
             want = [0.0 if d else _mrc_weight(s) for s, d in zip(signals, dropped)]
-            assert np.max(np.abs(np.subtract(weights, want))) < 1e-12
-            got = zf_mrc_three_way(channels, eff, v_t, side)
-            assert np.max(np.abs(got - assembled(vecs, want))) < 1e-12
+            assert np.max(np.abs(np.subtract(mrc_weights(zf, arrivals), want))) < 1e-12
+            assert np.max(np.abs(zf_mrc(zf, arrivals) - assembled(vecs, want))) < 1e-12
 
     @pytest.mark.parametrize("method", ["max-sv", "leakage"])
     def test_design_allocates_no_surface_sized_matrix(self, method):

@@ -66,15 +66,29 @@ class TestSweepCommand:
         assert "distance_ab values must be finite and > 0" in proc.stderr
         assert not out.exists()
 
-    @pytest.mark.parametrize("workers", ["0", "-3"])
-    def test_workers_below_one_rejected(self, config_path, tmp_path, workers):
+    def test_workers_flag_refused(self, config_path, tmp_path):
         out = tmp_path / "x.csv"
         proc = run_cli(
             "sweep", "--config", config_path, "--axis", "power_dbm", "--values", "27",
-            "--workers", workers, "--out", str(out),
+            "--workers", "2", "--out", str(out),
+        )
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --workers" in proc.stderr
+        assert not out.exists()
+
+    def test_non_finite_config_rejected(self, tmp_path):
+        # json.load accepts Infinity; an infinite exponent once wrote a CSV
+        doc = json.loads(default_config(M=8).to_json())
+        doc["pathloss_exp"]["ris"] = float("inf")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "x.csv"
+        proc = run_cli(
+            "sweep", "--config", str(bad), "--axis", "power_dbm",
+            "--values", "27", "--out", str(out),
         )
         assert proc.returncode == 1
-        assert "workers must be >= 1" in proc.stderr
+        assert "pathloss_exp['ris'] must be finite" in proc.stderr
         assert not out.exists()
 
     def test_unknown_config_field_rejected(self, tmp_path):

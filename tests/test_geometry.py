@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -164,6 +165,20 @@ class TestConfigIngestion:
         doc["beta1"] = 1.5
         with pytest.raises(ConfigError):
             ScenarioConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field, cls", [
+        ("d_over_lambda", None), ("noise_ratio", None), ("pathloss_alpha", None),
+        ("pathloss_exp", "direct"), ("pathloss_exp", "ris"),
+    ])
+    def test_non_finite_value_rejected(self, default_cfg, field, cls, value):
+        doc = default_cfg.to_dict()
+        if cls is None:
+            doc[field], name = value, field
+        else:
+            doc[field][cls], name = value, f"{field}['{cls}']"
+        with pytest.raises(ConfigError, match=re.escape(f"{name} must be finite")):
+            ScenarioConfig.from_json(json.dumps(doc))
 
     def test_dbm_conversion(self, default_cfg):
         assert default_cfg.pa_mw == pytest.approx(10 ** 2.7)

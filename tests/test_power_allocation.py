@@ -1,6 +1,7 @@
 """Sextic construction, root-finding stages, and the split optimizers."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -540,6 +541,11 @@ class TestAllocate:
         assert allocate(g, "hicf").method == "hicf"
         with pytest.raises(ValueError):
             allocate(g, "magic")
+
+    @pytest.mark.parametrize("method", ["es1d", "es2d"])
+    def test_zero_grid_step_rejected(self, rng, method):
+        with pytest.raises(ValueError, match=re.escape("grid step must lie in (0, 0.5]")):
+            allocate(random_gains(rng), method, grid_step=0.0)
 
     def test_epa_outcome_recorded(self, rng):
         g = random_gains(rng)

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from risdm.channels import build_channels, effective_channels
-from risdm.geometry import Placement, build_geometry, default_config, default_placement
+from risdm.geometry import (
+    InvalidGeometryError,
+    Placement,
+    build_geometry,
+    default_config,
+    default_placement,
+)
 from risdm.ris import (
     RisReflection,
     gpg_phases,
@@ -150,6 +156,11 @@ class TestBaselines:
             RisReflection(amplitudes=np.array([0.5]), phases=np.array([0.0]))
         with pytest.raises(Exception):
             RisReflection(amplitudes=np.array([1.0]), phases=np.array([7.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_phase_rejected(self, bad):
+        with pytest.raises(InvalidGeometryError, match="phases must lie in"):
+            RisReflection(amplitudes=np.ones(3), phases=np.array([0.1, bad, 0.2]))
 
     def test_single_surface_masks(self, default_cfg):
         geom = build_geometry(default_cfg)

@@ -3,9 +3,6 @@
 import csv
 import io
 import math
-import sys
-import threading
-import time
 from dataclasses import replace
 from itertools import product
 
@@ -24,7 +21,6 @@ from risdm.sim import (
     CSV_HEADER,
     METHODS,
     PA_MODES,
-    StageMemo,
     SweepRecord,
     SweepSpec,
     apply_axis,
@@ -118,8 +114,7 @@ class TestRunSweep:
         )
         a = emit_csv(run_sweep(cfg, spec))
         b = emit_csv(run_sweep(cfg, spec))
-        c = emit_csv(run_sweep(cfg, spec, workers=4))
-        assert a == b == c
+        assert a == b
 
     def test_random_trials_differ(self):
         cfg = small_cfg()
@@ -208,12 +203,6 @@ class TestRunSweep:
         run_sweep(small_cfg(), replace(spec, pa_modes=("hicf",), pa_seed=9))
         assert calls["allocate"] == gains  # a pinned optimizer seed shares hicf across trials
 
-    def test_workers_below_one_rejected(self):
-        spec = SweepSpec(axis="power_dbm", values=(27.0,))
-        for workers in (0, -3):
-            with pytest.raises(ValueError, match="workers must be >= 1"):
-                run_sweep(small_cfg(), spec, workers=workers)
-
     def test_all_pa_modes_match_single_mode_sweeps(self):
         cfg = small_cfg()
         base = dict(axis="power_dbm", values=(7.0, 27.0), methods=("max-sv", "leakage"),
@@ -276,41 +265,12 @@ def staged_cases(draw):
 
 
 class TestStagedSweep:
-    def test_memo_computes_each_key_once_under_contention(self):
-        memo = StageMemo()
-        computed = []
-
-        def compute(key):
-            computed.append(key)
-            time.sleep(0.001)
-            return object()
-
-        results = {}
-
-        def worker(i):
-            results[i] = [memo.get(("stage", key), compute, key) for key in range(8)]
-
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(16)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=30)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
-        assert sorted(computed) == list(range(8))
-        assert all(results[i] == results[0] for i in range(16))
-
     @settings(max_examples=25, deadline=None)
     @given(case=staged_cases())
     def test_csv_equals_unstaged_loop(self, case):
         cfg, spec = case
         want = emit_csv(unstaged_sweep(cfg, spec))
         assert emit_csv(run_sweep(cfg, spec)) == want
-        assert emit_csv(run_sweep(cfg, spec, workers=3)) == want
 
 
 class TestCsv:
