@@ -92,6 +92,9 @@ class Placement:
                 raise ConfigError(f"position of '{node}' must be two finite numbers")
             if node not in self.orientations:
                 raise ConfigError(f"placement is missing an orientation for node '{node}'")
+        for node, angle in self.orientations.items():
+            if not math.isfinite(angle):
+                raise ConfigError(f"orientations['{node}'] must be finite")
         for key, pins in self.pinned.items():
             tx, _, rx = key.partition("->")
             if (tx, rx) not in LINKS:
@@ -99,6 +102,9 @@ class Placement:
             unknown = set(pins) - {"theta_t", "theta_r", "distance"}
             if unknown:
                 raise ConfigError(f"pinned link '{key}' has unknown fields {sorted(unknown)}")
+            for name, value in pins.items():
+                if not math.isfinite(float(value)):
+                    raise ConfigError(f"pinned['{key}']['{name}'] must be finite")
 
     @classmethod
     def from_dict(cls, doc):

@@ -171,6 +171,13 @@ def _horner(coeffs, x):
     return y
 
 
+def _derivative(coeffs):
+    """Derivative of a highest-first list of Python floats, with the same
+    products as ``np.polyder`` and no array round trip."""
+    n = len(coeffs) - 1
+    return [c * (n - i) for i, c in enumerate(coeffs[:-1])]
+
+
 def newton_root(coeffs, beta0, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
     """Newton-Raphson on a real polynomial (highest-degree coefficient first).
 
@@ -180,9 +187,8 @@ def newton_root(coeffs, beta0, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
     """
     if tol <= 0:
         raise ValueError("tolerance must be positive")
-    coeffs = np.asarray(coeffs, dtype=float)
-    deriv = np.polyder(coeffs).tolist()
-    coeffs = coeffs.tolist()
+    coeffs = np.asarray(coeffs, dtype=float).tolist()
+    deriv = _derivative(coeffs)
     beta = float(beta0)
     for _ in range(max_iter):
         # one pass each: a fused f, f' pass would round differently
@@ -335,8 +341,7 @@ def es_2d(g, step=DEFAULT_STEP_2D):
     Ties break toward smaller beta1, then smaller beta2.
     """
     grid = _grid(step)
-    b1, b2 = np.meshgrid(grid, grid, indexing="ij")
-    values = rate_objective(b1, b2, g)
+    values = rate_objective(grid[:, None], grid[None, :], g)
     k = int(np.argmax(values))  # C-order: beta1-major, so ties resolve as specified
     i, j = divmod(k, grid.size)
     beta1, beta2 = float(grid[i]), float(grid[j])
@@ -351,7 +356,8 @@ def _stage_inits(seed, stage, beta1=None):
 
     Stage 2 draws from the reduced domain (0, 0.5) u (beta(1), 1); if
     beta(1) leaves no such split, from (0, 1) minus a small ball around
-    beta(1).  Stage 1 restarts cover (0, 1).
+    beta(1).  Stage 1 restarts cover (0, 1).  A generator: each point is
+    drawn only when the caller asks for it.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, stage]))
     if stage == 1 or beta1 is None:
@@ -364,18 +370,16 @@ def _stage_inits(seed, stage, beta1=None):
         segments = [seg for seg in [(0.0, lo), (hi, 1.0)] if seg[0] < seg[1]]
         if not segments:
             segments = [(0.0, 1.0)]
-    lengths = np.array([hi - lo for lo, hi in segments])
-    total = lengths.sum()
-    points = []
+    lengths = [hi - lo for lo, hi in segments]
+    total = sum(lengths)
     for k in range(NEWTON_RESTARTS):
         # stratify along the concatenated domain, jitter within the stratum
         u = (k + rng.uniform()) / NEWTON_RESTARTS * total
         for (lo, hi), length in zip(segments, lengths):
             if u <= length or (lo, hi) == segments[-1]:
-                points.append(lo + min(u, length))
+                yield lo + min(u, length)
                 break
             u -= length
-    return points
 
 
 def _stage1_inits(seed):
@@ -392,8 +396,8 @@ def _newton_stage(coeffs, inits, tol, max_iter):
 
     Returns (root, attempts) or (None, attempts) when every restart failed.
     """
-    scale = np.max(np.abs(coeffs))
     values = np.asarray(coeffs, dtype=float).tolist()
+    scale = max(abs(c) for c in values)
     attempts = 0
     for beta0 in inits:
         attempts += 1
@@ -406,10 +410,21 @@ def _newton_stage(coeffs, inits, tol, max_iter):
     return None, attempts
 
 
-def _real_roots(values):
-    vals = np.atleast_1d(np.asarray(values, dtype=complex))
-    mask = np.abs(vals.imag) < REAL_ROOT_IMAG_TOL
-    return vals[mask].real
+def _real_part(root):
+    """The real part of a root whose imaginary part is negligible, else None."""
+    z = complex(root)
+    return z.real if abs(z.imag) < REAL_ROOT_IMAG_TOL else None
+
+
+def _residual(coeffs, root):
+    """|p(root)| for a highest-first list of floats: Horner for a real root,
+    a per-root ``np.polyval`` otherwise.
+
+    A complex Horner on Python numbers, or one vectorised ``np.polyval``
+    over all roots, rounds differently from the per-root call.
+    """
+    value = _horner(coeffs, root) if isinstance(root, float) else np.polyval(coeffs, root)
+    return float(abs(value))
 
 
 def hicf(g, seed=0, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
@@ -462,20 +477,19 @@ def hicf(g, seed=0, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
 
     diagnostics["roots"] = [complex(root) for root, _ in labeled]
     diagnostics["origins"] = [origin for _, origin in labeled]
-    diagnostics["root_residuals"] = [
-        float(abs(np.polyval(sextic, root))) for root, _ in labeled
-    ]
+    values = sextic.tolist()
+    diagnostics["root_residuals"] = [_residual(values, root) for root, _ in labeled]
 
     candidates = []
     for root, origin in labeled:
-        for beta in _real_roots(root):
-            if 0.0 <= beta <= 1.0:
-                candidates.append((float(beta), origin))
+        beta = _real_part(root)
+        if beta is not None and 0.0 <= beta <= 1.0:
+            candidates.append((beta, origin))
     candidates.extend([(0.0, "boundary"), (1.0, "boundary")])
     candidates.sort(key=lambda item: item[0])  # smallest beta wins ties
 
     evaluated = tuple(
-        PaCandidate(beta=beta, objective=float(rate_objective(beta, beta, g)), origin=origin)
+        PaCandidate(beta=beta, objective=rate_objective(beta, beta, g), origin=origin)
         for beta, origin in candidates
     )
     best = max(evaluated, key=lambda cand: cand.objective)  # first max on ties

@@ -279,8 +279,8 @@ def pa_surface(config, step=0.01, method="max-sv", ris_mode="gpg"):
     n = grid_intervals(step)
     gains = point_gains(StageMemo(), config, method, ris_mode, config.seed)
     grid = [i / n for i in range(n + 1)]
-    b1, b2 = np.meshgrid(grid, grid, indexing="ij")
-    values = rate_objective(b1, b2, gains).ravel().tolist()
+    axis = np.array(grid)
+    values = rate_objective(axis[:, None], axis[None, :], gains).ravel().tolist()
     return [
         SweepRecord(
             axis_value=x, method=method, ris_mode=ris_mode, pa_mode="surface",

@@ -91,6 +91,21 @@ class TestSweepCommand:
         assert "pathloss_exp['ris'] must be finite" in proc.stderr
         assert not out.exists()
 
+    def test_non_finite_pinned_distance_rejected(self, tmp_path):
+        # an infinite pinned distance once wrote a CSV with Eve's direct gain at 0
+        doc = json.loads(default_config(M=8).to_json())
+        doc["placement"]["pinned"] = {"a->e": {"distance": float("inf")}}
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "x.csv"
+        proc = run_cli(
+            "sweep", "--config", str(bad), "--axis", "power_dbm",
+            "--values", "27", "--out", str(out),
+        )
+        assert proc.returncode == 1
+        assert "pinned['a->e']['distance'] must be finite" in proc.stderr
+        assert not out.exists()
+
     def test_unknown_config_field_rejected(self, tmp_path):
         doc = json.loads(default_config(M=8).to_json())
         doc["surprise"] = True

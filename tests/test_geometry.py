@@ -180,6 +180,30 @@ class TestConfigIngestion:
         with pytest.raises(ConfigError, match=re.escape(f"{name} must be finite")):
             ScenarioConfig.from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("entry, name", [
+        (("orientations", "e"), "orientations['e']"),
+        (("orientations", "i1"), "orientations['i1']"),
+        (("pinned", "a->e", "distance"), "pinned['a->e']['distance']"),
+        (("pinned", "i1->b", "theta_t"), "pinned['i1->b']['theta_t']"),
+        (("pinned", "b->a", "theta_r"), "pinned['b->a']['theta_r']"),
+    ])
+    def test_non_finite_placement_rejected(self, default_cfg, entry, name, value):
+        # an infinite pinned distance once ran a sweep with Eve's direct gain at 0
+        doc = default_cfg.to_dict()
+        if entry[0] == "orientations":
+            doc["placement"]["orientations"][entry[1]] = value
+        else:
+            doc["placement"]["pinned"][entry[1]] = {entry[2]: value}
+        with pytest.raises(ConfigError, match=re.escape(f"{name} must be finite")):
+            ScenarioConfig.from_json(json.dumps(doc))
+
+    def test_finite_pins_still_accepted(self, default_cfg):
+        doc = default_cfg.to_dict()
+        doc["placement"]["pinned"] = {"a->e": {"distance": 75.0, "theta_t": 1.2}}
+        geom = build_geometry(ScenarioConfig.from_dict(doc))
+        assert geom[("a", "e")].distance == 75.0 and geom[("a", "e")].theta_t == 1.2
+
     def test_dbm_conversion(self, default_cfg):
         assert default_cfg.pa_mw == pytest.approx(10 ** 2.7)
         assert default_cfg.sigma2_a_mw == pytest.approx(1e-7, rel=1e-9)

@@ -182,6 +182,32 @@ def polyval_newton(coeffs, beta0, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
     raise NewtonError("no convergence")
 
 
+def eager_stage_inits(seed, stage, beta1=None):
+    """The list of restart points that the lazy _stage_inits must yield, in order."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, stage]))
+    if stage == 1 or beta1 is None:
+        segments = [(0.0, 1.0)]
+    elif 0.5 < beta1 < 1.0:
+        segments = [(0.0, 0.5), (beta1, 1.0)]
+    else:
+        lo = min(max(beta1 - 0.02, 0.0), 1.0)
+        hi = min(max(beta1 + 0.02, 0.0), 1.0)
+        segments = [seg for seg in [(0.0, lo), (hi, 1.0)] if seg[0] < seg[1]]
+        if not segments:
+            segments = [(0.0, 1.0)]
+    lengths = np.array([hi - lo for lo, hi in segments])
+    total = lengths.sum()
+    points = []
+    for k in range(pa.NEWTON_RESTARTS):
+        u = (k + rng.uniform()) / pa.NEWTON_RESTARTS * total
+        for (lo, hi), length in zip(segments, lengths):
+            if u <= length or (lo, hi) == segments[-1]:
+                points.append(lo + min(u, length))
+                break
+            u -= length
+    return points
+
+
 def newton_outcome(solver, coeffs, beta0):
     try:
         return solver(coeffs, beta0)
@@ -289,6 +315,12 @@ class TestNewton:
     def test_max_iter_exhaustion(self):
         with pytest.raises(NewtonError):
             newton_root([1.0, 0.0, 1.0], 0.7, max_iter=50)  # no real root
+
+    @settings(max_examples=200, deadline=None)
+    @given(coeffs=monic_polys)
+    def test_derivative_equals_polyder(self, coeffs):
+        want = np.polyder(np.asarray(coeffs, dtype=float)).tolist()
+        assert pa._derivative(np.asarray(coeffs, dtype=float).tolist()) == want
 
     @settings(max_examples=400, deadline=None)
     @given(coeffs=monic_polys, beta0=st.floats(0.0, 1.0))
@@ -400,6 +432,26 @@ class TestGridSearches:
             # the square search can only beat the diagonal
             assert d2.ssr >= d1.ssr - 1e-12
 
+    def test_es2d_broadcast_equals_meshgrid(self, rng, monkeypatch):
+        evaluated = []
+
+        def recording(beta1, beta2, g):
+            value = rate_objective(beta1, beta2, g)
+            evaluated.append(value)
+            return value
+
+        monkeypatch.setattr(pa, "rate_objective", recording)
+        for _ in range(5):
+            g = random_gains(rng)
+            evaluated.clear()
+            out = es_2d(g, step=0.01)
+            grid = np.linspace(0.0, 1.0, 101)
+            mesh = rate_objective(*np.meshgrid(grid, grid, indexing="ij"), g)
+            assert np.array_equal(evaluated[0], mesh)
+            i, j = np.unravel_index(np.argmax(mesh), mesh.shape)
+            assert (out.beta1, out.beta2) == (grid[i], grid[j])
+            assert out.diagnostics["evaluations"] == mesh.size
+
     def test_es1d_monotone_scenario(self):
         g = ScalarGains(2.0, 0.5, 3.0, 0.8, 0.0, 0.0, 1.0, 1.0, 0.5, 0.5, 0.5)
         assert es_1d(g, step=0.01).beta1 == 1.0
@@ -410,6 +462,16 @@ class TestGridSearches:
 
 
 class TestHicf:
+    @pytest.mark.parametrize("seed", [0, 1, 128323984])
+    @pytest.mark.parametrize("stage, beta1", [
+        (1, None), (2, None), (2, 0.75), (2, 0.999999), (2, 0.5), (2, 0.3),
+        (2, 0.01), (2, 1.0), (2, 1.7), (2, -0.4),
+    ])
+    def test_stage_inits_yield_the_eager_points(self, seed, stage, beta1):
+        lazy = pa._stage_inits(seed, stage, beta1=beta1)
+        assert iter(lazy) is lazy  # drawn on demand
+        assert list(lazy) == eager_stage_inits(seed, stage, beta1=beta1)
+
     def test_monotone_scenario_boundary_candidate(self):
         g = ScalarGains(2.0, 0.5, 3.0, 0.8, 0.0, 0.0, 1.0, 1.0, 0.5, 0.5, 0.5)
         out = hicf(g, seed=3)

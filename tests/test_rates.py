@@ -1,10 +1,13 @@
 """Scalar-form and matrix-form rate agreement, plus objective properties."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import direct_only, pipeline, pipeline_gains, random_config, random_gains
 from risdm.geometry import default_config
@@ -66,6 +69,49 @@ class TestObjective:
         g = random_gains(rng)
         with pytest.raises(ValueError):
             ssr(1.2, 0.5, g)
+
+    @pytest.mark.parametrize("b1, b2", [(math.nan, 0.5), (0.5, math.nan), (math.nan, math.nan)])
+    def test_nan_split_rejected(self, rng, b1, b2):
+        # max(0.0, nan) is 0.0, so ssr once returned 0 for a NaN split
+        g = random_gains(rng)
+        for fn in (ssr, rate_objective):
+            with pytest.raises(ValueError, match=re.escape("must lie in [0, 1]")):
+                fn(b1, b2, g)
+
+    def test_nan_in_array_rejected(self, rng):
+        g = random_gains(rng)
+        betas = np.array([0.0, 0.5, math.nan, 1.0])
+        with pytest.raises(ValueError, match=re.escape("must lie in [0, 1]")):
+            rate_objective(betas, np.full(4, 0.5), g)
+        with pytest.raises(ValueError, match=re.escape("must lie in [0, 1]")):
+            rate_objective(0.5, betas, g)
+
+    def test_scalar_forms_give_a_float(self, rng):
+        g = random_gains(rng)
+        want = rate_objective(0.25, 0.75, g)
+        assert type(want) is float
+        for b1, b2 in [(np.float64(0.25), np.array(0.75)), (np.array(0.25), 0.75)]:
+            got = rate_objective(b1, b2, g)
+            assert type(got) is float and got == want
+        assert rate_objective(0, 1, g) == rate_objective(0.0, 1.0, g)
+
+    def test_scalar_broadcast_against_array(self, rng):
+        g = random_gains(rng)
+        betas = np.linspace(0.0, 1.0, 11)
+        got = rate_objective(0.3, betas, g)
+        assert got.shape == (11,)
+        assert got.tolist() == [rate_objective(0.3, b, g) for b in betas.tolist()]
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        s=st.lists(st.floats(-3.0, 3.0).map(lambda e: 10.0**e), min_size=8, max_size=8),
+        b1=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        b2=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+    )
+    def test_scalar_path_matches_array_path_bit_for_bit(self, s, b1, b2):
+        g = ScalarGains(*s, 1.0, 1.0, 1.0)
+        array = rate_objective(np.array([b1]), np.array([b2]), g)
+        assert float.hex(rate_objective(b1, b2, g)) == float.hex(float(array[0]))
 
     def test_clamped_nonnegative(self, rng):
         for _ in range(200):
