@@ -15,6 +15,7 @@ success, 1 with a diagnostic on stderr otherwise.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -37,7 +38,9 @@ def _float_list(text):
     return tuple(float(item) for item in _csv_list(text))
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built on first use and shared by every later call."""
     parser = argparse.ArgumentParser(
         prog="risdm",
         description="Double-RIS two-way directional-modulation network simulator",
@@ -79,8 +82,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "sweep":
             config = _load_config(args.config)

@@ -16,14 +16,19 @@ emission, so sharing does not change the output bytes.
 Randomized points derive their sub-seed from the master seed and the
 (axis index, trial index) pair through the splitmix64 mixer, documented
 in the README; identical inputs therefore give byte-identical CSV.
+
+A :class:`SweepRecord` is a NamedTuple whose fields are the CSV columns
+in order, so :func:`emit_csv` renders each record with one ``%`` format:
+the floats to 12 significant digits, every other field through ``str()``.
 """
 
 from __future__ import annotations
 
-import io
 import math
+import numbers
 from dataclasses import dataclass, replace
 from itertools import product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -71,8 +76,9 @@ class SweepSpec:
     """One sweep description: axis, values, and the mode cross product.
 
     ``pa_grid_step`` overrides the grid-search step (method default
-    otherwise); ``pa_seed`` pins the optimizer seed (per-point sub-seed
-    otherwise).
+    otherwise); ``pa_seed`` pins the optimizer seed to a non-negative
+    integer (per-point sub-seed otherwise).  Each method and mode may be
+    listed once.
     """
 
     axis: str
@@ -104,20 +110,30 @@ class SweepSpec:
             raise ValueError("trials must be >= 1")
         if self.pa_grid_step is not None and not 0.0 < self.pa_grid_step <= 0.5:
             raise ValueError("pa_grid_step must lie in (0, 0.5]")
-        for m in self.methods:
-            if m not in METHODS:
-                raise ValueError(f"unknown method '{m}'")
-        for m in self.ris_modes:
-            if m not in RIS_MODES:
-                raise ValueError(f"unknown reflection mode '{m}'")
-        for m in self.pa_modes:
-            if m not in PA_MODES:
-                raise ValueError(f"unknown power-allocation mode '{m}'")
+        if self.pa_seed is not None and not (
+            isinstance(self.pa_seed, numbers.Integral) and self.pa_seed >= 0
+        ):
+            raise ValueError("pa_seed must be a non-negative integer")
+        for field, known, kind in (
+            ("methods", METHODS, "method"),
+            ("ris_modes", RIS_MODES, "reflection mode"),
+            ("pa_modes", PA_MODES, "power-allocation mode"),
+        ):
+            seen = set()
+            for m in getattr(self, field):
+                if m not in known:
+                    raise ValueError(f"unknown {kind} '{m}'")
+                if m in seen:
+                    raise ValueError(f"{field} lists '{m}' more than once")
+                seen.add(m)
 
 
-@dataclass(frozen=True)
-class SweepRecord:
-    """One evaluated sweep point; a pure function of (config, spec, seed)."""
+class SweepRecord(NamedTuple):
+    """One evaluated sweep point; a pure function of (config, spec, seed).
+
+    The fields are in the column order of ``CSV_HEADER``, so a record is
+    one CSV row as it stands.
+    """
 
     axis_value: float
     method: str
@@ -263,8 +279,7 @@ def run_sweep(config, spec):
             except Exception as err:
                 raise RuntimeError(f"sweep point failed: {where} pa={pa_mode}: {err}") from err
             records.append(SweepRecord(
-                axis_value=float(value), method=method, ris_mode=ris_mode, pa_mode=pa_mode,
-                beta1=b1, beta2=b2, ssr_bits=rate, trial=trial, seed=seed,
+                float(value), method, ris_mode, pa_mode, b1, b2, rate, trial, seed,
             ))
     records.sort(key=lambda r: (r.axis_value, r.method, r.ris_mode, r.pa_mode, r.trial))
     return records
@@ -282,31 +297,20 @@ def pa_surface(config, step=0.01, method="max-sv", ris_mode="gpg"):
     axis = np.array(grid)
     values = rate_objective(axis[:, None], axis[None, :], gains).ravel().tolist()
     return [
-        SweepRecord(
-            axis_value=x, method=method, ris_mode=ris_mode, pa_mode="surface",
-            beta1=x, beta2=y, ssr_bits=max(0.0, r), trial=0, seed=config.seed,
-        )
+        SweepRecord(x, method, ris_mode, "surface", x, y, max(0.0, r), 0, config.seed)
         for (x, y), r in zip(product(grid, grid), values)
     ]
 
 
-def _fmt(x):
-    return f"{x:.12g}"
+# One CSV row: the floats to 12 significant digits, the rest through str().
+_ROW = "%.12g,%s,%s,%s,%.12g,%.12g,%.12g,%s,%s\n"
 
 
 def emit_csv(records):
     """Render records as a CSV document (fixed header, LF endings, 12 sig digits)."""
     if not records:
         raise ValueError("no records to emit")
-    out = io.StringIO()
-    out.write(CSV_HEADER + "\n")
-    for r in records:
-        out.write(",".join([
-            _fmt(r.axis_value), r.method, r.ris_mode, r.pa_mode,
-            _fmt(r.beta1), _fmt(r.beta2), _fmt(r.ssr_bits),
-            str(r.trial), str(r.seed),
-        ]) + "\n")
-    return out.getvalue()
+    return CSV_HEADER + "\n" + "".join([_ROW % r for r in records])
 
 
 def write_csv(records, path):

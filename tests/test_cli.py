@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from risdm import cli
 from risdm.geometry import default_config
 
 
@@ -74,6 +75,27 @@ class TestSweepCommand:
         )
         assert proc.returncode == 2
         assert "unrecognized arguments: --workers" in proc.stderr
+        assert not out.exists()
+
+    def test_repeated_method_rejected(self, config_path, tmp_path):
+        out = tmp_path / "x.csv"
+        proc = run_cli(
+            "sweep", "--config", config_path, "--axis", "power_dbm", "--values", "10",
+            "--methods", "max-sv,max-sv", "--out", str(out),
+        )
+        assert proc.returncode == 1
+        assert "methods lists 'max-sv' more than once" in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("pa", ["hicf", "fixed"])
+    def test_negative_pa_seed_rejected(self, config_path, tmp_path, pa):
+        out = tmp_path / "x.csv"
+        proc = run_cli(
+            "sweep", "--config", config_path, "--axis", "power_dbm", "--values", "10",
+            "--pa", pa, "--pa-seed", "-5", "--out", str(out),
+        )
+        assert proc.returncode == 1
+        assert "pa_seed must be a non-negative integer" in proc.stderr
         assert not out.exists()
 
     def test_non_finite_config_rejected(self, tmp_path):
@@ -169,3 +191,32 @@ class TestScenarioDump:
         proc = run_cli("scenario", "dump", "--config", "/nonexistent.json")
         assert proc.returncode == 1
         assert proc.stderr.strip().startswith("error:")
+
+
+class TestMainInProcess:
+    def test_repeated_calls_share_one_parser(self, config_path, tmp_path, capsys):
+        surface = ["pa-surface", "--config", config_path, "--step", "0.5"]
+        sweep = ["sweep", "--config", config_path, "--axis", "power_dbm", "--values", "7,27",
+                 "--pa", "fixed,hicf", "--pa-seed", "3"]
+        assert cli.main([*surface, "--out", str(tmp_path / "s1.csv")]) == 0
+        with pytest.raises(SystemExit) as rejected:
+            cli.main(["sweep", "--axis", "power_dbm", "--values", "7", "--workers", "2",
+                      "--out", str(tmp_path / "x.csv")])
+        assert rejected.value.code == 2
+        assert cli.main([*sweep, "--out", str(tmp_path / "w1.csv")]) == 0
+        assert cli.main(["sweep", "--config", config_path, "--axis", "power_dbm",
+                         "--values", "7", "--pa-seed", "-1", "--out", str(tmp_path / "y.csv")]) == 1
+        assert cli.main([*sweep, "--out", str(tmp_path / "w2.csv")]) == 0
+        assert cli.main([*surface, "--out", str(tmp_path / "s2.csv")]) == 0
+        assert cli.build_parser() is cli.build_parser()
+        assert not (tmp_path / "x.csv").exists() and not (tmp_path / "y.csv").exists()
+        assert (tmp_path / "s1.csv").read_bytes() == (tmp_path / "s2.csv").read_bytes()
+        assert (tmp_path / "w1.csv").read_bytes() == (tmp_path / "w2.csv").read_bytes()
+        assert len((tmp_path / "s1.csv").read_text().split("\n")) == 1 + 9 + 1
+        assert len((tmp_path / "w1.csv").read_text().split("\n")) == 1 + 4 + 1
+        # the defaults of one call do not leak into the next
+        assert cli.main(["sweep", "--config", config_path, "--axis", "power_dbm",
+                         "--values", "7", "--out", str(tmp_path / "d.csv")]) == 0
+        rows = (tmp_path / "d.csv").read_text().strip().split("\n")[1:]
+        assert [row.split(",")[3] for row in rows] == ["fixed"]
+        capsys.readouterr()

@@ -6,6 +6,7 @@ import math
 from dataclasses import replace
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -62,6 +63,27 @@ class TestSweepSpec:
     def test_distance_axis_takes_positive_distances(self, values):
         with pytest.raises(ValueError, match="distance_ab values must be finite and > 0"):
             SweepSpec(axis="distance_ab", values=values)
+
+    @pytest.mark.parametrize("field", ["methods", "ris_modes", "pa_modes"])
+    def test_repeated_mode_rejected(self, field):
+        known = {"methods": METHODS, "ris_modes": RIS_MODES, "pa_modes": PA_MODES}[field]
+        modes = (known[0], known[-1], known[0])
+        with pytest.raises(ValueError, match=f"{field} lists '{known[0]}' more than once"):
+            SweepSpec(axis="power_dbm", values=(5.0,), **{field: modes})
+
+    @pytest.mark.parametrize("pa_seed", [-1, -5, -(2**64), 1.0, 2.5, "3", np.float64(4.0)])
+    def test_bad_pa_seed_rejected(self, pa_seed):
+        for pa_modes in (("fixed",), ("hicf",)):
+            with pytest.raises(ValueError, match="pa_seed must be a non-negative integer"):
+                SweepSpec(axis="power_dbm", values=(5.0,), pa_modes=pa_modes, pa_seed=pa_seed)
+
+    @pytest.mark.parametrize("pa_seed", [None, 0, 7, 2**64 - 1, np.int64(3)])
+    def test_good_pa_seed_accepted(self, pa_seed):
+        assert SweepSpec(axis="power_dbm", values=(5.0,), pa_seed=pa_seed).pa_seed == pa_seed
+
+    def test_negative_master_seed_accepted(self):
+        # masked to 64 bits by sub_seed, as the README documents
+        assert SweepSpec(axis="power_dbm", values=(5.0,), seed=-5).seed == -5
 
     def test_elements_axis_accepts_integral_floats(self):
         assert SweepSpec(axis="elements_m", values=(1.0, 8, 100.0)).values == (1.0, 8, 100.0)
@@ -315,6 +337,63 @@ class TestCsv:
         records = self.make_records()
         with pytest.raises(OSError, match="no/such"):
             write_csv(records, str(tmp_path / "no" / "such" / "file.csv"))
+
+
+def old_emit_csv(records):
+    """The per-field renderer that emit_csv's one-format rows replaced."""
+    lines = [CSV_HEADER]
+    for r in records:
+        lines.append(",".join([
+            f"{r.axis_value:.12g}", r.method, r.ris_mode, r.pa_mode,
+            f"{r.beta1:.12g}", f"{r.beta2:.12g}", f"{r.ssr_bits:.12g}",
+            str(r.trial), str(r.seed),
+        ]))
+    return "\n".join(lines) + "\n"
+
+
+_any_float = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True) | st.sampled_from(
+    [-0.0, 5e-324, -2.2250738585072014e-308, 1e-12, 0.1, 1 / 3, 1e22, 1.7976931348623157e308]
+)
+_csv_floats = _any_float | _any_float.map(np.float64)
+_csv_labels = st.sampled_from(METHODS + RIS_MODES + PA_MODES + ("surface",))
+
+
+def _csv_ints(hi):
+    return st.integers(0, hi) | st.integers(0, 2**63 - 1).map(np.int64)
+
+
+_csv_records = st.builds(
+    SweepRecord, _csv_floats, _csv_labels, _csv_labels, _csv_labels,
+    _csv_floats, _csv_floats, _csv_floats, _csv_ints(1000), _csv_ints(2**64 - 1),
+)
+
+
+class TestRecordFormat:
+    def test_fields_are_csv_columns_in_order(self):
+        pairs = list(zip(SweepRecord._fields, CSV_HEADER.split(","), strict=True))
+        assert pairs == [
+            ("axis_value", "axis"), ("method", "method"), ("ris_mode", "ris_mode"),
+            ("pa_mode", "pa_mode"), ("beta1", "beta1"), ("beta2", "beta2"),
+            ("ssr_bits", "ssr_bits"), ("trial", "trial"), ("seed", "seed"),
+        ]
+
+    def test_record_is_immutable(self):
+        record = SweepRecord(1.0, "max-sv", "gpg", "fixed", 0.9, 0.9, 3.0, 0, 5)
+        with pytest.raises(AttributeError):
+            record.ssr_bits = 4.0
+        assert record.ssr_bits == 3.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(records=st.lists(_csv_records, min_size=1, max_size=12))
+    def test_rows_equal_per_field_renderer(self, records):
+        assert emit_csv(records) == old_emit_csv(records)
+
+    def test_sweep_rows_equal_per_field_renderer(self):
+        cfg = small_cfg()
+        spec = SweepSpec(axis="power_dbm", values=(7.0, 27.0), methods=METHODS,
+                         ris_modes=("gpg", "random"), pa_modes=PA_MODES, trials=2, seed=-3)
+        records = run_sweep(cfg, spec) + pa_surface(cfg, step=0.1)
+        assert emit_csv(records) == old_emit_csv(records)
 
 
 class TestPaSurface:
