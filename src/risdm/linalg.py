@@ -3,6 +3,10 @@
 Thin, contract-checked wrappers around LAPACK-backed numpy/scipy routines,
 plus a companion-matrix polynomial root oracle used to cross-check the
 closed-form root finders.  All functions are pure and thread-safe.
+
+scipy is needed only by :func:`dominant_generalized_eigvec`, i.e. by the
+leakage design, and is imported on its first call: importing it costs more
+than most commands' work, and no other path uses it.
 """
 
 from __future__ import annotations
@@ -10,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 # Tolerance constants, centralized.  Chosen for double precision at the
 # matrix sizes this package uses (<= 2048).
@@ -45,8 +48,10 @@ def _check_finite(a, name="matrix"):
 def phase_normalize_columns(m):
     """Rotate each column so its largest-magnitude entry is real positive.
 
-    Makes eigen/singular vectors reproducible across LAPACK backends; all
-    downstream rate quantities are invariant to these global phases.
+    Makes eigen/singular vectors reproducible across LAPACK backends.  It
+    does not make the rates phase-free: Eve's combiner aligns to the
+    coherent sum of both transmit vectors, so the SSR moves with the
+    relative phase of ``v_at`` and ``v_bt`` that this convention fixes.
     """
     m = np.array(m, dtype=complex, copy=True)
     for k in range(m.shape[1]):
@@ -114,6 +119,8 @@ def dominant_generalized_eigvec(a, b):
         raise SingularMatrixError(
             f"B is numerically singular (eigenvalue ratio {beig[0] / beig[-1]:.3e})"
         )
+    import scipy.linalg
+
     w, vecs = scipy.linalg.eigh(a, b)
     v = vecs[:, -1]
     v = v / np.linalg.norm(v)

@@ -42,7 +42,7 @@ from .beamforming import (
     zf_mrc,
 )
 from .channels import build_channels, effective_channels
-from .geometry import build_geometry
+from .geometry import ScenarioConfig, build_geometry
 from .power_allocation import allocate, grid_intervals
 from .rates import rate_objective, scalar_gains, ssr
 from .ris import MODES as RIS_MODES
@@ -68,7 +68,7 @@ def splitmix64(state):
 
 def sub_seed(seed, axis_index, trial):
     """Deterministic per-point seed: seed mixed with the point coordinates."""
-    return splitmix64(splitmix64(seed & _MASK64) ^ splitmix64((axis_index << 32) ^ trial))
+    return splitmix64(splitmix64(int(seed) & _MASK64) ^ splitmix64((axis_index << 32) ^ trial))
 
 
 @dataclass(frozen=True)
@@ -106,8 +106,10 @@ class SweepSpec:
             math.isfinite(v) and v > 0 for v in self.values
         ):
             raise ValueError("distance_ab values must be finite and > 0")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
+        if not (isinstance(self.trials, numbers.Integral) and self.trials >= 1):
+            raise ValueError("trials must be an integer >= 1")
+        if not isinstance(self.seed, numbers.Integral):
+            raise ValueError("seed must be an integer")
         if self.pa_grid_step is not None and not 0.0 < self.pa_grid_step <= 0.5:
             raise ValueError("pa_grid_step must lie in (0, 0.5]")
         if self.pa_seed is not None and not (
@@ -188,6 +190,24 @@ class StageMemo:
 _SITE_RESET = dict(Pa_dbm=0.0, Pb_dbm=0.0, beta1=0.0, beta2=0.0, seed=0)
 
 
+class SweepPoint(NamedTuple):
+    """A scenario, its site, and the site's JSON, the key of every site stage."""
+
+    scenario: ScenarioConfig
+    site: ScenarioConfig
+    site_key: str
+
+
+def sweep_point(scenario):
+    """The :class:`SweepPoint` of one scenario."""
+    site = scenario.replace(**_SITE_RESET)
+    return SweepPoint(scenario, site, site.to_json())
+
+
+def _axis_point(config, axis, value):
+    return sweep_point(apply_axis(config, axis, value))
+
+
 def _site_channels(site):
     geom = build_geometry(site)
     return geom, build_channels(geom, site)
@@ -197,12 +217,13 @@ def _effective(geom, channels, site, ris_mode, seed):
     return effective_channels(channels, *reflections_for(ris_mode, geom, site, seed=seed))
 
 
-def point_gains(memo, scenario, method, ris_mode, seed):
+def point_gains(memo, point, method, ris_mode, seed):
     """Geometry through the s1..s8 link budget; reads no power-allocation input.
 
-    Each stage is taken from ``memo`` under the inputs it reads:
+    ``point`` is a :class:`SweepPoint`.  Each stage is taken from ``memo``
+    under the inputs it reads:
 
-    * geometry and channels: the site (``scenario`` with its powers, split
+    * geometry and channels: the site (the scenario with its powers, split
       and seed reset);
     * reflections and effective channels: the site, the mode, and the
       seed for a mode in ``ris.SEEDED_MODES``;
@@ -212,8 +233,7 @@ def point_gains(memo, scenario, method, ris_mode, seed):
     * Eve's combiner, the leakage receivers and the gains: the effective
       channels, method, powers and split.
     """
-    site = scenario.replace(**_SITE_RESET)
-    site_key = site.to_json()
+    scenario, site, site_key = point
     geom, channels = memo.get(("channels", site_key), _site_channels, site)
     eff_key = (site_key, ris_mode, seed if ris_mode in SEEDED_MODES else None)
     eff = memo.get(("eff", eff_key), _effective, geom, channels, site, ris_mode, seed)
@@ -251,7 +271,8 @@ def run_sweep(config, spec):
     """Evaluate every (value x method x ris_mode x pa_mode x trial) point.
 
     Every stage runs once per distinct input within this call (see
-    :func:`point_gains`); a power-allocation outcome is keyed by the gains,
+    :func:`point_gains`), and each axis value is applied once; a
+    power-allocation outcome is keyed by the gains,
     plus the split for ``fixed`` and the optimizer seed for ``hicf``.
     Errors propagate with the offending parameters attached.  Records come
     back sorted.
@@ -265,10 +286,11 @@ def run_sweep(config, spec):
         pa_seed = seed if spec.pa_seed is None else spec.pa_seed
         where = f"axis={spec.axis}={value} method={method} ris={ris_mode} trial={trial}"
         try:
-            scenario = apply_axis(config, spec.axis, value)
-            gains = point_gains(memo, scenario, method, ris_mode, seed)
+            point = memo.get(("point", value), _axis_point, config, spec.axis, value)
+            gains = point_gains(memo, point, method, ris_mode, seed)
         except Exception as err:
             raise RuntimeError(f"sweep point failed: {where}: {err}") from err
+        scenario = point.scenario
         for pa_mode in spec.pa_modes:
             reads = {"fixed": (scenario.beta1, scenario.beta2), "hicf": pa_seed}.get(pa_mode)
             try:
@@ -292,7 +314,7 @@ def pa_surface(config, step=0.01, method="max-sv", ris_mode="gpg"):
     must lie in (0, 0.5].
     """
     n = grid_intervals(step)
-    gains = point_gains(StageMemo(), config, method, ris_mode, config.seed)
+    gains = point_gains(StageMemo(), sweep_point(config), method, ris_mode, config.seed)
     grid = [i / n for i in range(n + 1)]
     axis = np.array(grid)
     values = rate_objective(axis[:, None], axis[None, :], gains).ravel().tolist()

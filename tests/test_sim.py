@@ -53,6 +53,24 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec(axis="power_dbm", values=(5.0,), ris_modes=("nope",))
 
+    @pytest.mark.parametrize("trials", [1.5, 2.0, "2", None, 0, -1])
+    def test_trials_must_be_integer_at_least_one(self, trials):
+        with pytest.raises(ValueError, match="trials must be an integer >= 1"):
+            SweepSpec(axis="power_dbm", values=(5.0,), trials=trials)
+
+    @pytest.mark.parametrize("seed", [2.5, 3.0, "3", None, float("nan")])
+    def test_seed_must_be_integer(self, seed):
+        with pytest.raises(ValueError, match="seed must be an integer"):
+            SweepSpec(axis="power_dbm", values=(5.0,), seed=seed)
+
+    @pytest.mark.parametrize("trials, seed", [(1, 0), (3, -7), (np.int64(2), np.int64(5)),
+                                              (1, 2**70)])
+    def test_integer_trials_and_seed_accepted(self, trials, seed):
+        spec = SweepSpec(axis="power_dbm", values=(5.0,), trials=trials, seed=seed)
+        records = run_sweep(small_cfg(), spec)
+        assert len(records) == trials
+        assert records == run_sweep(small_cfg(), replace(spec, trials=int(trials), seed=int(seed)))
+
     @pytest.mark.parametrize("values", [(100.2, 100.7), (0.0, 8.0), (-4.0,), (16.0, float("inf"))])
     def test_elements_axis_takes_whole_counts(self, values):
         with pytest.raises(ValueError, match="whole numbers"):
@@ -197,9 +215,9 @@ class TestRunSweep:
 
             monkeypatch.setattr(risdm.sim, name, wrapper)
 
-        stages = ("build_geometry", "build_channels", "reflections_for", "effective_channels",
-                  "receiver_zf", "max_sv_beamformers", "leakage_transmitters", "scalar_gains",
-                  "allocate")
+        stages = ("apply_axis", "sweep_point", "build_geometry", "build_channels",
+                  "reflections_for", "effective_channels", "receiver_zf", "max_sv_beamformers",
+                  "leakage_transmitters", "scalar_gains", "allocate")
         for name in stages:
             counting(name)
         spec = SweepSpec(
@@ -213,6 +231,7 @@ class TestRunSweep:
         # gains: both methods on every effective-channel key, at its powers
         gains = 2 * (2 * 1 + 4 + 2 * 1)
         assert calls == {
+            "apply_axis": 2, "sweep_point": 2,  # once per axis value
             "build_geometry": 1, "build_channels": 1,
             "reflections_for": effective, "effective_channels": effective,
             "receiver_zf": 3, "max_sv_beamformers": effective, "leakage_transmitters": 2,
