@@ -7,12 +7,19 @@ use either the dominant left singular vector (max-sv) or a zero-forcing
 separation of the arriving paths followed by coherent recombination.  The
 eavesdropper always runs the four-branch ZF combiner.
 
+Max-sv reads one dominant singular pair per direction
+(:func:`dominant_singular_pair`).  The leakage design builds each side's
+pencil once and takes both of that side's vectors from it
+(:func:`leakage_side`); scipy's generalized eigensolver loads on its
+first call, since no other path needs scipy.
+
 The designs are split by the inputs each part reads, so a sweep can
 compute each part once per distinct input: the ZF vectors of a receiver
 (:func:`receiver_zf`) read only its arrival steerings, the max-sv vectors
 (:func:`max_sv_beamformers`) only the effective channels, and the leakage
 transmitters (:func:`leakage_transmitters`) the links, powers and split.
-:func:`design_beamformers` composes the parts for one scenario.
+:func:`assemble_beamformers` adds the receivers that read the effective
+channels; :func:`design_beamformers` and the sweep both call it.
 """
 
 from __future__ import annotations
@@ -22,12 +29,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
-
 # A projected steering vector shorter than this means two arrival
 # directions nearly coincide; the branch is dropped instead of amplified.
 DEGENERATE_BRANCH_TOL = 1e-10
 AN_FALLBACK_TOL = 1e-12
+SINGULAR_B_RATIO = 1e-14  # smallest/largest eigenvalue of B below this -> singular
+
+
+class InvalidInputError(ValueError):
+    """Raised for non-finite or structurally invalid inputs."""
+
+
+class SingularMatrixError(ValueError):
+    """Raised when a matrix required to be invertible is numerically singular."""
 
 
 class DegenerateChannelError(ValueError):
@@ -59,6 +73,69 @@ def _unit(v):
     return v / n
 
 
+def _check_finite(a, name="matrix"):
+    a = np.asarray(a, dtype=complex)
+    if a.size == 0:
+        raise InvalidInputError(f"{name} is empty")
+    if not np.all(np.isfinite(a)):  # complex: checks both parts
+        raise InvalidInputError(f"{name} contains non-finite entries")
+    return a
+
+
+def _pivot_phase(col):
+    """The unit factor that turns the largest entry of ``col`` real positive; 1 if zero.
+
+    It makes singular and eigen vectors reproducible across LAPACK
+    backends, but not the rates: Eve's combiner aligns to the coherent sum
+    of both transmit vectors, so the SSR moves with the relative phase of
+    ``v_at`` and ``v_bt`` that this convention fixes.
+    """
+    pivot = col[int(np.argmax(np.abs(col)))]
+    return np.conj(pivot) / abs(pivot) if abs(pivot) > 0 else 1.0
+
+
+def dominant_singular_pair(a):
+    """(u, v): the dominant left and right singular vectors of ``a``.
+
+    The pair's one free phase is fixed on u (largest entry real positive)
+    and carried onto v, so ``u^H a v`` is the largest singular value.
+    """
+    u, _, vh = np.linalg.svd(_check_finite(a), full_matrices=False)
+    rot = _pivot_phase(u[:, 0])
+    return u[:, 0] * rot, vh[0].conj() * rot
+
+
+def dominant_generalized_eigvec(a, b):
+    """Unit vector maximizing the generalized Rayleigh quotient v^H A v / v^H B v.
+
+    A must be Hermitian PSD and B Hermitian positive definite; the result is
+    the dominant eigenvector of the pencil (A, B), i.e. of B^{-1} A, with
+    its largest entry real positive.  scipy is imported here, on the first
+    call: importing it costs more than most commands' work.
+
+    Raises
+    ------
+    SingularMatrixError
+        If B's eigenvalue spread exceeds 1e14 (condition estimate), rather
+        than silently regularizing.
+    """
+    a = _check_finite(a, "A")
+    b = _check_finite(b, "B")
+    if a.shape != b.shape or a.shape[0] != a.shape[1]:
+        raise InvalidInputError("A and B must be square and of equal size")
+    beig = np.linalg.eigvalsh(b)
+    if beig[0] <= SINGULAR_B_RATIO * beig[-1]:
+        raise SingularMatrixError(
+            f"B is numerically singular (eigenvalue ratio {beig[0] / beig[-1]:.3e})"
+        )
+    import scipy.linalg
+
+    _, vecs = scipy.linalg.eigh(a, b)
+    v = vecs[:, -1]
+    v = v / np.linalg.norm(v)
+    return v * _pivot_phase(v)
+
+
 def max_sv_design(eff):
     """Transmit/receive pairs from the dominant singular pairs.
 
@@ -67,9 +144,9 @@ def max_sv_design(eff):
     """
     if np.linalg.norm(eff.h_b) == 0 or np.linalg.norm(eff.h_a) == 0:
         raise DegenerateChannelError("effective channel is identically zero")
-    dec_b = linalg.svd(eff.h_b)
-    dec_a = linalg.svd(eff.h_a)
-    return dec_b.v[:, 0], dec_b.u[:, 0], dec_a.v[:, 0], dec_a.u[:, 0]
+    u_b, v_b = dominant_singular_pair(eff.h_b)
+    u_a, v_a = dominant_singular_pair(eff.h_a)
+    return v_b, u_b, v_a, u_a
 
 
 def an_nullspace_design(v_cm, h_eve_departure):
@@ -112,7 +189,7 @@ def _zf_branches(steerings):
     for i, h_i in enumerate(steerings):
         others = np.vstack([steerings[j].conj() for j in range(len(steerings)) if j != i])
         gram = others @ others.conj().T
-        proj = np.eye(n) - others.conj().T @ linalg.pinv(gram) @ others
+        proj = np.eye(n) - others.conj().T @ np.linalg.pinv(gram) @ others
         v_i = proj @ h_i
         if np.linalg.norm(v_i) < DEGENERATE_BRANCH_TOL:
             vectors.append(np.zeros(n, dtype=complex))
@@ -183,10 +260,8 @@ def eve_arrivals(eff, v_at, v_bt, config):
     return arrivals + [from_a[2] @ v_at, from_b[2] @ v_bt]
 
 
-def _leakage_matrices(channels, config, side):
+def _leakage_matrices(channels, side):
     """Desired-power and eavesdropper-leakage matrices of one transmit side."""
-    if side not in ("a", "b"):
-        raise ValueError(f"side must be 'a' or 'b', got '{side}'")
     other = "b" if side == "a" else "a"
 
     def power(rx):
@@ -196,60 +271,39 @@ def _leakage_matrices(channels, config, side):
     return power("i1") + power("i2") + power(other), power("e")
 
 
-def _power_fraction(config, side):
-    """The message power fraction of one side; rejects values outside [0, 1]."""
+def _loaded_eigvec(a, b, sigma2, stream_power):
+    """The dominant eigenvector of the pencil (a, b + sigma2 / stream_power I).
+
+    Where the loading is infinite (a stream power of 0, or one so small
+    that the quotient overflows), its limit: the dominant eigenvector of
+    ``a`` alone.
+    """
+    eye = np.eye(a.shape[0])
+    loading = sigma2 / stream_power if stream_power > 0.0 else math.inf
+    if math.isinf(loading):
+        return dominant_generalized_eigvec(a, eye)
+    return dominant_generalized_eigvec(a, b + loading * eye)
+
+
+def leakage_side(channels, config, side):
+    """(v, w): the SLNR message and LANSR noise vectors of one side, from one pencil.
+
+    v maximizes the signal-to-leakage-and-noise ratio, (desired power,
+    leakage to Eve + scaled Eve noise); w the leakage-to-signal ratio at
+    Eve, (leakage, desired + scaled receiver noise).  Where a noise term is
+    infinite (beta = 0 for v, beta = 1 for w), the design is its limit.
+    """
+    if side not in ("a", "b"):
+        raise ValueError(f"side must be 'a' or 'b', got '{side}'")
     beta = config.beta1 if side == "a" else config.beta2
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"message power fraction must lie in [0, 1], got {beta}")
-    return beta
-
-
-def _noise_loading(sigma2, stream_power):
-    """The diagonal loading sigma2 / stream_power of a leakage design.
-
-    Infinite where the stream power is 0, and where it is so small that
-    the quotient overflows.
-    """
-    return sigma2 / stream_power if stream_power > 0.0 else math.inf
-
-
-def slnr_transmit(channels, config, side):
-    """Message beamformer maximizing the signal-to-leakage-and-noise ratio.
-
-    The dominant generalized eigenvector of (desired-channel power,
-    eavesdropper leakage + scaled receiver noise).  Where the noise term
-    is infinite (beta = 0, or a message power so small that it overflows),
-    the design is its limit: the dominant eigenvector of the
-    desired-channel power alone.
-    """
-    beta = _power_fraction(config, side)
     power = config.pa_mw if side == "a" else config.pb_mw
-    desired, eve = _leakage_matrices(channels, config, side)
-    n = desired.shape[0]
-    noise = _noise_loading(config.sigma2_e_mw, beta * power)
-    if math.isinf(noise):
-        return linalg.dominant_generalized_eigvec(desired, np.eye(n))
-    return linalg.dominant_generalized_eigvec(desired, eve + noise * np.eye(n))
-
-
-def lansr_an(channels, config, side):
-    """Noise beamformer maximizing the leakage-to-signal ratio at Eve.
-
-    The dominant generalized eigenvector of (eavesdropper power,
-    desired-channel leakage + scaled noise).  Where the noise term is
-    infinite (beta = 1, or a noise power so small that it overflows), the
-    design is its limit: the dominant eigenvector of the eavesdropper
-    power alone.
-    """
-    beta = _power_fraction(config, side)
-    power = config.pa_mw if side == "a" else config.pb_mw
-    desired, eve = _leakage_matrices(channels, config, side)
-    n = desired.shape[0]
     sigma2 = config.sigma2_b_mw if side == "a" else config.sigma2_a_mw
-    noise = _noise_loading(sigma2, (1.0 - beta) * power)
-    if math.isinf(noise):
-        return linalg.dominant_generalized_eigvec(eve, np.eye(n))
-    return linalg.dominant_generalized_eigvec(eve, desired + noise * np.eye(n))
+    desired, eve = _leakage_matrices(channels, side)
+    v = _loaded_eigvec(desired, eve, config.sigma2_e_mw, beta * power)
+    w = _loaded_eigvec(eve, desired, sigma2, (1.0 - beta) * power)
+    return v, w
 
 
 def three_way_arrivals(eff, v_t_other_side, side):
@@ -276,12 +330,26 @@ def max_sv_beamformers(channels, eff):
 def leakage_transmitters(channels, config):
     """The SLNR message and LANSR noise vectors, as ``BeamformerSet`` fields.
 
-    Reads the link matrices, powers and split; no reflection.
+    Reads the link matrices, powers and split; no reflection.  Each side's
+    pencil is built once, by :func:`leakage_side`.
     """
-    return dict(
-        v_at=slnr_transmit(channels, config, "a"), v_bt=slnr_transmit(channels, config, "b"),
-        w_a=lansr_an(channels, config, "a"), w_b=lansr_an(channels, config, "b"),
-    )
+    (v_at, w_a), (v_bt, w_b) = (leakage_side(channels, config, side) for side in "ab")
+    return dict(v_at=v_at, v_bt=v_bt, w_a=w_a, w_b=w_b)
+
+
+def assemble_beamformers(method, parts, eff, config, zf):
+    """The :class:`BeamformerSet` of one method from its transmit half ``parts``.
+
+    ``zf(rx)`` returns receiver rx's :func:`receiver_zf` result.  Leakage
+    gets its three-way ZF receivers at Alice and Bob here, and both methods
+    Eve's four-way combiner; each reads ``eff`` and its per-path terms.
+    """
+    parts = dict(parts)
+    if method == "leakage":
+        parts["v_br"] = zf_mrc(zf("b"), three_way_arrivals(eff, parts["v_at"], "b"))
+        parts["v_ar"] = zf_mrc(zf("a"), three_way_arrivals(eff, parts["v_bt"], "a"))
+    v_er = zf_mrc(zf("e"), eve_arrivals(eff, parts["v_at"], parts["v_bt"], config))
+    return BeamformerSet(**parts, v_er=v_er, method=method)
 
 
 def design_beamformers(channels, eff, config, method):
@@ -291,19 +359,11 @@ def design_beamformers(channels, eff, config, method):
     null-space noise vectors, dominant left singular vectors as receivers.
     method "leakage": SLNR message + LANSR noise transmitters, three-way ZF
     receivers at Alice/Bob.  Both use the four-way ZF combiner at Eve.
-    Every receiver reads the effective channels ``eff`` and their per-path
-    terms.
     """
     if method == "max-sv":
         parts = max_sv_beamformers(channels, eff)
     elif method == "leakage":
         parts = leakage_transmitters(channels, config)
-        parts["v_br"] = zf_mrc(receiver_zf(channels, "b"),
-                               three_way_arrivals(eff, parts["v_at"], "b"))
-        parts["v_ar"] = zf_mrc(receiver_zf(channels, "a"),
-                               three_way_arrivals(eff, parts["v_bt"], "a"))
     else:
         raise ValueError(f"unknown beamforming method '{method}'")
-    v_er = zf_mrc(receiver_zf(channels, "e"),
-                  eve_arrivals(eff, parts["v_at"], parts["v_bt"], config))
-    return BeamformerSet(**parts, v_er=v_er, method=method)
+    return assemble_beamformers(method, parts, eff, config, lambda rx: receiver_zf(channels, rx))

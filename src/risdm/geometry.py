@@ -84,6 +84,10 @@ class Placement:
     pinned: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for name, entries in (("positions", self.positions), ("orientations", self.orientations)):
+            unknown = set(entries) - set(NODES)
+            if unknown:
+                raise ConfigError(f"{name} names unknown nodes {sorted(unknown)}")
         for node in NODES:
             if node not in self.positions:
                 raise ConfigError(f"placement is missing a position for node '{node}'")
@@ -99,6 +103,8 @@ class Placement:
             tx, _, rx = key.partition("->")
             if (tx, rx) not in LINKS:
                 raise ConfigError(f"pinned link '{key}' is not one of the network links")
+            if not isinstance(pins, dict):
+                raise ConfigError(f"pinned['{key}'] must be an object, got {pins!r}")
             unknown = set(pins) - {"theta_t", "theta_r", "distance"}
             if unknown:
                 raise ConfigError(f"pinned link '{key}' has unknown fields {sorted(unknown)}")
@@ -112,7 +118,11 @@ class Placement:
         unknown = set(doc) - known
         if unknown:
             raise ConfigError(f"unknown placement fields {sorted(unknown)}")
-        positions = {k: tuple(float(x) for x in v) for k, v in doc.get("positions", {}).items()}
+        positions = {}
+        for node, pos in doc.get("positions", {}).items():
+            if not isinstance(pos, (list, tuple)):
+                raise ConfigError(f"positions['{node}'] must be a list, got {pos!r}")
+            positions[node] = tuple(float(x) for x in pos)
         orientations = {k: float(v) for k, v in doc.get("orientations", {}).items()}
         return cls(positions=positions, orientations=orientations, pinned=doc.get("pinned", {}))
 
@@ -162,6 +172,14 @@ _CONFIG_FIELDS = (
     "Na", "Nb", "Ne", "M", "d_over_lambda", "Pa_dbm", "Pb_dbm", "beta1", "beta2",
     "sigma2_e_dbm", "noise_ratio", "pathloss_alpha", "pathloss_exp", "placement", "seed",
 )
+
+
+def _whole_number(doc, name):
+    """``doc[name]`` as an int: an integer or an integral float, never a bool."""
+    value = doc[name]
+    if isinstance(value, (int, float)) and not isinstance(value, bool) and value % 1 == 0:
+        return int(value)
+    raise ConfigError(f"{name} must be a whole number, got {value!r}")
 
 
 def dbm_to_mw(dbm):
@@ -262,14 +280,15 @@ class ScenarioConfig:
         else:
             exp = {k: float(v) for k, v in exp.items()}
         return cls(
-            Na=int(doc["Na"]), Nb=int(doc["Nb"]), Ne=int(doc["Ne"]), M=int(doc["M"]),
+            Na=_whole_number(doc, "Na"), Nb=_whole_number(doc, "Nb"),
+            Ne=_whole_number(doc, "Ne"), M=_whole_number(doc, "M"),
             d_over_lambda=float(doc["d_over_lambda"]),
             Pa_dbm=float(doc["Pa_dbm"]), Pb_dbm=float(doc["Pb_dbm"]),
             beta1=float(doc["beta1"]), beta2=float(doc["beta2"]),
             sigma2_e_dbm=float(doc["sigma2_e_dbm"]), noise_ratio=float(doc["noise_ratio"]),
             pathloss_alpha=float(doc["pathloss_alpha"]), pathloss_exp=exp,
             placement=Placement.from_dict(doc["placement"]),
-            seed=int(doc["seed"]),
+            seed=_whole_number(doc, "seed"),
         )
 
     @classmethod

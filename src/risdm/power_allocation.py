@@ -12,8 +12,10 @@ Four strategies over the split factors (beta1, beta2):
   Ferrari's radical formula, and the optimum is picked from the root
   candidates plus the interval boundaries.
 
-Every stage degrades gracefully to the companion-matrix root oracle, and
-an exactly-degenerate sextic falls back to the 1-D grid search.
+Every stage degrades gracefully to the companion-matrix root oracle
+(:func:`companion_roots`, also the check the closed-form root finders are
+tested against), and an exactly-degenerate sextic falls back to the 1-D
+grid search.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import linalg
 from .rates import rate_objective, ssr
 
 NEWTON_TOL = 1e-5  # stop when |beta^{p+1} - beta^p| falls below this
@@ -38,6 +39,10 @@ ETA1_DEGENERATE_TOL = 1e-10
 DEGENERATE_LEADING_RATIO = 1e-300
 DEFAULT_STEP_1D = 1e-3
 DEFAULT_STEP_2D = 1e-2
+
+
+class DegeneratePolynomialError(ValueError):
+    """Raised when a polynomial's leading coefficient vanishes."""
 
 
 class DegenerateSexticError(ValueError):
@@ -156,6 +161,23 @@ def sextic_coeffs(g):
         q=(q1, q2, q3, q4, q5, q6, q7, q8, q9, q10),
         alpha=tuple(alpha),
     )
+
+
+def companion_roots(coeffs):
+    """All roots of a real-coefficient polynomial via companion-matrix eigenvalues.
+
+    ``coeffs`` is highest-degree first.  The polynomial is normalized to
+    monic form; this is the independent oracle the closed-form root finders
+    are checked against.
+    """
+    c = np.atleast_1d(np.asarray(coeffs, dtype=float))
+    if c.ndim != 1 or c.size < 2:
+        raise ValueError("need a polynomial of degree >= 1")
+    if not np.all(np.isfinite(c)):
+        raise ValueError("coefficients contain non-finite values")
+    if c[0] == 0.0:
+        raise DegeneratePolynomialError("leading coefficient is zero")
+    return np.roots(c)
 
 
 def _horner(coeffs, x):
@@ -298,7 +320,7 @@ def _ferrari(a1, a2, a3, a4):
     if abs(odd_term) < ETA1_DEGENERATE_TOL * scale and residual_ok(roots):
         return roots, False
 
-    return linalg.companion_roots([1.0, a1, a2, a3, a4]), True
+    return companion_roots([1.0, a1, a2, a3, a4]), True
 
 
 def ferrari_roots(a1, a2, a3, a4):
@@ -388,7 +410,7 @@ def _stage1_inits(seed):
     yield from _stage_inits(seed, 1)
 
 
-def _newton_stage(coeffs, inits, tol, max_iter):
+def _newton_stage(coeffs, inits):
     """Try Newton from each initial point until a deflatable root emerges.
 
     ``inits`` is consumed lazily: points after the first success are never
@@ -402,7 +424,7 @@ def _newton_stage(coeffs, inits, tol, max_iter):
     for beta0 in inits:
         attempts += 1
         try:
-            root = newton_root(values, beta0, tol=tol, max_iter=max_iter)
+            root = newton_root(values, beta0)
         except NewtonError:
             continue
         if abs(_horner(values, root)) <= DEFLATION_RESIDUAL_TOL * scale:
@@ -427,7 +449,7 @@ def _residual(coeffs, root):
     return float(abs(value))
 
 
-def hicf(g, seed=0, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
+def hicf(g, seed=0):
     """Hybrid iterative/closed-form split optimization on the diagonal.
 
     Pipeline: sextic coefficients; Newton from 0.5 -> beta(1); deflate;
@@ -452,21 +474,19 @@ def hicf(g, seed=0, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
     sextic = coeffs.monic()
     labeled = []  # (root, origin)
 
-    root1, attempts1 = _newton_stage(sextic, _stage1_inits(seed), tol, max_iter)
+    root1, attempts1 = _newton_stage(sextic, _stage1_inits(seed))
     diagnostics["newton_attempts"]["newton-1"] = attempts1
     if root1 is None:
         diagnostics["fallbacks"].append("oracle-fallback:newton-1")
-        labeled.extend((r, "newton-1") for r in linalg.companion_roots(sextic))
+        labeled.extend((r, "newton-1") for r in companion_roots(sextic))
     else:
         labeled.append((root1, "newton-1"))
         quintic = deflate(sextic, root1)
-        root2, attempts2 = _newton_stage(
-            quintic, _stage_inits(seed, 2, beta1=root1), tol, max_iter
-        )
+        root2, attempts2 = _newton_stage(quintic, _stage_inits(seed, 2, beta1=root1))
         diagnostics["newton_attempts"]["newton-2"] = attempts2
         if root2 is None:
             diagnostics["fallbacks"].append("oracle-fallback:newton-2")
-            labeled.extend((r, "newton-2") for r in linalg.companion_roots(quintic))
+            labeled.extend((r, "newton-2") for r in companion_roots(quintic))
         else:
             labeled.append((root2, "newton-2"))
             quartic = deflate(quintic, root2)

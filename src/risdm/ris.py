@@ -45,10 +45,6 @@ class RisReflection:
         object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "phases", phases)
 
-    @property
-    def m(self):
-        return self.amplitudes.size
-
     def coefficients(self):
         """The M complex reflection coefficients amplitude * exp(j phase)."""
         return self.amplitudes * np.exp(1j * self.phases)

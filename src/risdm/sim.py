@@ -33,13 +33,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .beamforming import (
-    BeamformerSet,
-    eve_arrivals,
+    assemble_beamformers,
     leakage_transmitters,
     max_sv_beamformers,
     receiver_zf,
-    three_way_arrivals,
-    zf_mrc,
 )
 from .channels import build_channels, effective_channels
 from .geometry import ScenarioConfig, build_geometry
@@ -231,7 +228,9 @@ def point_gains(memo, point, method, ris_mode, seed):
     * max-sv design: the effective channels;
     * leakage transmitters: the site, powers and split;
     * Eve's combiner, the leakage receivers and the gains: the effective
-      channels, method, powers and split.
+      channels, method, powers and split; the receivers come from
+      :func:`~risdm.beamforming.assemble_beamformers`, as in
+      :func:`~risdm.beamforming.design_beamformers`.
     """
     scenario, site, site_key = point
     geom, channels = memo.get(("channels", site_key), _site_channels, site)
@@ -246,14 +245,10 @@ def point_gains(memo, point, method, ris_mode, seed):
         if method == "max-sv":
             parts = memo.get(("max-sv", eff_key), max_sv_beamformers, channels, eff)
         elif method == "leakage":
-            parts = dict(memo.get(("leakage", site_key, budget), leakage_transmitters,
-                                  channels, scenario))
-            parts["v_br"] = zf_mrc(zf("b"), three_way_arrivals(eff, parts["v_at"], "b"))
-            parts["v_ar"] = zf_mrc(zf("a"), three_way_arrivals(eff, parts["v_bt"], "a"))
+            parts = memo.get(("leakage", site_key, budget), leakage_transmitters, channels, scenario)
         else:
             raise ValueError(f"unknown beamforming method '{method}'")
-        v_er = zf_mrc(zf("e"), eve_arrivals(eff, parts["v_at"], parts["v_bt"], scenario))
-        return scalar_gains(eff, BeamformerSet(**parts, v_er=v_er, method=method), scenario)
+        return scalar_gains(eff, assemble_beamformers(method, parts, eff, scenario, zf), scenario)
 
     return memo.get(("gains", eff_key, method, budget), gains)
 

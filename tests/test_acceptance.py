@@ -18,11 +18,11 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from conftest import pipeline, random_config, random_gains
-from risdm import linalg
-from risdm.beamforming import _leakage_matrices, receiver_zf, slnr_transmit
+from risdm.beamforming import _leakage_matrices, leakage_side, receiver_zf
 from risdm.geometry import build_geometry, default_config, default_placement
 from risdm.power_allocation import (
     allocate,
+    companion_roots,
     es_1d,
     ferrari_roots,
     hicf,
@@ -129,7 +129,7 @@ def test_criterion_3_root_oracle_equivalence():
     worst_quartic = 0.0
     for _ in range(1000):
         a = rng.uniform(-10, 10, size=4)
-        err = matched_error(ferrari_roots(*a), linalg.companion_roots([1.0, *a]))
+        err = matched_error(ferrari_roots(*a), companion_roots([1.0, *a]))
         worst_quartic = max(worst_quartic, err)
         assert err < 1e-8
 
@@ -138,7 +138,7 @@ def test_criterion_3_root_oracle_equivalence():
     worst_sextic = 0.0
     while tested < 100:
         g = random_gains(rng)
-        want = linalg.companion_roots(sextic_coeffs(g).monic())
+        want = companion_roots(sextic_coeffs(g).monic())
         if min_separation(want) < 5e-2:
             continue
         tested += 1
@@ -273,10 +273,10 @@ def test_criterion_6_beamforming_properties():
                     assert abs(h.conj() @ v) < 1e-9
 
         # generalized Rayleigh-quotient dominance over 1e4 random probes
-        desired, eve = _leakage_matrices(channels, cfg, "a")
+        desired, eve = _leakage_matrices(channels, "a")
         noise = cfg.sigma2_e_mw / (cfg.beta1 * cfg.pa_mw)
         a_mat, b_mat = desired, eve + noise * np.eye(cfg.Na)
-        v = slnr_transmit(channels, cfg, "a")
+        v, _ = leakage_side(channels, cfg, "a")
         probes = rng.standard_normal((10_000, cfg.Na)) + 1j * rng.standard_normal((10_000, cfg.Na))
         probes /= np.linalg.norm(probes, axis=1, keepdims=True)
 

@@ -8,17 +8,22 @@ import numpy as np
 import pytest
 
 from conftest import direct_only, pipeline, random_config
+import risdm.beamforming as beamforming
 from risdm.beamforming import (
     InsufficientAntennasError,
+    InvalidInputError,
+    SingularMatrixError,
     _mrc_weight,
     an_nullspace_design,
     design_beamformers,
+    dominant_generalized_eigvec,
+    dominant_singular_pair,
     eve_arrivals,
-    lansr_an,
+    leakage_side,
+    leakage_transmitters,
     max_sv_design,
     mrc_weights,
     receiver_zf,
-    slnr_transmit,
     three_way_arrivals,
     zf_mrc,
 )
@@ -70,6 +75,91 @@ class TestMaxSv:
                           h_e1=np.zeros((4, 4)), h_e2=np.zeros((4, 4)))
         with pytest.raises(Exception):
             max_sv_design(eff)
+
+
+class TestDominantSingularPair:
+    @staticmethod
+    def reference(a):
+        """Column 0 of the thin SVD, rotated so u's largest entry is real positive."""
+        u, _, vh = np.linalg.svd(a, full_matrices=False)
+        u0, v0 = u[:, 0].copy(), vh.conj().T[:, 0].copy()
+        pivot = u0[np.argmax(np.abs(u0))]
+        rot = np.conj(pivot) / abs(pivot)
+        return u0 * rot, v0 * rot
+
+    def test_bit_identical_to_svd_column_zero(self, rng):
+        mats = [rng.standard_normal((r, c)) + 1j * rng.standard_normal((r, c))
+                for r, c in rng.integers(1, 17, size=(200, 2))]
+        for cfg in (default_config(), default_config(M=7), random_config(rng, m=64)):
+            _, _, _, eff, _ = pipeline(cfg)
+            mats += [eff.h_a, eff.h_b]
+        for a in mats:
+            got, want = dominant_singular_pair(a), self.reference(a)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    def test_pair_and_phase_convention(self, rng):
+        for _ in range(50):
+            rows, cols = rng.integers(1, 9, size=2)
+            a = rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+            u, v = dominant_singular_pair(a)
+            pivot = u[np.argmax(np.abs(u))]
+            assert abs(pivot.imag) < 1e-12 and pivot.real > 0
+            gain = u.conj() @ a @ v  # real and equal to the largest singular value
+            assert gain.real == pytest.approx(np.linalg.norm(a, 2), rel=1e-12)
+            assert abs(gain.imag) < 1e-12 * gain.real
+
+    def test_rejects_nonfinite(self):
+        bad = np.array([[1.0, np.nan], [0.0, 1.0]], dtype=complex)
+        with pytest.raises(InvalidInputError):
+            dominant_singular_pair(bad)
+
+
+class TestDominantGeneralizedEigvec:
+    def test_diagonal_a(self):
+        v = dominant_generalized_eigvec(np.diag([2.0, 1.0]), np.eye(2))
+        assert abs(abs(v[0]) - 1.0) < 1e-12
+
+    def test_diagonal_b(self):
+        v = dominant_generalized_eigvec(np.eye(2), np.diag([1.0, 4.0]))
+        assert abs(abs(v[0]) - 1.0) < 1e-12  # ratio 1 beats 0.25
+
+    def test_singular_b_rejected(self):
+        b = np.diag([1.0, 1e-16])
+        with pytest.raises(SingularMatrixError):
+            dominant_generalized_eigvec(np.eye(2), b)
+
+    @staticmethod
+    def quotient(a, b, vecs):
+        num = np.einsum("ij,jk,ik->i", vecs.conj(), a, vecs).real
+        den = np.einsum("ij,jk,ik->i", vecs.conj(), b, vecs).real
+        return num / den
+
+    def random_hpd_pair(self, rng, n):
+        x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        y = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        return x @ x.conj().T, y @ y.conj().T + n * np.eye(n)
+
+    def test_random_probe_dominance_size8(self, rng):
+        a, b = self.random_hpd_pair(rng, 8)
+        v = dominant_generalized_eigvec(a, b)
+        best = self.quotient(a, b, v[None, :])[0]
+        probes = random_unit(rng, 8, 10_000)
+        assert best >= self.quotient(a, b, probes).max() - 1e-12 * abs(best)
+
+    def test_probe_dominance_sweep(self, rng):
+        for _ in range(100):
+            n = int(rng.integers(2, 9))
+            a, b = self.random_hpd_pair(rng, n)
+            v = dominant_generalized_eigvec(a, b)
+            best = self.quotient(a, b, v[None, :])[0]
+            probes = random_unit(rng, n, 10_000)
+            assert best >= self.quotient(a, b, probes).max() - 1e-10 * abs(best)
+
+    def test_largest_entry_real_positive(self, rng):
+        a, b = self.random_hpd_pair(rng, 6)
+        v = dominant_generalized_eigvec(a, b)
+        pivot = v[np.argmax(np.abs(v))]
+        assert abs(pivot.imag) < 1e-12 and pivot.real > 0
 
 
 class TestAnNullspace:
@@ -177,14 +267,14 @@ class TestLeakageDesigns:
             positions=placement.positions, orientations=placement.orientations, pinned=pinned))
         geom = build_geometry(cfg)
         channels = build_channels(geom, cfg)
-        v = slnr_transmit(channels, cfg, "a")
+        v = leakage_side(channels, cfg, "a")[0]
         h = channels.departure_steering("a", "i1")
         assert abs(h.conj() @ v) > 0.999
 
     def test_beats_random_probes(self, rng, default_cfg):
         geom = build_geometry(default_cfg)
         channels = build_channels(geom, default_cfg)
-        v = slnr_transmit(channels, default_cfg, "a")
+        v = leakage_side(channels, default_cfg, "a")[0]
         best = self.slnr_value(channels, default_cfg, v)
         probes = random_unit(rng, default_cfg.Na, 10_000)
         values = [self.slnr_value(channels, default_cfg, p) for p in probes[:2000]]
@@ -194,20 +284,20 @@ class TestLeakageDesigns:
         # scaling all gains and sigma^2 together must not move the argmax
         geom = build_geometry(default_cfg)
         channels = build_channels(geom, default_cfg)
-        v1 = slnr_transmit(channels, default_cfg, "a")
+        v1 = leakage_side(channels, default_cfg, "a")[0]
         scaled = default_config(
             pathloss_alpha=default_cfg.pathloss_alpha * 10.0,
             sigma2_e_dbm=default_cfg.sigma2_e_dbm + 10.0,
         )
         channels2 = build_channels(build_geometry(scaled), scaled)
-        v2 = slnr_transmit(channels2, scaled, "a")
+        v2 = leakage_side(channels2, scaled, "a")[0]
         assert abs(abs(v1.conj() @ v2) - 1.0) < 1e-9
 
     def test_lansr_unit_norm_and_probes(self, rng, default_cfg):
         geom = build_geometry(default_cfg)
         channels = build_channels(geom, default_cfg)
         for side in ("a", "b"):
-            w = lansr_an(channels, default_cfg, side)
+            w = leakage_side(channels, default_cfg, side)[1]
             assert abs(np.linalg.norm(w) - 1.0) < 1e-12
 
     def test_lansr_quotient_beats_message_beam(self, default_cfg):
@@ -217,15 +307,14 @@ class TestLeakageDesigns:
 
         geom = build_geometry(default_cfg)
         channels = build_channels(geom, default_cfg)
-        desired, eve = _leakage_matrices(channels, default_cfg, "a")
+        desired, eve = _leakage_matrices(channels, "a")
         noise = default_cfg.sigma2_b_mw / ((1 - default_cfg.beta1) * default_cfg.pa_mw)
         denom = desired + noise * np.eye(default_cfg.Na)
 
         def quotient(x):
             return float((x.conj() @ eve @ x).real / (x.conj() @ denom @ x).real)
 
-        w = lansr_an(channels, default_cfg, "a")
-        v = slnr_transmit(channels, default_cfg, "a")
+        v, w = leakage_side(channels, default_cfg, "a")
         assert quotient(w) >= quotient(v) - 1e-12 * abs(quotient(w))
 
     def test_beta_bounds(self, default_cfg):
@@ -235,10 +324,13 @@ class TestLeakageDesigns:
         for beta in (-0.1, 1.1, math.nan):
             cfg = SimpleNamespace(
                 beta1=beta, beta2=0.5, pa_mw=default_cfg.pa_mw, pb_mw=default_cfg.pb_mw)
-            with pytest.raises(ValueError):
-                slnr_transmit(channels, cfg, "a")
-            with pytest.raises(ValueError):
-                lansr_an(channels, cfg, "a")
+            with pytest.raises(ValueError, match="message power fraction"):
+                leakage_side(channels, cfg, "a")
+
+    def test_unknown_side(self, default_cfg):
+        channels = build_channels(build_geometry(default_cfg), default_cfg)
+        with pytest.raises(ValueError, match="side must be 'a' or 'b'"):
+            leakage_side(channels, default_cfg, "e")
 
     @pytest.mark.parametrize("side", ["a", "b"])
     def test_endpoints_are_the_limits(self, default_cfg, side):
@@ -254,12 +346,12 @@ class TestLeakageDesigns:
         def collinear(u, v):
             return abs(abs(u.conj() @ v) - 1.0) < 1e-9
 
-        desired, eve = _leakage_matrices(channels, default_cfg, side)
-        v0 = slnr_transmit(channels, at(0.0), side)
-        assert collinear(v0, slnr_transmit(channels, at(1e-12), side))
+        desired, eve = _leakage_matrices(channels, side)
+        v0 = leakage_side(channels, at(0.0), side)[0]
+        assert collinear(v0, leakage_side(channels, at(1e-12), side)[0])
         assert collinear(v0, np.linalg.eigh(desired)[1][:, -1])
-        w1 = lansr_an(channels, at(1.0), side)
-        assert collinear(w1, lansr_an(channels, at(1.0 - 1e-12), side))
+        w1 = leakage_side(channels, at(1.0), side)[1]
+        assert collinear(w1, leakage_side(channels, at(1.0 - 1e-12), side)[1])
         assert collinear(w1, np.linalg.eigh(eve)[1][:, -1])
 
     @pytest.mark.parametrize("side", ["a", "b"])
@@ -272,11 +364,28 @@ class TestLeakageDesigns:
         def collinear(u, v):
             return np.all(np.isfinite(u)) and abs(abs(u.conj() @ v) - 1.0) < 1e-9
 
-        v0 = slnr_transmit(channels, default_config(beta1=0.0, beta2=0.0), side)
-        assert collinear(slnr_transmit(channels, default_config(beta1=5e-324, beta2=5e-324), side), v0)
-        w1 = lansr_an(channels, default_config(beta1=1.0, beta2=1.0), side)
+        v0 = leakage_side(channels, default_config(beta1=0.0, beta2=0.0), side)[0]
+        assert collinear(leakage_side(channels, default_config(beta1=5e-324, beta2=5e-324), side)[0], v0)
+        w1 = leakage_side(channels, default_config(beta1=1.0, beta2=1.0), side)[1]
         faint = default_config(Pa_dbm=-3235.0, Pb_dbm=-3235.0)  # about 3e-324 mW
-        assert collinear(lansr_an(channels, faint, side), w1)
+        assert collinear(leakage_side(channels, faint, side)[1], w1)
+
+
+    def test_pencils_built_once_per_side(self, default_cfg, monkeypatch):
+        channels = build_channels(build_geometry(default_cfg), default_cfg)
+        built = []
+        real = beamforming._leakage_matrices
+
+        def counting(channels_, side):
+            built.append(side)
+            return real(channels_, side)
+
+        monkeypatch.setattr(beamforming, "_leakage_matrices", counting)
+        parts = leakage_transmitters(channels, default_cfg)
+        assert built == ["a", "b"]
+        for side, v, w in (("a", parts["v_at"], parts["w_a"]), ("b", parts["v_bt"], parts["w_b"])):
+            v_side, w_side = leakage_side(channels, default_cfg, side)
+            assert np.array_equal(v, v_side) and np.array_equal(w, w_side)
 
 
 class TestThreeWayCombiner:
@@ -284,7 +393,7 @@ class TestThreeWayCombiner:
         geom = build_geometry(default_cfg)
         channels = build_channels(geom, default_cfg)
         eff = effective_channels(channels, *reflections_for("gpg", geom, default_cfg))
-        v_at = slnr_transmit(channels, default_cfg, "a")
+        v_at = leakage_side(channels, default_cfg, "a")[0]
         vecs, dropped = receiver_zf(channels, "b")
         steer = [channels.arrival_steering(tx, "b") for tx in ("i1", "i2", "a")]
         for i, v in enumerate(vecs):
@@ -299,7 +408,7 @@ class TestThreeWayCombiner:
         geom = build_geometry(cfg)
         channels = build_channels(geom, cfg)
         eff = effective_channels(channels, *reflections_for("gpg", geom, cfg))
-        v_at = slnr_transmit(channels, cfg, "a")
+        v_at = leakage_side(channels, cfg, "a")[0]
         with pytest.raises(InsufficientAntennasError):
             zf_mrc(receiver_zf(channels, "b"), three_way_arrivals(eff, v_at, "b"))
 
@@ -310,7 +419,7 @@ class TestThreeWayCombiner:
         channels = build_channels(geom, default_cfg)
         refls = reflections_for("gpg", geom, default_cfg)
         eff = effective_channels(channels, *refls)
-        v_at = slnr_transmit(channels, default_cfg, "a")
+        v_at = leakage_side(channels, default_cfg, "a")[0]
         zf = receiver_zf(channels, "b")
         arrivals = three_way_arrivals(eff, v_at, "b")
         v_br = zf_mrc(zf, arrivals)
@@ -402,7 +511,7 @@ class TestCombinersReadPathTerms:
         if method == "max-sv":
             v_at, _, v_bt, _ = max_sv_design(eff)
         else:
-            v_at, v_bt = slnr_transmit(channels, cfg, "a"), slnr_transmit(channels, cfg, "b")
+            v_at, v_bt = (leakage_side(channels, cfg, side)[0] for side in "ab")
 
         zf, arrivals = receiver_zf(channels, "e"), eve_arrivals(eff, v_at, v_bt, cfg)
         vecs, dropped = zf

@@ -128,6 +128,21 @@ class TestSweepCommand:
         assert "pinned['a->e']['distance'] must be finite" in proc.stderr
         assert not out.exists()
 
+    def test_fractional_surface_size_in_config_rejected(self, tmp_path):
+        # "M": 100.7 once ran the sweep at M = 100
+        doc = json.loads(default_config(M=8).to_json())
+        doc["M"] = 100.7
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "x.csv"
+        proc = run_cli(
+            "sweep", "--config", str(bad), "--axis", "power_dbm",
+            "--values", "27", "--out", str(out),
+        )
+        assert proc.returncode == 1
+        assert "M must be a whole number, got 100.7" in proc.stderr
+        assert not out.exists()
+
     def test_unknown_config_field_rejected(self, tmp_path):
         doc = json.loads(default_config(M=8).to_json())
         doc["surprise"] = True

@@ -198,6 +198,36 @@ class TestConfigIngestion:
         with pytest.raises(ConfigError, match=re.escape(f"{name} must be finite")):
             ScenarioConfig.from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("value", [100.7, 2.5, True, False, "8", None, math.inf])
+    @pytest.mark.parametrize("name", ["Na", "Nb", "Ne", "M", "seed"])
+    def test_whole_number_fields_reject_other_values(self, default_cfg, name, value):
+        # "M": 100.7 once became M = 100, "Na": true Na = 1, "seed": 2.5 seed 2
+        doc = default_cfg.to_dict()
+        doc[name] = value
+        with pytest.raises(ConfigError, match=re.escape(f"{name} must be a whole number")):
+            ScenarioConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("kind, value", [("positions", [1.0, 2.0]), ("orientations", 0.5)])
+    def test_unknown_node_rejected(self, default_cfg, kind, value):
+        doc = default_cfg.to_dict()
+        doc["placement"][kind]["z"] = value
+        with pytest.raises(ConfigError, match=re.escape(f"{kind} names unknown nodes ['z']")):
+            ScenarioConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("value", [5, None, "12", {"x": 1.0, "y": 2.0}])
+    def test_position_entry_must_be_a_list(self, default_cfg, value):
+        doc = default_cfg.to_dict()
+        doc["placement"]["positions"]["b"] = value
+        with pytest.raises(ConfigError, match=re.escape("positions['b'] must be a list")):
+            ScenarioConfig.from_dict(doc)
+
+    @pytest.mark.parametrize("value", [5, None, 1.5])
+    def test_pinned_entry_must_be_an_object(self, default_cfg, value):
+        doc = default_cfg.to_dict()
+        doc["placement"]["pinned"] = {"a->e": value}
+        with pytest.raises(ConfigError, match=re.escape("pinned['a->e'] must be an object")):
+            ScenarioConfig.from_dict(doc)
+
     def test_finite_pins_still_accepted(self, default_cfg):
         doc = default_cfg.to_dict()
         doc["placement"]["pinned"] = {"a->e": {"distance": 75.0, "theta_t": 1.2}}

@@ -11,16 +11,17 @@ from scipy.optimize import linear_sum_assignment
 
 from conftest import pipeline_gains, random_gains
 import risdm.power_allocation as pa
-from risdm import linalg
 from risdm.geometry import default_config
 from risdm.power_allocation import (
     DERIVATIVE_TOL,
     NEWTON_MAX_ITER,
     NEWTON_TOL,
     DeflationError,
+    DegeneratePolynomialError,
     DegenerateSexticError,
     NewtonError,
     allocate,
+    companion_roots,
     deflate,
     epa,
     es_1d,
@@ -364,6 +365,39 @@ class TestDeflation:
             deflate([1.0, -3.0, 2.0], 0.5)
 
 
+class TestCompanionRoots:
+    def test_quadratic(self):
+        roots = np.sort(companion_roots([1.0, 0.0, -1.0]).real)
+        assert np.allclose(roots, [-1.0, 1.0], atol=1e-12)
+
+    def test_expanded_pair(self):
+        roots = np.sort(companion_roots(np.poly([0.3, 0.7])).real)
+        assert np.allclose(roots, [0.3, 0.7], atol=1e-10)
+
+    def test_sixth_roots_of_minus_one(self):
+        # beta^6 = -1: the twelfth roots of unity at odd multiples of pi/6
+        roots = companion_roots([1.0, 0, 0, 0, 0, 0, 1.0])
+        expected = np.exp(1j * np.pi * (2 * np.arange(6) + 1) / 6)
+        got = np.sort_complex(np.round(roots, 9))
+        want = np.sort_complex(np.round(expected, 9))
+        assert np.allclose(got, want, atol=1e-9)
+
+    def test_zero_leading_coefficient(self):
+        with pytest.raises(DegeneratePolynomialError):
+            companion_roots([0.0, 1.0, 2.0])
+
+    def test_residual_bound_random_sextics(self, rng):
+        # Leading coefficient drawn away from the degenerate-degree boundary
+        # (a vanishing leading coefficient is this op's error condition).
+        for _ in range(1000):
+            coeffs = rng.uniform(-10, 10, size=7)
+            coeffs[0] = np.sign(coeffs[0] or 1.0) * rng.uniform(1.0, 10.0)
+            roots = companion_roots(coeffs)
+            assert len(roots) == 6
+            residuals = np.abs(np.polyval(coeffs, roots))
+            assert residuals.max() <= 1e-8 * np.abs(coeffs).max()
+
+
 class TestFerrari:
     def test_known_roots_roundtrip(self):
         coeffs = np.poly([0.1, 0.2, 0.3, 0.4])
@@ -385,14 +419,14 @@ class TestFerrari:
         for _ in range(1000):
             a = rng.uniform(-10, 10, size=4)
             got = ferrari_roots(*a)
-            want = linalg.companion_roots([1.0, *a])
+            want = companion_roots([1.0, *a])
             worst = max(worst, matched_root_error(got, want))
         assert worst < 1e-8
 
     def test_repeated_roots(self):
         coeffs = np.poly([0.5, 0.5, -1.0, 2.0])
         got = ferrari_roots(*coeffs[1:])
-        want = linalg.companion_roots(coeffs)
+        want = companion_roots(coeffs)
         assert matched_root_error(got, want) < 1e-6
 
 
@@ -494,7 +528,7 @@ class TestHicf:
         tested = 0
         while tested < 100:
             g = random_gains(rng)
-            want = linalg.companion_roots(sextic_coeffs(g).monic())
+            want = companion_roots(sextic_coeffs(g).monic())
             if min_pairwise_distance(want) < 5e-2:
                 continue
             tested += 1
