@@ -17,11 +17,10 @@ from risdm.rates import ScalarGains
 g = ScalarGains(s1=2.1, s2=0.6, s3=3.4, s4=0.8, s5=0.9, s6=0.5, s7=1.3, s8=1.0,
                 sigma2_a=0.2, sigma2_b=0.25, sigma2_e=0.15)
 
-sc = sextic_coeffs(g)
+monic = sextic_coeffs(g)
 print("Monic sextic coefficients (alpha1..alpha6):")
-print(" ", np.round(sc.alpha, 6))
+print(" ", np.round(monic[1:], 6))
 
-monic = sc.monic()
 beta_1 = newton_root(monic, 0.5)
 print(f"\nNewton from 0.5     -> beta(1) = {beta_1:.8f}  "
       f"(|f| = {abs(np.polyval(monic, beta_1)):.2e})")
@@ -39,7 +38,7 @@ for cand in out.candidates:
     print(f"  {cand.origin:>9} {cand.beta:10.6f} {cand.objective:12.6f}{marker}")
 
 print(f"\nhicf      : beta = {out.beta1:.6f}, SSR = {out.ssr:.6f}")
-for method, step in (("es-1d", 1e-3), ("es-2d", 1e-2), ("epa", None)):
+for method, step in (("es1d", 1e-3), ("es2d", 1e-2), ("epa", None)):
     o = allocate(g, method, grid_step=step)
     print(f"{method:<10}: beta = ({o.beta1:.4f}, {o.beta2:.4f}), SSR = {o.ssr:.6f}")
 

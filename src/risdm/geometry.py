@@ -16,7 +16,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import numbers
+from collections.abc import Mapping
+from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import replace as _replace
 
 NODES = ("a", "b", "e", "i1", "i2")
 RIS_NODES = ("i1", "i2")
@@ -70,13 +73,75 @@ class Link:
     gain: float  # linear path gain
 
 
+def _is_number(value):
+    """A finite real number that is neither a bool nor a string."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
+def _number(value, name):
+    """``value`` as a float: a finite real number, never a bool or a string."""
+    if _is_number(value):
+        return float(value)
+    raise ConfigError(f"{name} must be finite and a real number, got {value!r}")
+
+
+def _whole_number(value, name):
+    """``value`` as an int: an integer or an integral float, never a bool."""
+    if _is_number(value) and value % 1 == 0:
+        return int(value)
+    raise ConfigError(f"{name} must be a whole number, got {value!r}")
+
+
+def _position(value, name):
+    """``value`` as an (x, y) tuple of floats."""
+    if not (isinstance(value, (list, tuple)) and len(value) == 2 and all(map(_is_number, value))):
+        raise ConfigError(f"{name} must be a list of two finite numbers, got {value!r}")
+    return tuple(_number(v, name) for v in value)
+
+
+def _entries(doc, name, what, keys, rule, required=()):
+    """The JSON object ``doc`` as a dict with each value passed through ``rule``.
+
+    Its keys must lie in ``keys`` and include ``required``; ``rule(value,
+    label)`` checks and normalises one value, ``label`` naming it in errors.
+    """
+    if not isinstance(doc, Mapping):
+        raise ConfigError(f"{name} must be an object, got {doc!r}")
+    unknown = set(doc) - set(keys)
+    if unknown:
+        raise ConfigError(f"{name} names unknown {what} {sorted(unknown, key=str)}")
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise ConfigError(f"{name} is missing {what} {missing}")
+    return {key: rule(value, f"{name}['{key}']") for key, value in doc.items()}
+
+
+def _from_fields(cls, doc, name):
+    """``cls`` built from a JSON object holding its fields; a field with a
+    default may be left out."""
+    required = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
+    return cls(**_entries(doc, name, "fields", [f.name for f in fields(cls)],
+                          lambda value, _: value, required))
+
+
+_LINK_KEYS = tuple(f"{tx}->{rx}" for tx, rx in LINKS)
+_PIN_FIELDS = ("theta_t", "theta_r", "distance")
+
+
+def _pins(doc, name):
+    """One link's pins: an object over ``theta_t``, ``theta_r``, ``distance``."""
+    return _entries(doc, name, "fields", _PIN_FIELDS, _number)
+
+
 @dataclass(frozen=True)
 class Placement:
     """Node positions (meters), array orientations (radians), and optional
     per-link pins overriding derived angles/distances.
 
     ``pinned`` maps a directed link key like ``"a->i1"`` to a dict with any
-    of ``theta_t``, ``theta_r``, ``distance``.
+    of ``theta_t``, ``theta_r``, ``distance``.  Construction checks every
+    entry and stores positions as float pairs and every angle and distance
+    as a float.
     """
 
     positions: dict
@@ -84,54 +149,17 @@ class Placement:
     pinned: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        for name, entries in (("positions", self.positions), ("orientations", self.orientations)):
-            unknown = set(entries) - set(NODES)
-            if unknown:
-                raise ConfigError(f"{name} names unknown nodes {sorted(unknown)}")
-        for node in NODES:
-            if node not in self.positions:
-                raise ConfigError(f"placement is missing a position for node '{node}'")
-            pos = self.positions[node]
-            if len(pos) != 2 or not all(math.isfinite(v) for v in pos):
-                raise ConfigError(f"position of '{node}' must be two finite numbers")
-            if node not in self.orientations:
-                raise ConfigError(f"placement is missing an orientation for node '{node}'")
-        for node, angle in self.orientations.items():
-            if not math.isfinite(angle):
-                raise ConfigError(f"orientations['{node}'] must be finite")
-        for key, pins in self.pinned.items():
-            tx, _, rx = key.partition("->")
-            if (tx, rx) not in LINKS:
-                raise ConfigError(f"pinned link '{key}' is not one of the network links")
-            if not isinstance(pins, dict):
-                raise ConfigError(f"pinned['{key}'] must be an object, got {pins!r}")
-            unknown = set(pins) - {"theta_t", "theta_r", "distance"}
-            if unknown:
-                raise ConfigError(f"pinned link '{key}' has unknown fields {sorted(unknown)}")
-            for name, value in pins.items():
-                if not math.isfinite(float(value)):
-                    raise ConfigError(f"pinned['{key}']['{name}'] must be finite")
+        for name, what, keys, rule, required in (
+            ("positions", "nodes", NODES, _position, NODES),
+            ("orientations", "nodes", NODES, _number, NODES),
+            ("pinned", "links", _LINK_KEYS, _pins, ()),
+        ):
+            object.__setattr__(self, name, _entries(getattr(self, name), name, what, keys, rule,
+                                                    required))
 
     @classmethod
     def from_dict(cls, doc):
-        known = {"positions", "orientations", "pinned"}
-        unknown = set(doc) - known
-        if unknown:
-            raise ConfigError(f"unknown placement fields {sorted(unknown)}")
-        positions = {}
-        for node, pos in doc.get("positions", {}).items():
-            if not isinstance(pos, (list, tuple)):
-                raise ConfigError(f"positions['{node}'] must be a list, got {pos!r}")
-            positions[node] = tuple(float(x) for x in pos)
-        orientations = {k: float(v) for k, v in doc.get("orientations", {}).items()}
-        return cls(positions=positions, orientations=orientations, pinned=doc.get("pinned", {}))
-
-    def to_dict(self):
-        return {
-            "positions": {k: list(v) for k, v in self.positions.items()},
-            "orientations": dict(self.orientations),
-            "pinned": {k: dict(v) for k, v in self.pinned.items()},
-        }
+        return _from_fields(cls, doc, "placement")
 
 
 def default_placement(d_ai1=30.0, d_ai2=30.0, d_ab=80.0, d_ae=80.0,
@@ -168,18 +196,10 @@ def default_placement(d_ai1=30.0, d_ai2=30.0, d_ab=80.0, d_ae=80.0,
     )
 
 
-_CONFIG_FIELDS = (
-    "Na", "Nb", "Ne", "M", "d_over_lambda", "Pa_dbm", "Pb_dbm", "beta1", "beta2",
-    "sigma2_e_dbm", "noise_ratio", "pathloss_alpha", "pathloss_exp", "placement", "seed",
-)
-
-
-def _whole_number(doc, name):
-    """``doc[name]`` as an int: an integer or an integral float, never a bool."""
-    value = doc[name]
-    if isinstance(value, (int, float)) and not isinstance(value, bool) and value % 1 == 0:
-        return int(value)
-    raise ConfigError(f"{name} must be a whole number, got {value!r}")
+# The rule for a ScenarioConfig field by its annotation, a string under
+# ``from __future__ import annotations``: the counts and the seed are whole
+# numbers, every other scalar a finite float.
+_FIELD_RULES = {"int": _whole_number, "float": _number}
 
 
 def dbm_to_mw(dbm):
@@ -193,6 +213,11 @@ class ScenarioConfig:
     Powers are dBm; all internal power arithmetic is done in mW.
     ``pathloss_exp`` maps a link class ("direct", "ris") to its exponent.
     ``noise_ratio`` is sigma^2_a / sigma^2_e (= sigma^2_b / sigma^2_e).
+
+    Construction checks every field and stores it normalised: the counts
+    and ``seed`` as ints, the other scalars as floats, ``pathloss_exp``
+    (an object, or one number for every class) as a dict, and
+    ``placement`` (a :class:`Placement` or its JSON object) as a Placement.
     """
 
     Na: int
@@ -212,29 +237,23 @@ class ScenarioConfig:
     seed: int
 
     def __post_init__(self):
-        for name in ("Na", "Nb", "Ne", "M"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1")
+        for f in fields(self):
+            rule = _FIELD_RULES.get(f.type)
+            if rule is not None:
+                object.__setattr__(self, f.name, rule(getattr(self, f.name), f.name))
+        for name in ("Na", "Nb", "Ne", "M", "d_over_lambda", "noise_ratio", "pathloss_alpha"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive")
         for name in ("beta1", "beta2"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
+            if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1]")
-        for name in ("d_over_lambda", "Pa_dbm", "Pb_dbm", "sigma2_e_dbm", "noise_ratio",
-                     "pathloss_alpha"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name} must be finite")
-        if self.d_over_lambda <= 0:
-            raise ConfigError("d_over_lambda must be positive")
-        if self.noise_ratio <= 0 or self.pathloss_alpha <= 0:
-            raise ConfigError("noise_ratio and pathloss_alpha must be positive")
-        unknown = set(self.pathloss_exp) - set(LINK_CLASSES)
-        if unknown:
-            raise ConfigError(f"unknown path-loss classes {sorted(unknown)}")
-        for cls_name in LINK_CLASSES:
-            if cls_name not in self.pathloss_exp:
-                raise ConfigError(f"pathloss_exp is missing class '{cls_name}'")
-            if not math.isfinite(self.pathloss_exp[cls_name]):
-                raise ConfigError(f"pathloss_exp['{cls_name}'] must be finite")
+        exp = self.pathloss_exp
+        if isinstance(exp, numbers.Real):  # one exponent for every class
+            exp = dict.fromkeys(LINK_CLASSES, exp)
+        object.__setattr__(self, "pathloss_exp", _entries(
+            exp, "pathloss_exp", "classes", LINK_CLASSES, _number, LINK_CLASSES))
+        if not isinstance(self.placement, Placement):
+            object.__setattr__(self, "placement", Placement.from_dict(self.placement))
 
     # -- unit conversions ---------------------------------------------------
     @property
@@ -261,35 +280,12 @@ class ScenarioConfig:
         return {"a": self.Na, "b": self.Nb, "e": self.Ne, "i1": self.M, "i2": self.M}[node]
 
     def replace(self, **changes):
-        from dataclasses import replace as _replace
-
         return _replace(self, **changes)
 
     # -- JSON ingestion -----------------------------------------------------
     @classmethod
     def from_dict(cls, doc):
-        unknown = set(doc) - set(_CONFIG_FIELDS)
-        if unknown:
-            raise ConfigError(f"unknown config fields {sorted(unknown)}")
-        missing = set(_CONFIG_FIELDS) - set(doc)
-        if missing:
-            raise ConfigError(f"missing config fields {sorted(missing)}")
-        exp = doc["pathloss_exp"]
-        if isinstance(exp, (int, float)):
-            exp = {c: float(exp) for c in LINK_CLASSES}
-        else:
-            exp = {k: float(v) for k, v in exp.items()}
-        return cls(
-            Na=_whole_number(doc, "Na"), Nb=_whole_number(doc, "Nb"),
-            Ne=_whole_number(doc, "Ne"), M=_whole_number(doc, "M"),
-            d_over_lambda=float(doc["d_over_lambda"]),
-            Pa_dbm=float(doc["Pa_dbm"]), Pb_dbm=float(doc["Pb_dbm"]),
-            beta1=float(doc["beta1"]), beta2=float(doc["beta2"]),
-            sigma2_e_dbm=float(doc["sigma2_e_dbm"]), noise_ratio=float(doc["noise_ratio"]),
-            pathloss_alpha=float(doc["pathloss_alpha"]), pathloss_exp=exp,
-            placement=Placement.from_dict(doc["placement"]),
-            seed=_whole_number(doc, "seed"),
-        )
+        return _from_fields(cls, doc, "config")
 
     @classmethod
     def from_json(cls, text):
@@ -301,16 +297,7 @@ class ScenarioConfig:
             return cls.from_dict(json.load(fh))
 
     def to_dict(self):
-        return {
-            "Na": self.Na, "Nb": self.Nb, "Ne": self.Ne, "M": self.M,
-            "d_over_lambda": self.d_over_lambda,
-            "Pa_dbm": self.Pa_dbm, "Pb_dbm": self.Pb_dbm,
-            "beta1": self.beta1, "beta2": self.beta2,
-            "sigma2_e_dbm": self.sigma2_e_dbm, "noise_ratio": self.noise_ratio,
-            "pathloss_alpha": self.pathloss_alpha, "pathloss_exp": dict(self.pathloss_exp),
-            "placement": self.placement.to_dict(),
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     def to_json(self, **kwargs):
         return json.dumps(self.to_dict(), **kwargs)
@@ -337,8 +324,7 @@ def default_config(**overrides):
         seed=1,
     )
     base.update(overrides)
-    placement = base.pop("placement")
-    return ScenarioConfig(placement=placement, **base)
+    return ScenarioConfig(**base)
 
 
 def build_geometry(config):
@@ -362,9 +348,9 @@ def build_geometry(config):
         theta_r = fold_angle(ray, placement.orientations[rx])
 
         pins = placement.pinned.get(f"{tx}->{rx}", {})
-        theta_t = float(pins.get("theta_t", theta_t))
-        theta_r = float(pins.get("theta_r", theta_r))
-        dist = float(pins.get("distance", dist))
+        theta_t = pins.get("theta_t", theta_t)
+        theta_r = pins.get("theta_r", theta_r)
+        dist = pins.get("distance", dist)
 
         for name, ang in (("theta_t", theta_t), ("theta_r", theta_r)):
             if not 0.0 < ang < math.pi:

@@ -3,8 +3,8 @@
 Four strategies over the split factors (beta1, beta2):
 
 * ``epa``  : the fixed equal split (0.5, 0.5).
-* ``es-2d``: exhaustive grid search over the unit square.
-* ``es-1d``: exhaustive grid search along the diagonal beta1 = beta2.
+* ``es2d``: exhaustive grid search over the unit square.
+* ``es1d``: exhaustive grid search along the diagonal beta1 = beta2.
 * ``hicf`` : hybrid iterative/closed-form.  The diagonal stationarity
   condition is a monic sextic whose coefficients follow from the quartic
   numerator/denominator of the rate expression; two Newton-Raphson root
@@ -55,17 +55,6 @@ class NewtonError(RuntimeError):
 
 class DeflationError(ValueError):
     """Refused to deflate: the claimed root has too large a residual."""
-
-
-@dataclass(frozen=True)
-class SexticCoeffs:
-    """q1..q10 quartic products and the monic sextic coefficients alpha1..alpha6."""
-
-    q: tuple
-    alpha: tuple
-
-    def monic(self):
-        return np.array([1.0, *self.alpha])
 
 
 @dataclass(frozen=True)
@@ -130,7 +119,7 @@ def sextic_coeffs(g):
 
     The raw stationarity polynomial is N'(beta) D(beta) - N(beta) D'(beta);
     dividing by its leading coefficient q1 q7 - q2 q6 produces the monic
-    alpha form.
+    form [1, alpha1, ..., alpha6], returned as an array, highest degree first.
 
     Raises
     ------
@@ -157,10 +146,7 @@ def sextic_coeffs(g):
     alpha = raw[1:] / lead
     if not np.all(np.isfinite(alpha)):
         raise DegenerateSexticError("monic sextic coefficients are not finite")
-    return SexticCoeffs(
-        q=(q1, q2, q3, q4, q5, q6, q7, q8, q9, q10),
-        alpha=tuple(alpha),
-    )
+    return np.array([1.0, *alpha])
 
 
 def companion_roots(coeffs):
@@ -352,7 +338,7 @@ def es_1d(g, step=DEFAULT_STEP_1D):
     k = int(np.argmax(values))  # first max -> smallest beta on ties
     beta = float(grid[k])
     return PaOutcome(
-        method="es-1d", beta1=beta, beta2=beta, ssr=ssr(beta, beta, g),
+        method="es1d", beta1=beta, beta2=beta, ssr=ssr(beta, beta, g),
         candidates=(), diagnostics={"step": step, "evaluations": grid.size},
     )
 
@@ -368,7 +354,7 @@ def es_2d(g, step=DEFAULT_STEP_2D):
     i, j = divmod(k, grid.size)
     beta1, beta2 = float(grid[i]), float(grid[j])
     return PaOutcome(
-        method="es-2d", beta1=beta1, beta2=beta2, ssr=ssr(beta1, beta2, g),
+        method="es2d", beta1=beta1, beta2=beta2, ssr=ssr(beta1, beta2, g),
         candidates=(), diagnostics={"step": step, "evaluations": values.size},
     )
 
@@ -438,17 +424,6 @@ def _real_part(root):
     return z.real if abs(z.imag) < REAL_ROOT_IMAG_TOL else None
 
 
-def _residual(coeffs, root):
-    """|p(root)| for a highest-first list of floats: Horner for a real root,
-    a per-root ``np.polyval`` otherwise.
-
-    A complex Horner on Python numbers, or one vectorised ``np.polyval``
-    over all roots, rounds differently from the per-root call.
-    """
-    value = _horner(coeffs, root) if isinstance(root, float) else np.polyval(coeffs, root)
-    return float(abs(value))
-
-
 def hicf(g, seed=0):
     """Hybrid iterative/closed-form split optimization on the diagonal.
 
@@ -461,17 +436,16 @@ def hicf(g, seed=0):
     """
     diagnostics = {"fallbacks": [], "newton_attempts": {}, "root_residuals": []}
     try:
-        coeffs = sextic_coeffs(g)
+        sextic = sextic_coeffs(g)
     except DegenerateSexticError as err:
         fallback = es_1d(g)
-        diagnostics["fallbacks"].append("degenerate-sextic->es-1d")
+        diagnostics["fallbacks"].append("degenerate-sextic->es1d")
         diagnostics["reason"] = str(err)
         return replace(
             fallback, method="hicf",
             diagnostics={**fallback.diagnostics, **diagnostics},
         )
 
-    sextic = coeffs.monic()
     labeled = []  # (root, origin)
 
     root1, attempts1 = _newton_stage(sextic, _stage1_inits(seed))
@@ -498,7 +472,7 @@ def hicf(g, seed=0):
     diagnostics["roots"] = [complex(root) for root, _ in labeled]
     diagnostics["origins"] = [origin for _, origin in labeled]
     values = sextic.tolist()
-    diagnostics["root_residuals"] = [_residual(values, root) for root, _ in labeled]
+    diagnostics["root_residuals"] = [abs(_horner(values, complex(root))) for root, _ in labeled]
 
     candidates = []
     for root, origin in labeled:
@@ -521,28 +495,19 @@ def hicf(g, seed=0):
     )
 
 
-_METHOD_ALIASES = {
-    "epa": "epa",
-    "es-1d": "es-1d", "es1d": "es-1d",
-    "es-2d": "es-2d", "es2d": "es-2d",
-    "hicf": "hicf",
-}
-
-
 def allocate(g, method, grid_step=None, seed=0):
-    """Run one named power-allocation strategy and return its outcome."""
-    try:
-        canonical = _METHOD_ALIASES[method]
-    except KeyError:
-        raise ValueError(f"unknown power-allocation method '{method}'") from None
-    if canonical == "epa":
+    """Run one power-allocation strategy, ``epa``, ``es1d``, ``es2d`` or
+    ``hicf``, and return its outcome."""
+    if method == "epa":
         beta1, beta2 = epa()
         return PaOutcome(
             method="epa", beta1=beta1, beta2=beta2, ssr=ssr(beta1, beta2, g),
             candidates=(), diagnostics={},
         )
-    if canonical == "es-1d":
+    if method == "es1d":
         return es_1d(g, step=DEFAULT_STEP_1D if grid_step is None else grid_step)
-    if canonical == "es-2d":
+    if method == "es2d":
         return es_2d(g, step=DEFAULT_STEP_2D if grid_step is None else grid_step)
-    return hicf(g, seed=seed)
+    if method == "hicf":
+        return hicf(g, seed=seed)
+    raise ValueError(f"unknown power-allocation method '{method}'")

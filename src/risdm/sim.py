@@ -68,6 +68,11 @@ def sub_seed(seed, axis_index, trial):
     return splitmix64(splitmix64(int(seed) & _MASK64) ^ splitmix64((axis_index << 32) ^ trial))
 
 
+def _is_integer(value):
+    """An integer of any integral type except bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SweepSpec:
     """One sweep description: axis, values, and the mode cross product.
@@ -103,15 +108,13 @@ class SweepSpec:
             math.isfinite(v) and v > 0 for v in self.values
         ):
             raise ValueError("distance_ab values must be finite and > 0")
-        if not (isinstance(self.trials, numbers.Integral) and self.trials >= 1):
+        if not (_is_integer(self.trials) and self.trials >= 1):
             raise ValueError("trials must be an integer >= 1")
-        if not isinstance(self.seed, numbers.Integral):
+        if not _is_integer(self.seed):
             raise ValueError("seed must be an integer")
-        if self.pa_grid_step is not None and not 0.0 < self.pa_grid_step <= 0.5:
-            raise ValueError("pa_grid_step must lie in (0, 0.5]")
-        if self.pa_seed is not None and not (
-            isinstance(self.pa_seed, numbers.Integral) and self.pa_seed >= 0
-        ):
+        if self.pa_grid_step is not None:
+            grid_intervals(self.pa_grid_step)
+        if self.pa_seed is not None and not (_is_integer(self.pa_seed) and self.pa_seed >= 0):
             raise ValueError("pa_seed must be a non-negative integer")
         for field, known, kind in (
             ("methods", METHODS, "method"),
@@ -146,19 +149,20 @@ class SweepRecord(NamedTuple):
 
 
 def apply_axis(config, axis, value):
-    """The scenario with one swept parameter overridden."""
+    """The scenario with one swept parameter overridden; the scenario's
+    constructor checks and converts ``value``."""
     if axis == "power_dbm":
-        return config.replace(Pa_dbm=float(value), Pb_dbm=float(value))
+        return config.replace(Pa_dbm=value, Pb_dbm=value)
     if axis == "elements_m":
-        return config.replace(M=int(value))
+        return config.replace(M=value)
     if axis == "beta":
-        return config.replace(beta1=float(value), beta2=float(value))
+        return config.replace(beta1=value, beta2=value)
     if axis == "distance_ab":
         placement = config.placement
         ax, ay = placement.positions["a"]
         bx, by = placement.positions["b"]
         d_old = math.hypot(bx - ax, by - ay)
-        scale = float(value) / d_old
+        scale = value / d_old
         new_b = (ax + (bx - ax) * scale, ay + (by - ay) * scale)
         positions = dict(placement.positions)
         positions["b"] = new_b

@@ -99,15 +99,15 @@ def test_criterion_2_stationarity_algebra():
         num, den = quartic_pair(g)
         lead = num[0] * den[1] - num[1] * den[0]
         sc = sextic_coeffs(g)
-        raw = lead * sc.monic()
+        raw = lead * sc
         for beta in rng.uniform(0.0, 1.0, size=10):
-            lhs = lead * np.polyval(sc.monic(), beta)
+            lhs = lead * np.polyval(sc, beta)
             rhs = (np.polyval(np.polyder(num), beta) * np.polyval(den, beta)
                    - np.polyval(num, beta) * np.polyval(np.polyder(den), beta))
             rel = abs(lhs - rhs) / max(np.polyval(np.abs(raw), beta), 1e-300)
             worst_rel = max(worst_rel, rel)
             assert rel < 1e-9
-        roots = np.roots(sc.monic())
+        roots = np.roots(sc)
         if min_separation(roots) < 5e-2:
             continue  # coalescing roots are not resolvable by any method
         for root in roots:
@@ -138,7 +138,7 @@ def test_criterion_3_root_oracle_equivalence():
     worst_sextic = 0.0
     while tested < 100:
         g = random_gains(rng)
-        want = companion_roots(sextic_coeffs(g).monic())
+        want = companion_roots(sextic_coeffs(g))
         if min_separation(want) < 5e-2:
             continue
         tested += 1

@@ -143,6 +143,21 @@ class TestSweepCommand:
         assert "M must be a whole number, got 100.7" in proc.stderr
         assert not out.exists()
 
+    def test_string_power_in_config_rejected(self, tmp_path):
+        # "Pa_dbm": "27" once ran the sweep at 27 dBm
+        doc = json.loads(default_config(M=8).to_json())
+        doc["Pa_dbm"] = "27"
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "x.csv"
+        proc = run_cli(
+            "sweep", "--config", str(bad), "--axis", "power_dbm",
+            "--values", "27", "--out", str(out),
+        )
+        assert proc.returncode == 1
+        assert "Pa_dbm must be finite and a real number, got '27'" in proc.stderr
+        assert not out.exists()
+
     def test_unknown_config_field_rejected(self, tmp_path):
         doc = json.loads(default_config(M=8).to_json())
         doc["surprise"] = True

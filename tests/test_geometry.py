@@ -23,6 +23,18 @@ from risdm.geometry import (
 )
 
 
+def assert_rejected(doc, match):
+    """``doc`` raises ConfigError matching ``match`` both through JSON
+    ingestion and through direct Placement/ScenarioConfig construction."""
+    with pytest.raises(ConfigError, match=match):
+        ScenarioConfig.from_json(json.dumps(doc))
+    fields = dict(doc)
+    with pytest.raises(ConfigError, match=match):
+        if isinstance(doc["placement"], dict):
+            fields["placement"] = Placement(**doc["placement"])
+        ScenarioConfig(**fields)
+
+
 class TestPathLoss:
     def test_reference_distance(self):
         assert path_loss(1.0, 3.7e-2, 2.0) == 3.7e-2
@@ -166,21 +178,21 @@ class TestConfigIngestion:
         with pytest.raises(ConfigError):
             ScenarioConfig.from_dict(doc)
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "27", True, False])
     @pytest.mark.parametrize("field, cls", [
         ("d_over_lambda", None), ("noise_ratio", None), ("pathloss_alpha", None),
-        ("pathloss_exp", "direct"), ("pathloss_exp", "ris"),
+        ("pathloss_exp", "direct"), ("pathloss_exp", "ris"), ("Pa_dbm", None), ("beta1", None),
     ])
     def test_non_finite_value_rejected(self, default_cfg, field, cls, value):
+        # "Pa_dbm": "27" once ran at 27 dBm and "beta1": true at beta1 = 1
         doc = default_cfg.to_dict()
         if cls is None:
             doc[field], name = value, field
         else:
             doc[field][cls], name = value, f"{field}['{cls}']"
-        with pytest.raises(ConfigError, match=re.escape(f"{name} must be finite")):
-            ScenarioConfig.from_json(json.dumps(doc))
+        assert_rejected(doc, re.escape(f"{name} must be finite"))
 
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "75", True, [1]])
     @pytest.mark.parametrize("entry, name", [
         (("orientations", "e"), "orientations['e']"),
         (("orientations", "i1"), "orientations['i1']"),
@@ -195,8 +207,7 @@ class TestConfigIngestion:
             doc["placement"]["orientations"][entry[1]] = value
         else:
             doc["placement"]["pinned"][entry[1]] = {entry[2]: value}
-        with pytest.raises(ConfigError, match=re.escape(f"{name} must be finite")):
-            ScenarioConfig.from_json(json.dumps(doc))
+        assert_rejected(doc, re.escape(f"{name} must be finite"))
 
     @pytest.mark.parametrize("value", [100.7, 2.5, True, False, "8", None, math.inf])
     @pytest.mark.parametrize("name", ["Na", "Nb", "Ne", "M", "seed"])
@@ -204,8 +215,7 @@ class TestConfigIngestion:
         # "M": 100.7 once became M = 100, "Na": true Na = 1, "seed": 2.5 seed 2
         doc = default_cfg.to_dict()
         doc[name] = value
-        with pytest.raises(ConfigError, match=re.escape(f"{name} must be a whole number")):
-            ScenarioConfig.from_dict(doc)
+        assert_rejected(doc, re.escape(f"{name} must be a whole number"))
 
     @pytest.mark.parametrize("kind, value", [("positions", [1.0, 2.0]), ("orientations", 0.5)])
     def test_unknown_node_rejected(self, default_cfg, kind, value):
@@ -214,19 +224,30 @@ class TestConfigIngestion:
         with pytest.raises(ConfigError, match=re.escape(f"{kind} names unknown nodes ['z']")):
             ScenarioConfig.from_dict(doc)
 
-    @pytest.mark.parametrize("value", [5, None, "12", {"x": 1.0, "y": 2.0}])
+    @pytest.mark.parametrize("value", [5, None, "12", {"x": 1.0, "y": 2.0}, ["x", 1], [1.0],
+                                       [1.0, 2.0, 3.0], [True, 1.0]])
     def test_position_entry_must_be_a_list(self, default_cfg, value):
         doc = default_cfg.to_dict()
         doc["placement"]["positions"]["b"] = value
-        with pytest.raises(ConfigError, match=re.escape("positions['b'] must be a list")):
-            ScenarioConfig.from_dict(doc)
+        assert_rejected(doc, re.escape("positions['b'] must be a list"))
 
-    @pytest.mark.parametrize("value", [5, None, 1.5])
+    @pytest.mark.parametrize("value", [5, None, 1.5, [1.0]])
     def test_pinned_entry_must_be_an_object(self, default_cfg, value):
         doc = default_cfg.to_dict()
         doc["placement"]["pinned"] = {"a->e": value}
-        with pytest.raises(ConfigError, match=re.escape("pinned['a->e'] must be an object")):
-            ScenarioConfig.from_dict(doc)
+        assert_rejected(doc, re.escape("pinned['a->e'] must be an object"))
+
+    @pytest.mark.parametrize("value", [None, "2", [1.0, 2.0]])
+    @pytest.mark.parametrize("name", ["positions", "orientations", "pinned", "placement",
+                                      "pathloss_exp"])
+    def test_non_object_rejected(self, default_cfg, name, value):
+        # a list of positions once escaped as a bare AttributeError
+        doc = default_cfg.to_dict()
+        if name in ("placement", "pathloss_exp"):
+            doc[name] = value
+        else:
+            doc["placement"][name] = value
+        assert_rejected(doc, re.escape(f"{name} must be an object"))
 
     def test_finite_pins_still_accepted(self, default_cfg):
         doc = default_cfg.to_dict()

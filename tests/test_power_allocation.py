@@ -251,9 +251,9 @@ class TestSexticCoeffs:
     def test_hand_substituted_point(self):
         # s = (3,1,2,1,1,1,1,1), all noise 1: exact integer arithmetic
         g = ScalarGains(3, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1)
-        sc = sextic_coeffs(g)
-        assert sc.q == pytest.approx((8, 0, -38, 6, 36, 1, -10, 37, -60, 36), abs=1e-12)
-        assert sc.alpha == pytest.approx(
+        assert np.concatenate(quartic_pair(g)) == pytest.approx(
+            (8, 0, -38, 6, 36, 1, -10, 37, -60, 36), abs=1e-12)
+        assert sextic_coeffs(g)[1:] == pytest.approx(
             (-8.35, 22.975, -14.1, -39.225, 67.5, -29.7), abs=1e-12)
 
     def test_derivative_identity(self, rng):
@@ -264,9 +264,9 @@ class TestSexticCoeffs:
             num, den = quartic_pair(g)
             lead = num[0] * den[1] - num[1] * den[0]
             sc = sextic_coeffs(g)
-            raw = lead * sc.monic()
+            raw = lead * sc
             for beta in rng.uniform(0, 1, size=10):
-                lhs = lead * np.polyval(sc.monic(), beta)
+                lhs = lead * np.polyval(sc, beta)
                 rhs = (np.polyval(np.polyder(num), beta) * np.polyval(den, beta)
                        - np.polyval(num, beta) * np.polyval(np.polyder(den), beta))
                 scale = np.polyval(np.abs(raw), beta)
@@ -280,7 +280,7 @@ class TestSexticCoeffs:
         for _ in range(200):
             g = random_gains(rng)
             sc = sextic_coeffs(g)
-            roots = np.roots(sc.monic())
+            roots = np.roots(sc)
             if min_pairwise_distance(roots) < 5e-2:
                 continue
             for root in roots:
@@ -528,7 +528,7 @@ class TestHicf:
         tested = 0
         while tested < 100:
             g = random_gains(rng)
-            want = companion_roots(sextic_coeffs(g).monic())
+            want = companion_roots(sextic_coeffs(g))
             if min_pairwise_distance(want) < 5e-2:
                 continue
             tested += 1
@@ -547,7 +547,7 @@ class TestHicf:
             if out.diagnostics["fallbacks"]:
                 continue
             sc = sextic_coeffs(g)
-            bound = 1e-6 * max(np.abs(sc.monic()))
+            bound = 1e-6 * max(np.abs(sc))
             assert len(out.diagnostics["root_residuals"]) == 6
             assert max(out.diagnostics["root_residuals"]) <= bound
 
@@ -558,7 +558,7 @@ class TestHicf:
             if out.diagnostics["fallbacks"]:
                 continue
             rebuilt = np.poly(np.array(out.diagnostics["roots"]))
-            target = sextic_coeffs(g).monic()
+            target = sextic_coeffs(g)
             scale = max(1.0, np.abs(target).max())
             assert np.max(np.abs(rebuilt.real - target)) <= 1e-6 * scale
 
@@ -590,7 +590,7 @@ class TestHicf:
         g = ScalarGains(1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1)  # s1 == s2 degenerates
         out = hicf(g, seed=0)
         assert out.method == "hicf"
-        assert any("es-1d" in f for f in out.diagnostics["fallbacks"])
+        assert out.diagnostics["fallbacks"] == ["degenerate-sextic->es1d"]
         assert out.ssr == pytest.approx(es_1d(g).ssr)
 
     def test_max_sv_scenario_near_degenerate_sextic(self):
@@ -632,11 +632,12 @@ class TestAllocate:
     def test_dispatch_and_aliases(self, rng):
         g = random_gains(rng)
         assert allocate(g, "epa").method == "epa"
-        assert allocate(g, "es1d").method == "es-1d"
-        assert allocate(g, "es-2d", grid_step=0.05).method == "es-2d"
+        assert allocate(g, "es1d").method == "es1d"
+        assert allocate(g, "es2d", grid_step=0.05).method == "es2d"
         assert allocate(g, "hicf").method == "hicf"
-        with pytest.raises(ValueError):
-            allocate(g, "magic")
+        for method in ("magic", "es-1d", "es-2d"):
+            with pytest.raises(ValueError, match=f"unknown power-allocation method '{method}'"):
+                allocate(g, method)
 
     @pytest.mark.parametrize("method", ["es1d", "es2d"])
     def test_zero_grid_step_rejected(self, rng, method):

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import re
 from dataclasses import replace
 from itertools import product
 
@@ -53,12 +54,12 @@ class TestSweepSpec:
         with pytest.raises(ValueError):
             SweepSpec(axis="power_dbm", values=(5.0,), ris_modes=("nope",))
 
-    @pytest.mark.parametrize("trials", [1.5, 2.0, "2", None, 0, -1])
+    @pytest.mark.parametrize("trials", [1.5, 2.0, "2", None, 0, -1, True])
     def test_trials_must_be_integer_at_least_one(self, trials):
         with pytest.raises(ValueError, match="trials must be an integer >= 1"):
             SweepSpec(axis="power_dbm", values=(5.0,), trials=trials)
 
-    @pytest.mark.parametrize("seed", [2.5, 3.0, "3", None, float("nan")])
+    @pytest.mark.parametrize("seed", [2.5, 3.0, "3", None, float("nan"), True, False])
     def test_seed_must_be_integer(self, seed):
         with pytest.raises(ValueError, match="seed must be an integer"):
             SweepSpec(axis="power_dbm", values=(5.0,), seed=seed)
@@ -89,7 +90,8 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match=f"{field} lists '{known[0]}' more than once"):
             SweepSpec(axis="power_dbm", values=(5.0,), **{field: modes})
 
-    @pytest.mark.parametrize("pa_seed", [-1, -5, -(2**64), 1.0, 2.5, "3", np.float64(4.0)])
+    @pytest.mark.parametrize("pa_seed", [-1, -5, -(2**64), 1.0, 2.5, "3", np.float64(4.0),
+                                         True, False])
     def test_bad_pa_seed_rejected(self, pa_seed):
         for pa_modes in (("fixed",), ("hicf",)):
             with pytest.raises(ValueError, match="pa_seed must be a non-negative integer"):
@@ -181,8 +183,9 @@ class TestRunSweep:
                            pa_grid_step=0.25)
         [record] = run_sweep(cfg, coarse)
         assert record.beta1 in (0.0, 0.25, 0.5, 0.75, 1.0)
-        with pytest.raises(ValueError):
-            SweepSpec(axis="power_dbm", values=(27.0,), pa_grid_step=0.9)
+        for step in (0.9, 0.0, -0.1):
+            with pytest.raises(ValueError, match=re.escape("grid step must lie in (0, 0.5]")):
+                SweepSpec(axis="power_dbm", values=(27.0,), pa_grid_step=step)
 
     def test_point_failure_carries_context(self, monkeypatch):
         cfg = small_cfg(Ne=3)  # four-way ZF impossible
