@@ -16,6 +16,20 @@ Every stage degrades gracefully to the companion-matrix root oracle
 (:func:`companion_roots`, also the check the closed-form root finders are
 tested against), and an exactly-degenerate sextic falls back to the 1-D
 grid search.
+
+Every stage runs on Python scalars in the operation order of the numpy
+form it replaced (the sextic's products and monic division, the
+deflation recurrence, ``np.polyval``'s Horner loop from 0.0), so outcomes
+are bit-identical to the array forms without their per-call overhead.
+Stages hand each other lists; only the public :func:`sextic_coeffs`,
+:func:`deflate` and :func:`ferrari_roots` return arrays.  Two parts
+differ: Ferrari's radicals take numpy scalars, because numpy rounds
+complex division and fractional complex powers differently from Python;
+and the check of Ferrari's roots is a Python complex Horner loop, which
+gives the same bits on every CPU, where ``np.abs(np.polyval(...))``
+varies in the last bits with the CPU's fused multiply-adds.  The grid
+searches score a cached read-only ``linspace`` per step with the rate
+expression directly: a grid over [0, 1] needs no range check.
 """
 
 from __future__ import annotations
@@ -23,10 +37,11 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
-from .rates import rate_objective, ssr
+from .rates import _objective, rate_objective, ssr
 
 NEWTON_TOL = 1e-5  # stop when |beta^{p+1} - beta^p| falls below this
 NEWTON_MAX_ITER = 200
@@ -78,7 +93,7 @@ class PaOutcome:
 
 def quartic_pair(g):
     """Numerator and denominator quartics N(beta), D(beta) of the diagonal
-    rate ratio, highest-degree coefficient first.
+    rate ratio, as tuples of floats, highest-degree coefficient first.
 
     R(beta) = log2(N(beta) / D(beta)) on the diagonal beta1 = beta2.
     """
@@ -111,7 +126,7 @@ def quartic_pair(g):
     )
     q9 = (-s2 * b - s4 * a) * c**2 + (s5 + s6 - 2.0 * s7 - 2.0 * s8) * c * a * b
     q10 = a * b * c**2
-    return np.array([q1, q2, q3, q4, q5]), np.array([q6, q7, q8, q9, q10])
+    return (q1, q2, q3, q4, q5), (q6, q7, q8, q9, q10)
 
 
 def sextic_coeffs(g):
@@ -127,26 +142,29 @@ def sextic_coeffs(g):
         If the leading normalizer vanishes (or monicizing overflows); the
         optimizer then falls back to the 1-D grid search.
     """
-    num, den = quartic_pair(g)
-    q1, q2, q3, q4, q5 = num
-    q6, q7, q8, q9, q10 = den
-    raw = np.array([
-        q1 * q7 - q2 * q6,
+    return np.array(_sextic(g))
+
+
+def _sextic(g):
+    """:func:`sextic_coeffs` as a list of Python floats."""
+    (q1, q2, q3, q4, q5), (q6, q7, q8, q9, q10) = quartic_pair(g)
+    lead = q1 * q7 - q2 * q6
+    tail = [
         2.0 * q1 * q8 - 2.0 * q3 * q6,
         3.0 * q1 * q9 + q2 * q8 - q3 * q7 - 3.0 * q4 * q6,
         4.0 * q1 * q10 + 2.0 * q2 * q9 - 2.0 * q4 * q7 - 4.0 * q5 * q6,
         3.0 * q2 * q10 + q3 * q9 - q4 * q8 - 3.0 * q5 * q7,
         2.0 * q3 * q10 - 2.0 * q5 * q8,
         q4 * q10 - q5 * q9,
-    ])
-    scale = np.max(np.abs(raw[1:]))
-    lead = raw[0]
+    ]
+    # a NaN makes the scale NaN, as np.max does, so the test below fails
+    scale = math.nan if any(map(math.isnan, tail)) else max(map(abs, tail))
     if lead == 0.0 or abs(lead) < DEGENERATE_LEADING_RATIO * scale:
         raise DegenerateSexticError("leading normalizer q1 q7 - q2 q6 vanished")
-    alpha = raw[1:] / lead
-    if not np.all(np.isfinite(alpha)):
+    alpha = [c / lead for c in tail]
+    if not all(map(math.isfinite, alpha)):
         raise DegenerateSexticError("monic sextic coefficients are not finite")
-    return np.array([1.0, *alpha])
+    return [1.0, *alpha]
 
 
 def companion_roots(coeffs):
@@ -170,8 +188,9 @@ def _horner(coeffs, x):
     """Value at x of a highest-first list of Python floats.
 
     The operation sequence of ``np.polyval`` (``y = y * x + c`` from
-    y = 0), so the result is bit-identical, without its per-call array
-    overhead.
+    y = 0), so for a real x the result is bit-identical, without its
+    per-call array overhead.  A complex x gives the same bits on every
+    CPU; numpy's complex kernels do not (see the module docstring).
     """
     y = 0.0
     for c in coeffs:
@@ -179,11 +198,17 @@ def _horner(coeffs, x):
     return y
 
 
+def _residuals_within(coeffs, roots, bound):
+    """Whether |p(z)| <= bound at every root z, by complex Horner; a NaN
+    residual fails, as it does under ``np.max(...) <= bound``."""
+    return all(abs(_horner(coeffs, complex(z))) <= bound for z in roots)
+
+
 def _derivative(coeffs):
     """Derivative of a highest-first list of Python floats, with the same
     products as ``np.polyder`` and no array round trip."""
     n = len(coeffs) - 1
-    return [c * (n - i) for i, c in enumerate(coeffs[:-1])]
+    return [coeffs[i] * (n - i) for i in range(n)]
 
 
 def newton_root(coeffs, beta0, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
@@ -196,12 +221,20 @@ def newton_root(coeffs, beta0, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
     if tol <= 0:
         raise ValueError("tolerance must be positive")
     coeffs = np.asarray(coeffs, dtype=float).tolist()
-    deriv = _derivative(coeffs)
-    beta = float(beta0)
+    return _newton(coeffs, _derivative(coeffs), float(beta0), tol, max_iter)
+
+
+def _newton(coeffs, deriv, beta, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
+    """:func:`newton_root` on a list of Python floats and its derivative."""
     for _ in range(max_iter):
-        # one pass each: a fused f, f' pass would round differently
-        fval = _horner(coeffs, beta)
-        gval = _horner(deriv, beta)
+        # _horner inlined, one pass each: a fused f, f' pass would round
+        # differently
+        fval = 0.0
+        for c in coeffs:
+            fval = fval * beta + c
+        gval = 0.0
+        for c in deriv:
+            gval = gval * beta + c
         if abs(gval) < DERIVATIVE_TOL:
             raise NewtonError(f"derivative vanished at beta={beta!r}")
         step = fval / gval
@@ -221,14 +254,19 @@ def deflate(coeffs, root):
     alpha_bar_i = alpha_i + root * alpha_bar_{i-1}; the remainder is the
     polynomial value at the root and must be negligible.
     """
-    coeffs = np.asarray(coeffs, dtype=float)
-    scale = np.max(np.abs(coeffs))
-    quotient = np.empty(coeffs.size - 1)
+    return np.array(_deflate(np.asarray(coeffs, dtype=float).tolist(), root))
+
+
+def _deflate(coeffs, root):
+    """:func:`deflate` on a list of Python floats, returning a list."""
+    # Python's max skips a NaN that np.max would return; the residual is
+    # then NaN too, and the test below passes under either scale.
+    scale = max(map(abs, coeffs))
     acc = coeffs[0]
-    quotient[0] = acc
-    for i in range(1, coeffs.size - 1):
-        acc = coeffs[i] + root * acc
-        quotient[i] = acc
+    quotient = [acc]
+    for c in coeffs[1:-1]:
+        acc = c + root * acc
+        quotient.append(acc)
     residual = coeffs[-1] + root * acc
     if abs(residual) > DEFLATION_RESIDUAL_TOL * scale:
         raise DeflationError(
@@ -258,7 +296,8 @@ def _resolvent_shifts(gamma1, gamma2):
 def _ferrari(a1, a2, a3, a4):
     """Closed-form roots of the monic quartic, with a degeneracy flag.
 
-    Returns (roots as a length-4 complex array, used_companion_fallback).
+    Returns (the four complex roots, used_companion_fallback); the roots
+    are a list, or the companion oracle's array.
     The resolvent shift gamma3 is computed with principal branches; if the
     chosen resolvent root makes eta1 vanish, the other resolvent roots are
     tried, then the biquadratic branch, then the companion oracle.
@@ -273,10 +312,8 @@ def _ferrari(a1, a2, a3, a4):
     ) / 27.0
     odd_term = 4.0 * a1 * a2 - 8.0 * a3 - a1**3
     scale = max(1.0, abs(a1), abs(a2), abs(a3), abs(a4))
-
-    def residual_ok(roots):
-        residuals = np.abs(np.polyval([1.0, a1, a2, a3, a4], roots))
-        return np.max(residuals) <= FERRARI_RESIDUAL_TOL * scale
+    bound = FERRARI_RESIDUAL_TOL * scale
+    quartic = [1.0, float(a1), float(a2), float(a3), float(a4)]
 
     for shift in _resolvent_shifts(gamma1, gamma2):
         gamma3 = a2 / 3.0 + shift
@@ -290,8 +327,7 @@ def _ferrari(a1, a2, a3, a4):
             )
             for sign_i in (1.0, -1.0):
                 roots.append(-a1 / 4.0 + sign_s * eta1 / 2.0 + sign_i * eta2 / 2.0)
-        roots = np.array(roots)
-        if residual_ok(roots):
+        if _residuals_within(quartic, roots, bound):
             return roots, False
 
     # Depressed quartic may be biquadratic: y^4 + p y^2 + r.
@@ -302,8 +338,7 @@ def _ferrari(a1, a2, a3, a4):
     for z in ((-p + inner) / 2.0, (-p - inner) / 2.0):
         y = cmath.sqrt(z)
         roots.extend([y - a1 / 4.0, -y - a1 / 4.0])
-    roots = np.array(roots)
-    if abs(odd_term) < ETA1_DEGENERATE_TOL * scale and residual_ok(roots):
+    if abs(odd_term) < ETA1_DEGENERATE_TOL * scale and _residuals_within(quartic, roots, bound):
         return roots, False
 
     return companion_roots([1.0, a1, a2, a3, a4]), True
@@ -312,7 +347,7 @@ def _ferrari(a1, a2, a3, a4):
 def ferrari_roots(a1, a2, a3, a4):
     """The four complex roots of beta^4 + a1 beta^3 + a2 beta^2 + a3 beta + a4."""
     roots, _ = _ferrari(a1, a2, a3, a4)
-    return roots
+    return np.array(roots)
 
 
 def epa():
@@ -327,14 +362,18 @@ def grid_intervals(step):
     return round(1.0 / step)
 
 
+@lru_cache(maxsize=8)
 def _grid(step):
-    return np.linspace(0.0, 1.0, grid_intervals(step) + 1)
+    """The search grid of a step: built once, read-only and shared."""
+    grid = np.linspace(0.0, 1.0, grid_intervals(step) + 1)
+    grid.flags.writeable = False
+    return grid
 
 
 def es_1d(g, step=DEFAULT_STEP_1D):
     """Exhaustive search of the unclamped objective along beta1 = beta2."""
     grid = _grid(step)
-    values = rate_objective(grid, grid, g)
+    values = _objective(grid, grid, g)  # the grid lies in [0, 1]: no range check
     k = int(np.argmax(values))  # first max -> smallest beta on ties
     beta = float(grid[k])
     return PaOutcome(
@@ -349,7 +388,7 @@ def es_2d(g, step=DEFAULT_STEP_2D):
     Ties break toward smaller beta1, then smaller beta2.
     """
     grid = _grid(step)
-    values = rate_objective(grid[:, None], grid[None, :], g)
+    values = _objective(grid[:, None], grid[None, :], g)
     k = int(np.argmax(values))  # C-order: beta1-major, so ties resolve as specified
     i, j = divmod(k, grid.size)
     beta1, beta2 = float(grid[i]), float(grid[j])
@@ -399,21 +438,21 @@ def _stage1_inits(seed):
 def _newton_stage(coeffs, inits):
     """Try Newton from each initial point until a deflatable root emerges.
 
-    ``inits`` is consumed lazily: points after the first success are never
-    drawn.
+    ``coeffs`` is a list of Python floats.  ``inits`` is consumed lazily:
+    points after the first success are never drawn.
 
     Returns (root, attempts) or (None, attempts) when every restart failed.
     """
-    values = np.asarray(coeffs, dtype=float).tolist()
-    scale = max(abs(c) for c in values)
+    deriv = _derivative(coeffs)
+    scale = max(map(abs, coeffs))
     attempts = 0
     for beta0 in inits:
         attempts += 1
         try:
-            root = newton_root(values, beta0)
+            root = _newton(coeffs, deriv, beta0)
         except NewtonError:
             continue
-        if abs(_horner(values, root)) <= DEFLATION_RESIDUAL_TOL * scale:
+        if abs(_horner(coeffs, root)) <= DEFLATION_RESIDUAL_TOL * scale:
             return root, attempts
     return None, attempts
 
@@ -436,7 +475,7 @@ def hicf(g, seed=0):
     """
     diagnostics = {"fallbacks": [], "newton_attempts": {}, "root_residuals": []}
     try:
-        sextic = sextic_coeffs(g)
+        sextic = _sextic(g)
     except DegenerateSexticError as err:
         fallback = es_1d(g)
         diagnostics["fallbacks"].append("degenerate-sextic->es1d")
@@ -455,7 +494,7 @@ def hicf(g, seed=0):
         labeled.extend((r, "newton-1") for r in companion_roots(sextic))
     else:
         labeled.append((root1, "newton-1"))
-        quintic = deflate(sextic, root1)
+        quintic = _deflate(sextic, root1)
         root2, attempts2 = _newton_stage(quintic, _stage_inits(seed, 2, beta1=root1))
         diagnostics["newton_attempts"]["newton-2"] = attempts2
         if root2 is None:
@@ -463,16 +502,16 @@ def hicf(g, seed=0):
             labeled.extend((r, "newton-2") for r in companion_roots(quintic))
         else:
             labeled.append((root2, "newton-2"))
-            quartic = deflate(quintic, root2)
-            q_roots, used_oracle = _ferrari(*quartic[1:])
+            quartic = _deflate(quintic, root2)
+            # Ferrari's radicals take numpy scalars: see the module docstring
+            q_roots, used_oracle = _ferrari(*np.array(quartic[1:]))
             if used_oracle:
                 diagnostics["fallbacks"].append("oracle-fallback:ferrari")
             labeled.extend((r, "ferrari") for r in q_roots)
 
     diagnostics["roots"] = [complex(root) for root, _ in labeled]
     diagnostics["origins"] = [origin for _, origin in labeled]
-    values = sextic.tolist()
-    diagnostics["root_residuals"] = [abs(_horner(values, complex(root))) for root, _ in labeled]
+    diagnostics["root_residuals"] = [abs(_horner(sextic, complex(root))) for root, _ in labeled]
 
     candidates = []
     for root, origin in labeled:

@@ -39,7 +39,7 @@ from .beamforming import (
     receiver_zf,
 )
 from .channels import build_channels, effective_channels
-from .geometry import ScenarioConfig, build_geometry
+from .geometry import ScenarioConfig, _is_number, build_geometry
 from .power_allocation import allocate, grid_intervals
 from .rates import rate_objective, scalar_gains, ssr
 from .ris import MODES as RIS_MODES
@@ -98,15 +98,16 @@ class SweepSpec:
             raise ValueError(f"unknown sweep axis '{self.axis}' (choose from {AXES})")
         if len(self.values) == 0:
             raise ValueError("sweep needs at least one axis value")
+        for v in self.values:
+            if not _is_number(v):
+                raise ValueError(f"{self.axis} values must be finite real numbers, got {v!r}")
         if any(b >= a for a, b in zip(self.values[1:], self.values)):
             raise ValueError("axis values must be strictly increasing")
         if self.axis == "elements_m" and not all(
             float(v).is_integer() and v >= 1 for v in self.values
         ):
             raise ValueError("elements_m values must be whole numbers >= 1")
-        if self.axis == "distance_ab" and not all(
-            math.isfinite(v) and v > 0 for v in self.values
-        ):
+        if self.axis == "distance_ab" and not all(v > 0 for v in self.values):
             raise ValueError("distance_ab values must be finite and > 0")
         if not (_is_integer(self.trials) and self.trials >= 1):
             raise ValueError("trials must be an integer >= 1")

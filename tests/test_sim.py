@@ -72,13 +72,22 @@ class TestSweepSpec:
         assert len(records) == trials
         assert records == run_sweep(small_cfg(), replace(spec, trials=int(trials), seed=int(seed)))
 
-    @pytest.mark.parametrize("values", [(100.2, 100.7), (0.0, 8.0), (-4.0,), (16.0, float("inf"))])
+    @pytest.mark.parametrize("axis, values", [
+        ("power_dbm", (True,)), ("power_dbm", ("27",)), ("power_dbm", (float("nan"),)),
+        ("power_dbm", (1.0, float("nan"))), ("power_dbm", (None,)), ("beta", (0.5, float("inf"))),
+        ("elements_m", (16.0, float("inf"))), ("elements_m", (np.bool_(True),)),
+        ("distance_ab", (80.0, float("inf"))), ("distance_ab", (float("nan"),)),
+    ])
+    def test_axis_values_must_be_finite_numbers(self, axis, values):
+        with pytest.raises(ValueError, match=f"{axis} values must be finite real numbers"):
+            SweepSpec(axis=axis, values=values)
+
+    @pytest.mark.parametrize("values", [(100.2, 100.7), (0.0, 8.0), (-4.0,)])
     def test_elements_axis_takes_whole_counts(self, values):
         with pytest.raises(ValueError, match="whole numbers"):
             SweepSpec(axis="elements_m", values=values)
 
-    @pytest.mark.parametrize("values", [(-80.0, 80.0), (-200.0, -80.0), (0.0, 80.0),
-                                        (80.0, float("inf")), (float("nan"),)])
+    @pytest.mark.parametrize("values", [(-80.0, 80.0), (-200.0, -80.0), (0.0, 80.0)])
     def test_distance_axis_takes_positive_distances(self, values):
         with pytest.raises(ValueError, match="distance_ab values must be finite and > 0"):
             SweepSpec(axis="distance_ab", values=values)
