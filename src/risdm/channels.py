@@ -4,8 +4,11 @@ Each directed link (tx -> rx) is the unit-spectral-norm outer product
 h(theta_r) h(theta_t)^H of the receive and transmit steering vectors; path
 gains stay out of the link matrices and enter the effective channels as
 sqrt-composite weights, mirroring the system equations.  A surface enters
-the cascades as its M reflection coefficients, never as an M x M matrix,
-so the cost of a cascade grows linearly in M.
+the cascades as its M reflection coefficients, never as an M x M matrix:
+the diagonal product runs in 32-column blocks (the last one 32 to 63
+wide), all full blocks of a link in one stacked matmul, so the cost of a
+cascade grows linearly in M and each term keeps the bits of the dense
+product.
 """
 
 from __future__ import annotations
@@ -102,34 +105,52 @@ EFFECTIVE_LINKS = (("h_a", "b", "a"), ("h_b", "a", "b"), ("h_e1", "a", "e"), ("h
 
 
 # a @ diag(d) is taken in column blocks that start at multiples of
-# _DIAG_BLOCK and are _DIAG_BLOCK to 2 * _DIAG_BLOCK - 1 wide.  The zeros of a
-# dense diag(d) add exact zeros in gemm, so each output column depends only on
-# its own product and on its place in the kernel's unroll grid.  Aligned
-# starts keep that grid as in the dense product, and the minimum width keeps
-# narrow tails off other kernel paths (a one-column block rounds differently),
-# so every term is bit-identical to the dense a @ diag(d).
-_DIAG_BLOCK = 64
+# _DIAG_BLOCK and are _DIAG_BLOCK wide, except the last, which is
+# _DIAG_BLOCK to 2 * _DIAG_BLOCK - 1 wide.  The zeros of a dense diag(d) add
+# exact zeros in gemm, so each output column depends only on its own product
+# and on its place in the kernel's unroll grid.  Aligned starts keep that grid
+# as in the dense product, and the minimum width keeps narrow tails off other
+# kernel paths (a one-column block rounds differently), so every term is
+# bit-identical to the dense a @ diag(d) wherever that product is itself
+# column-local (OpenBLAS's Haswell and Zen kernels break this for some row
+# counts at M >= 193: README "Reproducibility").
+_DIAG_BLOCK = 32
 
 
 def _surface_terms(channels, ris, reflection):
     """The reflected term through one surface of every effective channel.
 
-    Each term is sqrt(g) * m(ris, rx) @ diag(d) @ m(tx, ris), with the
-    diagonal product taken in column blocks of at most 2 * _DIAG_BLOCK - 1.
+    Each term is sqrt(g) * m(ris, rx) @ diag(d) @ m(tx, ris).  The full
+    blocks of the diagonal product are one stacked matmul over a strided
+    view of the columns; numpy calls gemm once per block there, with the
+    same shapes and leading dimension as ``a[:, s:e] @ np.diag(d[s:e])``,
+    so each block rounds as that product does.  The last block is one 2-D
+    product.
     """
     d, size = reflection.coefficients(), channels.config.M
     if d.shape != (size,):
         raise InvalidGeometryError(f"reflection has {d.size} elements, expected {size}")
-    cuts = list(range(0, max(d.size - _DIAG_BLOCK, 0) + 1, _DIAG_BLOCK)) + [d.size]
-    blocks = [(s, e, np.diag(d[s:e])) for s, e in zip(cuts, cuts[1:])]
+    w = _DIAG_BLOCK
+    nb = max(size // w - 1, 0)
+    last = nb * w
+    diag = np.zeros((nb, w, w), dtype=d.dtype)
+    idx = np.arange(w)
+    diag[:, idx, idx] = d[:last].reshape(nb, w)
+    tail = np.diag(d[last:])
     g = channels.cascade_gain
     m = channels.mat
     terms = []
     for _, tx, rx in EFFECTIVE_LINKS:
         a = math.sqrt(g(tx, ris, rx)) * m(ris, rx)
+        n = a.shape[0]
         reflected = np.empty_like(a)
-        for s, e, block in blocks:
-            reflected[:, s:e] = a[:, s:e] @ block
+        # both reshapes split only the contiguous column axis, so they are
+        # views and matmul writes straight into reflected
+        np.matmul(
+            a[:, :last].reshape(n, nb, w).transpose(1, 0, 2), diag,
+            out=reflected[:, :last].reshape(n, nb, w).transpose(1, 0, 2),
+        )
+        reflected[:, last:] = a[:, last:] @ tail
         terms.append(reflected @ m(tx, ris))
     return terms
 

@@ -23,8 +23,9 @@ deflation recurrence, ``np.polyval``'s Horner loop from 0.0), so outcomes
 are bit-identical to the array forms without their per-call overhead.
 Stages hand each other lists; only the public :func:`sextic_coeffs`,
 :func:`deflate` and :func:`ferrari_roots` return arrays.  Two parts
-differ: Ferrari's radicals take numpy scalars, because numpy rounds
-complex division and fractional complex powers differently from Python;
+differ: Ferrari's radicals take numpy scalars, converted once inside
+``_ferrari`` whatever the caller passes, because numpy rounds complex
+division and fractional complex powers differently from Python;
 and the check of Ferrari's roots is a Python complex Horner loop, which
 gives the same bits on every CPU, where ``np.abs(np.polyval(...))``
 varies in the last bits with the CPU's fused multiply-adds.  The grid
@@ -305,6 +306,9 @@ def _ferrari(a1, a2, a3, a4):
     for coeff in (a1, a2, a3, a4):
         if not math.isfinite(coeff):
             raise ValueError("quartic coefficients must be finite")
+    # numpy scalars for the radicals (see the module docstring), whatever
+    # the caller passed, so the root bits do not depend on the input type
+    a1, a2, a3, a4 = np.array((a1, a2, a3, a4), dtype=float)
     gamma1 = (3.0 * a1 * a3 - 12.0 * a4 - a2**2) / 3.0
     gamma2 = (
         -2.0 * a2**3 + 9.0 * a1 * a2 * a3 + 72.0 * a2 * a4
@@ -503,8 +507,7 @@ def hicf(g, seed=0):
         else:
             labeled.append((root2, "newton-2"))
             quartic = _deflate(quintic, root2)
-            # Ferrari's radicals take numpy scalars: see the module docstring
-            q_roots, used_oracle = _ferrari(*np.array(quartic[1:]))
+            q_roots, used_oracle = _ferrari(*quartic[1:])
             if used_oracle:
                 diagnostics["fallbacks"].append("oracle-fallback:ferrari")
             labeled.extend((r, "ferrari") for r in q_roots)

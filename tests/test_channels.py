@@ -212,8 +212,11 @@ def path_links(tx, rx):
 
 class TestPathTerms:
     # Block edges of the column-blocked diagonal product: one block up to
-    # M = 127, then blocks of 64..127 columns starting at multiples of 64.
-    @pytest.mark.parametrize("m", [1, 7, 63, 64, 65, 100, 127, 128, 129, 130, 193, 1025])
+    # M = 63, then 32-column blocks starting at multiples of 32, the last
+    # one 32..63 wide (a new block starts at M = 64, 96, 128, 160, ...).
+    # M = 1537 is a large M whose dense reference stays near 36 MiB.
+    @pytest.mark.parametrize("m", [
+        1, 7, 63, 64, 65, 100, 127, 128, 129, 130, 193, 1025, 95, 96, 97, 159, 160, 161, 1537])
     @pytest.mark.parametrize("mode", MODES)
     def test_bit_identical_to_dense_assembly(self, m, mode):
         self.check_bit_identical(default_config(M=m), mode)

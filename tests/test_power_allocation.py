@@ -725,6 +725,18 @@ class TestFerrari:
         assert matched_root_error(got, want) < 1e-6
 
     @settings(max_examples=400, deadline=None)
+    @given(a=quartics, whole=st.lists(st.integers(-50, 50), min_size=4, max_size=4))
+    def test_roots_independent_of_input_type(self, a, whole):
+        # numpy and CPython round complex division and fractional powers
+        # differently, so the root bits must not depend on whether the
+        # caller passed Python floats, ints or np.float64.
+        def bits(coeffs):
+            return [(z.real.hex(), z.imag.hex()) for z in map(complex, ferrari_roots(*coeffs))]
+
+        assert bits(a) == bits([np.float64(c) for c in a])
+        assert bits(whole) == bits([float(c) for c in whole]) == bits(np.array(whole, dtype=float))
+
+    @settings(max_examples=400, deadline=None)
     @given(a=quartics)
     def test_residual_check_matches_polyval(self, a):
         # The same Horner order as np.polyval, but float.hex equality is not
