@@ -33,7 +33,7 @@ print(f"Alignment: min Re = {aligned.real.min():.6f}, "
 
 print("\nSecrecy sum rate by reflection mode (both beamforming methods):")
 print(f"{'mode':>12} {'max-sv':>10} {'leakage':>10}")
-for mode in ("gpg", "gpg-literal", "ris1-only", "ris2-only", "none"):
+for mode in ("gpg", "ris1-only", "ris2-only", "none"):
     row = []
     for method in ("max-sv", "leakage"):
         refls = reflections_for(mode, geom, cfg)

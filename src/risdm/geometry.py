@@ -162,15 +162,13 @@ class Placement:
         return _from_fields(cls, doc, "placement")
 
 
-def default_placement(d_ai1=30.0, d_ai2=30.0, d_ab=80.0, d_ae=80.0,
-                      theta_ai1=math.pi / 8, theta_ai2=7 * math.pi / 8,
-                      theta_ab=5 * math.pi / 9, theta_ae=4 * math.pi / 9):
-    """Planar layout built from Alice-side polar coordinates.
+def default_placement():
+    """The standard planar layout, built from Alice-side polar coordinates.
 
-    Alice sits at the origin with her array along the x-axis; every other
-    node is placed at its configured (distance, departure angle) pair, so
-    with Alice's orientation zero the departure angles at Alice equal the
-    polar angles by construction.  Bob's and Eve's arrays are oriented
+    Alice sits at the origin with her array along the x-axis; the surfaces
+    sit at 30 m (pi/8 and 7 pi/8), Bob and Eve at 80 m (5 pi/9 and 4 pi/9),
+    so with Alice's orientation zero the departure angles at Alice equal
+    the polar angles by construction.  Bob's and Eve's arrays are oriented
     broadside to their Alice ray (receivers face the network); this keeps
     every link angle strictly inside (0, pi): with all arrays parallel
     the Bob-Eve ray of the standard layout would be exactly end-fire.
@@ -178,13 +176,14 @@ def default_placement(d_ai1=30.0, d_ai2=30.0, d_ab=80.0, d_ae=80.0,
     def polar(d, theta):
         return (d * math.cos(theta), d * math.sin(theta))
 
+    theta_ab, theta_ae = 5 * math.pi / 9, 4 * math.pi / 9
     return Placement(
         positions={
             "a": (0.0, 0.0),
-            "i1": polar(d_ai1, theta_ai1),
-            "i2": polar(d_ai2, theta_ai2),
-            "b": polar(d_ab, theta_ab),
-            "e": polar(d_ae, theta_ae),
+            "i1": polar(30.0, math.pi / 8),
+            "i2": polar(30.0, 7 * math.pi / 8),
+            "b": polar(80.0, theta_ab),
+            "e": polar(80.0, theta_ae),
         },
         orientations={
             "a": 0.0,

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -212,21 +213,20 @@ def _derivative(coeffs):
     return [coeffs[i] * (n - i) for i in range(n)]
 
 
-def newton_root(coeffs, beta0, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
+def newton_root(coeffs, beta0):
     """Newton-Raphson on a real polynomial (highest-degree coefficient first).
 
-    Iterates beta <- beta - f(beta)/f'(beta) until the step is <= tol.
-    Raises :class:`NewtonError` when the derivative vanishes or the
-    iteration budget runs out.
+    Iterates beta <- beta - f(beta)/f'(beta) until the step is <=
+    ``NEWTON_TOL``.  Raises :class:`NewtonError` when the derivative
+    vanishes or ``NEWTON_MAX_ITER`` iterations do not converge.
     """
-    if tol <= 0:
-        raise ValueError("tolerance must be positive")
     coeffs = np.asarray(coeffs, dtype=float).tolist()
-    return _newton(coeffs, _derivative(coeffs), float(beta0), tol, max_iter)
+    return _newton(coeffs, _derivative(coeffs), float(beta0))
 
 
-def _newton(coeffs, deriv, beta, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
+def _newton(coeffs, deriv, beta):
     """:func:`newton_root` on a list of Python floats and its derivative."""
+    tol, max_iter = NEWTON_TOL, NEWTON_MAX_ITER  # locals: the loop reads tol every step
     for _ in range(max_iter):
         # _horner inlined, one pass each: a fused f, f' pass would round
         # differently
@@ -359,6 +359,12 @@ def epa():
     return 0.5, 0.5
 
 
+def check_seed(seed, name="seed"):
+    """Reject a seed that is not a non-negative integer (a bool is not one)."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"{name} must be a non-negative integer")
+
+
 def grid_intervals(step):
     """Intervals of the [0, 1] search grid for a step in (0, 0.5]."""
     if not 0.0 < step <= 0.5:
@@ -475,8 +481,9 @@ def hicf(g, seed=0):
     beta(2); deflate; Ferrari on the quartic -> beta(3..6); evaluate the
     unclamped objective at every real candidate in [0, 1] plus the
     boundaries and return the argmax (smallest beta on ties) applied to
-    both split factors.
+    both split factors.  ``seed``, a non-negative integer, seeds the restarts.
     """
+    check_seed(seed)
     diagnostics = {"fallbacks": [], "newton_attempts": {}, "root_residuals": []}
     try:
         sextic = _sextic(g)

@@ -17,7 +17,7 @@ import numpy as np
 from .channels import phase_ramp
 from .geometry import InvalidGeometryError
 
-MODES = ("gpg", "gpg-literal", "random", "none", "ris1-only", "ris2-only")
+MODES = ("gpg", "random", "none", "ris1-only", "ris2-only")
 # The modes whose reflections read the seed; every other mode ignores it.
 SEEDED_MODES = ("random",)
 
@@ -50,10 +50,6 @@ class RisReflection:
         return self.amplitudes * np.exp(1j * self.phases)
 
 
-def _wrap_phase(phi):
-    return np.mod(phi, 2.0 * np.pi)
-
-
 def leg_phases(geom, which_ris, config):
     """The per-element leg phases (theta1, theta2) of one surface, radians.
 
@@ -71,55 +67,29 @@ def leg_phases(geom, which_ris, config):
     return theta1, theta2
 
 
-def parallelogram_chain(theta1, theta2, l1=1.0, l2=1.0):
-    """Parallelogram quantities (theta3, l3, theta4) from the two leg phases.
-
-    With equal weights l1 = l2 this reduces to l3 = l1 sqrt(2 - 2 cos theta3)
-    and theta4 = |theta2 - theta1| / 2.
-    """
-    theta1 = np.asarray(theta1, dtype=float)
-    theta2 = np.asarray(theta2, dtype=float)
-    theta3 = np.pi - theta2 + theta1
-    l3 = np.sqrt(l1**2 + l2**2 - 2.0 * l1 * l2 * np.cos(theta3))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = (l1**2 + l3**2 - l2**2) / (2.0 * l1 * l3)
-    theta4 = np.arccos(np.clip(ratio, -1.0, 1.0))
-    theta4 = np.where(l3 < ANTIPODAL_TOL, 0.0, theta4)
-    return theta3, l3, theta4
-
-
-def synthesis_phase(theta1, theta2, mode="canonical"):
+def synthesis_phase(theta1, theta2):
     """Per-element reflection phase from the two leg phases.
 
-    canonical:
-        phi = -arg(exp(j theta1) + exp(j theta2)), the exact maximizer of
-        the combined reflected power.  Antipodal legs (|theta2 - theta1|
-        = pi) leave any phase powerless; those elements get phi = -theta1
-        and are flagged.
-    literal:
-        phi = -(theta1 + |theta2 - theta1| / 2), the equal-weight
-        parallelogram-diagonal form.  Agrees with canonical modulo 2 pi
-        whenever theta2 - theta1 lies in [0, pi).
+    phi = -arg(exp(j theta1) + exp(j theta2)), the exact maximizer of the
+    combined reflected power: the parallelogram diagonal of the two unit
+    leg phasors, rotated onto the positive real axis.  Antipodal legs
+    (|theta2 - theta1| = pi) leave any phase powerless; those elements get
+    phi = -theta1 and are flagged.
 
     Returns (phases in [0, 2 pi), flags).
     """
     theta1 = np.asarray(theta1, dtype=float)
     theta2 = np.asarray(theta2, dtype=float)
-    if mode == "literal":
-        theta4 = np.abs(theta2 - theta1) / 2.0
-        return _wrap_phase(-(theta1 + theta4)), np.zeros(theta1.shape, bool)
-    if mode != "canonical":
-        raise ValueError(f"unknown synthesis mode '{mode}'")
     total = np.exp(1j * theta1) + np.exp(1j * theta2)
     degenerate = np.abs(total) < ANTIPODAL_TOL
     phi = np.where(degenerate, -theta1, -np.angle(np.where(degenerate, 1.0, total)))
-    return _wrap_phase(phi), degenerate
+    return np.mod(phi, 2.0 * np.pi), degenerate
 
 
-def gpg_phases(geom, which_ris, config, mode="canonical"):
+def gpg_phases(geom, which_ris, config):
     """Reflection setting for one surface under the parallelogram criterion."""
     theta1, theta2 = leg_phases(geom, which_ris, config)
-    phases, flags = synthesis_phase(theta1, theta2, mode=mode)
+    phases, flags = synthesis_phase(theta1, theta2)
     return RisReflection(
         amplitudes=np.ones(config.M),
         phases=phases,
@@ -150,11 +120,6 @@ def reflections_for(mode, geom, config, seed=0):
     """
     if mode == "gpg":
         return gpg_phases(geom, 1, config), gpg_phases(geom, 2, config)
-    if mode == "gpg-literal":
-        return (
-            gpg_phases(geom, 1, config, mode="literal"),
-            gpg_phases(geom, 2, config, mode="literal"),
-        )
     if mode == "random":
         rng = np.random.default_rng(seed)
         lo, hi = rng.integers(0, 2**63 - 1, size=2)

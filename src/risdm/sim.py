@@ -40,7 +40,7 @@ from .beamforming import (
 )
 from .channels import build_channels, effective_channels
 from .geometry import ScenarioConfig, _is_number, build_geometry
-from .power_allocation import allocate, grid_intervals
+from .power_allocation import allocate, check_seed, grid_intervals
 from .rates import rate_objective, scalar_gains, ssr
 from .ris import MODES as RIS_MODES
 from .ris import SEEDED_MODES, reflections_for
@@ -115,8 +115,8 @@ class SweepSpec:
             raise ValueError("seed must be an integer")
         if self.pa_grid_step is not None:
             grid_intervals(self.pa_grid_step)
-        if self.pa_seed is not None and not (_is_integer(self.pa_seed) and self.pa_seed >= 0):
-            raise ValueError("pa_seed must be a non-negative integer")
+        if self.pa_seed is not None:
+            check_seed(self.pa_seed, "pa_seed")
         for field, known, kind in (
             ("methods", METHODS, "method"),
             ("ris_modes", RIS_MODES, "reflection mode"),

@@ -19,7 +19,7 @@ from scipy.optimize import linear_sum_assignment
 
 from conftest import pipeline, random_config, random_gains
 from risdm.beamforming import _leakage_matrices, leakage_side, receiver_zf
-from risdm.geometry import build_geometry, default_config, default_placement
+from risdm.geometry import build_geometry, default_config
 from risdm.power_allocation import (
     allocate,
     companion_roots,
@@ -31,6 +31,7 @@ from risdm.power_allocation import (
 )
 from risdm.rates import rate_objective, rates_matrix_form, scalar_gains, ssr
 from risdm.ris import gpg_phases, leg_phases, synthesis_phase
+from risdm.sim import apply_axis
 
 
 def criterion(number, label):
@@ -217,7 +218,7 @@ class TestCriterion5Trends:
         for method in ("max-sv", "leakage"):
             values = []
             for d_ab in (70.0, 200.0):
-                cfg = default_config(placement=default_placement(d_ab=d_ab))
+                cfg = apply_axis(default_config(), "distance_ab", d_ab)
                 values.append(scenario_ssr(cfg, "gpg", method))
             assert values[1] < values[0]
             details.append(f"{method}: {values[0]:.2f} -> {values[1]:.2f}")

@@ -30,6 +30,7 @@ from risdm.beamforming import (
 from risdm.channels import build_channels, effective_channels
 from risdm.geometry import Placement, build_geometry, default_config, default_placement
 from risdm.ris import reflections_for
+from risdm.sim import SweepSpec, run_sweep
 
 
 def random_unit(rng, n, count=1):
@@ -212,6 +213,27 @@ class TestEveCombiner:
         for v, h in zip(vecs, steer):
             corr = abs(h.conj() @ v) / np.linalg.norm(v)
             assert corr == pytest.approx(1.0, abs=1e-9)
+
+    def test_coincident_arrivals_drop_both_branches(self):
+        # surface 1 and Alice reach Eve from one direction, so each of the
+        # two branches is nulled by the other; the rest of the chain goes on
+        placement = default_placement()
+        cfg = default_config(placement=Placement(
+            positions=placement.positions, orientations=placement.orientations,
+            pinned={"i1->e": {"theta_r": 1.1}, "a->e": {"theta_r": 1.1}}))
+        geom = build_geometry(cfg)
+        channels = build_channels(geom, cfg)
+        zf = receiver_zf(channels, "e")
+        assert zf[1] == [True, False, True, False]
+        eff = effective_channels(channels, *reflections_for("gpg", geom, cfg))
+        v_at, _, v_bt, _ = max_sv_design(eff)
+        combiner = zf_mrc(zf, eve_arrivals(eff, v_at, v_bt, cfg))
+        assert np.linalg.norm(combiner) == pytest.approx(1.0, abs=1e-12)
+        records = run_sweep(cfg, SweepSpec(axis="power_dbm", values=(27.0,),
+                                           methods=("max-sv", "leakage"),
+                                           pa_modes=("fixed", "hicf")))
+        assert len(records) == 4
+        assert all(math.isfinite(r.ssr_bits) for r in records)
 
     def test_zf_nulls_and_unit_weights(self, default_cfg):
         geom = build_geometry(default_cfg)

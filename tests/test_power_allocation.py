@@ -591,7 +591,7 @@ class TestNewton:
 
     def test_double_root_converges_linearly(self):
         coeffs = np.polymul([1.0, -1.0, 0.25], [1.0, 0, 0, 0, 1.0])
-        root = newton_root(coeffs, 0.3, max_iter=200)
+        root = newton_root(coeffs, 0.3)
         assert abs(root - 0.5) < 1e-4
 
     def test_divergence_reported(self):
@@ -601,7 +601,7 @@ class TestNewton:
 
     def test_max_iter_exhaustion(self):
         with pytest.raises(NewtonError):
-            newton_root([1.0, 0.0, 1.0], 0.7, max_iter=50)  # no real root
+            newton_root([1.0, 0.0, 1.0], 0.7)  # no real root
 
     @settings(max_examples=200, deadline=None)
     @given(coeffs=monic_polys)
@@ -947,6 +947,24 @@ class TestHicf:
         assert out.method == "hicf"
         assert out.diagnostics["fallbacks"] == ["degenerate-sextic->es1d"]
         assert out.ssr == pytest.approx(es_1d(g).ssr)
+
+    # s1 == s2 degenerates the sextic, so hicf never draws a restart there;
+    # the pinned gains run both Newton stages and draw from the seed
+    SEED_GAINS = {"degenerate": ScalarGains(1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
+                  "generic": ScalarGains(*HICF_PINNED[0][0], 1.0, 1.0, 1.0)}
+
+    @pytest.mark.parametrize("gains", SEED_GAINS)
+    @pytest.mark.parametrize("seed", [-1, -(2**64), 2.5, np.float64(4.0), "3", True, False,
+                                      None])
+    def test_bad_seed_rejected_whatever_the_gains(self, gains, seed):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            hicf(self.SEED_GAINS[gains], seed=seed)
+
+    @pytest.mark.parametrize("gains", SEED_GAINS)
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_range_ends_accepted(self, gains, seed):
+        out = hicf(self.SEED_GAINS[gains], seed=seed)
+        assert 0.0 <= out.beta1 <= 1.0 and math.isfinite(out.ssr)
 
     def test_max_sv_scenario_near_degenerate_sextic(self):
         # the singular-pair design nulls the noise beams at the receivers,

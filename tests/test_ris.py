@@ -17,7 +17,6 @@ from risdm.ris import (
     RisReflection,
     gpg_phases,
     leg_phases,
-    parallelogram_chain,
     random_phases,
     reflections_for,
     synthesis_phase,
@@ -34,18 +33,10 @@ class TestSynthesisPhase:
         assert np.allclose(phases, (-theta) % TWO_PI, atol=1e-12)
         assert not flags.any()
 
-    def test_parallelogram_chain_degenerate(self):
-        # equal legs: theta3 = pi, diagonal length 2 l1, zero offset angle
-        theta3, l3, theta4 = parallelogram_chain(np.array([0.7]), np.array([0.7]))
-        assert theta3[0] == pytest.approx(math.pi)
-        assert l3[0] == pytest.approx(2.0)
-        assert theta4[0] == pytest.approx(0.0, abs=1e-12)
-
     def test_quarter_turn_pair(self):
-        # arg(1 + j) = pi/4, so phi = -pi/4 in both modes
-        for mode in ("canonical", "literal"):
-            phases, _ = synthesis_phase(np.array([0.0]), np.array([math.pi / 2]), mode=mode)
-            assert phases[0] == pytest.approx((-math.pi / 4) % TWO_PI, abs=1e-12)
+        # arg(1 + j) = pi/4, so phi = -pi/4
+        phases, _ = synthesis_phase(np.array([0.0]), np.array([math.pi / 2]))
+        assert phases[0] == pytest.approx((-math.pi / 4) % TWO_PI, abs=1e-12)
 
     def test_alignment_residual(self, rng):
         theta1 = rng.uniform(-20, 20, size=2000)
@@ -61,19 +52,6 @@ class TestSynthesisPhase:
         phases, flags = synthesis_phase(np.array([0.25]), np.array([0.25 + math.pi]))
         assert flags[0]
         assert phases[0] == pytest.approx((-0.25) % TWO_PI, abs=1e-12)
-
-    def test_mode_agreement_region(self, rng):
-        # literal and canonical coincide when theta2 - theta1 is in [0, pi)
-        theta1 = rng.uniform(-6, 6, size=500)
-        theta2 = theta1 + rng.uniform(0, math.pi - 1e-6, size=500)
-        canon, _ = synthesis_phase(theta1, theta2, mode="canonical")
-        lit, _ = synthesis_phase(theta1, theta2, mode="literal")
-        delta = np.angle(np.exp(1j * (canon - lit)))
-        assert np.max(np.abs(delta)) < 1e-12
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            synthesis_phase(np.zeros(1), np.zeros(1), mode="nope")
 
 
 class TestGpgDesign:
@@ -95,13 +73,6 @@ class TestGpgDesign:
         scalar = h_out.conj() @ np.diag(refl.coefficients()) @ h_in
         assert scalar.real == pytest.approx(1.0, abs=1e-10)
         assert abs(scalar.imag) < 1e-10
-
-    def test_literal_matches_canonical_here(self, default_cfg):
-        geom = build_geometry(default_cfg)
-        canon = gpg_phases(geom, 1, default_cfg)
-        lit = gpg_phases(geom, 1, default_cfg, mode="literal")
-        delta = np.angle(np.exp(1j * (canon.phases - lit.phases)))
-        assert np.max(np.abs(delta)) < 1e-10
 
     def test_amplitudes_on(self, default_cfg):
         geom = build_geometry(default_cfg)
