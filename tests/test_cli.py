@@ -198,6 +198,19 @@ class TestPaSurfaceCommand:
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 1 + 11 * 11
 
+    @pytest.mark.parametrize("command", [
+        ("sweep", "--axis", "power_dbm", "--values", "7"),
+        ("pa-surface", "--step", "0.5"),
+    ])
+    def test_removed_literal_mode_rejected(self, config_path, tmp_path, command):
+        # gpg-literal gave the gpg phases to rounding and is no longer a mode
+        out = tmp_path / "x.csv"
+        proc = run_cli(*command, "--config", config_path, "--ris", "gpg-literal",
+                       "--out", str(out))
+        assert proc.returncode != 0
+        assert "gpg-literal" in proc.stderr
+        assert not out.exists()
+
     @pytest.mark.parametrize("step", ["-0.1", "0", "0.7"])
     def test_bad_step_rejected(self, config_path, tmp_path, step):
         out = tmp_path / "surface.csv"
@@ -216,6 +229,11 @@ class TestScenarioDump:
         link = doc["links"]["a->i1"]
         assert set(link) == {"theta_t", "theta_r", "distance", "gain", "class"}
         assert link["distance"] == pytest.approx(30.0)
+
+    def test_builtin_scenario(self):
+        proc = run_cli("scenario", "dump")
+        assert proc.returncode == 0, proc.stderr
+        assert len(json.loads(proc.stdout)["links"]) == 14
 
     def test_missing_file_is_diagnosed(self):
         proc = run_cli("scenario", "dump", "--config", "/nonexistent.json")

@@ -14,6 +14,7 @@ from risdm.geometry import (
     default_placement,
 )
 from risdm.ris import (
+    MODES,
     RisReflection,
     gpg_phases,
     leg_phases,
@@ -47,6 +48,16 @@ class TestSynthesisPhase:
         keep = ~flags
         assert np.all(np.abs(total[keep]) - rotated[keep].real < 1e-12)
         assert np.all(np.abs(rotated[keep].imag) < 1e-12)
+
+    def test_bisector_inside_half_turn(self, rng):
+        # with theta2 - theta1 in [0, pi) the diagonal of the two unit
+        # phasors bisects them, so phi = -(theta1 + theta2) / 2
+        theta1 = rng.uniform(-6, 6, size=500)
+        theta2 = theta1 + rng.uniform(0, math.pi - 1e-6, size=500)
+        phases, flags = synthesis_phase(theta1, theta2)
+        delta = np.angle(np.exp(1j * (phases + (theta1 + theta2) / 2)))
+        assert np.max(np.abs(delta)) < 1e-12
+        assert not flags.any()
 
     def test_antipodal_flagged(self):
         phases, flags = synthesis_phase(np.array([0.25]), np.array([0.25 + math.pi]))
@@ -153,6 +164,14 @@ class TestBaselines:
         eff = effective_channels(channels, r1, r2)
         want = math.sqrt(channels.gain("a", "e")) * channels.mat("a", "e")
         assert np.allclose(eff.h_e1, want)
+
+    def test_mode_list(self):
+        assert MODES == ("gpg", "random", "none", "ris1-only", "ris2-only")
+
+    def test_literal_mode_rejected(self, default_cfg):
+        geom = build_geometry(default_cfg)
+        with pytest.raises(ValueError, match="unknown reflection mode 'gpg-literal'"):
+            reflections_for("gpg-literal", geom, default_cfg)
 
     def test_unknown_mode_rejected(self, default_cfg):
         geom = build_geometry(default_cfg)
