@@ -7,19 +7,17 @@ zero-forcing path separation at every receiver.
 
 import numpy as np
 
-from risdm import build_channels, build_geometry, default_config, effective_channels
-from risdm.beamforming import design_beamformers, eve_arrivals, mrc_weights, receiver_zf
+from risdm import build_channels, build_geometry, default_config
+from risdm.beamforming import eve_arrivals, mrc_weights, receiver_zf
 from risdm.rates import rates_matrix_form, scalar_gains, ssr
-from risdm.ris import reflections_for
+from risdm.sim import StageMemo, point_beamformers, sweep_point
 
 cfg = default_config()
-geom = build_geometry(cfg)
-channels = build_channels(geom, cfg)
-refls = reflections_for("gpg", geom, cfg)
-eff = effective_channels(channels, *refls)
+channels = build_channels(build_geometry(cfg), cfg)
+memo, point = StageMemo(), sweep_point(cfg)
 
 for method in ("max-sv", "leakage"):
-    bf = design_beamformers(channels, eff, cfg, method)
+    eff, bf = point_beamformers(memo, point, method, "gpg", 0)
     g = scalar_gains(eff, bf, cfg)
     ra, rb, re = rates_matrix_form(eff, bf, cfg)
     print(f"=== {method} ===")
@@ -36,7 +34,7 @@ for method in ("max-sv", "leakage"):
           f"s7 (noise at Eve) = {g.s7:.3e} mW")
 
 print("\nEve's four-branch zero-forcing separation (max-sv design):")
-bf = design_beamformers(channels, eff, cfg, "max-sv")
+eff, bf = point_beamformers(memo, point, "max-sv", "gpg", 0)
 zf = receiver_zf(channels, "e")
 vecs, weights = zf[0], mrc_weights(zf, eve_arrivals(eff, bf.v_at, bf.v_bt, cfg))
 steer = [channels.arrival_steering(tx, "e") for tx in ("i1", "i2", "a", "b")]

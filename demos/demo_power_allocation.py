@@ -47,18 +47,10 @@ print(f"\nAgainst the 1e-5 grid oracle: |dbeta| = {abs(out.beta1 - fine.beta1):.
       f"|dSSR| = {abs(out.ssr - fine.ssr):.2e}")
 
 # the same machinery on a full scenario (surfaces and beamformers designed first)
-from risdm import build_channels, build_geometry, effective_channels  # noqa: E402
-from risdm.beamforming import design_beamformers  # noqa: E402
-from risdm.rates import scalar_gains  # noqa: E402
-from risdm.ris import reflections_for  # noqa: E402
+from risdm.sim import StageMemo, point_gains, sweep_point  # noqa: E402
 
 cfg = default_config(M=128)
-geom = build_geometry(cfg)
-channels = build_channels(geom, cfg)
-refls = reflections_for("gpg", geom, cfg)
-eff = effective_channels(channels, *refls)
-bf = design_beamformers(channels, eff, cfg, "max-sv")
-gs = scalar_gains(eff, bf, cfg)
+gs = point_gains(StageMemo(), sweep_point(cfg), "max-sv", "gpg", 0)
 best = hicf(gs, seed=cfg.seed)
 equal = allocate(gs, "epa")
 print(f"\nFull scenario at M = {cfg.M} (max-sv + designed surfaces):")

@@ -9,14 +9,14 @@ power; switched-off surfaces leave only the direct path.
 
 import numpy as np
 
-from risdm import build_channels, build_geometry, default_config, effective_channels
-from risdm.beamforming import design_beamformers
+from risdm import build_geometry, default_config
 from risdm.rates import scalar_gains, ssr
-from risdm.ris import leg_phases, reflections_for, synthesis_phase
+from risdm.ris import leg_phases, synthesis_phase
+from risdm.sim import StageMemo, point_beamformers, sweep_point
 
 cfg = default_config()
 geom = build_geometry(cfg)
-channels = build_channels(geom, cfg)
+memo, point = StageMemo(), sweep_point(cfg)
 
 theta1, theta2 = leg_phases(geom, 1, cfg)
 print("Surface-1 leg phases (first 5 elements):")
@@ -36,9 +36,7 @@ print(f"{'mode':>12} {'max-sv':>10} {'leakage':>10}")
 for mode in ("gpg", "ris1-only", "ris2-only", "none"):
     row = []
     for method in ("max-sv", "leakage"):
-        refls = reflections_for(mode, geom, cfg)
-        eff = effective_channels(channels, *refls)
-        bf = design_beamformers(channels, eff, cfg, method)
+        eff, bf = point_beamformers(memo, point, method, mode, 0)
         row.append(ssr(cfg.beta1, cfg.beta2, scalar_gains(eff, bf, cfg)))
     print(f"{mode:>12} {row[0]:10.3f} {row[1]:10.3f}")
 
@@ -47,9 +45,7 @@ means = []
 for method in ("max-sv", "leakage"):
     values = []
     for k in range(trials):
-        refls = reflections_for("random", geom, cfg, seed=k)
-        eff = effective_channels(channels, *refls)
-        bf = design_beamformers(channels, eff, cfg, method)
+        eff, bf = point_beamformers(memo, point, method, "random", k)
         values.append(ssr(cfg.beta1, cfg.beta2, scalar_gains(eff, bf, cfg)))
     means.append(np.mean(values))
 print(f"{'random(mean)':>12} {means[0]:10.3f} {means[1]:10.3f}   ({trials} seeds)")

@@ -19,7 +19,9 @@ compute each part once per distinct input: the ZF vectors of a receiver
 (:func:`max_sv_beamformers`) only the effective channels, and the leakage
 transmitters (:func:`leakage_transmitters`) the links, powers and split.
 :func:`assemble_beamformers` adds the receivers that read the effective
-channels; :func:`design_beamformers` and the sweep both call it.
+channels.  :func:`risdm.sim.point_beamformers` is the one caller that
+composes these parts into a :class:`BeamformerSet`, with each part
+memoized under the inputs it reads.
 """
 
 from __future__ import annotations
@@ -350,20 +352,3 @@ def assemble_beamformers(method, parts, eff, config, zf):
         parts["v_ar"] = zf_mrc(zf("a"), three_way_arrivals(eff, parts["v_bt"], "a"))
     v_er = zf_mrc(zf("e"), eve_arrivals(eff, parts["v_at"], parts["v_bt"], config))
     return BeamformerSet(**parts, v_er=v_er, method=method)
-
-
-def design_beamformers(channels, eff, config, method):
-    """Build the full beamformer set for one scenario.
-
-    method "max-sv": dominant singular pairs for the message streams,
-    null-space noise vectors, dominant left singular vectors as receivers.
-    method "leakage": SLNR message + LANSR noise transmitters, three-way ZF
-    receivers at Alice/Bob.  Both use the four-way ZF combiner at Eve.
-    """
-    if method == "max-sv":
-        parts = max_sv_beamformers(channels, eff)
-    elif method == "leakage":
-        parts = leakage_transmitters(channels, config)
-    else:
-        raise ValueError(f"unknown beamforming method '{method}'")
-    return assemble_beamformers(method, parts, eff, config, lambda rx: receiver_zf(channels, rx))

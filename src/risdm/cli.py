@@ -24,12 +24,6 @@ from .ris import MODES as RIS_MODES
 from .sim import AXES, METHODS, PA_MODES, SweepSpec, pa_surface, run_sweep, write_csv
 
 
-def _load_config(path):
-    if path is None:
-        return default_config()
-    return ScenarioConfig.from_file(path)
-
-
 def _csv_list(text):
     return tuple(item.strip() for item in text.split(",") if item.strip())
 
@@ -84,8 +78,11 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
+        config = default_config() if args.config is None else ScenarioConfig.from_file(args.config)
+        if args.command == "scenario":
+            print(json.dumps(geometry_summary(config), indent=2, sort_keys=True))
+            return 0
         if args.command == "sweep":
-            config = _load_config(args.config)
             spec = SweepSpec(
                 axis=args.axis, values=args.values, methods=args.methods,
                 ris_modes=args.ris, pa_modes=args.pa,
@@ -93,16 +90,10 @@ def main(argv=None):
                 pa_grid_step=args.grid_step, pa_seed=args.pa_seed,
             )
             records = run_sweep(config, spec)
-            write_csv(records, args.out)
-            print(f"wrote {len(records)} records to {args.out}")
-        elif args.command == "pa-surface":
-            config = _load_config(args.config)
+        else:
             records = pa_surface(config, step=args.step, method=args.method, ris_mode=args.ris)
-            write_csv(records, args.out)
-            print(f"wrote {len(records)} records to {args.out}")
-        elif args.command == "scenario":
-            config = _load_config(args.config)
-            print(json.dumps(geometry_summary(config), indent=2, sort_keys=True))
+        write_csv(records, args.out)
+        print(f"wrote {len(records)} records to {args.out}")
     except Exception as err:  # surfaced as a diagnostic, not a traceback
         print(f"error: {err}", file=sys.stderr)
         return 1

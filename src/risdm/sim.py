@@ -3,9 +3,9 @@
 A sweep walks one axis (transmit power, element count, split factor, or
 Alice-Bob distance) over a value list crossed with beamforming methods,
 reflection modes, and power-allocation modes.  Each (value, method,
-reflection mode, trial) unit runs the geometry-to-gains chain
-(:func:`point_gains`) and then every power-allocation mode, but each stage
-of that chain is computed once per distinct input it reads, through a
+reflection mode, trial) unit runs the geometry-to-beamformers chain
+(:func:`point_beamformers`), the gains and every power-allocation mode,
+but each stage is computed once per distinct input it reads, through a
 :class:`StageMemo` that lives for one sweep.  A power or split sweep thus
 builds its channels once, a mode that reads no seed builds its effective
 channels once per site, and a power-allocation outcome is computed once per
@@ -219,8 +219,15 @@ def _effective(geom, channels, site, ris_mode, seed):
     return effective_channels(channels, *reflections_for(ris_mode, geom, site, seed=seed))
 
 
-def point_gains(memo, point, method, ris_mode, seed):
-    """Geometry through the s1..s8 link budget; reads no power-allocation input.
+def _design_key(point, method, ris_mode, seed):
+    """(effective-channel key, method, budget): the inputs of a point's beamformers."""
+    scenario = point.scenario
+    eff_key = (point.site_key, ris_mode, seed if ris_mode in SEEDED_MODES else None)
+    return eff_key, method, (scenario.Pa_dbm, scenario.Pb_dbm, scenario.beta1, scenario.beta2)
+
+
+def point_beamformers(memo, point, method, ris_mode, seed):
+    """(effective channels, :class:`~risdm.beamforming.BeamformerSet`) of one point.
 
     ``point`` is a :class:`SweepPoint`.  Each stage is taken from ``memo``
     under the inputs it reads:
@@ -232,30 +239,36 @@ def point_gains(memo, point, method, ris_mode, seed):
     * ZF vectors: the site and the receiver;
     * max-sv design: the effective channels;
     * leakage transmitters: the site, powers and split;
-    * Eve's combiner, the leakage receivers and the gains: the effective
-      channels, method, powers and split; the receivers come from
-      :func:`~risdm.beamforming.assemble_beamformers`, as in
-      :func:`~risdm.beamforming.design_beamformers`.
+    * Eve's combiner and the leakage receivers: the effective channels,
+      method, powers and split; they come from
+      :func:`~risdm.beamforming.assemble_beamformers`.
     """
     scenario, site, site_key = point
     geom, channels = memo.get(("channels", site_key), _site_channels, site)
-    eff_key = (site_key, ris_mode, seed if ris_mode in SEEDED_MODES else None)
+    key = _design_key(point, method, ris_mode, seed)
+    eff_key, _, budget = key
     eff = memo.get(("eff", eff_key), _effective, geom, channels, site, ris_mode, seed)
-    budget = (scenario.Pa_dbm, scenario.Pb_dbm, scenario.beta1, scenario.beta2)
 
     def zf(rx):
         return memo.get(("zf", site_key, rx), receiver_zf, channels, rx)
 
-    def gains():
+    def design():
         if method == "max-sv":
             parts = memo.get(("max-sv", eff_key), max_sv_beamformers, channels, eff)
         elif method == "leakage":
             parts = memo.get(("leakage", site_key, budget), leakage_transmitters, channels, scenario)
         else:
             raise ValueError(f"unknown beamforming method '{method}'")
-        return scalar_gains(eff, assemble_beamformers(method, parts, eff, scenario, zf), scenario)
+        return assemble_beamformers(method, parts, eff, scenario, zf)
 
-    return memo.get(("gains", eff_key, method, budget), gains)
+    return eff, memo.get(("beamformers", *key), design)
+
+
+def point_gains(memo, point, method, ris_mode, seed):
+    """The s1..s8 link budget of :func:`point_beamformers`'s set, keyed like it."""
+    eff, bf = point_beamformers(memo, point, method, ris_mode, seed)
+    key = ("gains", *_design_key(point, method, ris_mode, seed))
+    return memo.get(key, scalar_gains, eff, bf, point.scenario)
 
 
 def _split_outcome(gains, pa_mode, scenario, grid_step, pa_seed):
@@ -271,7 +284,7 @@ def run_sweep(config, spec):
     """Evaluate every (value x method x ris_mode x pa_mode x trial) point.
 
     Every stage runs once per distinct input within this call (see
-    :func:`point_gains`), and each axis value is applied once; a
+    :func:`point_beamformers`), and each axis value is applied once; a
     power-allocation outcome is keyed by the gains,
     plus the split for ``fixed`` and the optimizer seed for ``hicf``.
     Errors propagate with the offending parameters attached.  Records come

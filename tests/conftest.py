@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 import risdm
-from risdm.beamforming import design_beamformers
-from risdm.channels import EffectiveChannels, build_channels, effective_channels
+from risdm.channels import EffectiveChannels, build_channels
 from risdm.geometry import (
     NODES,
     InvalidGeometryError,
@@ -18,6 +17,7 @@ from risdm.geometry import (
 )
 from risdm.rates import ScalarGains, scalar_gains
 from risdm.ris import reflections_for
+from risdm.sim import StageMemo, point_beamformers, sweep_point
 
 
 def random_placement(rng, box=120.0, min_dist=5.0):
@@ -77,12 +77,15 @@ def direct_only(h_a, h_b, h_e1, h_e2):
 
 
 def pipeline(cfg, ris_mode="gpg", method="max-sv", seed=0):
-    """Run geometry -> channels -> reflections -> beamformers for one scenario."""
+    """Run geometry -> channels -> reflections -> beamformers for one scenario.
+
+    The effective channels and beamformers come from the sweep's stage,
+    :func:`risdm.sim.point_beamformers`.
+    """
     geom = build_geometry(cfg)
     channels = build_channels(geom, cfg)
     refls = reflections_for(ris_mode, geom, cfg, seed=seed)
-    eff = effective_channels(channels, *refls)
-    bf = design_beamformers(channels, eff, cfg, method)
+    eff, bf = point_beamformers(StageMemo(), sweep_point(cfg), method, ris_mode, seed)
     return geom, channels, refls, eff, bf
 
 

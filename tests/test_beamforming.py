@@ -15,7 +15,6 @@ from risdm.beamforming import (
     SingularMatrixError,
     _mrc_weight,
     an_nullspace_design,
-    design_beamformers,
     dominant_generalized_eigvec,
     dominant_singular_pair,
     eve_arrivals,
@@ -30,7 +29,7 @@ from risdm.beamforming import (
 from risdm.channels import build_channels, effective_channels
 from risdm.geometry import Placement, build_geometry, default_config, default_placement
 from risdm.ris import reflections_for
-from risdm.sim import SweepSpec, run_sweep
+from risdm.sim import StageMemo, SweepSpec, point_beamformers, run_sweep, sweep_point
 
 
 def random_unit(rng, n, count=1):
@@ -477,11 +476,8 @@ class TestFullSets:
             assert abs(bf.v_bt.conj() @ bf.w_b) < 1e-10
 
     def test_unknown_method(self, default_cfg):
-        geom = build_geometry(default_cfg)
-        channels = build_channels(geom, default_cfg)
-        eff = effective_channels(channels, *reflections_for("gpg", geom, default_cfg))
         with pytest.raises(ValueError):
-            design_beamformers(channels, eff, default_cfg, "mystery")
+            point_beamformers(StageMemo(), sweep_point(default_cfg), "mystery", "gpg", 0)
 
 
 def dense_eve_signals(channels, refls, v_at, v_bt, vecs, config):
@@ -552,13 +548,14 @@ class TestCombinersReadPathTerms:
 
     @pytest.mark.parametrize("method", ["max-sv", "leakage"])
     def test_design_allocates_no_surface_sized_matrix(self, method):
-        cfg = default_config(M=1024)
-        geom = build_geometry(cfg)
-        channels = build_channels(geom, cfg)
-        eff = effective_channels(channels, *reflections_for("gpg", geom, cfg))
+        # The other method first fills the memo with the channel stages, so
+        # that only this method's beamformer stage runs under tracemalloc.
+        memo, point = StageMemo(), sweep_point(default_config(M=1024))
+        other = "leakage" if method == "max-sv" else "max-sv"
+        point_beamformers(memo, point, other, "gpg", 0)
         tracemalloc.start()
         try:
-            design_beamformers(channels, eff, cfg, method)
+            point_beamformers(memo, point, method, "gpg", 0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
