@@ -38,8 +38,8 @@ for cand in out.candidates:
     print(f"  {cand.origin:>9} {cand.beta:10.6f} {cand.objective:12.6f}{marker}")
 
 print(f"\nhicf      : beta = {out.beta1:.6f}, SSR = {out.ssr:.6f}")
-for method, step in (("es1d", 1e-3), ("es2d", 1e-2), ("epa", None)):
-    o = allocate(g, method, grid_step=step)
+for method in ("es1d", "es2d", "epa"):  # the grids at steps 1e-3 and 1e-2
+    o = allocate(g, method)
     print(f"{method:<10}: beta = ({o.beta1:.4f}, {o.beta2:.4f}), SSR = {o.ssr:.6f}")
 
 fine = es_1d(g, step=1e-5)

@@ -21,7 +21,7 @@ import numpy as np
 from .geometry import LINKS, InvalidGeometryError
 
 
-def steering_vector(theta, n, d_over_lambda=0.5):
+def steering_vector(theta, n, d_over_lambda):
     """Normalized ULA steering vector toward angle ``theta``.
 
     Entry n is (1/sqrt(N)) exp(j 2 pi Psi(n)) with the phase ramp
@@ -35,7 +35,7 @@ def steering_vector(theta, n, d_over_lambda=0.5):
     return np.exp(2j * np.pi * phase_ramp(theta, n, d_over_lambda)) / math.sqrt(n)
 
 
-def phase_ramp(theta, n, d_over_lambda=0.5):
+def phase_ramp(theta, n, d_over_lambda):
     """The steering phase function Psi(n), n = 1..N, in cycles."""
     idx = np.arange(1, n + 1, dtype=float)
     return -(idx - (n + 1) / 2.0) * d_over_lambda * math.cos(theta)

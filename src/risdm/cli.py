@@ -8,8 +8,10 @@ Subcommands::
     risdm pa-surface --config c.json --step 0.01 --out surface.csv
     risdm scenario dump --config c.json
 
-Omitting --config uses the built-in default scenario.  Exit code 0 on
-success, 1 with a diagnostic on stderr otherwise.
+Omitting --config uses the built-in default scenario.  In a sweep, es1d
+and es2d search their fixed grids (steps 0.001 and 0.01) and hicf seeds
+its restarts with each point's sub-seed.  Exit code 0 on success, 2 on an
+unknown or malformed argument, 1 with a diagnostic on stderr otherwise.
 """
 
 from __future__ import annotations
@@ -52,10 +54,6 @@ def build_parser():
                        help=f"comma-separated subset of {RIS_MODES}")
     sweep.add_argument("--pa", type=_csv_list, default=("fixed",),
                        help=f"comma-separated subset of {PA_MODES}")
-    sweep.add_argument("--grid-step", type=float, default=None,
-                       help="grid-search step for es1d/es2d (defaults: 0.001 / 0.01)")
-    sweep.add_argument("--pa-seed", type=int, default=None,
-                       help="fixed optimizer seed (default: per-point sub-seed)")
     sweep.add_argument("--trials", type=int, default=1)
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--out", required=True, help="output CSV path")
@@ -87,7 +85,6 @@ def main(argv=None):
                 axis=args.axis, values=args.values, methods=args.methods,
                 ris_modes=args.ris, pa_modes=args.pa,
                 trials=args.trials, seed=args.seed,
-                pa_grid_step=args.grid_step, pa_seed=args.pa_seed,
             )
             records = run_sweep(config, spec)
         else:

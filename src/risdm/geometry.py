@@ -34,6 +34,8 @@ LINKS = (
 
 LINK_CLASSES = ("direct", "ris")
 
+COINCIDENT_M = 1e-12  # two nodes closer than this many meters coincide
+
 
 class ConfigError(ValueError):
     """Raised for malformed scenario configuration documents."""
@@ -215,8 +217,8 @@ class ScenarioConfig:
 
     Construction checks every field and stores it normalised: the counts
     and ``seed`` as ints, the other scalars as floats, ``pathloss_exp``
-    (an object, or one number for every class) as a dict, and
-    ``placement`` (a :class:`Placement` or its JSON object) as a Placement.
+    (an object over both classes) as a dict, and ``placement`` (a
+    :class:`Placement` or its JSON object) as a Placement.
     """
 
     Na: int
@@ -246,11 +248,8 @@ class ScenarioConfig:
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1]")
-        exp = self.pathloss_exp
-        if isinstance(exp, numbers.Real):  # one exponent for every class
-            exp = dict.fromkeys(LINK_CLASSES, exp)
         object.__setattr__(self, "pathloss_exp", _entries(
-            exp, "pathloss_exp", "classes", LINK_CLASSES, _number, LINK_CLASSES))
+            self.pathloss_exp, "pathloss_exp", "classes", LINK_CLASSES, _number, LINK_CLASSES))
         if not isinstance(self.placement, Placement):
             object.__setattr__(self, "placement", Placement.from_dict(self.placement))
 
@@ -340,7 +339,7 @@ def build_geometry(config):
         qx, qy = placement.positions[rx]
         dx, dy = qx - px, qy - py
         dist = math.hypot(dx, dy)
-        if dist < 1e-12:
+        if dist < COINCIDENT_M:
             raise InvalidGeometryError(f"nodes '{tx}' and '{rx}' coincide")
         ray = math.atan2(dy, dx)
         theta_t = fold_angle(ray, placement.orientations[tx])

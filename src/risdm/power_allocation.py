@@ -359,10 +359,10 @@ def epa():
     return 0.5, 0.5
 
 
-def check_seed(seed, name="seed"):
+def check_seed(seed):
     """Reject a seed that is not a non-negative integer (a bool is not one)."""
     if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ValueError(f"{name} must be a non-negative integer")
+        raise ValueError("seed must be a non-negative integer")
 
 
 def grid_intervals(step):
@@ -411,13 +411,14 @@ def es_2d(g, step=DEFAULT_STEP_2D):
 def _stage_inits(seed, stage, beta1=None):
     """Deterministic stratified restart points for one Newton stage.
 
-    Stage 2 draws from the reduced domain (0, 0.5) u (beta(1), 1); if
-    beta(1) leaves no such split, from (0, 1) minus a small ball around
-    beta(1).  Stage 1 restarts cover (0, 1).  A generator: each point is
-    drawn only when the caller asks for it.
+    Stage 1 restarts cover (0, 1).  Stage 2 draws from the reduced domain
+    (0, 0.5) u (beta(1), 1); if the finite root beta(1) leaves no such
+    split, from (0, 1) minus a ball of radius 0.02 around beta(1), which
+    leaves at least one side.  A generator: each point is drawn only when
+    the caller asks for it.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, stage]))
-    if stage == 1 or beta1 is None:
+    if stage == 1:
         segments = [(0.0, 1.0)]
     elif 0.5 < beta1 < 1.0:
         segments = [(0.0, 0.5), (beta1, 1.0)]
@@ -425,8 +426,6 @@ def _stage_inits(seed, stage, beta1=None):
         lo = min(max(beta1 - 0.02, 0.0), 1.0)
         hi = min(max(beta1 + 0.02, 0.0), 1.0)
         segments = [seg for seg in [(0.0, lo), (hi, 1.0)] if seg[0] < seg[1]]
-        if not segments:
-            segments = [(0.0, 1.0)]
     lengths = [hi - lo for lo, hi in segments]
     total = sum(lengths)
     for k in range(NEWTON_RESTARTS):
@@ -544,9 +543,12 @@ def hicf(g, seed=0):
     )
 
 
-def allocate(g, method, grid_step=None, seed=0):
+def allocate(g, method, seed=0):
     """Run one power-allocation strategy, ``epa``, ``es1d``, ``es2d`` or
-    ``hicf``, and return its outcome."""
+    ``hicf``, and return its outcome.
+
+    The grid searches use their default steps; ``seed`` seeds hicf's restarts.
+    """
     if method == "epa":
         beta1, beta2 = epa()
         return PaOutcome(
@@ -554,9 +556,9 @@ def allocate(g, method, grid_step=None, seed=0):
             candidates=(), diagnostics={},
         )
     if method == "es1d":
-        return es_1d(g, step=DEFAULT_STEP_1D if grid_step is None else grid_step)
+        return es_1d(g)
     if method == "es2d":
-        return es_2d(g, step=DEFAULT_STEP_2D if grid_step is None else grid_step)
+        return es_2d(g)
     if method == "hicf":
         return hicf(g, seed=seed)
     raise ValueError(f"unknown power-allocation method '{method}'")

@@ -39,8 +39,8 @@ from .beamforming import (
     receiver_zf,
 )
 from .channels import build_channels, effective_channels
-from .geometry import ScenarioConfig, _is_number, build_geometry
-from .power_allocation import allocate, check_seed, grid_intervals
+from .geometry import COINCIDENT_M, InvalidGeometryError, ScenarioConfig, _is_number, build_geometry
+from .power_allocation import allocate, grid_intervals
 from .rates import rate_objective, scalar_gains, ssr
 from .ris import MODES as RIS_MODES
 from .ris import SEEDED_MODES, reflections_for
@@ -77,10 +77,9 @@ def _is_integer(value):
 class SweepSpec:
     """One sweep description: axis, values, and the mode cross product.
 
-    ``pa_grid_step`` overrides the grid-search step (method default
-    otherwise); ``pa_seed`` pins the optimizer seed to a non-negative
-    integer (per-point sub-seed otherwise).  Each method and mode may be
-    listed once.
+    Each mode list names at least one mode, and each mode at most once.
+    es1d and es2d search at their default grid steps, and hicf takes each
+    point's sub-seed.
     """
 
     axis: str
@@ -90,8 +89,6 @@ class SweepSpec:
     pa_modes: tuple = ("fixed",)
     trials: int = 1
     seed: int = 0
-    pa_grid_step: float | None = None
-    pa_seed: int | None = None
 
     def __post_init__(self):
         if self.axis not in AXES:
@@ -113,17 +110,16 @@ class SweepSpec:
             raise ValueError("trials must be an integer >= 1")
         if not _is_integer(self.seed):
             raise ValueError("seed must be an integer")
-        if self.pa_grid_step is not None:
-            grid_intervals(self.pa_grid_step)
-        if self.pa_seed is not None:
-            check_seed(self.pa_seed, "pa_seed")
         for field, known, kind in (
             ("methods", METHODS, "method"),
             ("ris_modes", RIS_MODES, "reflection mode"),
             ("pa_modes", PA_MODES, "power-allocation mode"),
         ):
+            modes = getattr(self, field)
+            if len(modes) == 0:
+                raise ValueError(f"{field} must list at least one {kind}")
             seen = set()
-            for m in getattr(self, field):
+            for m in modes:
                 if m not in known:
                     raise ValueError(f"unknown {kind} '{m}'")
                 if m in seen:
@@ -163,6 +159,8 @@ def apply_axis(config, axis, value):
         ax, ay = placement.positions["a"]
         bx, by = placement.positions["b"]
         d_old = math.hypot(bx - ax, by - ay)
+        if d_old < COINCIDENT_M:
+            raise InvalidGeometryError("nodes 'a' and 'b' coincide")
         scale = value / d_old
         new_b = (ax + (bx - ax) * scale, ay + (by - ay) * scale)
         positions = dict(placement.positions)
@@ -271,12 +269,12 @@ def point_gains(memo, point, method, ris_mode, seed):
     return memo.get(key, scalar_gains, eff, bf, point.scenario)
 
 
-def _split_outcome(gains, pa_mode, scenario, grid_step, pa_seed):
+def _split_outcome(gains, pa_mode, scenario, seed):
     """(beta1, beta2, ssr) of one power-allocation mode on one set of gains."""
     if pa_mode == "fixed":
         b1, b2 = scenario.beta1, scenario.beta2
         return b1, b2, ssr(b1, b2, gains)
-    out = allocate(gains, pa_mode, grid_step=grid_step, seed=pa_seed)
+    out = allocate(gains, pa_mode, seed=seed)
     return out.beta1, out.beta2, out.ssr
 
 
@@ -285,8 +283,8 @@ def run_sweep(config, spec):
 
     Every stage runs once per distinct input within this call (see
     :func:`point_beamformers`), and each axis value is applied once; a
-    power-allocation outcome is keyed by the gains,
-    plus the split for ``fixed`` and the optimizer seed for ``hicf``.
+    power-allocation outcome is keyed by the gains, plus the split for
+    ``fixed`` and the unit's sub-seed for ``hicf``.
     Errors propagate with the offending parameters attached.  Records come
     back sorted.
     """
@@ -296,7 +294,6 @@ def run_sweep(config, spec):
         enumerate(spec.values), spec.methods, spec.ris_modes, range(spec.trials)
     ):
         seed = sub_seed(spec.seed, axis_index, trial)
-        pa_seed = seed if spec.pa_seed is None else spec.pa_seed
         where = f"axis={spec.axis}={value} method={method} ris={ris_mode} trial={trial}"
         try:
             point = memo.get(("point", value), _axis_point, config, spec.axis, value)
@@ -305,11 +302,10 @@ def run_sweep(config, spec):
             raise RuntimeError(f"sweep point failed: {where}: {err}") from err
         scenario = point.scenario
         for pa_mode in spec.pa_modes:
-            reads = {"fixed": (scenario.beta1, scenario.beta2), "hicf": pa_seed}.get(pa_mode)
+            reads = {"fixed": (scenario.beta1, scenario.beta2), "hicf": seed}.get(pa_mode)
             try:
                 b1, b2, rate = memo.get(
-                    ("pa", pa_mode, gains, reads), _split_outcome,
-                    gains, pa_mode, scenario, spec.pa_grid_step, pa_seed,
+                    ("pa", pa_mode, gains, reads), _split_outcome, gains, pa_mode, scenario, seed,
                 )
             except Exception as err:
                 raise RuntimeError(f"sweep point failed: {where} pa={pa_mode}: {err}") from err

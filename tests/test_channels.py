@@ -6,7 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from risdm.channels import EFFECTIVE_LINKS, build_channels, effective_channels, steering_vector
+from risdm.channels import (
+    EFFECTIVE_LINKS,
+    build_channels,
+    effective_channels,
+    phase_ramp,
+    steering_vector,
+)
 from risdm.geometry import (
     InvalidGeometryError,
     Link,
@@ -57,6 +63,12 @@ class TestSteeringVector:
         with pytest.raises(InvalidGeometryError):
             steering_vector(math.pi, 4, 0.5)
 
+    @pytest.mark.parametrize("func", [steering_vector, phase_ramp])
+    def test_spacing_has_no_default(self, func):
+        # a default spacing could hide a mismatch with the scenario's d_over_lambda
+        with pytest.raises(TypeError, match="d_over_lambda"):
+            func(math.pi / 3, 4)
+
 
 def unit_gain_geometry(cfg):
     """Hand-built geometry: unit gains, fixed distinct angles everywhere."""
@@ -94,6 +106,17 @@ class TestBuildChannels:
         h_r = steering_vector(link.theta_r, 2, cfg.d_over_lambda)
         h_t = steering_vector(link.theta_t, 2, cfg.d_over_lambda)
         assert channels.mat("a", "b")[0, 0] == pytest.approx(h_r[0] * np.conj(h_t[0]), abs=1e-15)
+
+    def test_scenario_spacing_reaches_every_link(self):
+        cfg = default_config(M=16, d_over_lambda=0.25)
+        geom = build_geometry(cfg)
+        channels = build_channels(geom, cfg)
+        for (tx, rx), link in geom.items():
+            h_r = steering_vector(link.theta_r, cfg.node_size(rx), 0.25)
+            h_t = steering_vector(link.theta_t, cfg.node_size(tx), 0.25)
+            assert np.array_equal(channels.mat(tx, rx), np.outer(h_r, h_t.conj()))
+            assert np.array_equal(channels.arrival_steering(tx, rx), h_r)
+            assert np.array_equal(channels.departure_steering(tx, rx), h_t)
 
     def test_composite_gains_multiply(self, default_cfg):
         channels = build_channels(build_geometry(default_cfg), default_cfg)

@@ -68,13 +68,45 @@ class TestSweepCommand:
         assert not out.exists()
 
     def test_workers_flag_refused(self, config_path, tmp_path):
+        # a sweep runs in one process, at the default grid steps and per-point seeds
+        out = tmp_path / "x.csv"
+        for flag, value in (("--workers", "2"), ("--grid-step", "0.1"), ("--pa-seed", "3")):
+            proc = run_cli(
+                "sweep", "--config", config_path, "--axis", "power_dbm", "--values", "27",
+                flag, value, "--out", str(out),
+            )
+            assert proc.returncode == 2
+            assert f"unrecognized arguments: {flag}" in proc.stderr
+            assert not out.exists()
+
+    @pytest.mark.parametrize("flag, field, kind", [
+        ("--methods", "methods", "method"), ("--ris", "ris_modes", "reflection mode"),
+        ("--pa", "pa_modes", "power-allocation mode"),
+    ])
+    def test_empty_mode_list_rejected(self, config_path, tmp_path, flag, field, kind):
+        # --pa "" once computed every gain, then failed with "no records to emit"
         out = tmp_path / "x.csv"
         proc = run_cli(
-            "sweep", "--config", config_path, "--axis", "power_dbm", "--values", "27",
-            "--workers", "2", "--out", str(out),
+            "sweep", "--config", config_path, "--axis", "power_dbm", "--values", "10,20",
+            flag, "", "--out", str(out),
         )
-        assert proc.returncode == 2
-        assert "unrecognized arguments: --workers" in proc.stderr
+        assert proc.returncode == 1
+        assert f"{field} must list at least one {kind}" in proc.stderr
+        assert not out.exists()
+
+    def test_distance_sweep_on_coincident_alice_and_bob_rejected(self, tmp_path):
+        # once failed with "float division by zero"
+        doc = json.loads(default_config(M=8).to_json())
+        doc["placement"]["positions"]["b"] = doc["placement"]["positions"]["a"]
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        out = tmp_path / "x.csv"
+        proc = run_cli(
+            "sweep", "--config", str(bad), "--axis", "distance_ab", "--values", "40,80",
+            "--out", str(out),
+        )
+        assert proc.returncode == 1
+        assert "nodes 'a' and 'b' coincide" in proc.stderr
         assert not out.exists()
 
     def test_repeated_method_rejected(self, config_path, tmp_path):
@@ -85,17 +117,6 @@ class TestSweepCommand:
         )
         assert proc.returncode == 1
         assert "methods lists 'max-sv' more than once" in proc.stderr
-        assert not out.exists()
-
-    @pytest.mark.parametrize("pa", ["hicf", "fixed"])
-    def test_negative_pa_seed_rejected(self, config_path, tmp_path, pa):
-        out = tmp_path / "x.csv"
-        proc = run_cli(
-            "sweep", "--config", config_path, "--axis", "power_dbm", "--values", "10",
-            "--pa", pa, "--pa-seed", "-5", "--out", str(out),
-        )
-        assert proc.returncode == 1
-        assert "pa_seed must be a non-negative integer" in proc.stderr
         assert not out.exists()
 
     def test_non_finite_config_rejected(self, tmp_path):
@@ -245,7 +266,7 @@ class TestMainInProcess:
     def test_repeated_calls_share_one_parser(self, config_path, tmp_path, capsys):
         surface = ["pa-surface", "--config", config_path, "--step", "0.5"]
         sweep = ["sweep", "--config", config_path, "--axis", "power_dbm", "--values", "7,27",
-                 "--pa", "fixed,hicf", "--pa-seed", "3"]
+                 "--pa", "fixed,hicf"]
         assert cli.main([*surface, "--out", str(tmp_path / "s1.csv")]) == 0
         with pytest.raises(SystemExit) as rejected:
             cli.main(["sweep", "--axis", "power_dbm", "--values", "7", "--workers", "2",
@@ -253,7 +274,7 @@ class TestMainInProcess:
         assert rejected.value.code == 2
         assert cli.main([*sweep, "--out", str(tmp_path / "w1.csv")]) == 0
         assert cli.main(["sweep", "--config", config_path, "--axis", "power_dbm",
-                         "--values", "7", "--pa-seed", "-1", "--out", str(tmp_path / "y.csv")]) == 1
+                         "--values", "7", "--pa", "", "--out", str(tmp_path / "y.csv")]) == 1
         assert cli.main([*sweep, "--out", str(tmp_path / "w2.csv")]) == 0
         assert cli.main([*surface, "--out", str(tmp_path / "s2.csv")]) == 0
         assert cli.build_parser() is cli.build_parser()

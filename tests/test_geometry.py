@@ -166,11 +166,11 @@ class TestConfigIngestion:
         with pytest.raises(ConfigError):
             ScenarioConfig.from_dict(doc)
 
-    def test_scalar_exponent_broadcasts(self, default_cfg):
+    def test_scalar_exponent_rejected(self, default_cfg):
+        # pathloss_exp names each link class; one number no longer stands for both
         doc = default_cfg.to_dict()
         doc["pathloss_exp"] = 2.0
-        cfg = ScenarioConfig.from_dict(doc)
-        assert cfg.pathloss_exp == {"direct": 2.0, "ris": 2.0}
+        assert_rejected(doc, re.escape("pathloss_exp must be an object, got 2.0"))
 
     def test_beta_range_enforced(self, default_cfg):
         doc = default_cfg.to_dict()

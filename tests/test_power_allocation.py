@@ -1,7 +1,6 @@
 """Sextic construction, root-finding stages, and the split optimizers."""
 
 import math
-import re
 
 import numpy as np
 import pytest
@@ -445,7 +444,7 @@ def hex_outcome(fn, *args):
 def eager_stage_inits(seed, stage, beta1=None):
     """The list of restart points that the lazy _stage_inits must yield, in order."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, stage]))
-    if stage == 1 or beta1 is None:
+    if stage == 1:
         segments = [(0.0, 1.0)]
     elif 0.5 < beta1 < 1.0:
         segments = [(0.0, 0.5), (beta1, 1.0)]
@@ -453,8 +452,6 @@ def eager_stage_inits(seed, stage, beta1=None):
         lo = min(max(beta1 - 0.02, 0.0), 1.0)
         hi = min(max(beta1 + 0.02, 0.0), 1.0)
         segments = [seg for seg in [(0.0, lo), (hi, 1.0)] if seg[0] < seg[1]]
-        if not segments:
-            segments = [(0.0, 1.0)]
     lengths = np.array([hi - lo for lo, hi in segments])
     total = lengths.sum()
     points = []
@@ -823,6 +820,11 @@ class TestGridSearches:
         with pytest.raises(ValueError):
             es_1d(random_gains(rng), step=0.7)
 
+    @pytest.mark.parametrize("search", [es_1d, es_2d])
+    def test_zero_step_rejected(self, rng, search):
+        with pytest.raises(ValueError, match=r"grid step must lie in \(0, 0\.5\]"):
+            search(random_gains(rng), step=0.0)
+
     def test_grid_is_cached_read_only_and_shared(self):
         grid = pa._grid(0.01)
         assert pa._grid(0.01) is grid
@@ -853,13 +855,25 @@ class TestGridSearches:
 class TestHicf:
     @pytest.mark.parametrize("seed", [0, 1, 128323984])
     @pytest.mark.parametrize("stage, beta1", [
-        (1, None), (2, None), (2, 0.75), (2, 0.999999), (2, 0.5), (2, 0.3),
-        (2, 0.01), (2, 1.0), (2, 1.7), (2, -0.4),
+        (1, None), (2, 0.75), (2, 0.999999), (2, 0.5), (2, 0.3),
+        (2, 0.01), (2, 0.02), (2, 0.98), (2, 1.0), (2, 1.7), (2, -0.4),
     ])
     def test_stage_inits_yield_the_eager_points(self, seed, stage, beta1):
         lazy = pa._stage_inits(seed, stage, beta1=beta1)
         assert iter(lazy) is lazy  # drawn on demand
         assert list(lazy) == eager_stage_inits(seed, stage, beta1=beta1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(beta1=st.floats(allow_nan=False, allow_infinity=False), seed=st.integers(0, 2**32))
+    def test_stage2_restarts_avoid_the_first_root(self, beta1, seed):
+        # every finite beta(1) leaves a non-empty stage-2 domain
+        points = list(pa._stage_inits(seed, 2, beta1=beta1))
+        assert len(points) == pa.NEWTON_RESTARTS
+        assert all(-1e-12 <= p <= 1.0 + 1e-12 for p in points)
+        if 0.5 < beta1 < 1.0:
+            assert all(p <= 0.5 or p >= beta1 for p in points)
+        else:
+            assert all(abs(p - beta1) >= 0.02 - 1e-12 for p in points)
 
     def test_monotone_scenario_boundary_candidate(self):
         g = ScalarGains(2.0, 0.5, 3.0, 0.8, 0.0, 0.0, 1.0, 1.0, 0.5, 0.5, 0.5)
@@ -1025,16 +1039,22 @@ class TestAllocate:
         g = random_gains(rng)
         assert allocate(g, "epa").method == "epa"
         assert allocate(g, "es1d").method == "es1d"
-        assert allocate(g, "es2d", grid_step=0.05).method == "es2d"
+        assert allocate(g, "es2d").method == "es2d"
         assert allocate(g, "hicf").method == "hicf"
         for method in ("magic", "es-1d", "es-2d"):
             with pytest.raises(ValueError, match=f"unknown power-allocation method '{method}'"):
                 allocate(g, method)
 
-    @pytest.mark.parametrize("method", ["es1d", "es2d"])
-    def test_zero_grid_step_rejected(self, rng, method):
-        with pytest.raises(ValueError, match=re.escape("grid step must lie in (0, 0.5]")):
-            allocate(random_gains(rng), method, grid_step=0.0)
+    @pytest.mark.parametrize("method, search, step", [
+        ("es1d", es_1d, 1e-3), ("es2d", es_2d, 1e-2),
+    ])
+    def test_grid_searches_run_at_their_default_steps(self, rng, method, search, step):
+        g = random_gains(rng)
+        out, want = allocate(g, method), search(g, step=step)
+        assert (out.beta1, out.beta2, out.ssr) == (want.beta1, want.beta2, want.ssr)
+        assert out.diagnostics["step"] == step
+        with pytest.raises(TypeError, match="grid_step"):
+            allocate(g, method, grid_step=0.1)
 
     def test_epa_outcome_recorded(self, rng):
         g = random_gains(rng)

@@ -3,7 +3,6 @@
 import csv
 import io
 import math
-import re
 from dataclasses import replace
 from itertools import product
 
@@ -14,8 +13,8 @@ from hypothesis import strategies as st
 
 import risdm.sim
 from conftest import pipeline_gains
-from risdm.geometry import build_geometry, default_config
-from risdm.power_allocation import allocate, es_1d, es_2d
+from risdm.geometry import InvalidGeometryError, build_geometry, default_config
+from risdm.power_allocation import allocate, es_1d, es_2d, hicf
 from risdm.rates import rate_objective, ssr
 from risdm.ris import MODES as RIS_MODES
 from risdm.sim import (
@@ -99,16 +98,20 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match=f"{field} lists '{known[0]}' more than once"):
             SweepSpec(axis="power_dbm", values=(5.0,), **{field: modes})
 
-    @pytest.mark.parametrize("pa_seed", [-1, -5, -(2**64), 1.0, 2.5, "3", np.float64(4.0),
-                                         True, False])
-    def test_bad_pa_seed_rejected(self, pa_seed):
-        for pa_modes in (("fixed",), ("hicf",)):
-            with pytest.raises(ValueError, match="pa_seed must be a non-negative integer"):
-                SweepSpec(axis="power_dbm", values=(5.0,), pa_modes=pa_modes, pa_seed=pa_seed)
+    @pytest.mark.parametrize("field, kind", [
+        ("methods", "method"), ("ris_modes", "reflection mode"),
+        ("pa_modes", "power-allocation mode"),
+    ])
+    def test_empty_mode_list_rejected(self, field, kind):
+        # an empty pa_modes once computed every gain and returned no record
+        with pytest.raises(ValueError, match=f"{field} must list at least one {kind}"):
+            SweepSpec(axis="power_dbm", values=(5.0,), **{field: ()})
 
-    @pytest.mark.parametrize("pa_seed", [None, 0, 7, 2**64 - 1, np.int64(3)])
-    def test_good_pa_seed_accepted(self, pa_seed):
-        assert SweepSpec(axis="power_dbm", values=(5.0,), pa_seed=pa_seed).pa_seed == pa_seed
+    @pytest.mark.parametrize("field, value", [("pa_seed", 3), ("pa_grid_step", 0.1)])
+    def test_optimizer_overrides_are_not_fields(self, field, value):
+        # es1d and es2d search at their default steps; hicf takes the sub-seed
+        with pytest.raises(TypeError, match=field):
+            SweepSpec(axis="power_dbm", values=(5.0,), **{field: value})
 
     def test_negative_master_seed_accepted(self):
         # masked to 64 bits by sub_seed, as the README documents
@@ -130,6 +133,17 @@ class TestSweepSpec:
         # bearing preserved
         geom = build_geometry(moved)
         assert geom[("a", "b")].theta_t == pytest.approx(5 * math.pi / 9, abs=1e-12)
+
+    def test_distance_axis_on_coincident_alice_and_bob(self):
+        # the distance axis once divided by the zero Alice-Bob distance
+        cfg = small_cfg()
+        positions = dict(cfg.placement.positions, b=cfg.placement.positions["a"])
+        cfg = cfg.replace(placement=replace(cfg.placement, positions=positions))
+        with pytest.raises(InvalidGeometryError, match="nodes 'a' and 'b' coincide"):
+            apply_axis(cfg, "distance_ab", 40.0)
+        for axis, value in (("distance_ab", 40.0), ("power_dbm", 10.0)):
+            with pytest.raises(RuntimeError, match="nodes 'a' and 'b' coincide"):
+                run_sweep(cfg, SweepSpec(axis=axis, values=(value,)))
 
 
 class TestSubSeeding:
@@ -186,15 +200,20 @@ class TestRunSweep:
         by_mode = {r.pa_mode: r for r in run_sweep(cfg, spec)}
         assert by_mode["hicf"].ssr_bits >= by_mode["epa"].ssr_bits - 1e-12
 
-    def test_pa_grid_step_honored(self):
+    def test_optimizers_run_at_default_steps_and_sub_seeds(self):
         cfg = small_cfg()
-        coarse = SweepSpec(axis="power_dbm", values=(27.0,), pa_modes=("es1d",),
-                           pa_grid_step=0.25)
-        [record] = run_sweep(cfg, coarse)
-        assert record.beta1 in (0.0, 0.25, 0.5, 0.75, 1.0)
-        for step in (0.9, 0.0, -0.1):
-            with pytest.raises(ValueError, match=re.escape("grid step must lie in (0, 0.5]")):
-                SweepSpec(axis="power_dbm", values=(27.0,), pa_grid_step=step)
+        spec = SweepSpec(axis="power_dbm", values=(7.0, 27.0), ris_modes=("random",),
+                         pa_modes=("es1d", "es2d", "hicf"), trials=2, seed=4)
+        records = run_sweep(cfg, spec)
+        assert len(records) == 2 * 3 * 2
+        for r in records:
+            assert r.seed == sub_seed(spec.seed, spec.values.index(r.axis_value), r.trial)
+            scenario = apply_axis(cfg, spec.axis, r.axis_value)
+            gains = pipeline_gains(scenario, ris_mode=r.ris_mode, method=r.method, seed=r.seed)
+            want = {"es1d": lambda: es_1d(gains, step=1e-3),
+                    "es2d": lambda: es_2d(gains, step=1e-2),
+                    "hicf": lambda: hicf(gains, seed=r.seed)}[r.pa_mode]()
+            assert (r.beta1, r.beta2, r.ssr_bits) == (want.beta1, want.beta2, want.ssr)
 
     def test_point_failure_carries_context(self, monkeypatch):
         cfg = small_cfg(Ne=3)  # four-way ZF impossible
@@ -252,10 +271,6 @@ class TestRunSweep:
             "allocate": 3 * gains + 2 * 2 * 3 * 2,
         }
 
-        calls.clear()
-        run_sweep(small_cfg(), replace(spec, pa_modes=("hicf",), pa_seed=9))
-        assert calls["allocate"] == gains  # a pinned optimizer seed shares hicf across trials
-
     def test_all_pa_modes_match_single_mode_sweeps(self):
         cfg = small_cfg()
         base = dict(axis="power_dbm", values=(7.0, 27.0), methods=("max-sv", "leakage"),
@@ -284,8 +299,7 @@ def unstaged_sweep(config, spec):
                 b1, b2 = scenario.beta1, scenario.beta2
                 rate = ssr(b1, b2, gains)
             else:
-                pa_seed = seed if spec.pa_seed is None else spec.pa_seed
-                out = allocate(gains, pa_mode, grid_step=spec.pa_grid_step, seed=pa_seed)
+                out = allocate(gains, pa_mode, seed=seed)
                 b1, b2, rate = out.beta1, out.beta2, out.ssr
             records.append(SweepRecord(float(value), method, ris_mode, pa_mode, b1, b2, rate,
                                        trial, seed))
@@ -312,7 +326,6 @@ def staged_cases(draw):
         pa_modes=PA_MODES,
         trials=draw(st.integers(1, 3)),
         seed=draw(st.integers(0, 2**32)),
-        pa_seed=draw(st.none() | st.integers(0, 2**31)),
     )
     return small_cfg(M=draw(st.integers(1, 24))), spec
 
