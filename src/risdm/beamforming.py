@@ -18,10 +18,10 @@ compute each part once per distinct input: the ZF vectors of a receiver
 (:func:`receiver_zf`) read only its arrival steerings, the max-sv vectors
 (:func:`max_sv_beamformers`) only the effective channels, and the leakage
 transmitters (:func:`leakage_transmitters`) the links, powers and split.
-:func:`assemble_beamformers` adds the receivers that read the effective
-channels.  :func:`risdm.sim.point_beamformers` is the one caller that
-composes these parts into a :class:`BeamformerSet`, with each part
-memoized under the inputs it reads.
+:func:`risdm.sim.point_beamformers` is the one caller that composes these
+parts, and the ZF+MRC combiners (:func:`zf_mrc`) that read the effective
+channels, into a :class:`BeamformerSet`, with each part memoized under the
+inputs it reads; it holds the only branch on the method.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ class InsufficientAntennasError(ValueError):
 
 @dataclass(frozen=True)
 class BeamformerSet:
-    """All seven unit-norm beamformers of one scenario plus the method tag."""
+    """All seven unit-norm beamformers of one scenario."""
 
     v_at: np.ndarray
     v_bt: np.ndarray
@@ -65,7 +65,6 @@ class BeamformerSet:
     v_ar: np.ndarray
     v_br: np.ndarray
     v_er: np.ndarray
-    method: str
 
 
 def _unit(v):
@@ -136,19 +135,6 @@ def dominant_generalized_eigvec(a, b):
     v = vecs[:, -1]
     v = v / np.linalg.norm(v)
     return v * _pivot_phase(v)
-
-
-def max_sv_design(eff):
-    """Transmit/receive pairs from the dominant singular pairs.
-
-    Returns (v_at, v_br, v_bt, v_ar): the right/left dominant singular
-    vectors of the Alice->Bob effective channel and of the Bob->Alice one.
-    """
-    if np.linalg.norm(eff.h_b) == 0 or np.linalg.norm(eff.h_a) == 0:
-        raise DegenerateChannelError("effective channel is identically zero")
-    u_b, v_b = dominant_singular_pair(eff.h_b)
-    u_a, v_a = dominant_singular_pair(eff.h_a)
-    return v_b, u_b, v_a, u_a
 
 
 def an_nullspace_design(v_cm, h_eve_departure):
@@ -308,47 +294,29 @@ def leakage_side(channels, config, side):
     return v, w
 
 
-def three_way_arrivals(eff, v_t_other_side, side):
-    """The message signal arriving at Alice or Bob along each of its three branches.
-
-    Branches: surface-1 reflection, surface-2 reflection, direct path from
-    the other end.
-    """
-    return [term @ v_t_other_side for term in eff.paths[f"h_{side}"]]
-
-
 def max_sv_beamformers(channels, eff):
-    """The max-sv message, noise and receive vectors, as ``BeamformerSet`` fields.
+    """The max-sv vectors (v_at, v_bt, w_a, w_b, v_ar, v_br).
 
-    Reads the effective channels and the departure steerings toward Eve;
-    no power or split.
+    (v_at, v_br) and (v_bt, v_ar) are the right/left dominant singular
+    vectors of the Alice->Bob and the Bob->Alice effective channel; each
+    noise vector points at Eve orthogonally to its message vector.  Reads
+    the effective channels and the departure steerings toward Eve; no
+    power or split.
     """
-    v_at, v_br, v_bt, v_ar = max_sv_design(eff)
+    if np.linalg.norm(eff.h_b) == 0 or np.linalg.norm(eff.h_a) == 0:
+        raise DegenerateChannelError("effective channel is identically zero")
+    v_br, v_at = dominant_singular_pair(eff.h_b)
+    v_ar, v_bt = dominant_singular_pair(eff.h_a)
     w_a, _ = an_nullspace_design(v_at, channels.departure_steering("a", "e"))
     w_b, _ = an_nullspace_design(v_bt, channels.departure_steering("b", "e"))
-    return dict(v_at=v_at, v_bt=v_bt, w_a=w_a, w_b=w_b, v_ar=v_ar, v_br=v_br)
+    return v_at, v_bt, w_a, w_b, v_ar, v_br
 
 
 def leakage_transmitters(channels, config):
-    """The SLNR message and LANSR noise vectors, as ``BeamformerSet`` fields.
+    """The SLNR message and LANSR noise vectors (v_at, v_bt, w_a, w_b).
 
     Reads the link matrices, powers and split; no reflection.  Each side's
     pencil is built once, by :func:`leakage_side`.
     """
     (v_at, w_a), (v_bt, w_b) = (leakage_side(channels, config, side) for side in "ab")
-    return dict(v_at=v_at, v_bt=v_bt, w_a=w_a, w_b=w_b)
-
-
-def assemble_beamformers(method, parts, eff, config, zf):
-    """The :class:`BeamformerSet` of one method from its transmit half ``parts``.
-
-    ``zf(rx)`` returns receiver rx's :func:`receiver_zf` result.  Leakage
-    gets its three-way ZF receivers at Alice and Bob here, and both methods
-    Eve's four-way combiner; each reads ``eff`` and its per-path terms.
-    """
-    parts = dict(parts)
-    if method == "leakage":
-        parts["v_br"] = zf_mrc(zf("b"), three_way_arrivals(eff, parts["v_at"], "b"))
-        parts["v_ar"] = zf_mrc(zf("a"), three_way_arrivals(eff, parts["v_bt"], "a"))
-    v_er = zf_mrc(zf("e"), eve_arrivals(eff, parts["v_at"], parts["v_bt"], config))
-    return BeamformerSet(**parts, v_er=v_er, method=method)
+    return v_at, v_bt, w_a, w_b

@@ -47,7 +47,8 @@ def build_parser():
     sweep.add_argument("--config", default=None, help="scenario JSON (default: built-in)")
     sweep.add_argument("--axis", required=True, choices=AXES)
     sweep.add_argument("--values", required=True, type=_float_list,
-                       help="comma-separated, strictly increasing axis values")
+                       help="comma-separated, strictly increasing axis values; "
+                            "a list that starts negative takes the = form, --values=-10,0")
     sweep.add_argument("--methods", type=_csv_list, default=("max-sv",),
                        help=f"comma-separated subset of {METHODS}")
     sweep.add_argument("--ris", type=_csv_list, default=("gpg",),

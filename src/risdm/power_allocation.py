@@ -21,11 +21,10 @@ Every stage runs on Python scalars in the operation order of the numpy
 form it replaced (the sextic's products and monic division, the
 deflation recurrence, ``np.polyval``'s Horner loop from 0.0), so outcomes
 are bit-identical to the array forms without their per-call overhead.
-Stages hand each other lists; only the public :func:`sextic_coeffs`,
-:func:`deflate` and :func:`ferrari_roots` return arrays.  Two parts
+The stages take and hand each other lists of Python floats.  Two parts
 differ: Ferrari's radicals take numpy scalars, converted once inside
-``_ferrari`` whatever the caller passes, because numpy rounds complex
-division and fractional complex powers differently from Python;
+:func:`ferrari_roots` whatever the caller passes, because numpy rounds
+complex division and fractional complex powers differently from Python;
 and the check of Ferrari's roots is a Python complex Horner loop, which
 gives the same bits on every CPU, where ``np.abs(np.polyval(...))``
 varies in the last bits with the CPU's fused multiply-adds.  The grid
@@ -136,7 +135,8 @@ def sextic_coeffs(g):
 
     The raw stationarity polynomial is N'(beta) D(beta) - N(beta) D'(beta);
     dividing by its leading coefficient q1 q7 - q2 q6 produces the monic
-    form [1, alpha1, ..., alpha6], returned as an array, highest degree first.
+    form [1, alpha1, ..., alpha6], returned as a list of Python floats,
+    highest degree first.
 
     Raises
     ------
@@ -144,11 +144,6 @@ def sextic_coeffs(g):
         If the leading normalizer vanishes (or monicizing overflows); the
         optimizer then falls back to the 1-D grid search.
     """
-    return np.array(_sextic(g))
-
-
-def _sextic(g):
-    """:func:`sextic_coeffs` as a list of Python floats."""
     (q1, q2, q3, q4, q5), (q6, q7, q8, q9, q10) = quartic_pair(g)
     lead = q1 * q7 - q2 * q6
     tail = [
@@ -206,26 +201,16 @@ def _residuals_within(coeffs, roots, bound):
     return all(abs(_horner(coeffs, complex(z))) <= bound for z in roots)
 
 
-def _derivative(coeffs):
-    """Derivative of a highest-first list of Python floats, with the same
-    products as ``np.polyder`` and no array round trip."""
-    n = len(coeffs) - 1
-    return [coeffs[i] * (n - i) for i in range(n)]
-
-
-def newton_root(coeffs, beta0):
-    """Newton-Raphson on a real polynomial (highest-degree coefficient first).
+def newton_root(coeffs, beta):
+    """Newton-Raphson on a real polynomial, a list of Python floats with the
+    highest-degree coefficient first.
 
     Iterates beta <- beta - f(beta)/f'(beta) until the step is <=
     ``NEWTON_TOL``.  Raises :class:`NewtonError` when the derivative
     vanishes or ``NEWTON_MAX_ITER`` iterations do not converge.
     """
-    coeffs = np.asarray(coeffs, dtype=float).tolist()
-    return _newton(coeffs, _derivative(coeffs), float(beta0))
-
-
-def _newton(coeffs, deriv, beta):
-    """:func:`newton_root` on a list of Python floats and its derivative."""
+    n = len(coeffs) - 1
+    deriv = [coeffs[i] * (n - i) for i in range(n)]  # np.polyder's products
     tol, max_iter = NEWTON_TOL, NEWTON_MAX_ITER  # locals: the loop reads tol every step
     for _ in range(max_iter):
         # _horner inlined, one pass each: a fused f, f' pass would round
@@ -249,17 +234,14 @@ def _newton(coeffs, deriv, beta):
 
 
 def deflate(coeffs, root):
-    """Synthetic division of a monic polynomial by (beta - root).
+    """Synthetic division of a monic polynomial, a list of Python floats, by
+    (beta - root); returns the quotient as a list.
 
     Quotient coefficients follow the recurrence
     alpha_bar_i = alpha_i + root * alpha_bar_{i-1}; the remainder is the
-    polynomial value at the root and must be negligible.
+    polynomial value at the root, in ``np.polyval``'s operations, and must
+    be negligible, else :class:`DeflationError`.
     """
-    return np.array(_deflate(np.asarray(coeffs, dtype=float).tolist(), root))
-
-
-def _deflate(coeffs, root):
-    """:func:`deflate` on a list of Python floats, returning a list."""
     # Python's max skips a NaN that np.max would return; the residual is
     # then NaN too, and the test below passes under either scale.
     scale = max(map(abs, coeffs))
@@ -294,11 +276,11 @@ def _resolvent_shifts(gamma1, gamma2):
     return [t1 * omega**k + t2 * omega**-k for k in range(3)]
 
 
-def _ferrari(a1, a2, a3, a4):
-    """Closed-form roots of the monic quartic, with a degeneracy flag.
+def ferrari_roots(a1, a2, a3, a4):
+    """The four complex roots of beta^4 + a1 beta^3 + a2 beta^2 + a3 beta + a4.
 
-    Returns (the four complex roots, used_companion_fallback); the roots
-    are a list, or the companion oracle's array.
+    Returns (roots, used_companion): the roots are a list of closed-form
+    roots, or the companion oracle's array when ``used_companion`` is True.
     The resolvent shift gamma3 is computed with principal branches; if the
     chosen resolvent root makes eta1 vanish, the other resolvent roots are
     tried, then the biquadratic branch, then the companion oracle.
@@ -346,17 +328,6 @@ def _ferrari(a1, a2, a3, a4):
         return roots, False
 
     return companion_roots([1.0, a1, a2, a3, a4]), True
-
-
-def ferrari_roots(a1, a2, a3, a4):
-    """The four complex roots of beta^4 + a1 beta^3 + a2 beta^2 + a3 beta + a4."""
-    roots, _ = _ferrari(a1, a2, a3, a4)
-    return np.array(roots)
-
-
-def epa():
-    """The equal-split baseline."""
-    return 0.5, 0.5
 
 
 def check_seed(seed):
@@ -414,8 +385,10 @@ def _stage_inits(seed, stage, beta1=None):
     Stage 1 restarts cover (0, 1).  Stage 2 draws from the reduced domain
     (0, 0.5) u (beta(1), 1); if the finite root beta(1) leaves no such
     split, from (0, 1) minus a ball of radius 0.02 around beta(1), which
-    leaves at least one side.  A generator: each point is drawn only when
-    the caller asks for it.
+    leaves at least one side.  A generator: the seeded generator is built
+    and each point drawn only when the caller asks for it.  hicf asks for
+    stage 1's points only after the start at 0.5 fails, but stage 2 starts
+    from its first point, so every hicf call that reaches stage 2 draws it.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, stage]))
     if stage == 1:
@@ -438,32 +411,25 @@ def _stage_inits(seed, stage, beta1=None):
             u -= length
 
 
-def _stage1_inits(seed):
-    """0.5, then the stage-1 restarts, drawn only when 0.5 has failed."""
-    yield 0.5
-    yield from _stage_inits(seed, 1)
-
-
 def _newton_stage(coeffs, inits):
-    """Try Newton from each initial point until a deflatable root emerges.
+    """Try Newton from each initial point until a root deflates.
 
     ``coeffs`` is a list of Python floats.  ``inits`` is consumed lazily:
-    points after the first success are never drawn.
+    points after the first success are never drawn.  A root is accepted
+    when it deflates: the remainder is its residual, checked once.
 
-    Returns (root, attempts) or (None, attempts) when every restart failed.
+    Returns (root, quotient, attempts), or (None, None, attempts) when
+    every start failed.
     """
-    deriv = _derivative(coeffs)
-    scale = max(map(abs, coeffs))
     attempts = 0
     for beta0 in inits:
         attempts += 1
         try:
-            root = _newton(coeffs, deriv, beta0)
-        except NewtonError:
+            root = newton_root(coeffs, beta0)
+            return root, deflate(coeffs, root), attempts
+        except (NewtonError, DeflationError):
             continue
-        if abs(_horner(coeffs, root)) <= DEFLATION_RESIDUAL_TOL * scale:
-            return root, attempts
-    return None, attempts
+    return None, None, attempts
 
 
 def _real_part(root):
@@ -475,17 +441,19 @@ def _real_part(root):
 def hicf(g, seed=0):
     """Hybrid iterative/closed-form split optimization on the diagonal.
 
-    Pipeline: sextic coefficients; Newton from 0.5 -> beta(1); deflate;
-    Newton on the quintic from a seeded point in the reduced domain ->
-    beta(2); deflate; Ferrari on the quartic -> beta(3..6); evaluate the
-    unclamped objective at every real candidate in [0, 1] plus the
-    boundaries and return the argmax (smallest beta on ties) applied to
-    both split factors.  ``seed``, a non-negative integer, seeds the restarts.
+    Pipeline: sextic coefficients; Newton from 0.5, then from seeded
+    restarts only if 0.5 fails -> beta(1); deflate; Newton on the quintic
+    from seeded points in the reduced domain, the first drawn on every
+    call -> beta(2); deflate; Ferrari on the quartic -> beta(3..6);
+    evaluate the unclamped objective at every real candidate in [0, 1]
+    plus the boundaries and return the argmax (smallest beta on ties)
+    applied to both split factors.  ``seed``, a non-negative integer,
+    seeds the restarts.
     """
     check_seed(seed)
     diagnostics = {"fallbacks": [], "newton_attempts": {}, "root_residuals": []}
     try:
-        sextic = _sextic(g)
+        sextic = sextic_coeffs(g)
     except DegenerateSexticError as err:
         fallback = es_1d(g)
         diagnostics["fallbacks"].append("degenerate-sextic->es1d")
@@ -497,23 +465,24 @@ def hicf(g, seed=0):
 
     labeled = []  # (root, origin)
 
-    root1, attempts1 = _newton_stage(sextic, _stage1_inits(seed))
+    root1, quintic, attempts1 = _newton_stage(sextic, [0.5])
+    if root1 is None:  # the seeded restarts, drawn only after 0.5 fails
+        root1, quintic, restarts = _newton_stage(sextic, _stage_inits(seed, 1))
+        attempts1 += restarts
     diagnostics["newton_attempts"]["newton-1"] = attempts1
     if root1 is None:
         diagnostics["fallbacks"].append("oracle-fallback:newton-1")
         labeled.extend((r, "newton-1") for r in companion_roots(sextic))
     else:
         labeled.append((root1, "newton-1"))
-        quintic = _deflate(sextic, root1)
-        root2, attempts2 = _newton_stage(quintic, _stage_inits(seed, 2, beta1=root1))
+        root2, quartic, attempts2 = _newton_stage(quintic, _stage_inits(seed, 2, beta1=root1))
         diagnostics["newton_attempts"]["newton-2"] = attempts2
         if root2 is None:
             diagnostics["fallbacks"].append("oracle-fallback:newton-2")
             labeled.extend((r, "newton-2") for r in companion_roots(quintic))
         else:
             labeled.append((root2, "newton-2"))
-            quartic = _deflate(quintic, root2)
-            q_roots, used_oracle = _ferrari(*quartic[1:])
+            q_roots, used_oracle = ferrari_roots(*quartic[1:])
             if used_oracle:
                 diagnostics["fallbacks"].append("oracle-fallback:ferrari")
             labeled.extend((r, "ferrari") for r in q_roots)
@@ -550,9 +519,8 @@ def allocate(g, method, seed=0):
     The grid searches use their default steps; ``seed`` seeds hicf's restarts.
     """
     if method == "epa":
-        beta1, beta2 = epa()
         return PaOutcome(
-            method="epa", beta1=beta1, beta2=beta2, ssr=ssr(beta1, beta2, g),
+            method="epa", beta1=0.5, beta2=0.5, ssr=ssr(0.5, 0.5, g),
             candidates=(), diagnostics={},
         )
     if method == "es1d":

@@ -3,15 +3,16 @@
 A sweep walks one axis (transmit power, element count, split factor, or
 Alice-Bob distance) over a value list crossed with beamforming methods,
 reflection modes, and power-allocation modes.  Each (value, method,
-reflection mode, trial) unit runs the geometry-to-beamformers chain
-(:func:`point_beamformers`), the gains and every power-allocation mode,
-but each stage is computed once per distinct input it reads, through a
-:class:`StageMemo` that lives for one sweep.  A power or split sweep thus
-builds its channels once, a mode that reads no seed builds its effective
-channels once per site, and a power-allocation outcome is computed once per
-distinct set of gains.  Every stage result is the one the unit would have
-computed alone, and records are sorted into a deterministic order before
-emission, so sharing does not change the output bytes.
+reflection mode, trial) unit runs the geometry-to-beamformers chain and
+the gains (:func:`point_beamformers`, :func:`point_gains`) and every
+power-allocation mode, but each stage is computed once per distinct
+input it reads, through a :class:`StageMemo` that lives for one sweep.
+A power or split sweep thus builds its channels once, a mode that reads
+no seed builds its effective channels once per site, a beamformer set
+is stored with its gains, and a power-allocation outcome is computed
+once per distinct set of gains.  Every stage result is the one the unit
+would have computed alone, and records are sorted into a deterministic
+order before emission, so sharing does not change the output bytes.
 
 Randomized points derive their sub-seed from the master seed and the
 (axis index, trial index) pair through the splitmix64 mixer, documented
@@ -33,10 +34,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .beamforming import (
-    assemble_beamformers,
+    BeamformerSet,
+    eve_arrivals,
     leakage_transmitters,
     max_sv_beamformers,
     receiver_zf,
+    zf_mrc,
 )
 from .channels import build_channels, effective_channels
 from .geometry import COINCIDENT_M, InvalidGeometryError, ScenarioConfig, _is_number, build_geometry
@@ -217,11 +220,36 @@ def _effective(geom, channels, site, ris_mode, seed):
     return effective_channels(channels, *reflections_for(ris_mode, geom, site, seed=seed))
 
 
-def _design_key(point, method, ris_mode, seed):
-    """(effective-channel key, method, budget): the inputs of a point's beamformers."""
-    scenario = point.scenario
-    eff_key = (point.site_key, ris_mode, seed if ris_mode in SEEDED_MODES else None)
-    return eff_key, method, (scenario.Pa_dbm, scenario.Pb_dbm, scenario.beta1, scenario.beta2)
+def _point_design(memo, point, method, ris_mode, seed):
+    """(effective channels, beamformer set, gains) of one point; see
+    :func:`point_beamformers` for the stage keys."""
+    scenario, site, site_key = point
+    geom, channels = memo.get(("channels", site_key), _site_channels, site)
+    eff_key = (site_key, ris_mode, seed if ris_mode in SEEDED_MODES else None)
+    budget = (scenario.Pa_dbm, scenario.Pb_dbm, scenario.beta1, scenario.beta2)
+    eff = memo.get(("eff", eff_key), _effective, geom, channels, site, ris_mode, seed)
+
+    def zf(rx):
+        return memo.get(("zf", site_key, rx), receiver_zf, channels, rx)
+
+    def design():
+        if method == "max-sv":
+            v_at, v_bt, w_a, w_b, v_ar, v_br = memo.get(
+                ("max-sv", eff_key), max_sv_beamformers, channels, eff)
+        elif method == "leakage":
+            v_at, v_bt, w_a, w_b = memo.get(
+                ("leakage", site_key, budget), leakage_transmitters, channels, scenario)
+            # three-way ZF+MRC receivers, aligned to each path's arrival
+            v_br = zf_mrc(zf("b"), [term @ v_at for term in eff.paths["h_b"]])
+            v_ar = zf_mrc(zf("a"), [term @ v_bt for term in eff.paths["h_a"]])
+        else:
+            raise ValueError(f"unknown beamforming method '{method}'")
+        v_er = zf_mrc(zf("e"), eve_arrivals(eff, v_at, v_bt, scenario))
+        bf = BeamformerSet(v_at, v_bt, w_a, w_b, v_ar, v_br, v_er)
+        return bf, scalar_gains(eff, bf, scenario)
+
+    bf, gains = memo.get(("design", eff_key, method, budget), design)
+    return eff, bf, gains
 
 
 def point_beamformers(memo, point, method, ris_mode, seed):
@@ -237,36 +265,16 @@ def point_beamformers(memo, point, method, ris_mode, seed):
     * ZF vectors: the site and the receiver;
     * max-sv design: the effective channels;
     * leakage transmitters: the site, powers and split;
-    * Eve's combiner and the leakage receivers: the effective channels,
-      method, powers and split; they come from
-      :func:`~risdm.beamforming.assemble_beamformers`.
+    * the leakage receivers, Eve's combiner and the set's gains: the
+      effective channels, method, powers and split, in one entry.
     """
-    scenario, site, site_key = point
-    geom, channels = memo.get(("channels", site_key), _site_channels, site)
-    key = _design_key(point, method, ris_mode, seed)
-    eff_key, _, budget = key
-    eff = memo.get(("eff", eff_key), _effective, geom, channels, site, ris_mode, seed)
-
-    def zf(rx):
-        return memo.get(("zf", site_key, rx), receiver_zf, channels, rx)
-
-    def design():
-        if method == "max-sv":
-            parts = memo.get(("max-sv", eff_key), max_sv_beamformers, channels, eff)
-        elif method == "leakage":
-            parts = memo.get(("leakage", site_key, budget), leakage_transmitters, channels, scenario)
-        else:
-            raise ValueError(f"unknown beamforming method '{method}'")
-        return assemble_beamformers(method, parts, eff, scenario, zf)
-
-    return eff, memo.get(("beamformers", *key), design)
+    eff, bf, _ = _point_design(memo, point, method, ris_mode, seed)
+    return eff, bf
 
 
 def point_gains(memo, point, method, ris_mode, seed):
-    """The s1..s8 link budget of :func:`point_beamformers`'s set, keyed like it."""
-    eff, bf = point_beamformers(memo, point, method, ris_mode, seed)
-    key = ("gains", *_design_key(point, method, ris_mode, seed))
-    return memo.get(key, scalar_gains, eff, bf, point.scenario)
+    """The s1..s8 link budget of :func:`point_beamformers`'s set, stored with it."""
+    return _point_design(memo, point, method, ris_mode, seed)[2]
 
 
 def _split_outcome(gains, pa_mode, scenario, seed):

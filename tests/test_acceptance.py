@@ -99,7 +99,7 @@ def test_criterion_2_stationarity_algebra():
         g = random_gains(rng)
         num, den = quartic_pair(g)
         lead = num[0] * den[1] - num[1] * den[0]
-        sc = sextic_coeffs(g)
+        sc = np.array(sextic_coeffs(g))
         raw = lead * sc
         for beta in rng.uniform(0.0, 1.0, size=10):
             lhs = lead * np.polyval(sc, beta)
@@ -130,7 +130,7 @@ def test_criterion_3_root_oracle_equivalence():
     worst_quartic = 0.0
     for _ in range(1000):
         a = rng.uniform(-10, 10, size=4)
-        err = matched_error(ferrari_roots(*a), companion_roots([1.0, *a]))
+        err = matched_error(np.array(ferrari_roots(*a)[0]), companion_roots([1.0, *a]))
         worst_quartic = max(worst_quartic, err)
         assert err < 1e-8
 

@@ -20,10 +20,9 @@ from risdm.beamforming import (
     eve_arrivals,
     leakage_side,
     leakage_transmitters,
-    max_sv_design,
+    max_sv_beamformers,
     mrc_weights,
     receiver_zf,
-    three_way_arrivals,
     zf_mrc,
 )
 from risdm.channels import build_channels, effective_channels
@@ -35,6 +34,20 @@ from risdm.sim import StageMemo, SweepSpec, point_beamformers, run_sweep, sweep_
 def random_unit(rng, n, count=1):
     v = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
     return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def max_sv_pairs(eff):
+    """(v_at, v_br, v_bt, v_ar) of :func:`max_sv_beamformers` on hand-built
+    effective channels, with all-ones departure steerings toward Eve."""
+    steerings = SimpleNamespace(departure_steering=lambda tx, rx: np.ones(
+        (eff.h_b if tx == "a" else eff.h_a).shape[1]))
+    v_at, v_bt, _, _, v_ar, v_br = max_sv_beamformers(steerings, eff)
+    return v_at, v_br, v_bt, v_ar
+
+
+def arrivals_at(eff, v_t, side):
+    """The message signal reaching Alice or Bob along each of its three branches."""
+    return [term @ v_t for term in eff.paths[f"h_{side}"]]
 
 
 class TestMaxSv:
@@ -49,13 +62,13 @@ class TestMaxSv:
         v = random_unit(rng, 6)[0]
         h_b = 0.37 * np.outer(u, v.conj())
         eff = direct_only(h_a=h_b.conj().T, h_b=h_b, h_e1=np.eye(4, 6), h_e2=np.eye(4, 5))
-        v_at, v_br, _, _ = max_sv_design(eff)
+        v_at, v_br, _, _ = max_sv_pairs(eff)
         assert abs(abs(v.conj() @ v_at) - 1.0) < 1e-10
         assert abs(abs(u.conj() @ v_br) - 1.0) < 1e-10
 
     def test_achieves_largest_singular_value(self, rng):
         eff = self.make_eff(rng)
-        v_at, v_br, v_bt, v_ar = max_sv_design(eff)
+        v_at, v_br, v_bt, v_ar = max_sv_pairs(eff)
         s_b = np.linalg.svd(eff.h_b, compute_uv=False)
         s_a = np.linalg.svd(eff.h_a, compute_uv=False)
         assert abs(v_br.conj() @ eff.h_b @ v_at) == pytest.approx(s_b[0], abs=1e-10)
@@ -63,7 +76,7 @@ class TestMaxSv:
 
     def test_beats_random_probe_pairs(self, rng):
         eff = self.make_eff(rng)
-        v_at, v_br, _, _ = max_sv_design(eff)
+        v_at, v_br, _, _ = max_sv_pairs(eff)
         achieved = abs(v_br.conj() @ eff.h_b @ v_at) ** 2
         tx = random_unit(rng, eff.h_b.shape[1], 10_000)
         rx = random_unit(rng, eff.h_b.shape[0], 10_000)
@@ -74,7 +87,7 @@ class TestMaxSv:
         eff = direct_only(h_a=np.zeros((4, 4)), h_b=np.zeros((4, 4)),
                           h_e1=np.zeros((4, 4)), h_e2=np.zeros((4, 4)))
         with pytest.raises(Exception):
-            max_sv_design(eff)
+            max_sv_pairs(eff)
 
 
 class TestDominantSingularPair:
@@ -225,7 +238,7 @@ class TestEveCombiner:
         zf = receiver_zf(channels, "e")
         assert zf[1] == [True, False, True, False]
         eff = effective_channels(channels, *reflections_for("gpg", geom, cfg))
-        v_at, _, v_bt, _ = max_sv_design(eff)
+        v_at, v_bt, *_ = max_sv_beamformers(channels, eff)
         combiner = zf_mrc(zf, eve_arrivals(eff, v_at, v_bt, cfg))
         assert np.linalg.norm(combiner) == pytest.approx(1.0, abs=1e-12)
         records = run_sweep(cfg, SweepSpec(axis="power_dbm", values=(27.0,),
@@ -239,7 +252,7 @@ class TestEveCombiner:
         channels = build_channels(geom, default_cfg)
         refls = reflections_for("gpg", geom, default_cfg)
         eff = effective_channels(channels, *refls)
-        v_at, _, v_bt, _ = max_sv_design(eff)
+        v_at, v_bt, *_ = max_sv_beamformers(channels, eff)
         zf = receiver_zf(channels, "e")
         vecs, dropped = zf
         weights = mrc_weights(zf, eve_arrivals(eff, v_at, v_bt, default_cfg))
@@ -260,7 +273,7 @@ class TestEveCombiner:
         channels = build_channels(geom, cfg)
         refls = reflections_for("gpg", geom, cfg)
         eff = effective_channels(channels, *refls)
-        v_at, _, v_bt, _ = max_sv_design(eff)
+        v_at, v_bt, *_ = max_sv_beamformers(channels, eff)
         with pytest.raises(InsufficientAntennasError):
             zf_mrc(receiver_zf(channels, "e"), eve_arrivals(eff, v_at, v_bt, cfg))
 
@@ -402,9 +415,9 @@ class TestLeakageDesigns:
             return real(channels_, side)
 
         monkeypatch.setattr(beamforming, "_leakage_matrices", counting)
-        parts = leakage_transmitters(channels, default_cfg)
+        v_at, v_bt, w_a, w_b = leakage_transmitters(channels, default_cfg)
         assert built == ["a", "b"]
-        for side, v, w in (("a", parts["v_at"], parts["w_a"]), ("b", parts["v_bt"], parts["w_b"])):
+        for side, v, w in (("a", v_at, w_a), ("b", v_bt, w_b)):
             v_side, w_side = leakage_side(channels, default_cfg, side)
             assert np.array_equal(v, v_side) and np.array_equal(w, w_side)
 
@@ -431,7 +444,7 @@ class TestThreeWayCombiner:
         eff = effective_channels(channels, *reflections_for("gpg", geom, cfg))
         v_at = leakage_side(channels, cfg, "a")[0]
         with pytest.raises(InsufficientAntennasError):
-            zf_mrc(receiver_zf(channels, "b"), three_way_arrivals(eff, v_at, "b"))
+            zf_mrc(receiver_zf(channels, "b"), arrivals_at(eff, v_at, "b"))
 
     def test_coherent_recombination_oracle(self, default_cfg):
         # achieved message magnitude vs. an independently recomputed
@@ -442,7 +455,7 @@ class TestThreeWayCombiner:
         eff = effective_channels(channels, *refls)
         v_at = leakage_side(channels, default_cfg, "a")[0]
         zf = receiver_zf(channels, "b")
-        arrivals = three_way_arrivals(eff, v_at, "b")
+        arrivals = arrivals_at(eff, v_at, "b")
         v_br = zf_mrc(zf, arrivals)
         achieved = abs(v_br.conj() @ eff.h_b @ v_at)
 
@@ -527,7 +540,7 @@ class TestCombinersReadPathTerms:
         refls = reflections_for(mode, geom, cfg, seed=5)
         eff = effective_channels(channels, *refls)
         if method == "max-sv":
-            v_at, _, v_bt, _ = max_sv_design(eff)
+            v_at, v_bt, *_ = max_sv_beamformers(channels, eff)
         else:
             v_at, v_bt = (leakage_side(channels, cfg, side)[0] for side in "ab")
 
@@ -539,7 +552,7 @@ class TestCombinersReadPathTerms:
         assert np.max(np.abs(zf_mrc(zf, arrivals) - assembled(vecs, want))) < 1e-12
 
         for side, v_t in (("b", v_at), ("a", v_bt)):
-            zf, arrivals = receiver_zf(channels, side), three_way_arrivals(eff, v_t, side)
+            zf, arrivals = receiver_zf(channels, side), arrivals_at(eff, v_t, side)
             vecs, dropped = zf
             signals = dense_three_way_signals(channels, refls, v_t, vecs, side)
             want = [0.0 if d else _mrc_weight(s) for s, d in zip(signals, dropped)]

@@ -67,6 +67,27 @@ class TestSweepCommand:
         assert "distance_ab values must be finite and > 0" in proc.stderr
         assert not out.exists()
 
+    def test_negative_values_in_equals_form(self, config_path, tmp_path):
+        # argparse reads "--values -10,0" as an option; "--values=-10,0" is a value
+        out = tmp_path / "neg.csv"
+        proc = run_cli(
+            "sweep", "--config", config_path, "--axis", "power_dbm",
+            "--values=-10,0", "--out", str(out),
+        )
+        assert proc.returncode == 0, proc.stderr
+        rows = [line.split(",") for line in out.read_text().strip().split("\n")[1:]]
+        assert [float(row[0]) for row in rows] == [-10.0, 0.0]
+
+    def test_singular_leakage_pencil_fails_without_csv(self, tmp_path):
+        out = tmp_path / "x.csv"
+        proc = run_cli(
+            "sweep", "--axis", "power_dbm", "--values", "200", "--methods", "leakage",
+            "--out", str(out),
+        )
+        assert proc.returncode == 1
+        assert "method=leakage" in proc.stderr and "singular" in proc.stderr
+        assert not out.exists()
+
     def test_workers_flag_refused(self, config_path, tmp_path):
         # a sweep runs in one process, at the default grid steps and per-point seeds
         out = tmp_path / "x.csv"

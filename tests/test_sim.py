@@ -22,14 +22,18 @@ from risdm.sim import (
     CSV_HEADER,
     METHODS,
     PA_MODES,
+    StageMemo,
     SweepRecord,
     SweepSpec,
     apply_axis,
     emit_csv,
     pa_surface,
+    point_beamformers,
+    point_gains,
     run_sweep,
     splitmix64,
     sub_seed,
+    sweep_point,
     write_csv,
 )
 
@@ -233,6 +237,30 @@ class TestRunSweep:
         message = str(pa_err.value)
         assert "method=max-sv ris=gpg trial=0" in message
         assert "pa=hicf" in message and "no split" in message
+
+    def test_singular_leakage_pencil_carries_context(self):
+        # at 200 dBm the loaded leakage pencil's B is numerically singular
+        spec = SweepSpec(axis="power_dbm", values=(200.0,), methods=("leakage",))
+        with pytest.raises(RuntimeError, match="power_dbm=200") as err:
+            run_sweep(default_config(), spec)
+        message = str(err.value)
+        assert "method=leakage" in message and "singular" in message
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_gains_stored_with_the_beamformers(self, monkeypatch, method):
+        calls = []
+        real = risdm.sim.scalar_gains
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(risdm.sim, "scalar_gains", counting)
+        memo, point = StageMemo(), sweep_point(small_cfg())
+        eff, bf = point_beamformers(memo, point, method, "gpg", 0)
+        gains = point_gains(memo, point, method, "gpg", 0)
+        assert len(calls) == 1 and calls[0][:2] == (eff, bf)
+        assert gains == real(eff, bf, point.scenario)
 
     def test_stages_built_once_per_distinct_input(self, monkeypatch):
         calls = {}
