@@ -9,16 +9,15 @@ import numpy as np
 
 from risdm import build_channels, build_geometry, default_config
 from risdm.beamforming import eve_arrivals, mrc_weights, receiver_zf
-from risdm.rates import rates_matrix_form, scalar_gains, ssr
-from risdm.sim import StageMemo, point_beamformers, sweep_point
+from risdm.rates import rates_matrix_form, ssr
+from risdm.sim import StageMemo, point_design, sweep_point
 
 cfg = default_config()
 channels = build_channels(build_geometry(cfg), cfg)
 memo, point = StageMemo(), sweep_point(cfg)
 
 for method in ("max-sv", "leakage"):
-    eff, bf = point_beamformers(memo, point, method, "gpg", 0)
-    g = scalar_gains(eff, bf, cfg)
+    eff, bf, g = point_design(memo, point, method, "gpg", 0)
     ra, rb, re = rates_matrix_form(eff, bf, cfg)
     print(f"=== {method} ===")
     norms = [np.linalg.norm(v) for v in (bf.v_at, bf.v_bt, bf.w_a, bf.w_b,
@@ -34,7 +33,7 @@ for method in ("max-sv", "leakage"):
           f"s7 (noise at Eve) = {g.s7:.3e} mW")
 
 print("\nEve's four-branch zero-forcing separation (max-sv design):")
-eff, bf = point_beamformers(memo, point, "max-sv", "gpg", 0)
+eff, bf, _ = point_design(memo, point, "max-sv", "gpg", 0)
 zf = receiver_zf(channels, "e")
 vecs, weights = zf[0], mrc_weights(zf, eve_arrivals(eff, bf.v_at, bf.v_bt, cfg))
 steer = [channels.arrival_steering(tx, "e") for tx in ("i1", "i2", "a", "b")]

@@ -12,7 +12,7 @@ import numpy as np
 from risdm import default_config
 from risdm.power_allocation import allocate, deflate, es_1d, hicf, newton_root, sextic_coeffs
 from risdm.rates import ScalarGains
-from risdm.sim import StageMemo, point_gains, sweep_point
+from risdm.sim import StageMemo, point_design, sweep_point
 
 # a generic healthy link budget (mW-scaled)
 g = ScalarGains(s1=2.1, s2=0.6, s3=3.4, s4=0.8, s5=0.9, s6=0.5, s7=1.3, s8=1.0,
@@ -49,7 +49,7 @@ print(f"\nAgainst the 1e-5 grid oracle: |dbeta| = {abs(out.beta1 - fine.beta1):.
 
 # the same machinery on a full scenario (surfaces and beamformers designed first)
 cfg = default_config(M=128)
-gs = point_gains(StageMemo(), sweep_point(cfg), "max-sv", "gpg", 0)
+_, _, gs = point_design(StageMemo(), sweep_point(cfg), "max-sv", "gpg", 0)
 best = hicf(gs, seed=cfg.seed)
 equal = allocate(gs, "epa")
 print(f"\nFull scenario at M = {cfg.M} (max-sv + designed surfaces):")

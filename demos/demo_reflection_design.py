@@ -10,9 +10,9 @@ power; switched-off surfaces leave only the direct path.
 import numpy as np
 
 from risdm import build_geometry, default_config
-from risdm.rates import scalar_gains, ssr
+from risdm.rates import ssr
 from risdm.ris import leg_phases, synthesis_phase
-from risdm.sim import StageMemo, point_beamformers, sweep_point
+from risdm.sim import StageMemo, point_design, sweep_point
 
 cfg = default_config()
 geom = build_geometry(cfg)
@@ -36,8 +36,8 @@ print(f"{'mode':>12} {'max-sv':>10} {'leakage':>10}")
 for mode in ("gpg", "ris1-only", "ris2-only", "none"):
     row = []
     for method in ("max-sv", "leakage"):
-        eff, bf = point_beamformers(memo, point, method, mode, 0)
-        row.append(ssr(cfg.beta1, cfg.beta2, scalar_gains(eff, bf, cfg)))
+        _, _, g = point_design(memo, point, method, mode, 0)
+        row.append(ssr(cfg.beta1, cfg.beta2, g))
     print(f"{mode:>12} {row[0]:10.3f} {row[1]:10.3f}")
 
 trials = 20
@@ -45,7 +45,7 @@ means = []
 for method in ("max-sv", "leakage"):
     values = []
     for k in range(trials):
-        eff, bf = point_beamformers(memo, point, method, "random", k)
-        values.append(ssr(cfg.beta1, cfg.beta2, scalar_gains(eff, bf, cfg)))
+        _, _, g = point_design(memo, point, method, "random", k)
+        values.append(ssr(cfg.beta1, cfg.beta2, g))
     means.append(np.mean(values))
 print(f"{'random(mean)':>12} {means[0]:10.3f} {means[1]:10.3f}   ({trials} seeds)")

@@ -18,7 +18,7 @@ compute each part once per distinct input: the ZF vectors of a receiver
 (:func:`receiver_zf`) read only its arrival steerings, the max-sv vectors
 (:func:`max_sv_beamformers`) only the effective channels, and the leakage
 transmitters (:func:`leakage_transmitters`) the links, powers and split.
-:func:`risdm.sim.point_beamformers` is the one caller that composes these
+:func:`risdm.sim.point_design` is the one caller that composes these
 parts, and the ZF+MRC combiners (:func:`zf_mrc`) that read the effective
 channels, into a :class:`BeamformerSet`, with each part memoized under the
 inputs it reads; it holds the only branch on the method.

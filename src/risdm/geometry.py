@@ -80,6 +80,11 @@ def _is_number(value):
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
+def _is_integer(value):
+    """An integer of any integral type except bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _number(value, name):
     """``value`` as a float: a finite real number, never a bool or a string."""
     if _is_number(value):

@@ -36,12 +36,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
+from .geometry import _is_integer
 from .rates import _objective, rate_objective, ssr
 
 NEWTON_TOL = 1e-5  # stop when |beta^{p+1} - beta^p| falls below this
@@ -332,7 +332,7 @@ def ferrari_roots(a1, a2, a3, a4):
 
 def check_seed(seed):
     """Reject a seed that is not a non-negative integer (a bool is not one)."""
-    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+    if not _is_integer(seed) or seed < 0:
         raise ValueError("seed must be a non-negative integer")
 
 

@@ -9,14 +9,12 @@ channels and serves as an independent oracle for the scalar path.
 Logs are base 2; rates are bits/s/Hz.  Clamping to zero happens once, at
 the secrecy-sum-rate level.
 
-:func:`rate_objective` has two paths through one expression.  Two scalar
-splits are converted to Python floats and range-checked with Python
-comparisons, which skips the per-call cost of 0-d arrays; everything else
-goes through numpy arrays and broadcasts.  Both paths apply the same
-operations in the same order, so a scalar result is bit-identical to the
-matching array element.  The scalar path keeps ``np.log2``: ``math.log2``
-rounds differently in the last bit on a fraction of inputs.  Either path
-rejects a split outside [0, 1], NaN included.
+:func:`rate_objective` takes two scalar splits, rejects one outside
+[0, 1] (NaN included) and returns a float.  The grids of ``sim`` and
+``power_allocation`` evaluate the same expression, ``_objective``, on
+arrays over [0, 1], so a grid value is bit-identical to the scalar one.
+The expression keeps ``np.log2`` on scalars too: ``math.log2`` rounds
+differently in the last bit on a fraction of inputs.
 """
 
 from __future__ import annotations
@@ -83,10 +81,6 @@ def scalar_gains(eff, bf, config):
     )
 
 
-def _is_scalar(x):
-    return isinstance(x, (float, int)) or np.ndim(x) == 0
-
-
 def _objective(beta1, beta2, g):
     d_e = (1.0 - beta1) * g.s7 + (1.0 - beta2) * g.s8 + g.sigma2_e
     return (
@@ -98,22 +92,15 @@ def _objective(beta1, beta2, g):
 
 
 def rate_objective(beta1, beta2, g):
-    """Unclamped secrecy objective R(beta1, beta2), scalar or elementwise on arrays.
+    """Unclamped secrecy objective R(beta1, beta2) of two scalar splits, as a float.
 
     Exposed unclamped because the power-split optimizer needs a function
-    without the flat clamped region.  Two scalars give a float; otherwise
-    the splits broadcast against each other and an array comes back.
+    without the flat clamped region.
     """
-    if _is_scalar(beta1) and _is_scalar(beta2):
-        beta1, beta2 = float(beta1), float(beta2)
-        if not (0.0 <= beta1 <= 1.0 and 0.0 <= beta2 <= 1.0):
-            raise ValueError("power-split factors must lie in [0, 1]")
-        return float(_objective(beta1, beta2, g))
-    beta1 = np.asarray(beta1, dtype=float)
-    beta2 = np.asarray(beta2, dtype=float)
-    if np.any(~((beta1 >= 0) & (beta1 <= 1))) or np.any(~((beta2 >= 0) & (beta2 <= 1))):
+    beta1, beta2 = float(beta1), float(beta2)
+    if not (0.0 <= beta1 <= 1.0 and 0.0 <= beta2 <= 1.0):
         raise ValueError("power-split factors must lie in [0, 1]")
-    return _objective(beta1, beta2, g)
+    return float(_objective(beta1, beta2, g))
 
 
 def ssr(beta1, beta2, g):

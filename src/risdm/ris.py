@@ -83,7 +83,9 @@ def synthesis_phase(theta1, theta2):
     total = np.exp(1j * theta1) + np.exp(1j * theta2)
     degenerate = np.abs(total) < ANTIPODAL_TOL
     phi = np.where(degenerate, -theta1, -np.angle(np.where(degenerate, 1.0, total)))
-    return np.mod(phi, 2.0 * np.pi), degenerate
+    phases = np.mod(phi, 2.0 * np.pi)
+    # np.mod rounds a phase just below 0 up to 2 pi, which is the phase 0.
+    return np.where(phases == 2.0 * np.pi, 0.0, phases), degenerate
 
 
 def gpg_phases(geom, which_ris, config):

@@ -3,10 +3,10 @@
 A sweep walks one axis (transmit power, element count, split factor, or
 Alice-Bob distance) over a value list crossed with beamforming methods,
 reflection modes, and power-allocation modes.  Each (value, method,
-reflection mode, trial) unit runs the geometry-to-beamformers chain and
-the gains (:func:`point_beamformers`, :func:`point_gains`) and every
-power-allocation mode, but each stage is computed once per distinct
-input it reads, through a :class:`StageMemo` that lives for one sweep.
+reflection mode, trial) unit runs the geometry-to-gains chain
+(:func:`point_design`) and every power-allocation mode, but each stage
+is computed once per distinct input it reads, through a
+:class:`StageMemo` that lives for one sweep.
 A power or split sweep thus builds its channels once, a mode that reads
 no seed builds its effective channels once per site, a beamformer set
 is stored with its gains, and a power-allocation outcome is computed
@@ -26,7 +26,6 @@ the floats to 12 significant digits, every other field through ``str()``.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 from itertools import product
 from typing import NamedTuple
@@ -42,9 +41,10 @@ from .beamforming import (
     zf_mrc,
 )
 from .channels import build_channels, effective_channels
-from .geometry import COINCIDENT_M, InvalidGeometryError, ScenarioConfig, _is_number, build_geometry
+from .geometry import COINCIDENT_M, InvalidGeometryError, ScenarioConfig, build_geometry
+from .geometry import _is_integer, _is_number
 from .power_allocation import allocate, grid_intervals
-from .rates import rate_objective, scalar_gains, ssr
+from .rates import _objective, scalar_gains, ssr
 from .ris import MODES as RIS_MODES
 from .ris import SEEDED_MODES, reflections_for
 
@@ -69,11 +69,6 @@ def splitmix64(state):
 def sub_seed(seed, axis_index, trial):
     """Deterministic per-point seed: seed mixed with the point coordinates."""
     return splitmix64(splitmix64(int(seed) & _MASK64) ^ splitmix64((axis_index << 32) ^ trial))
-
-
-def _is_integer(value):
-    """An integer of any integral type except bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -212,22 +207,34 @@ def _axis_point(config, axis, value):
 
 
 def _site_channels(site):
-    geom = build_geometry(site)
-    return geom, build_channels(geom, site)
+    return build_channels(build_geometry(site), site)
 
 
-def _effective(geom, channels, site, ris_mode, seed):
-    return effective_channels(channels, *reflections_for(ris_mode, geom, site, seed=seed))
+def _effective(channels, site, ris_mode, seed):
+    return effective_channels(channels, *reflections_for(ris_mode, channels.geom, site, seed=seed))
 
 
-def _point_design(memo, point, method, ris_mode, seed):
-    """(effective channels, beamformer set, gains) of one point; see
-    :func:`point_beamformers` for the stage keys."""
+def point_design(memo, point, method, ris_mode, seed):
+    """(effective channels, :class:`~risdm.beamforming.BeamformerSet`, gains) of one point.
+
+    ``point`` is a :class:`SweepPoint`.  Each stage is taken from ``memo``
+    under the inputs it reads:
+
+    * geometry and channels: the site (the scenario with its powers, split
+      and seed reset);
+    * reflections and effective channels: the site, the mode, and the
+      seed for a mode in ``ris.SEEDED_MODES``;
+    * ZF vectors: the site and the receiver;
+    * max-sv design: the effective channels;
+    * leakage transmitters: the site, powers and split;
+    * the leakage receivers, Eve's combiner and the set's gains: the
+      effective channels, method, powers and split, in one entry.
+    """
     scenario, site, site_key = point
-    geom, channels = memo.get(("channels", site_key), _site_channels, site)
+    channels = memo.get(("channels", site_key), _site_channels, site)
     eff_key = (site_key, ris_mode, seed if ris_mode in SEEDED_MODES else None)
     budget = (scenario.Pa_dbm, scenario.Pb_dbm, scenario.beta1, scenario.beta2)
-    eff = memo.get(("eff", eff_key), _effective, geom, channels, site, ris_mode, seed)
+    eff = memo.get(("eff", eff_key), _effective, channels, site, ris_mode, seed)
 
     def zf(rx):
         return memo.get(("zf", site_key, rx), receiver_zf, channels, rx)
@@ -252,31 +259,6 @@ def _point_design(memo, point, method, ris_mode, seed):
     return eff, bf, gains
 
 
-def point_beamformers(memo, point, method, ris_mode, seed):
-    """(effective channels, :class:`~risdm.beamforming.BeamformerSet`) of one point.
-
-    ``point`` is a :class:`SweepPoint`.  Each stage is taken from ``memo``
-    under the inputs it reads:
-
-    * geometry and channels: the site (the scenario with its powers, split
-      and seed reset);
-    * reflections and effective channels: the site, the mode, and the
-      seed for a mode in ``ris.SEEDED_MODES``;
-    * ZF vectors: the site and the receiver;
-    * max-sv design: the effective channels;
-    * leakage transmitters: the site, powers and split;
-    * the leakage receivers, Eve's combiner and the set's gains: the
-      effective channels, method, powers and split, in one entry.
-    """
-    eff, bf, _ = _point_design(memo, point, method, ris_mode, seed)
-    return eff, bf
-
-
-def point_gains(memo, point, method, ris_mode, seed):
-    """The s1..s8 link budget of :func:`point_beamformers`'s set, stored with it."""
-    return _point_design(memo, point, method, ris_mode, seed)[2]
-
-
 def _split_outcome(gains, pa_mode, scenario, seed):
     """(beta1, beta2, ssr) of one power-allocation mode on one set of gains."""
     if pa_mode == "fixed":
@@ -290,7 +272,7 @@ def run_sweep(config, spec):
     """Evaluate every (value x method x ris_mode x pa_mode x trial) point.
 
     Every stage runs once per distinct input within this call (see
-    :func:`point_beamformers`), and each axis value is applied once; a
+    :func:`point_design`), and each axis value is applied once; a
     power-allocation outcome is keyed by the gains, plus the split for
     ``fixed`` and the unit's sub-seed for ``hicf``.
     Errors propagate with the offending parameters attached.  Records come
@@ -305,7 +287,7 @@ def run_sweep(config, spec):
         where = f"axis={spec.axis}={value} method={method} ris={ris_mode} trial={trial}"
         try:
             point = memo.get(("point", value), _axis_point, config, spec.axis, value)
-            gains = point_gains(memo, point, method, ris_mode, seed)
+            _, _, gains = point_design(memo, point, method, ris_mode, seed)
         except Exception as err:
             raise RuntimeError(f"sweep point failed: {where}: {err}") from err
         scenario = point.scenario
@@ -331,10 +313,10 @@ def pa_surface(config, step=0.01, method="max-sv", ris_mode="gpg"):
     must lie in (0, 0.5].
     """
     n = grid_intervals(step)
-    gains = point_gains(StageMemo(), sweep_point(config), method, ris_mode, config.seed)
+    _, _, gains = point_design(StageMemo(), sweep_point(config), method, ris_mode, config.seed)
     grid = [i / n for i in range(n + 1)]
     axis = np.array(grid)
-    values = rate_objective(axis[:, None], axis[None, :], gains).ravel().tolist()
+    values = _objective(axis[:, None], axis[None, :], gains).ravel().tolist()
     return [
         SweepRecord(x, method, ris_mode, "surface", x, y, max(0.0, r), 0, config.seed)
         for (x, y), r in zip(product(grid, grid), values)

@@ -17,7 +17,7 @@ from risdm.geometry import (
 )
 from risdm.rates import ScalarGains, scalar_gains
 from risdm.ris import reflections_for
-from risdm.sim import StageMemo, point_beamformers, sweep_point
+from risdm.sim import StageMemo, point_design, sweep_point
 
 
 def random_placement(rng, box=120.0, min_dist=5.0):
@@ -63,6 +63,17 @@ def random_config(rng, na=None, nb=None, ne=None, m=None, **overrides):
     raise RuntimeError("could not draw a valid random scenario")
 
 
+def collinear_config():
+    """The default scenario with Alice and Bob moved so that surface 1 lies
+    between them on one line; GPG's phases there round to just below 0."""
+    placement = default_config().placement
+    positions = dict(placement.positions,
+                     a=(-2.6232212868368734, 1.9071228385628576),
+                     b=(63.446446316532864, 22.75479030248067))
+    return default_config(placement=Placement(positions=positions,
+                                              orientations=placement.orientations))
+
+
 def random_gains(rng):
     """Generic positive link-budget scalars (healthy, non-degenerate sextic)."""
     s = 10.0 ** rng.uniform(-2.0, 0.7, size=8)
@@ -80,12 +91,12 @@ def pipeline(cfg, ris_mode="gpg", method="max-sv", seed=0):
     """Run geometry -> channels -> reflections -> beamformers for one scenario.
 
     The effective channels and beamformers come from the sweep's stage,
-    :func:`risdm.sim.point_beamformers`.
+    :func:`risdm.sim.point_design`.
     """
     geom = build_geometry(cfg)
     channels = build_channels(geom, cfg)
     refls = reflections_for(ris_mode, geom, cfg, seed=seed)
-    eff, bf = point_beamformers(StageMemo(), sweep_point(cfg), method, ris_mode, seed)
+    eff, bf, _ = point_design(StageMemo(), sweep_point(cfg), method, ris_mode, seed)
     return geom, channels, refls, eff, bf
 
 

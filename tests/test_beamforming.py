@@ -28,7 +28,7 @@ from risdm.beamforming import (
 from risdm.channels import build_channels, effective_channels
 from risdm.geometry import Placement, build_geometry, default_config, default_placement
 from risdm.ris import reflections_for
-from risdm.sim import StageMemo, SweepSpec, point_beamformers, run_sweep, sweep_point
+from risdm.sim import StageMemo, SweepSpec, point_design, run_sweep, sweep_point
 
 
 def random_unit(rng, n, count=1):
@@ -490,7 +490,7 @@ class TestFullSets:
 
     def test_unknown_method(self, default_cfg):
         with pytest.raises(ValueError):
-            point_beamformers(StageMemo(), sweep_point(default_cfg), "mystery", "gpg", 0)
+            point_design(StageMemo(), sweep_point(default_cfg), "mystery", "gpg", 0)
 
 
 def dense_eve_signals(channels, refls, v_at, v_bt, vecs, config):
@@ -565,10 +565,10 @@ class TestCombinersReadPathTerms:
         # that only this method's beamformer stage runs under tracemalloc.
         memo, point = StageMemo(), sweep_point(default_config(M=1024))
         other = "leakage" if method == "max-sv" else "max-sv"
-        point_beamformers(memo, point, other, "gpg", 0)
+        point_design(memo, point, other, "gpg", 0)
         tracemalloc.start()
         try:
-            point_beamformers(memo, point, method, "gpg", 0)
+            point_design(memo, point, method, "gpg", 0)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from conftest import collinear_config
 from risdm import cli
 from risdm.geometry import default_config
 
@@ -87,6 +88,16 @@ class TestSweepCommand:
         assert proc.returncode == 1
         assert "method=leakage" in proc.stderr and "singular" in proc.stderr
         assert not out.exists()
+
+    def test_surface_on_the_alice_bob_line(self, tmp_path):
+        path, out = tmp_path / "line.json", tmp_path / "x.csv"
+        path.write_text(collinear_config().to_json())
+        proc = run_cli(
+            "sweep", "--config", str(path), "--axis", "power_dbm", "--values", "10,27",
+            "--methods", "max-sv,leakage", "--ris", "gpg,random,ris2-only", "--out", str(out),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert len(out.read_text().strip().split("\n")) == 1 + 12
 
     def test_workers_flag_refused(self, config_path, tmp_path):
         # a sweep runs in one process, at the default grid steps and per-point seeds

@@ -779,7 +779,7 @@ class TestGridSearches:
         fine = es_2d(g, step=0.001)
         # bound the coarse-grid loss by the observed objective slope
         grid = np.linspace(0, 1, 1001)
-        vals = rate_objective(grid, grid, g)
+        vals = pa._objective(grid, grid, g)
         slope = np.max(np.abs(np.diff(vals))) / 0.001
         assert fine.ssr - coarse.ssr <= 2 * slope * 0.01 + 1e-12
 
@@ -806,7 +806,7 @@ class TestGridSearches:
             evaluated.clear()
             out = es_2d(g, step=0.01)
             grid = np.linspace(0.0, 1.0, 101)
-            mesh = rate_objective(*np.meshgrid(grid, grid, indexing="ij"), g)
+            mesh = score(*np.meshgrid(grid, grid, indexing="ij"), g)
             assert np.array_equal(evaluated[0], mesh)
             i, j = np.unravel_index(np.argmax(mesh), mesh.shape)
             assert (out.beta1, out.beta2) == (grid[i], grid[j])
@@ -835,18 +835,19 @@ class TestGridSearches:
 
     @pytest.mark.parametrize("step", [0.5, 0.05, 0.01, 1e-3])
     def test_outcomes_equal_range_checked_path(self, rng, step):
-        # the grids are scored without rate_objective's range check; the
-        # checked path on a fresh linspace picks the same split, bit for bit
+        # the grids score a cached linspace; the expression on a fresh one
+        # picks the same split, and the range-checked ssr there gives the
+        # outcome's rate, bit for bit
         grid = np.linspace(0.0, 1.0, pa.grid_intervals(step) + 1)
         for _ in range(10):
             g = random_gains(rng)
-            k = int(np.argmax(rate_objective(grid, grid, g)))
+            k = int(np.argmax(pa._objective(grid, grid, g)))
             out = es_1d(g, step=step)
             assert out.beta1.hex() == out.beta2.hex() == float(grid[k]).hex()
             assert out.ssr.hex() == ssr(grid[k], grid[k], g).hex()
             if step < 1e-2:
                 continue  # keep the square search small
-            i, j = divmod(int(np.argmax(rate_objective(grid[:, None], grid[None, :], g))), grid.size)
+            i, j = divmod(int(np.argmax(pa._objective(grid[:, None], grid[None, :], g))), grid.size)
             out = es_2d(g, step=step)
             assert (out.beta1.hex(), out.beta2.hex()) == (float(grid[i]).hex(), float(grid[j]).hex())
             assert out.ssr.hex() == ssr(grid[i], grid[j], g).hex()

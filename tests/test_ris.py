@@ -1,10 +1,14 @@
 """Reflection-phase synthesis and the baseline reflection settings."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import risdm.ris
 from risdm.channels import build_channels, effective_channels
 from risdm.geometry import (
     InvalidGeometryError,
@@ -25,6 +29,11 @@ from risdm.ris import (
 )
 
 TWO_PI = 2.0 * math.pi
+
+# Leg phases within 1e-15 of a multiple of 2 pi, and any finite leg phase.
+NEAR_TURNS = st.builds(lambda k, eps: k * TWO_PI + eps,
+                       st.integers(-10**6, 10**6), st.floats(-1e-15, 1e-15))
+LEG_PHASES = st.one_of(NEAR_TURNS, st.floats(allow_nan=False, allow_infinity=False))
 
 
 class TestSynthesisPhase:
@@ -58,6 +67,21 @@ class TestSynthesisPhase:
         delta = np.angle(np.exp(1j * (phases + (theta1 + theta2) / 2)))
         assert np.max(np.abs(delta)) < 1e-12
         assert not flags.any()
+
+    def test_phase_just_below_zero_is_zero(self):
+        # np.mod takes -1e-16 to 2 pi exactly, which is the phase 0
+        phases, flags = synthesis_phase([1e-16], [1e-16])
+        assert phases.tolist() == [0.0] and not flags.any()
+
+    @settings(max_examples=300, deadline=None)
+    @given(legs=st.lists(st.tuples(LEG_PHASES, LEG_PHASES), min_size=1, max_size=16))
+    def test_phases_in_range_for_any_finite_legs(self, legs):
+        theta1, theta2 = (np.array(t) for t in zip(*legs))
+        phases, _ = synthesis_phase(theta1, theta2)
+        assert np.all((phases >= 0.0) & (phases < TWO_PI))
+        with mock.patch.object(risdm.ris, "leg_phases", return_value=(theta1, theta2)):
+            refl = gpg_phases(None, 1, default_config(M=len(legs)))
+        assert np.array_equal(refl.phases, phases)
 
     def test_antipodal_flagged(self):
         phases, flags = synthesis_phase(np.array([0.25]), np.array([0.25 + math.pi]))

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import risdm.sim
-from conftest import pipeline_gains
+from conftest import collinear_config, pipeline_gains
 from risdm.geometry import InvalidGeometryError, build_geometry, default_config
 from risdm.power_allocation import allocate, es_1d, es_2d, hicf
 from risdm.rates import rate_objective, ssr
@@ -28,8 +28,7 @@ from risdm.sim import (
     apply_axis,
     emit_csv,
     pa_surface,
-    point_beamformers,
-    point_gains,
+    point_design,
     run_sweep,
     splitmix64,
     sub_seed,
@@ -246,6 +245,14 @@ class TestRunSweep:
         message = str(err.value)
         assert "method=leakage" in message and "singular" in message
 
+    def test_surface_on_the_alice_bob_line(self):
+        # GPG's phases there round to just below 0 on surface 1
+        spec = SweepSpec(axis="power_dbm", values=(10.0, 27.0), methods=METHODS,
+                         ris_modes=("gpg", "random", "ris2-only"))
+        records = run_sweep(collinear_config(), spec)
+        assert len(records) == 12
+        assert all(math.isfinite(r.ssr_bits) for r in records)
+
     @pytest.mark.parametrize("method", METHODS)
     def test_gains_stored_with_the_beamformers(self, monkeypatch, method):
         calls = []
@@ -257,9 +264,10 @@ class TestRunSweep:
 
         monkeypatch.setattr(risdm.sim, "scalar_gains", counting)
         memo, point = StageMemo(), sweep_point(small_cfg())
-        eff, bf = point_beamformers(memo, point, method, "gpg", 0)
-        gains = point_gains(memo, point, method, "gpg", 0)
+        eff, bf, gains = point_design(memo, point, method, "gpg", 0)
+        again = point_design(memo, point, method, "gpg", 0)
         assert len(calls) == 1 and calls[0][:2] == (eff, bf)
+        assert all(a is b for a, b in zip(again, (eff, bf, gains)))
         assert gains == real(eff, bf, point.scenario)
 
     def test_stages_built_once_per_distinct_input(self, monkeypatch):
