@@ -56,9 +56,10 @@ for key, vals in sorted(summarize(records, group=("method",)).items()):
     print(f"   {key[0]:>8}: " + "  ".join(f"{v:7.3f}" for v in vals))
 
 print("\n4) power-split surface (0.02 grid) and its ridge")
-records = pa_surface(cfg, step=0.02)
-write_csv(records, out_dir / "pa_surface.csv")
-best = max(records, key=lambda r: r.ssr_bits)
-print(f"   grid maximum: SSR = {best.ssr_bits:.4f} at "
-      f"(beta1, beta2) = ({best.beta1:.2f}, {best.beta2:.2f})")
+surface = pa_surface(cfg, step=0.02)
+write_csv(surface, out_dir / "pa_surface.csv")
+# the first maximum in beta1-major order, the CSV's row order
+i, j = np.unravel_index(np.argmax(surface.ssr), surface.ssr.shape)
+print(f"   grid maximum: SSR = {surface.ssr[i, j]:.4f} at "
+      f"(beta1, beta2) = ({surface.betas[i]:.2f}, {surface.betas[j]:.2f})")
 print(f"\nwrote 4 CSV files to {out_dir}")

@@ -21,6 +21,10 @@ in the README; identical inputs therefore give byte-identical CSV.
 A :class:`SweepRecord` is a NamedTuple whose fields are the CSV columns
 in order, so :func:`emit_csv` renders each record with one ``%`` format:
 the floats to 12 significant digits, every other field through ``str()``.
+:func:`pa_surface` returns a :class:`Surface`, the clamped SSR grid with
+its beta values, not one record per cell; :func:`emit_csv` writes the
+same rows from it, formatting each beta1's leading columns and each
+beta2's trailing columns once and only the SSR per cell.
 """
 
 from __future__ import annotations
@@ -306,29 +310,68 @@ def run_sweep(config, spec):
     return records
 
 
-def pa_surface(config, step=0.01, method="max-sv", ris_mode="gpg"):
-    """SSR over the (beta1, beta2) grid with beamformers frozen at the config split.
+# The largest surface grid, in points per axis (step 0.001).
+MAX_SURFACE_POINTS = 1001
 
-    One record per grid point; the axis column carries beta1.  ``step``
-    must lie in (0, 0.5].
+
+class Surface:
+    """The SSR over the (beta1, beta2) grid of one point design.
+
+    ``ssr[i, j]`` is the clamped SSR at ``(betas[i], betas[j])``; the
+    grid values are ``i / n``.  ``len()`` counts the cells, the records
+    :func:`emit_csv` writes for it.
+    """
+
+    __slots__ = ("method", "ris_mode", "seed", "betas", "ssr")
+
+    def __init__(self, method, ris_mode, seed, betas, ssr):
+        self.method, self.ris_mode, self.seed = method, ris_mode, seed
+        self.betas, self.ssr = betas, ssr
+
+    def __len__(self):
+        return self.ssr.size
+
+
+def pa_surface(config, step=0.01, method="max-sv", ris_mode="gpg"):
+    """The :class:`Surface` of the config's beamformers, frozen at the config split.
+
+    ``step`` must lie in (0, 0.5], with at most ``MAX_SURFACE_POINTS``
+    grid points per axis.  The CSV holds one record per cell, the axis
+    column carrying beta1.
     """
     n = grid_intervals(step)
+    if n + 1 > MAX_SURFACE_POINTS:
+        raise ValueError(
+            f"grid step {step!r} gives {(n + 1) ** 2} records, more than the "
+            f"{MAX_SURFACE_POINTS ** 2} of a {MAX_SURFACE_POINTS}-point grid"
+        )
     _, _, gains = point_design(StageMemo(), sweep_point(config), method, ris_mode, config.seed)
-    grid = [i / n for i in range(n + 1)]
-    axis = np.array(grid)
-    values = _objective(axis[:, None], axis[None, :], gains).ravel().tolist()
-    return [
-        SweepRecord(x, method, ris_mode, "surface", x, y, max(0.0, r), 0, config.seed)
-        for (x, y), r in zip(product(grid, grid), values)
-    ]
+    betas = [i / n for i in range(n + 1)]
+    axis = np.array(betas)
+    values = _objective(axis[:, None], axis[None, :], gains)
+    # max(0, R) of each cell: NaN and -0.0 become 0.0
+    return Surface(method, ris_mode, config.seed, betas, np.where(values > 0.0, values, 0.0))
 
 
 # One CSV row: the floats to 12 significant digits, the rest through str().
 _ROW = "%.12g,%s,%s,%s,%.12g,%.12g,%.12g,%s,%s\n"
 
 
+def _surface_rows(surface):
+    """The rows of a surface, beta1-major: each beta1's head and each beta2's
+    cell template are formatted once, so only the SSR is formatted per cell."""
+    heads = ["%.12g,%s,%s,surface,%.12g," % (b, surface.method, surface.ris_mode, b)
+             for b in surface.betas]
+    cells = ["%.12g,%%.12g,0,%s\n" % (b, surface.seed) for b in surface.betas]
+    return "".join([head + cell % v for head, row in zip(heads, surface.ssr.tolist())
+                    for cell, v in zip(cells, row)])
+
+
 def emit_csv(records):
-    """Render records as a CSV document (fixed header, LF endings, 12 sig digits)."""
+    """Render records, or a :class:`Surface`, as a CSV document (fixed header,
+    LF endings, 12 sig digits)."""
+    if isinstance(records, Surface):
+        return CSV_HEADER + "\n" + _surface_rows(records)
     if not records:
         raise ValueError("no records to emit")
     return CSV_HEADER + "\n" + "".join([_ROW % r for r in records])

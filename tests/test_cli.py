@@ -250,6 +250,22 @@ class TestPaSurfaceCommand:
         assert proc.returncode == 0, proc.stderr
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 1 + 11 * 11
+        assert proc.stdout == f"wrote 121 records to {out}\n"
+
+    def test_grid_of_thirds(self, config_path, tmp_path):
+        out = tmp_path / "surface.csv"
+        proc = run_cli("pa-surface", "--config", config_path, "--step", "0.3", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"wrote 16 records to {out}\n"
+        assert len(out.read_text().splitlines()) == 17
+
+    def test_oversized_grid_rejected(self, config_path, tmp_path):
+        out = tmp_path / "surface.csv"
+        proc = run_cli("pa-surface", "--config", config_path, "--step", "0.0001",
+                       "--out", str(out))
+        assert proc.returncode == 1
+        assert "grid step 0.0001 gives 100020001 records" in proc.stderr
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", [
         ("sweep", "--axis", "power_dbm", "--values", "7"),

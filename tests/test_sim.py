@@ -8,21 +8,23 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import risdm.sim
 from conftest import collinear_config, pipeline_gains
 from risdm.geometry import InvalidGeometryError, build_geometry, default_config
 from risdm.power_allocation import allocate, es_1d, es_2d, hicf
-from risdm.rates import rate_objective, ssr
+from risdm.rates import ScalarGains, rate_objective, ssr
 from risdm.ris import MODES as RIS_MODES
 from risdm.sim import (
     AXES,
     CSV_HEADER,
+    MAX_SURFACE_POINTS,
     METHODS,
     PA_MODES,
     StageMemo,
+    Surface,
     SweepRecord,
     SweepSpec,
     apply_axis,
@@ -472,25 +474,48 @@ class TestRecordFormat:
         cfg = small_cfg()
         spec = SweepSpec(axis="power_dbm", values=(7.0, 27.0), methods=METHODS,
                          ris_modes=("gpg", "random"), pa_modes=PA_MODES, trials=2, seed=-3)
-        records = run_sweep(cfg, spec) + pa_surface(cfg, step=0.1)
+        records = run_sweep(cfg, spec)
         assert emit_csv(records) == old_emit_csv(records)
+        surface = pa_surface(cfg, step=0.1)
+        assert emit_csv(surface) == old_emit_csv(surface_records(surface))
+
+
+def surface_records(surface):
+    """The per-cell records of a surface grid, beta1-major."""
+    return [
+        SweepRecord(b1, surface.method, surface.ris_mode, "surface", b1, b2, float(v), 0,
+                    surface.seed)
+        for b1, row in zip(surface.betas, surface.ssr) for b2, v in zip(surface.betas, row)
+    ]
+
+
+def reference_surface_records(gains, step, method, ris_mode, seed):
+    """One record per grid cell from the scalar objective, as pa_surface once built them."""
+    n = round(1 / step)
+    grid = [i / n for i in range(n + 1)]
+    return [
+        SweepRecord(x, method, ris_mode, "surface", x, y, max(0.0, rate_objective(x, y, gains)),
+                    0, seed)
+        for x, y in product(grid, grid)
+    ]
 
 
 class TestPaSurface:
     def test_grid_maximum_matches_es2d(self):
         cfg = small_cfg()
-        records = pa_surface(cfg, step=0.05)
-        assert len(records) == 21 * 21
-        best = max(records, key=lambda r: r.ssr_bits)
+        surface = pa_surface(cfg, step=0.05)
+        assert len(surface) == 21 * 21
+        assert surface.ssr.shape == (21, 21)
+        best = float(surface.ssr.max())
         gains = pipeline_gains(cfg)
         out = es_2d(gains, step=0.05)
-        assert best.ssr_bits == pytest.approx(out.ssr, abs=1e-12)
+        assert best == pytest.approx(out.ssr, abs=1e-12)
 
     def test_diagonal_matches_1d_search_samples(self):
         cfg = small_cfg()
-        records = pa_surface(cfg, step=0.05)
+        surface = pa_surface(cfg, step=0.05)
         gains = pipeline_gains(cfg)
-        diag = {r.beta1: r.ssr_bits for r in records if r.beta1 == r.beta2}
+        diag = {b: surface.ssr[i, i] for i, b in enumerate(surface.betas)}
         out = es_1d(gains, step=0.05)
         assert max(diag.values()) == pytest.approx(out.ssr, abs=1e-12)
 
@@ -501,11 +526,74 @@ class TestPaSurface:
 
     def test_records_equal_scalar_objective(self):
         cfg = small_cfg()
-        records = pa_surface(cfg, step=0.05)
+        surface = pa_surface(cfg, step=0.05)
         gains = pipeline_gains(cfg, seed=cfg.seed)
-        assert [(r.beta1, r.beta2) for r in records] == [
+        assert (surface.method, surface.ris_mode, surface.seed) == ("max-sv", "gpg", cfg.seed)
+        assert surface.betas == [i / 20 for i in range(21)]
+        rows = [line.split(",") for line in emit_csv(surface).splitlines()[1:]]
+        assert [(float(r[4]), float(r[5])) for r in rows] == [
             (i / 20, j / 20) for i in range(21) for j in range(21)
         ]
-        for r in records:
-            assert r.axis_value == r.beta1
-            assert r.ssr_bits == max(0.0, rate_objective(r.beta1, r.beta2, gains))
+        assert all(r[0] == r[4] for r in rows)
+        for i, b1 in enumerate(surface.betas):
+            for j, b2 in enumerate(surface.betas):
+                assert surface.ssr[i, j] == max(0.0, rate_objective(b1, b2, gains))
+
+    def test_grid_size_bounded_before_any_work(self, monkeypatch):
+        def no_design(*args):
+            raise AssertionError("the point design ran")
+
+        monkeypatch.setattr(risdm.sim, "point_design", no_design)
+        with pytest.raises(ValueError, match=r"grid step 0\.0001 gives 100020001 records"):
+            pa_surface(small_cfg(), step=1e-4)
+
+    def test_largest_grid_accepted(self):
+        surface = pa_surface(small_cfg(), step=1 / (MAX_SURFACE_POINTS - 1))
+        assert len(surface) == surface.ssr.size == MAX_SURFACE_POINTS ** 2 == 1002001
+
+    def test_clamp_maps_negative_nan_and_negative_zero_to_zero(self, monkeypatch):
+        raw = np.array([[1.5, -2.0, np.nan], [-0.0, 0.0, 5e-324], [np.inf, -np.inf, 0.25]])
+        monkeypatch.setattr(risdm.sim, "_objective", lambda b1, b2, g: raw.copy())
+        surface = pa_surface(small_cfg(), step=0.5)
+        want = [[max(0.0, float(v)) for v in row] for row in raw]
+        assert surface.ssr.tolist() == want
+        assert not np.signbit(surface.ssr).any()
+        assert emit_csv(surface) == old_emit_csv(surface_records(surface))
+
+
+class TestSurfaceCsv:
+    @pytest.mark.parametrize("ris_mode", ["gpg", "random", "none"])
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("step", [0.5, 0.3, 0.05])
+    def test_bytes_equal_per_cell_records(self, step, method, ris_mode):
+        cfg = small_cfg(seed=11)
+        gains = pipeline_gains(cfg, ris_mode=ris_mode, method=method, seed=cfg.seed)
+        want = old_emit_csv(reference_surface_records(gains, step, method, ris_mode, cfg.seed))
+        text = emit_csv(pa_surface(cfg, step=step, method=method, ris_mode=ris_mode))
+        assert text == want
+        assert text.count("\n") == 1 + (round(1 / step) + 1) ** 2
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        s=st.lists(st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e), min_size=8, max_size=8),
+        step=st.sampled_from([0.5, 0.3, 0.1, 0.05]),
+        method=st.sampled_from(METHODS),
+        seed=st.integers(0, 2**31),
+    )
+    # Eve hears far more than Alice and Bob: R < 0 off the beta = 0 edges
+    @example(s=[1e-3, 1e-3, 1e-3, 1e-3, 1e3, 1e3, 1e-3, 1e-3], step=0.1, method="max-sv", seed=1)
+    def test_bytes_equal_per_cell_records_on_any_gains(self, s, step, method, seed):
+        gains = ScalarGains(*s, 1.0, 1.0, 1.0)
+        cfg = small_cfg(seed=seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(risdm.sim, "point_design", lambda *args: (None, None, gains))
+            surface = pa_surface(cfg, step=step, method=method, ris_mode="random")
+        want = reference_surface_records(gains, step, method, "random", seed)
+        assert emit_csv(surface) == old_emit_csv(want)
+
+    def test_surface_is_a_grid_not_records(self):
+        surface = pa_surface(small_cfg(), step=0.5)
+        assert isinstance(surface, Surface)
+        assert len(surface) == 9
+        with pytest.raises(TypeError):
+            iter(surface)
