@@ -19,17 +19,23 @@ grid search.
 
 Every stage runs on Python scalars in the operation order of the numpy
 form it replaced (the sextic's products and monic division, the
-deflation recurrence, ``np.polyval``'s Horner loop from 0.0), so outcomes
-are bit-identical to the array forms without their per-call overhead.
-The stages take and hand each other lists of Python floats.  Two parts
-differ: Ferrari's radicals take numpy scalars, converted once inside
-:func:`ferrari_roots` whatever the caller passes, because numpy rounds
-complex division and fractional complex powers differently from Python;
-and the check of Ferrari's roots is a Python complex Horner loop, which
-gives the same bits on every CPU, where ``np.abs(np.polyval(...))``
-varies in the last bits with the CPU's fused multiply-adds.  The grid
-searches score a cached read-only ``linspace`` per step with the rate
-expression directly: a grid over [0, 1] needs no range check.
+deflation recurrence, ``np.polyval``'s Horner loop from 0.0, written out
+in Newton for degree <= 6), so outcomes are bit-identical to the array
+forms without their per-call overhead.  The stages take and hand each
+other lists of Python floats.  Ferrari's radicals run on Python floats
+and complex numbers too, keeping numpy's rounding where CPython's
+differs: the real-by-complex quotient takes numpy's complex128 division
+steps (:func:`_real_over_complex`), and the resolvent's fractional
+complex power is numpy's.  Mixed float/complex operations rely on
+CPython promoting the float to ``complex(x, 0.0)``, as numpy does;
+releases that follow C99's mixed-mode rules (3.14 on) can differ in
+signed zeros.  The check of Ferrari's roots is a Python complex Horner
+loop, which gives the same bits on every CPU, where
+``np.abs(np.polyval(...))`` varies in the last bits with the CPU's fused
+multiply-adds.  The grid searches score a cached read-only ``linspace``
+per step with the rate expression directly, a grid over [0, 1] needing
+no range check, and report the chosen grid value, which has the scalar
+objective's bits.
 """
 
 from __future__ import annotations
@@ -55,6 +61,7 @@ ETA1_DEGENERATE_TOL = 1e-10
 DEGENERATE_LEADING_RATIO = 1e-300
 DEFAULT_STEP_1D = 1e-3
 DEFAULT_STEP_2D = 1e-2
+MIN_GRID_STEP = 1e-9  # 1e9 intervals: 8 GB per float64 grid
 
 
 class DegeneratePolynomialError(ValueError):
@@ -202,35 +209,41 @@ def _residuals_within(coeffs, roots, bound):
 
 
 def newton_root(coeffs, beta):
-    """Newton-Raphson on a real polynomial, a list of Python floats with the
-    highest-degree coefficient first.
+    """Newton-Raphson on a real polynomial of degree <= 6, a list of Python
+    floats with the highest-degree coefficient first.
 
     Iterates beta <- beta - f(beta)/f'(beta) until the step is <=
     ``NEWTON_TOL``.  Raises :class:`NewtonError` when the derivative
-    vanishes or ``NEWTON_MAX_ITER`` iterations do not converge.
+    vanishes or ``NEWTON_MAX_ITER`` iterations do not converge, and
+    ``ValueError`` for a degree above 6.
+
+    The polynomial and its derivative are zero-padded on the left to
+    degree 6 and 5 and evaluated as two written-out Horner expressions
+    from 0.0, ``np.polyval``'s order: each leading zero leaves the
+    accumulator at +0.0, so every degree gives ``np.polyval``'s bits.
     """
     n = len(coeffs) - 1
+    if n > 6:
+        raise ValueError(f"newton_root takes a degree of at most 6, got {n}")
     deriv = [coeffs[i] * (n - i) for i in range(n)]  # np.polyder's products
-    tol, max_iter = NEWTON_TOL, NEWTON_MAX_ITER  # locals: the loop reads tol every step
-    for _ in range(max_iter):
-        # _horner inlined, one pass each: a fused f, f' pass would round
-        # differently
-        fval = 0.0
-        for c in coeffs:
-            fval = fval * beta + c
-        gval = 0.0
-        for c in deriv:
-            gval = gval * beta + c
-        if abs(gval) < DERIVATIVE_TOL:
+    c0, c1, c2, c3, c4, c5, c6 = [0.0] * (6 - n) + list(coeffs)
+    d0, d1, d2, d3, d4, d5 = [0.0] * (6 - n) + deriv
+    tol, min_slope = NEWTON_TOL, DERIVATIVE_TOL  # locals: the loop reads them every step
+    for _ in range(NEWTON_MAX_ITER):
+        # two passes: a fused f, f' pass would round differently
+        fval = ((((((0.0 * beta + c0) * beta + c1) * beta + c2) * beta + c3) * beta + c4)
+                * beta + c5) * beta + c6
+        gval = ((((((0.0 * beta + d0) * beta + d1) * beta + d2) * beta + d3) * beta + d4)
+                * beta + d5)
+        if abs(gval) < min_slope:
             raise NewtonError(f"derivative vanished at beta={beta!r}")
-        step = fval / gval
-        beta_next = beta - step
+        beta_next = beta - fval / gval
         if not math.isfinite(beta_next):
             raise NewtonError("iteration left the finite domain")
         if abs(beta_next - beta) <= tol:
             return beta_next
         beta = beta_next
-    raise NewtonError(f"no convergence within {max_iter} iterations")
+    raise NewtonError(f"no convergence within {NEWTON_MAX_ITER} iterations")
 
 
 def deflate(coeffs, root):
@@ -258,6 +271,28 @@ def deflate(coeffs, root):
     return quotient
 
 
+# The cube roots of unity as (omega**k, omega**-k), k = 0, 1, 2.
+_OMEGA = cmath.exp(2j * cmath.pi / 3.0)
+_OMEGA_PAIRS = tuple((_OMEGA**k, _OMEGA**-k) for k in range(3))
+
+
+def _real_over_complex(x, z):
+    """x / z for a real x, in numpy's complex128 operation order.
+
+    numpy divides (x, 0) by z with the ratio of z's smaller part to its
+    larger one and one reciprocal; CPython's complex division rounds
+    differently.  z must not be zero.
+    """
+    zr, zi = z.real, z.imag
+    if abs(zr) >= abs(zi):
+        rat = zi / zr
+        scl = 1.0 / (zr + zi * rat)
+        return complex((x + 0.0 * rat) * scl, (0.0 - x * rat) * scl)
+    rat = zr / zi
+    scl = 1.0 / (zi + zr * rat)
+    return complex((x * rat + 0.0) * scl, (0.0 * rat - x) * scl)
+
+
 def _resolvent_shifts(gamma1, gamma2):
     """The three roots of the depressed resolvent cubic z^3 + gamma1 z + gamma2.
 
@@ -270,10 +305,52 @@ def _resolvent_shifts(gamma1, gamma2):
         t1 = complex(math.copysign(abs(-gamma2 / 2.0 + sq) ** (1.0 / 3.0), -gamma2 / 2.0 + sq))
         t2 = complex(math.copysign(abs(-gamma2 / 2.0 - sq) ** (1.0 / 3.0), -gamma2 / 2.0 - sq))
     else:
-        t1 = (-gamma2 / 2.0 + 1j * math.sqrt(-disc)) ** (1.0 / 3.0)
+        # numpy's complex power: CPython's rounds differently
+        t1 = complex(np.complex128(-gamma2 / 2.0 + 1j * math.sqrt(-disc)) ** (1.0 / 3.0))
         t2 = t1.conjugate()
-    omega = cmath.exp(2j * cmath.pi / 3.0)
-    return [t1 * omega**k + t2 * omega**-k for k in range(3)]
+    return [t1 * w + t2 * w_inv for w, w_inv in _OMEGA_PAIRS]
+
+
+def _ferrari(a1, a2, a3, a4):
+    """:func:`ferrari_roots` on finite real scalars of one type."""
+    gamma1 = (3.0 * a1 * a3 - 12.0 * a4 - a2**2) / 3.0
+    gamma2 = (
+        -2.0 * a2**3 + 9.0 * a1 * a2 * a3 + 72.0 * a2 * a4
+        - 27.0 * a3**2 - 27.0 * a1**2 * a4
+    ) / 27.0
+    odd_term = 4.0 * a1 * a2 - 8.0 * a3 - a1**3
+    scale = max(1.0, abs(a1), abs(a2), abs(a3), abs(a4))
+    bound = FERRARI_RESIDUAL_TOL * scale
+    quartic = [1.0, float(a1), float(a2), float(a3), float(a4)]
+    a1_sq = a1**2
+    base, pivot, offset = a2 / 3.0, a1_sq / 4.0 - a2, -a1 / 4.0
+
+    for shift in _resolvent_shifts(gamma1, gamma2):
+        eta1 = cmath.sqrt(pivot + (base + shift))
+        if abs(eta1) < ETA1_DEGENERATE_TOL:
+            continue
+        even = 0.75 * a1_sq - eta1**2 - 2.0 * a2
+        roots = []
+        for sign_s in (1.0, -1.0):
+            eta2 = cmath.sqrt(even + _real_over_complex(sign_s * odd_term, 4.0 * eta1))
+            centre = offset + sign_s * eta1 / 2.0
+            for sign_i in (1.0, -1.0):
+                roots.append(centre + sign_i * eta2 / 2.0)
+        if _residuals_within(quartic, roots, bound):
+            return roots, False
+
+    # Depressed quartic may be biquadratic: y^4 + p y^2 + r.
+    p = a2 - 3.0 * a1_sq / 8.0
+    r = a4 - a1 * a3 / 4.0 + a1_sq * a2 / 16.0 - 3.0 * a1**4 / 256.0
+    inner = cmath.sqrt(p * p - 4.0 * r)
+    roots = []
+    for z in ((-p + inner) / 2.0, (-p - inner) / 2.0):
+        y = cmath.sqrt(z)
+        roots.extend([y - a1 / 4.0, -y - a1 / 4.0])
+    if abs(odd_term) < ETA1_DEGENERATE_TOL * scale and _residuals_within(quartic, roots, bound):
+        return roots, False
+
+    return companion_roots(quartic), True
 
 
 def ferrari_roots(a1, a2, a3, a4):
@@ -284,50 +361,20 @@ def ferrari_roots(a1, a2, a3, a4):
     The resolvent shift gamma3 is computed with principal branches; if the
     chosen resolvent root makes eta1 vanish, the other resolvent roots are
     tried, then the biquadratic branch, then the companion oracle.
+
+    The coefficients are taken as Python floats whatever the caller
+    passes.  A power beyond the float range raises in Python, where numpy
+    rounds it to inf; the formula then runs on numpy scalars, so an
+    overflow takes the branch it took there.
     """
     for coeff in (a1, a2, a3, a4):
         if not math.isfinite(coeff):
             raise ValueError("quartic coefficients must be finite")
-    # numpy scalars for the radicals (see the module docstring), whatever
-    # the caller passed, so the root bits do not depend on the input type
-    a1, a2, a3, a4 = np.array((a1, a2, a3, a4), dtype=float)
-    gamma1 = (3.0 * a1 * a3 - 12.0 * a4 - a2**2) / 3.0
-    gamma2 = (
-        -2.0 * a2**3 + 9.0 * a1 * a2 * a3 + 72.0 * a2 * a4
-        - 27.0 * a3**2 - 27.0 * a1**2 * a4
-    ) / 27.0
-    odd_term = 4.0 * a1 * a2 - 8.0 * a3 - a1**3
-    scale = max(1.0, abs(a1), abs(a2), abs(a3), abs(a4))
-    bound = FERRARI_RESIDUAL_TOL * scale
-    quartic = [1.0, float(a1), float(a2), float(a3), float(a4)]
-
-    for shift in _resolvent_shifts(gamma1, gamma2):
-        gamma3 = a2 / 3.0 + shift
-        eta1 = cmath.sqrt(a1**2 / 4.0 - a2 + gamma3)
-        if abs(eta1) < ETA1_DEGENERATE_TOL:
-            continue
-        roots = []
-        for sign_s in (1.0, -1.0):
-            eta2 = cmath.sqrt(
-                0.75 * a1**2 - eta1**2 - 2.0 * a2 + sign_s * odd_term / (4.0 * eta1)
-            )
-            for sign_i in (1.0, -1.0):
-                roots.append(-a1 / 4.0 + sign_s * eta1 / 2.0 + sign_i * eta2 / 2.0)
-        if _residuals_within(quartic, roots, bound):
-            return roots, False
-
-    # Depressed quartic may be biquadratic: y^4 + p y^2 + r.
-    p = a2 - 3.0 * a1**2 / 8.0
-    r = a4 - a1 * a3 / 4.0 + a1**2 * a2 / 16.0 - 3.0 * a1**4 / 256.0
-    inner = cmath.sqrt(p * p - 4.0 * r)
-    roots = []
-    for z in ((-p + inner) / 2.0, (-p - inner) / 2.0):
-        y = cmath.sqrt(z)
-        roots.extend([y - a1 / 4.0, -y - a1 / 4.0])
-    if abs(odd_term) < ETA1_DEGENERATE_TOL * scale and _residuals_within(quartic, roots, bound):
-        return roots, False
-
-    return companion_roots([1.0, a1, a2, a3, a4]), True
+    coeffs = float(a1), float(a2), float(a3), float(a4)
+    try:
+        return _ferrari(*coeffs)
+    except OverflowError:
+        return _ferrari(*np.array(coeffs))
 
 
 def check_seed(seed):
@@ -337,9 +384,14 @@ def check_seed(seed):
 
 
 def grid_intervals(step):
-    """Intervals of the [0, 1] search grid for a step in (0, 0.5]."""
+    """Intervals of the [0, 1] search grid for a step in (0, 0.5], no finer
+    than ``MIN_GRID_STEP``: checked before the division, which overflows
+    below about 5.6e-309."""
     if not 0.0 < step <= 0.5:
         raise ValueError("grid step must lie in (0, 0.5]")
+    if step < MIN_GRID_STEP:
+        raise ValueError(
+            f"grid step {step!r} is finer than the finest grid step {MIN_GRID_STEP!r}")
     return round(1.0 / step)
 
 
@@ -357,8 +409,8 @@ def es_1d(g, step=DEFAULT_STEP_1D):
     values = _objective(grid, grid, g)  # the grid lies in [0, 1]: no range check
     k = int(np.argmax(values))  # first max -> smallest beta on ties
     beta = float(grid[k])
-    return PaOutcome(
-        method="es1d", beta1=beta, beta2=beta, ssr=ssr(beta, beta, g),
+    return PaOutcome(  # a grid value has the scalar objective's bits
+        method="es1d", beta1=beta, beta2=beta, ssr=max(0.0, float(values[k])),
         candidates=(), diagnostics={"step": step, "evaluations": grid.size},
     )
 
@@ -373,8 +425,8 @@ def es_2d(g, step=DEFAULT_STEP_2D):
     k = int(np.argmax(values))  # C-order: beta1-major, so ties resolve as specified
     i, j = divmod(k, grid.size)
     beta1, beta2 = float(grid[i]), float(grid[j])
-    return PaOutcome(
-        method="es2d", beta1=beta1, beta2=beta2, ssr=ssr(beta1, beta2, g),
+    return PaOutcome(  # a grid value has the scalar objective's bits
+        method="es2d", beta1=beta1, beta2=beta2, ssr=max(0.0, float(values[i, j])),
         candidates=(), diagnostics={"step": step, "evaluations": values.size},
     )
 
@@ -385,12 +437,15 @@ def _stage_inits(seed, stage, beta1=None):
     Stage 1 restarts cover (0, 1).  Stage 2 draws from the reduced domain
     (0, 0.5) u (beta(1), 1); if the finite root beta(1) leaves no such
     split, from (0, 1) minus a ball of radius 0.02 around beta(1), which
-    leaves at least one side.  A generator: the seeded generator is built
-    and each point drawn only when the caller asks for it.  hicf asks for
-    stage 1's points only after the start at 0.5 fails, but stage 2 starts
-    from its first point, so every hicf call that reaches stage 2 draws it.
+    leaves at least one side.  A generator: the seeded generator is built,
+    and its eight jitters drawn in one call, only when the caller asks for
+    the first point.  hicf asks for stage 1's points only after the start
+    at 0.5 fails, but stage 2 starts from its first point, so every hicf
+    call that reaches stage 2 draws them.
     """
-    rng = np.random.default_rng(np.random.SeedSequence([seed, stage]))
+    # the eight jitters of one random() call are the values of eight uniform() calls
+    jitters = np.random.default_rng(np.random.SeedSequence([seed, stage])).random(
+        NEWTON_RESTARTS).tolist()
     if stage == 1:
         segments = [(0.0, 1.0)]
     elif 0.5 < beta1 < 1.0:
@@ -401,9 +456,9 @@ def _stage_inits(seed, stage, beta1=None):
         segments = [seg for seg in [(0.0, lo), (hi, 1.0)] if seg[0] < seg[1]]
     lengths = [hi - lo for lo, hi in segments]
     total = sum(lengths)
-    for k in range(NEWTON_RESTARTS):
+    for k, jitter in enumerate(jitters):
         # stratify along the concatenated domain, jitter within the stratum
-        u = (k + rng.uniform()) / NEWTON_RESTARTS * total
+        u = (k + jitter) / NEWTON_RESTARTS * total
         for (lo, hi), length in zip(segments, lengths):
             if u <= length or (lo, hi) == segments[-1]:
                 yield lo + min(u, length)

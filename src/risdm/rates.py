@@ -66,15 +66,21 @@ def scalar_gains(eff, bf, config):
     arriving at Eve from Alice/Bob.
     """
     pa, pb = config.pa_mw, config.pb_mw
+    # each receiver's left product, shared by its message and noise terms
+    # (``@`` is left-associative, so every s_i keeps the chained product's bits)
+    at_a = bf.v_ar.conj() @ eff.h_a
+    at_b = bf.v_br.conj() @ eff.h_b
+    at_e1 = bf.v_er.conj() @ eff.h_e1
+    at_e2 = bf.v_er.conj() @ eff.h_e2
     return ScalarGains(
-        s1=pb * _mag2(bf.v_ar.conj() @ eff.h_a @ bf.v_bt),
-        s2=pb * _mag2(bf.v_ar.conj() @ eff.h_a @ bf.w_b),
-        s3=pa * _mag2(bf.v_br.conj() @ eff.h_b @ bf.v_at),
-        s4=pa * _mag2(bf.v_br.conj() @ eff.h_b @ bf.w_a),
-        s5=pa * _mag2(bf.v_er.conj() @ eff.h_e1 @ bf.v_at),
-        s6=pb * _mag2(bf.v_er.conj() @ eff.h_e2 @ bf.v_bt),
-        s7=pa * _mag2(bf.v_er.conj() @ eff.h_e1 @ bf.w_a),
-        s8=pb * _mag2(bf.v_er.conj() @ eff.h_e2 @ bf.w_b),
+        s1=pb * _mag2(at_a @ bf.v_bt),
+        s2=pb * _mag2(at_a @ bf.w_b),
+        s3=pa * _mag2(at_b @ bf.v_at),
+        s4=pa * _mag2(at_b @ bf.w_a),
+        s5=pa * _mag2(at_e1 @ bf.v_at),
+        s6=pb * _mag2(at_e2 @ bf.v_bt),
+        s7=pa * _mag2(at_e1 @ bf.w_a),
+        s8=pb * _mag2(at_e2 @ bf.w_b),
         sigma2_a=config.sigma2_a_mw,
         sigma2_b=config.sigma2_b_mw,
         sigma2_e=config.sigma2_e_mw,

@@ -335,9 +335,9 @@ class Surface:
 def pa_surface(config, step=0.01, method="max-sv", ris_mode="gpg"):
     """The :class:`Surface` of the config's beamformers, frozen at the config split.
 
-    ``step`` must lie in (0, 0.5], with at most ``MAX_SURFACE_POINTS``
-    grid points per axis.  The CSV holds one record per cell, the axis
-    column carrying beta1.
+    ``step`` must lie in (0, 0.5], no finer than ``MIN_GRID_STEP``, with
+    at most ``MAX_SURFACE_POINTS`` grid points per axis.  The CSV holds
+    one record per cell, the axis column carrying beta1.
     """
     n = grid_intervals(step)
     if n + 1 > MAX_SURFACE_POINTS:

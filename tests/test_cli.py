@@ -267,6 +267,14 @@ class TestPaSurfaceCommand:
         assert "grid step 0.0001 gives 100020001 records" in proc.stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("step", ["5e-324", "1e-300"])
+    def test_step_finer_than_the_finest_rejected(self, config_path, tmp_path, step):
+        out = tmp_path / "surface.csv"
+        proc = run_cli("pa-surface", "--config", config_path, "--step", step, "--out", str(out))
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: grid step {step} is finer than the finest grid step 1e-09\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [
         ("sweep", "--axis", "power_dbm", "--values", "7"),
         ("pa-surface", "--step", "0.5"),

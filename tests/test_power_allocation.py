@@ -1,10 +1,11 @@
 """Sextic construction, root-finding stages, and the split optimizers."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
@@ -15,7 +16,9 @@ from risdm.power_allocation import (
     DEFLATION_RESIDUAL_TOL,
     DEGENERATE_LEADING_RATIO,
     DERIVATIVE_TOL,
+    ETA1_DEGENERATE_TOL,
     FERRARI_RESIDUAL_TOL,
+    MIN_GRID_STEP,
     NEWTON_MAX_ITER,
     NEWTON_TOL,
     DeflationError,
@@ -390,6 +393,71 @@ def polyval_newton(coeffs, beta0, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
     raise NewtonError("no convergence")
 
 
+def numpy_scalar_shifts(gamma1, gamma2):
+    """The resolvent roots of numpy_scalar_ferrari, on numpy scalars."""
+    disc = gamma2**2 / 4.0 + gamma1**3 / 27.0
+    if disc >= 0.0:
+        sq = math.sqrt(disc)
+        t1 = complex(math.copysign(abs(-gamma2 / 2.0 + sq) ** (1.0 / 3.0), -gamma2 / 2.0 + sq))
+        t2 = complex(math.copysign(abs(-gamma2 / 2.0 - sq) ** (1.0 / 3.0), -gamma2 / 2.0 - sq))
+    else:
+        t1 = (-gamma2 / 2.0 + 1j * math.sqrt(-disc)) ** (1.0 / 3.0)
+        t2 = t1.conjugate()
+    omega = cmath.exp(2j * cmath.pi / 3.0)
+    return [t1 * omega**k + t2 * omega**-k for k in range(3)]
+
+
+def numpy_scalar_ferrari(a1, a2, a3, a4):
+    """The numpy-scalar Ferrari form that ferrari_roots must reproduce bit for bit."""
+    a1, a2, a3, a4 = np.array((a1, a2, a3, a4), dtype=float)
+    gamma1 = (3.0 * a1 * a3 - 12.0 * a4 - a2**2) / 3.0
+    gamma2 = (
+        -2.0 * a2**3 + 9.0 * a1 * a2 * a3 + 72.0 * a2 * a4
+        - 27.0 * a3**2 - 27.0 * a1**2 * a4
+    ) / 27.0
+    odd_term = 4.0 * a1 * a2 - 8.0 * a3 - a1**3
+    scale = max(1.0, abs(a1), abs(a2), abs(a3), abs(a4))
+    bound = FERRARI_RESIDUAL_TOL * scale
+    quartic = [1.0, float(a1), float(a2), float(a3), float(a4)]
+
+    for shift in numpy_scalar_shifts(gamma1, gamma2):
+        gamma3 = a2 / 3.0 + shift
+        eta1 = cmath.sqrt(a1**2 / 4.0 - a2 + gamma3)
+        if abs(eta1) < ETA1_DEGENERATE_TOL:
+            continue
+        roots = []
+        for sign_s in (1.0, -1.0):
+            eta2 = cmath.sqrt(
+                0.75 * a1**2 - eta1**2 - 2.0 * a2 + sign_s * odd_term / (4.0 * eta1)
+            )
+            for sign_i in (1.0, -1.0):
+                roots.append(-a1 / 4.0 + sign_s * eta1 / 2.0 + sign_i * eta2 / 2.0)
+        if pa._residuals_within(quartic, roots, bound):
+            return roots, False
+
+    p = a2 - 3.0 * a1**2 / 8.0
+    r = a4 - a1 * a3 / 4.0 + a1**2 * a2 / 16.0 - 3.0 * a1**4 / 256.0
+    inner = cmath.sqrt(p * p - 4.0 * r)
+    roots = []
+    for z in ((-p + inner) / 2.0, (-p - inner) / 2.0):
+        y = cmath.sqrt(z)
+        roots.extend([y - a1 / 4.0, -y - a1 / 4.0])
+    if abs(odd_term) < ETA1_DEGENERATE_TOL * scale and pa._residuals_within(quartic, roots, bound):
+        return roots, False
+
+    return companion_roots([1.0, a1, a2, a3, a4]), True
+
+
+def ferrari_outcome(solver, a):
+    """float.hex of each root and the companion flag, or the error's type."""
+    with np.errstate(all="ignore"):  # the numpy form rounds overflows to inf
+        try:
+            roots, used_companion = solver(*a)
+        except ArithmeticError as err:
+            return type(err)
+    return [(z.real.hex(), z.imag.hex()) for z in map(complex, roots)], used_companion
+
+
 def array_sextic(g):
     """The np.array formula that sextic_coeffs must reproduce bit for bit."""
     num, den = map(np.array, quartic_pair(g))
@@ -466,7 +534,7 @@ def eager_stage_inits(seed, stage, beta1=None):
 
 def newton_outcome(solver, coeffs, beta0):
     try:
-        return solver(coeffs, beta0)
+        return solver(coeffs, beta0).hex()
     except NewtonError:
         return NewtonError
 
@@ -493,11 +561,41 @@ scalar_gains_st = st.builds(
     st.lists(_gain.filter(lambda v: v > 0.0), min_size=3, max_size=3),
 )
 
+# Real polynomials of degree 0-6 with signed zeros anywhere, the leading
+# coefficient included, and Newton starts on both sides of zero.
+_signed_zero = st.sampled_from([0.0, -0.0])
+any_degree_polys = st.lists(st.one_of(_signed_zero, _coefficient), min_size=1, max_size=7)
+newton_starts = st.one_of(st.floats(0.0, 1.0), st.floats(-2.0, 2.0), _signed_zero)
+
 # Monic quartics: random coefficients, or real roots (repeated ones included).
 quartics = st.one_of(
     st.lists(st.floats(-10.0, 10.0), min_size=4, max_size=4),
     st.lists(st.floats(-1.0, 2.0), min_size=4, max_size=4).map(lambda r: np.poly(r)[1:].tolist()),
 )
+# ... plus small integers, whose ties hit the degenerate branches, and
+# magnitudes up to 1e300, whose powers overflow a float.
+_magnitude = st.builds(lambda sign, e: sign * 10.0**e, st.sampled_from([1.0, -1.0]),
+                       st.floats(-300.0, 300.0))
+wide_quartics = st.one_of(
+    quartics,
+    st.lists(st.integers(-6, 6).map(float), min_size=4, max_size=4),
+    st.lists(st.one_of(_magnitude, _signed_zero), min_size=4, max_size=4),
+)
+
+# One quartic per way out of ferrari_roots: the resolvent loop with each
+# sign of the discriminant (beta^4 = 1, and four complex roots), the
+# biquadratic branch ((beta - 0.5)^4, where every shift makes eta1
+# vanish), the companion oracle (a pinned hicf quartic), and two whose
+# powers overflow a float, so that the numpy-scalar pass runs.
+FERRARI_BRANCHES = {
+    "disc>=0": [0.0, 0.0, 0.0, -1.0],
+    "disc<0": [1.0, 2.0, 3.0, 4.0],
+    "biquadratic": [-2.0, 1.5, -0.5, 0.0625],
+    "companion": [-6925.794792058536, 946661.437585781, 84032.67767247418, 473904.938939017],
+    "overflow-biquadratic": [2.080535099589462e16, 1.07901913528735e-41,
+                             -1.7211219990760307e-107, -3.7754064759765633e146],
+    "overflow-companion": [1e80, 1.0, 1.0, 1.0],
+}
 
 
 def matched_root_error(got, want):
@@ -599,15 +697,19 @@ class TestNewton:
         with pytest.raises(NewtonError):
             newton_root([1.0, 0.0, 1.0], 0.7)  # no real root
 
-    @settings(max_examples=400, deadline=None)
-    @given(coeffs=monic_polys, beta0=st.floats(0.0, 1.0))
+    @settings(max_examples=600, deadline=None)
+    @given(coeffs=st.one_of(monic_polys, any_degree_polys), beta0=newton_starts)
+    @example(coeffs=[3.0], beta0=0.5)  # degree 0: the derivative vanishes
+    @example(coeffs=[-0.0, 1.0, -0.5], beta0=-0.0)
+    @example(coeffs=[0.0, 0.0, 0.0, 0.0, 2.0, -1.0, 0.0], beta0=-1.5)
     def test_matches_polyval_loop_bit_for_bit(self, coeffs, beta0):
-        want = newton_outcome(polyval_newton, coeffs, beta0)
-        got = newton_outcome(newton_root, coeffs, beta0)
-        if want is NewtonError:
-            assert got is NewtonError
-        else:
-            assert got == want
+        # zero-padded to degree 6, every degree keeps np.polyval's bits
+        assert newton_outcome(newton_root, coeffs, beta0) == newton_outcome(
+            polyval_newton, coeffs, beta0)
+
+    def test_degree_above_six_rejected(self):
+        with pytest.raises(ValueError, match="degree of at most 6, got 7"):
+            newton_root([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -0.5], 0.5)
 
 
 class TestDeflation:
@@ -736,6 +838,36 @@ class TestFerrari:
         assert bits(a) == bits([np.float64(c) for c in a])
         assert bits(whole) == bits([float(c) for c in whole]) == bits(np.array(whole, dtype=float))
 
+    @settings(max_examples=600, deadline=None)
+    @given(a=wide_quartics)
+    @example(a=FERRARI_BRANCHES["disc>=0"])
+    @example(a=FERRARI_BRANCHES["disc<0"])
+    @example(a=FERRARI_BRANCHES["biquadratic"])
+    @example(a=FERRARI_BRANCHES["companion"])
+    @example(a=FERRARI_BRANCHES["overflow-biquadratic"])
+    @example(a=FERRARI_BRANCHES["overflow-companion"])
+    def test_matches_numpy_scalar_form_bit_for_bit(self, a):
+        assert ferrari_outcome(ferrari_roots, a) == ferrari_outcome(numpy_scalar_ferrari, a)
+
+    @pytest.mark.parametrize("branch", FERRARI_BRANCHES)
+    def test_examples_take_their_branch(self, monkeypatch, branch):
+        a = FERRARI_BRANCHES[branch]
+        outcome = ferrari_outcome(ferrari_roots, a)
+        assert outcome[1] is branch.endswith("companion")
+        if branch.startswith("overflow"):
+            with pytest.raises(OverflowError):  # so the numpy-scalar pass gave the outcome
+                pa._ferrari(*a)
+        monkeypatch.setattr(pa, "_resolvent_shifts", lambda gamma1, gamma2: [])
+        from_resolvent = ferrari_outcome(ferrari_roots, a) != outcome
+        assert from_resolvent is branch.startswith("disc")
+        if from_resolvent:
+            a1, a2, a3, a4 = a
+            gamma1 = (3.0 * a1 * a3 - 12.0 * a4 - a2**2) / 3.0
+            gamma2 = (-2.0 * a2**3 + 9.0 * a1 * a2 * a3 + 72.0 * a2 * a4
+                      - 27.0 * a3**2 - 27.0 * a1**2 * a4) / 27.0
+            disc = gamma2**2 / 4.0 + gamma1**3 / 27.0
+            assert (disc >= 0.0) is (branch == "disc>=0")
+
     @settings(max_examples=400, deadline=None)
     @given(a=quartics)
     def test_residual_check_matches_polyval(self, a):
@@ -825,6 +957,16 @@ class TestGridSearches:
         with pytest.raises(ValueError, match=r"grid step must lie in \(0, 0\.5\]"):
             search(random_gains(rng), step=0.0)
 
+    @pytest.mark.parametrize("step", [5e-324, 1e-300, MIN_GRID_STEP / 2])
+    def test_step_finer_than_the_finest_rejected_before_dividing(self, rng, step):
+        # 1 / 5e-324 overflows, and 1 / 1e-300 is a 301-digit grid
+        for call in (lambda: pa.grid_intervals(step), lambda: es_1d(random_gains(rng), step=step)):
+            with pytest.raises(ValueError, match=f"grid step {step!r} is finer than"):
+                call()
+
+    def test_finest_step_accepted(self):
+        assert pa.grid_intervals(MIN_GRID_STEP) == 10**9
+
     def test_grid_is_cached_read_only_and_shared(self):
         grid = pa._grid(0.01)
         assert pa._grid(0.01) is grid
@@ -871,6 +1013,15 @@ class TestHicf:
         lazy = pa._stage_inits(seed, stage, beta1=beta1)
         assert iter(lazy) is lazy  # drawn on demand
         assert list(lazy) == eager_stage_inits(seed, stage, beta1=beta1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1),
+           beta1=st.one_of(st.none(), st.floats(-0.5, 1.5), st.sampled_from([0.5, 1.0])))
+    def test_batched_jitters_equal_uniform_draws(self, seed, beta1):
+        stage = 1 if beta1 is None else 2
+        got = list(pa._stage_inits(seed, stage, beta1=beta1))
+        assert [p.hex() for p in got] == [
+            float(p).hex() for p in eager_stage_inits(seed, stage, beta1=beta1)]
 
     @settings(max_examples=200, deadline=None)
     @given(beta1=st.floats(allow_nan=False, allow_infinity=False), seed=st.integers(0, 2**32))

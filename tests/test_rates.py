@@ -49,6 +49,24 @@ class TestScalarGains:
         g = scalar_gains(zero, bf, default_cfg)
         assert g.as_tuple() == (0.0,) * 8
 
+    @pytest.mark.parametrize("method", ["max-sv", "leakage"])
+    @pytest.mark.parametrize("ris_mode", ["gpg", "random", "none"])
+    def test_shared_left_products_keep_the_chained_bits(self, default_cfg, method, ris_mode):
+        _, _, _, eff, bf = pipeline(default_cfg, ris_mode=ris_mode, method=method, seed=3)
+        pa, pb = default_cfg.pa_mw, default_cfg.pb_mw
+        want = (
+            pb * float(np.abs(bf.v_ar.conj() @ eff.h_a @ bf.v_bt) ** 2),
+            pb * float(np.abs(bf.v_ar.conj() @ eff.h_a @ bf.w_b) ** 2),
+            pa * float(np.abs(bf.v_br.conj() @ eff.h_b @ bf.v_at) ** 2),
+            pa * float(np.abs(bf.v_br.conj() @ eff.h_b @ bf.w_a) ** 2),
+            pa * float(np.abs(bf.v_er.conj() @ eff.h_e1 @ bf.v_at) ** 2),
+            pb * float(np.abs(bf.v_er.conj() @ eff.h_e2 @ bf.v_bt) ** 2),
+            pa * float(np.abs(bf.v_er.conj() @ eff.h_e1 @ bf.w_a) ** 2),
+            pb * float(np.abs(bf.v_er.conj() @ eff.h_e2 @ bf.w_b) ** 2),
+        )
+        got = scalar_gains(eff, bf, default_cfg).as_tuple()
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ScalarGains(-1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1)

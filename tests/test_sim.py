@@ -547,6 +547,16 @@ class TestPaSurface:
         with pytest.raises(ValueError, match=r"grid step 0\.0001 gives 100020001 records"):
             pa_surface(small_cfg(), step=1e-4)
 
+    @pytest.mark.parametrize("step", [5e-324, 1e-300])
+    def test_step_finer_than_the_finest_rejected_before_any_work(self, monkeypatch, step):
+        # 1 / 5e-324 overflows; 1e-300 would name a 601-digit record count
+        def no_design(*args):
+            raise AssertionError("the point design ran")
+
+        monkeypatch.setattr(risdm.sim, "point_design", no_design)
+        with pytest.raises(ValueError, match=f"^grid step {step!r} is finer than the finest"):
+            pa_surface(small_cfg(), step=step)
+
     def test_largest_grid_accepted(self):
         surface = pa_surface(small_cfg(), step=1 / (MAX_SURFACE_POINTS - 1))
         assert len(surface) == surface.ssr.size == MAX_SURFACE_POINTS ** 2 == 1002001
