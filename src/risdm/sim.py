@@ -24,7 +24,7 @@ the floats to 12 significant digits, every other field through ``str()``.
 :func:`pa_surface` returns a :class:`Surface`, the clamped SSR grid with
 its beta values, not one record per cell; :func:`emit_csv` writes the
 same rows from it, formatting each beta1's leading columns and each
-beta2's trailing columns once and only the SSR per cell.
+beta2's trailing columns once and each beta1's SSR row in one ``%``.
 """
 
 from __future__ import annotations
@@ -359,12 +359,17 @@ _ROW = "%.12g,%s,%s,%s,%.12g,%.12g,%.12g,%s,%s\n"
 
 def _surface_rows(surface):
     """The rows of a surface, beta1-major: each beta1's head and each beta2's
-    cell template are formatted once, so only the SSR is formatted per cell."""
+    tail (``"<beta2>,%.12g,0,<seed>\\n"``) are formatted once, and a beta1's
+    rows are the tails joined by its head, filled with its SSR row in one
+    ``%``.  The tails' SSR fields are the only directives: a head holds a beta
+    and the method and reflection names, which :func:`point_design` and
+    :func:`~risdm.ris.reflections_for` validate, and a tail a beta and the
+    integer seed."""
     heads = ["%.12g,%s,%s,surface,%.12g," % (b, surface.method, surface.ris_mode, b)
              for b in surface.betas]
-    cells = ["%.12g,%%.12g,0,%s\n" % (b, surface.seed) for b in surface.betas]
-    return "".join([head + cell % v for head, row in zip(heads, surface.ssr.tolist())
-                    for cell, v in zip(cells, row)])
+    tails = ["", *["%.12g,%%.12g,0,%s\n" % (b, surface.seed) for b in surface.betas]]
+    return "".join([head.join(tails) % tuple(row)
+                    for head, row in zip(heads, surface.ssr.tolist())])
 
 
 def emit_csv(records):

@@ -4,7 +4,7 @@ import csv
 import io
 import math
 from dataclasses import replace
-from itertools import product
+from itertools import product, zip_longest
 
 import numpy as np
 import pytest
@@ -607,3 +607,59 @@ class TestSurfaceCsv:
         assert len(surface) == 9
         with pytest.raises(TypeError):
             iter(surface)
+
+
+def per_cell_surface_csv(surface):
+    """The per-cell surface renderer that the one-format-per-row renderer
+    replaced: each beta1's head plus each beta2's tail filled with one SSR."""
+    heads = ["%.12g,%s,%s,surface,%.12g," % (b, surface.method, surface.ris_mode, b)
+             for b in surface.betas]
+    cells = ["%.12g,%%.12g,0,%s\n" % (b, surface.seed) for b in surface.betas]
+    return CSV_HEADER + "\n" + "".join([head + cell % v for head, row in
+                                        zip(heads, surface.ssr.tolist())
+                                        for cell, v in zip(cells, row)])
+
+
+def first_difference(text, want):
+    """(line number, line, wanted line) of the first line where two CSV
+    documents differ, or None; reports a failing million-row comparison
+    without diffing the whole documents."""
+    if text == want:
+        return None
+    pairs = zip_longest(text.split("\n"), want.split("\n"))
+    return next((i, a, b) for i, (a, b) in enumerate(pairs) if a != b)
+
+
+# SSR values at the format's edges: overflow to inf, the largest and smallest
+# magnitudes, and values whose 12th significant digit rounds (up to a new
+# power of ten for 9.9999999999995 and 999999999999.5)
+EDGE_SSR = [np.inf, 1e300, 1.7976931348623157e308, 5e-324, 9.9999999999995,
+            0.1234567890125, 999999999999.5, 0.0, 2.5]
+
+
+class TestSurfaceRowRenderer:
+    def test_largest_grid_equals_per_cell_renderer(self):
+        surface = pa_surface(small_cfg(), step=1 / (MAX_SURFACE_POINTS - 1))
+        text = emit_csv(surface)
+        assert text.count("\n") == 1 + MAX_SURFACE_POINTS ** 2 == 1002002
+        assert first_difference(text, per_cell_surface_csv(surface)) is None
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("step", [0.07, 0.003])
+    def test_twelve_digit_betas_equal_per_cell_renderer(self, step, method):
+        surface = pa_surface(small_cfg(seed=2**64 - 1), step=step, method=method)
+        assert any(len(("%.12g" % b).replace(".", "").lstrip("0")) == 12 for b in surface.betas)
+        assert first_difference(emit_csv(surface), per_cell_surface_csv(surface)) is None
+
+    @pytest.mark.parametrize("step", [0.5, 0.3])
+    def test_edge_values_equal_per_cell_renderer(self, monkeypatch, step):
+        n = round(1 / step) + 1
+        raw = np.resize(np.array(EDGE_SSR), (n, n))
+        monkeypatch.setattr(risdm.sim, "_objective", lambda b1, b2, g: raw.copy())
+        surface = pa_surface(small_cfg(), step=step)
+        assert surface.ssr.tolist() == raw.tolist()
+        text = emit_csv(surface)
+        assert text == per_cell_surface_csv(surface)
+        ssr_column = [line.split(",")[6] for line in text.splitlines()[1:]]
+        assert ssr_column == ["%.12g" % v for v in raw.ravel().tolist()]
+        assert {"inf", "10", "0.123456789012", "1e+12", "4.94065645841e-324"} <= set(ssr_column)
