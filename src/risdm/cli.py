@@ -96,7 +96,3 @@ def main(argv=None):
         print(f"error: {err}", file=sys.stderr)
         return 1
     return 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -12,10 +12,10 @@ Four strategies over the split factors (beta1, beta2):
   Ferrari's radical formula, and the optimum is picked from the root
   candidates plus the interval boundaries.
 
-Every stage degrades gracefully to the companion-matrix root oracle
-(:func:`companion_roots`, also the check the closed-form root finders are
-tested against), and an exactly-degenerate sextic falls back to the 1-D
-grid search.
+A Newton stage whose every start fails, or Ferrari, degrades to the
+companion-matrix root oracle (:func:`companion_roots`, also the check the
+closed-form root finders are tested against), which ends the pipeline;
+an exactly-degenerate sextic falls back to the 1-D grid search.
 
 Every stage runs on Python scalars in the operation order of the numpy
 form it replaced (the sextic's products and monic division, the
@@ -487,23 +487,18 @@ def _newton_stage(coeffs, inits):
     return None, None, attempts
 
 
-def _real_part(root):
-    """The real part of a root whose imaginary part is negligible, else None."""
-    z = complex(root)
-    return z.real if abs(z.imag) < REAL_ROOT_IMAG_TOL else None
-
-
 def hicf(g, seed=0):
     """Hybrid iterative/closed-form split optimization on the diagonal.
 
-    Pipeline: sextic coefficients; Newton from 0.5, then from seeded
-    restarts only if 0.5 fails -> beta(1); deflate; Newton on the quintic
-    from seeded points in the reduced domain, the first drawn on every
-    call -> beta(2); deflate; Ferrari on the quartic -> beta(3..6);
-    evaluate the unclamped objective at every real candidate in [0, 1]
-    plus the boundaries and return the argmax (smallest beta on ties)
-    applied to both split factors.  ``seed``, a non-negative integer,
-    seeds the restarts.
+    Pipeline: sextic coefficients; one loop over two Newton stages, each
+    deflating its root: newton-1 from 0.5, then from seeded restarts only
+    if 0.5 fails -> beta(1); newton-2 from seeded points in the reduced
+    domain -> beta(2); Ferrari on the quartic -> beta(3..6).  A stage whose
+    every start fails records ``oracle-fallback:<stage>`` and its
+    polynomial's companion roots, and ends the pipeline.  The unclamped
+    objective at every real root in [0, 1] plus the boundaries gives the
+    argmax (smallest beta on ties), applied to both split factors.
+    ``seed``, a non-negative integer, seeds the restarts.
     """
     check_seed(seed)
     diagnostics = {"fallbacks": [], "newton_attempts": {}, "root_residuals": []}
@@ -518,39 +513,33 @@ def hicf(g, seed=0):
             diagnostics={**fallback.diagnostics, **diagnostics},
         )
 
-    labeled = []  # (root, origin)
+    def stage1_starts():  # the seeded restarts are drawn only after 0.5 fails
+        yield 0.5
+        yield from _stage_inits(seed, 1)
 
-    root1, quintic, attempts1 = _newton_stage(sextic, [0.5])
-    if root1 is None:  # the seeded restarts, drawn only after 0.5 fails
-        root1, quintic, restarts = _newton_stage(sextic, _stage_inits(seed, 1))
-        attempts1 += restarts
-    diagnostics["newton_attempts"]["newton-1"] = attempts1
-    if root1 is None:
-        diagnostics["fallbacks"].append("oracle-fallback:newton-1")
-        labeled.extend((r, "newton-1") for r in companion_roots(sextic))
+    labeled, poly = [], sextic  # labeled: (root, origin)
+    for origin in ("newton-1", "newton-2"):
+        inits = stage1_starts() if origin == "newton-1" else _stage_inits(seed, 2, beta1=root)
+        root, quotient, attempts = _newton_stage(poly, inits)
+        diagnostics["newton_attempts"][origin] = attempts
+        if root is None:  # every start failed: the oracle's roots end the pipeline
+            diagnostics["fallbacks"].append(f"oracle-fallback:{origin}")
+            labeled.extend((r, origin) for r in companion_roots(poly))
+            break
+        labeled.append((root, origin))
+        poly = quotient
     else:
-        labeled.append((root1, "newton-1"))
-        root2, quartic, attempts2 = _newton_stage(quintic, _stage_inits(seed, 2, beta1=root1))
-        diagnostics["newton_attempts"]["newton-2"] = attempts2
-        if root2 is None:
-            diagnostics["fallbacks"].append("oracle-fallback:newton-2")
-            labeled.extend((r, "newton-2") for r in companion_roots(quintic))
-        else:
-            labeled.append((root2, "newton-2"))
-            q_roots, used_oracle = ferrari_roots(*quartic[1:])
-            if used_oracle:
-                diagnostics["fallbacks"].append("oracle-fallback:ferrari")
-            labeled.extend((r, "ferrari") for r in q_roots)
+        q_roots, used_oracle = ferrari_roots(*poly[1:])
+        if used_oracle:
+            diagnostics["fallbacks"].append("oracle-fallback:ferrari")
+        labeled.extend((r, "ferrari") for r in q_roots)
 
-    diagnostics["roots"] = [complex(root) for root, _ in labeled]
-    diagnostics["origins"] = [origin for _, origin in labeled]
-    diagnostics["root_residuals"] = [abs(_horner(sextic, complex(root))) for root, _ in labeled]
+    roots = diagnostics["roots"] = [complex(r) for r, _ in labeled]
+    origins = diagnostics["origins"] = [origin for _, origin in labeled]
+    diagnostics["root_residuals"] = [abs(_horner(sextic, z)) for z in roots]
 
-    candidates = []
-    for root, origin in labeled:
-        beta = _real_part(root)
-        if beta is not None and 0.0 <= beta <= 1.0:
-            candidates.append((beta, origin))
+    candidates = [(z.real, origin) for z, origin in zip(roots, origins)
+                  if abs(z.imag) < REAL_ROOT_IMAG_TOL and 0.0 <= z.real <= 1.0]
     candidates.extend([(0.0, "boundary"), (1.0, "boundary")])
     candidates.sort(key=lambda item: item[0])  # smallest beta wins ties
 

@@ -6,13 +6,15 @@ reflection modes, and power-allocation modes.  Each (value, method,
 reflection mode, trial) unit runs the geometry-to-gains chain
 (:func:`point_design`) and every power-allocation mode, but each stage
 is computed once per distinct input it reads, through a
-:class:`StageMemo` that lives for one sweep.
+:class:`StageMemo` that lives for one sweep; its ``get(key, compute)``
+calls a zero-argument ``compute`` only for a key it has not stored.
 A power or split sweep thus builds its channels once, a mode that reads
 no seed builds its effective channels once per site, a beamformer set
-is stored with its gains, and a power-allocation outcome is computed
-once per distinct set of gains.  Every stage result is the one the unit
-would have computed alone, and records are sorted into a deterministic
-order before emission, so sharing does not change the output bytes.
+is stored with its gains, and an optimized split is computed once per
+distinct set of gains (and sub-seed, for hicf).  Every stage result is
+the one the unit would have computed alone, and records are sorted into
+a deterministic order before emission, so sharing does not change the
+output bytes.
 
 Randomized points derive their sub-seed from the master seed and the
 (axis index, trial index) pair through the splitmix64 mixer, documented
@@ -174,16 +176,17 @@ def apply_axis(config, axis, value):
 class StageMemo:
     """Stage results keyed by the inputs each stage reads, for one sweep.
 
-    The first caller of a key computes it and every later caller gets the
-    stored result; a stage that raises stores nothing.
+    ``get(key, compute)`` calls the zero-argument ``compute`` for the first
+    request of a key and stores its result; every later request gets the
+    stored result.  A ``compute`` that raises stores nothing.
     """
 
     def __init__(self):
         self._results = {}
 
-    def get(self, key, compute, *args):
+    def get(self, key, compute):
         if key not in self._results:
-            self._results[key] = compute(*args)
+            self._results[key] = compute()
         return self._results[key]
 
 
@@ -206,18 +209,6 @@ def sweep_point(scenario):
     return SweepPoint(scenario, site, site.to_json())
 
 
-def _axis_point(config, axis, value):
-    return sweep_point(apply_axis(config, axis, value))
-
-
-def _site_channels(site):
-    return build_channels(build_geometry(site), site)
-
-
-def _effective(channels, site, ris_mode, seed):
-    return effective_channels(channels, *reflections_for(ris_mode, channels.geom, site, seed=seed))
-
-
 def point_design(memo, point, method, ris_mode, seed):
     """(effective channels, :class:`~risdm.beamforming.BeamformerSet`, gains) of one point.
 
@@ -235,21 +226,22 @@ def point_design(memo, point, method, ris_mode, seed):
       effective channels, method, powers and split, in one entry.
     """
     scenario, site, site_key = point
-    channels = memo.get(("channels", site_key), _site_channels, site)
+    channels = memo.get(("channels", site_key), lambda: build_channels(build_geometry(site), site))
     eff_key = (site_key, ris_mode, seed if ris_mode in SEEDED_MODES else None)
     budget = (scenario.Pa_dbm, scenario.Pb_dbm, scenario.beta1, scenario.beta2)
-    eff = memo.get(("eff", eff_key), _effective, channels, site, ris_mode, seed)
+    eff = memo.get(("eff", eff_key), lambda: effective_channels(
+        channels, *reflections_for(ris_mode, channels.geom, site, seed=seed)))
 
     def zf(rx):
-        return memo.get(("zf", site_key, rx), receiver_zf, channels, rx)
+        return memo.get(("zf", site_key, rx), lambda: receiver_zf(channels, rx))
 
     def design():
         if method == "max-sv":
             v_at, v_bt, w_a, w_b, v_ar, v_br = memo.get(
-                ("max-sv", eff_key), max_sv_beamformers, channels, eff)
+                ("max-sv", eff_key), lambda: max_sv_beamformers(channels, eff))
         elif method == "leakage":
             v_at, v_bt, w_a, w_b = memo.get(
-                ("leakage", site_key, budget), leakage_transmitters, channels, scenario)
+                ("leakage", site_key, budget), lambda: leakage_transmitters(channels, scenario))
             # three-way ZF+MRC receivers, aligned to each path's arrival
             v_br = zf_mrc(zf("b"), [term @ v_at for term in eff.paths["h_b"]])
             v_ar = zf_mrc(zf("a"), [term @ v_bt for term in eff.paths["h_a"]])
@@ -263,22 +255,14 @@ def point_design(memo, point, method, ris_mode, seed):
     return eff, bf, gains
 
 
-def _split_outcome(gains, pa_mode, scenario, seed):
-    """(beta1, beta2, ssr) of one power-allocation mode on one set of gains."""
-    if pa_mode == "fixed":
-        b1, b2 = scenario.beta1, scenario.beta2
-        return b1, b2, ssr(b1, b2, gains)
-    out = allocate(gains, pa_mode, seed=seed)
-    return out.beta1, out.beta2, out.ssr
-
-
 def run_sweep(config, spec):
     """Evaluate every (value x method x ris_mode x pa_mode x trial) point.
 
     Every stage runs once per distinct input within this call (see
-    :func:`point_design`), and each axis value is applied once; a
-    power-allocation outcome is keyed by the gains, plus the split for
-    ``fixed`` and the unit's sub-seed for ``hicf``.
+    :func:`point_design`), and each axis value is applied once; an
+    :func:`~risdm.power_allocation.allocate` outcome is keyed by the mode
+    and the gains, plus the unit's sub-seed for ``hicf``, and ``fixed`` is
+    scored at the scenario's split.
     Errors propagate with the offending parameters attached.  Records come
     back sorted.
     """
@@ -290,17 +274,21 @@ def run_sweep(config, spec):
         seed = sub_seed(spec.seed, axis_index, trial)
         where = f"axis={spec.axis}={value} method={method} ris={ris_mode} trial={trial}"
         try:
-            point = memo.get(("point", value), _axis_point, config, spec.axis, value)
+            point = memo.get(("point", value),
+                             lambda: sweep_point(apply_axis(config, spec.axis, value)))
             _, _, gains = point_design(memo, point, method, ris_mode, seed)
         except Exception as err:
             raise RuntimeError(f"sweep point failed: {where}: {err}") from err
         scenario = point.scenario
         for pa_mode in spec.pa_modes:
-            reads = {"fixed": (scenario.beta1, scenario.beta2), "hicf": seed}.get(pa_mode)
             try:
-                b1, b2, rate = memo.get(
-                    ("pa", pa_mode, gains, reads), _split_outcome, gains, pa_mode, scenario, seed,
-                )
+                if pa_mode == "fixed":
+                    b1, b2 = scenario.beta1, scenario.beta2
+                    rate = ssr(b1, b2, gains)
+                else:
+                    out = memo.get(("pa", pa_mode, gains, seed if pa_mode == "hicf" else None),
+                                   lambda: allocate(gains, pa_mode, seed=seed))
+                    b1, b2, rate = out.beta1, out.beta2, out.ssr
             except Exception as err:
                 raise RuntimeError(f"sweep point failed: {where} pa={pa_mode}: {err}") from err
             records.append(SweepRecord(
@@ -368,18 +356,19 @@ def _surface_rows(surface):
     heads = ["%.12g,%s,%s,surface,%.12g," % (b, surface.method, surface.ris_mode, b)
              for b in surface.betas]
     tails = ["", *["%.12g,%%.12g,0,%s\n" % (b, surface.seed) for b in surface.betas]]
-    return "".join([head.join(tails) % tuple(row)
-                    for head, row in zip(heads, surface.ssr.tolist())])
+    return [head.join(tails) % tuple(row) for head, row in zip(heads, surface.ssr.tolist())]
 
 
 def emit_csv(records):
     """Render records, or a :class:`Surface`, as a CSV document (fixed header,
-    LF endings, 12 sig digits)."""
+    LF endings, 12 sig digits): one join of the header and the rows."""
     if isinstance(records, Surface):
-        return CSV_HEADER + "\n" + _surface_rows(records)
-    if not records:
+        rows = _surface_rows(records)
+    elif records:
+        rows = [_ROW % r for r in records]
+    else:
         raise ValueError("no records to emit")
-    return CSV_HEADER + "\n" + "".join([_ROW % r for r in records])
+    return "".join([CSV_HEADER + "\n", *rows])
 
 
 def write_csv(records, path):

@@ -1193,6 +1193,21 @@ class TestHicfPinned:
         hicf(ScalarGains(*s, 1.0, 1.0, 1.0), seed=seed)
         assert calls.count(1) == (0 if attempts["newton-1"] == 1 else 1)
 
+    @pytest.mark.parametrize("s, seed, fallbacks", [row[:2] + row[5:] for row in HICF_PINNED])
+    def test_stage2_starts_drawn_once_only_after_newton1_succeeds(
+        self, monkeypatch, s, seed, fallbacks
+    ):
+        calls = []
+        draw = pa._stage_inits
+
+        def counting(seed, stage, beta1=None):
+            calls.append(stage)
+            return draw(seed, stage, beta1=beta1)
+
+        monkeypatch.setattr(pa, "_stage_inits", counting)
+        hicf(ScalarGains(*s, 1.0, 1.0, 1.0), seed=seed)
+        assert calls.count(2) == (0 if "oracle-fallback:newton-1" in fallbacks else 1)
+
 
 class TestAllocate:
     def test_dispatch_and_aliases(self, rng):

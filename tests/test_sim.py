@@ -368,6 +368,32 @@ def staged_cases(draw):
     return small_cfg(M=draw(st.integers(1, 24))), spec
 
 
+class TestStageMemo:
+    def test_a_raising_compute_stores_nothing(self):
+        memo, calls = StageMemo(), []
+
+        def failing():
+            calls.append("fail")
+            raise RuntimeError("stage failed")
+
+        with pytest.raises(RuntimeError, match="stage failed"):
+            memo.get("key", failing)
+        assert memo.get("key", lambda: calls.append("ok") or 42) == 42
+        assert calls == ["fail", "ok"]
+
+    def test_a_stored_key_never_calls_its_compute_again(self):
+        memo, calls = StageMemo(), []
+        stored = object()
+        assert memo.get(("stage", 1), lambda: calls.append(1) or stored) is stored
+
+        def refused():
+            raise AssertionError("a stored key was computed again")
+
+        assert memo.get(("stage", 1), refused) is stored
+        assert memo.get(("stage", 1), lambda: calls.append(2)) is stored
+        assert calls == [1]
+
+
 class TestStagedSweep:
     @settings(max_examples=25, deadline=None)
     @given(case=staged_cases())
