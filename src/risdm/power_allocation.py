@@ -3,7 +3,8 @@
 Four strategies over the split factors (beta1, beta2):
 
 * ``epa``  : the fixed equal split (0.5, 0.5).
-* ``es2d``: exhaustive grid search over the unit square.
+* ``es2d``: exhaustive grid search over the unit square, scoring only
+  the cells a bound on the boundary cannot rule out (below).
 * ``es1d``: exhaustive grid search along the diagonal beta1 = beta2.
 * ``hicf`` : hybrid iterative/closed-form.  The diagonal stationarity
   condition is a monic sextic whose coefficients follow from the quartic
@@ -36,6 +37,13 @@ multiply-adds.  The grid searches score a cached read-only ``linspace``
 per step with the rate expression directly, a grid over [0, 1] needing
 no range check, and report the chosen grid value, which has the scalar
 objective's bits.
+
+``es2d`` scores the grid's edges, then only the interior rows and
+columns that the bound R(beta1, beta2) <= R(beta1, 0) + R(0, beta2)
+(Eve's terms only grow with either split), plus a slack that scales with
+the rate terms and so covers every cell's rounding, cannot rule out.  A
+NaN or an infinite term keeps cells, and the answer, the first maximum
+in beta1-major order, is the whole grid's bit for bit (see :func:`es_2d`).
 """
 
 from __future__ import annotations
@@ -62,6 +70,7 @@ DEGENERATE_LEADING_RATIO = 1e-300
 DEFAULT_STEP_1D = 1e-3
 DEFAULT_STEP_2D = 1e-2
 MIN_GRID_STEP = 1e-9  # 1e9 intervals: 8 GB per float64 grid
+ES2D_SLACK = 1e-12  # es2d's pruning slack per unit of rate-term scale
 
 
 class DegeneratePolynomialError(ValueError):
@@ -415,19 +424,83 @@ def es_1d(g, step=DEFAULT_STEP_1D):
     )
 
 
-def es_2d(g, step=DEFAULT_STEP_2D):
-    """Exhaustive search of the unclamped objective over the unit square.
+@lru_cache(maxsize=8)
+def _boundary(step):
+    """The square grid's boundary cells in C order, as read-only (beta1,
+    beta2, flat index) arrays: the beta1 = 0 row, the first and last cell
+    of each interior row, then the beta1 = 1 row.  Built once per step."""
+    grid = _grid(step)
+    n, last = grid.size, grid.size - 1
+    inner = np.arange(1, last)
+    rows = np.concatenate([np.zeros(n, int), np.repeat(inner, 2), np.full(n, last)])
+    cols = np.concatenate([np.arange(n), np.tile([0, last], n - 2), np.arange(n)])
+    cells = grid[rows], grid[cols], rows * n + cols
+    for array in cells:
+        array.flags.writeable = False
+    return cells
 
-    Ties break toward smaller beta1, then smaller beta2.
+
+def _es2d_slack(g):
+    """``ES2D_SLACK`` times 1 plus the four rate terms' values at full power
+    with only their noise, the most each can take: an infinite term makes it
+    infinite."""
+    bounds = ((g.s1, g.sigma2_a), (g.s3, g.sigma2_b), (g.s5, g.sigma2_e), (g.s6, g.sigma2_e))
+    return ES2D_SLACK * (1.0 + sum(math.log2(1.0 + float(s) / float(sigma))
+                                   for s, sigma in bounds))
+
+
+def es_2d(g, step=DEFAULT_STEP_2D):
+    """Exhaustive search of the unclamped objective over the unit square,
+    scoring only the cells a bound on the boundary cannot rule out.
+
+    Write the objective as R = A(beta2) + B(beta1) - C(beta1, beta2) -
+    D(beta1, beta2), its four log terms.  Eve's denominator only shrinks as
+    either split grows, so C >= C(beta1, 0) and D >= D(0, beta2), and A(0),
+    C(0, .) and D(., 0) are log2(1) = 0: in exact arithmetic
+    R(beta1, beta2) <= R(beta1, 0) + R(0, beta2), two boundary cells.  The
+    four edges are scored first, and ``best`` is their maximum.  An interior
+    row i is dropped when R(beta_i, 0) + max_j R(0, beta_j) + slack < best,
+    the j over the interior columns, and an interior column likewise; the
+    kept rows and columns are scored as one broadcast sub-grid.
+
+    The slack (:func:`_es2d_slack`) is ``ES2D_SLACK`` times 1 plus each log
+    term's value at full power with only its noise, which bounds that term
+    in every cell.  It thus bounds the rounding of the three cells a test
+    compares, numpy's log2 error included, however much the large terms
+    cancel, which a slack relative to R would not.  A NaN in a test keeps
+    its row or column, and an infinite term makes the slack infinite and
+    keeps every cell.  So a dropped cell lies strictly below ``best``, and
+    the C-order-first maximum of the scored cells (the first NaN, if any,
+    as under ``np.argmax``) is the full grid's: ties break toward smaller
+    beta1, then smaller beta2.  Each scored value is the full grid's bits.
+
+    ``diagnostics["evaluations"]`` is the grid size and ``"scored"`` the
+    number of cells whose objective was computed.
     """
     grid = _grid(step)
-    values = _objective(grid[:, None], grid[None, :], g)
-    k = int(np.argmax(values))  # C-order: beta1-major, so ties resolve as specified
-    i, j = divmod(k, grid.size)
-    beta1, beta2 = float(grid[i]), float(grid[j])
+    n = grid.size
+    beta1, beta2, flat = _boundary(step)
+    edge = _objective(beta1, beta2, g)  # C order: argmax takes the first maximum
+    k = int(np.argmax(edge))
+    best = edge[k]
+    # R(beta_i, 0) of the interior rows and R(0, beta_j) of the interior columns
+    row_edge, col_edge = edge[n:3 * n - 4:2], edge[1:n - 1]
+    slack = _es2d_slack(g)
+    rows = np.flatnonzero(~(row_edge + (col_edge.max() + slack) < best)) + 1
+    # with no row left there is no sub-grid, whatever the columns
+    cols = np.flatnonzero(~(col_edge + (row_edge.max() + slack) < best)) + 1 if rows.size else rows
+    k, value = int(flat[k]), best
+    if cols.size:
+        values = _objective(grid[rows, None], grid[None, cols], g)
+        r, c = divmod(int(np.argmax(values)), cols.size)
+        # argmax's rules over the two candidates in C order: the first NaN, else the first maximum
+        cells = sorted([(k, value), (int(rows[r]) * n + int(cols[c]), values[r, c])])
+        k, value = cells[int(np.argmax([v for _, v in cells]))]
+    i, j = divmod(k, n)
     return PaOutcome(  # a grid value has the scalar objective's bits
-        method="es2d", beta1=beta1, beta2=beta2, ssr=max(0.0, float(values[i, j])),
-        candidates=(), diagnostics={"step": step, "evaluations": values.size},
+        method="es2d", beta1=float(grid[i]), beta2=float(grid[j]), ssr=max(0.0, float(value)),
+        candidates=(), diagnostics={"step": step, "evaluations": n * n,
+                                    "scored": edge.size + rows.size * cols.size},
     )
 
 

@@ -890,6 +890,41 @@ class TestFerrari:
                 assert pa._residuals_within(quartic, roots, bound) == (max(want) <= bound)
 
 
+# Wide gains for es2d: s from 1e-8 to 1e8 or exactly 0, noise from 1e-4 to 1e4.
+wide_gains = st.builds(
+    lambda s, noise: ScalarGains(*s, *noise),
+    st.lists(st.one_of(st.floats(-8.0, 8.0).map(lambda e: 10.0 ** e), st.just(0.0)),
+             min_size=8, max_size=8),
+    st.lists(st.floats(-4.0, 4.0).map(lambda e: 10.0 ** e), min_size=3, max_size=3),
+)
+
+# One draw per way through es2d's pruning (s1..s8, sigma2_a, sigma2_b, sigma2_e):
+# s / sigma overflows, so the slack is infinite, every cell is kept and the
+# grid holds NaNs; A = D and B = C cell for cell, each about 40 bits, so R is
+# 0 in exact arithmetic and rounding alone picks the cell; an optimum inside
+# the square; no leakage to Eve, so the optimum is the corner (1, 1)
+# and no interior cell is scored; and an objective that reads beta2 alone, so
+# every beta1 ties and beta1 = 0 wins.
+ES2D_DRAWS = {
+    "overflow": (1e300,) * 8 + (1e-300,) * 3,
+    "cancelling": (1e12, 0.0, 1e12, 0.0, 1e12, 1e12, 0.0, 0.0, 1.0, 1.0, 1.0),
+    "interior": (10.48, 0.045, 36.155, 0.108, 165.805, 0.349, 14.155, 31.992, 1.0, 1.0, 1.0),
+    "boundary-only": (2.0, 0.5, 3.0, 0.8, 0.0, 0.0, 1.0, 1.0, 0.5, 0.5, 0.5),
+    "tie": (2.0, 0.5, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.5, 0.5, 0.5),
+}
+ES2D_STEPS = [0.5, 0.05, 0.01, 0.002]
+
+
+def full_grid_es2d(g, step):
+    """The float.hex of es2d's (beta1, beta2, SSR) from the whole square:
+    numpy's argmax over the full mesh, beta1-major."""
+    grid = pa._grid(step)
+    with np.errstate(all="ignore"):
+        values = pa._objective(grid[:, None], grid[None, :], g)
+    i, j = divmod(int(np.argmax(values)), grid.size)
+    return float(grid[i]).hex(), float(grid[j]).hex(), max(0.0, float(values[i, j])).hex()
+
+
 class TestGridSearches:
     def test_es2d_symmetric_gains_swap_equivalence(self):
         # with s1=s3, s2=s4, s5=s6, s7=s8 and equal a/b noise the objective
@@ -939,10 +974,51 @@ class TestGridSearches:
             out = es_2d(g, step=0.01)
             grid = np.linspace(0.0, 1.0, 101)
             mesh = score(*np.meshgrid(grid, grid, indexing="ij"), g)
-            assert np.array_equal(evaluated[0], mesh)
             i, j = np.unravel_index(np.argmax(mesh), mesh.shape)
             assert (out.beta1, out.beta2) == (grid[i], grid[j])
             assert out.diagnostics["evaluations"] == mesh.size
+            assert out.diagnostics["scored"] == sum(v.size for v in evaluated)
+
+    @settings(max_examples=200, deadline=None)
+    @given(g=wide_gains, step=st.sampled_from(ES2D_STEPS))
+    @example(g=ScalarGains(*ES2D_DRAWS["overflow"]), step=0.01)
+    @example(g=ScalarGains(*ES2D_DRAWS["cancelling"]), step=0.01)
+    @example(g=ScalarGains(*ES2D_DRAWS["interior"]), step=0.01)
+    @example(g=ScalarGains(*ES2D_DRAWS["boundary-only"]), step=0.01)
+    @example(g=ScalarGains(*ES2D_DRAWS["tie"]), step=0.01)
+    def test_es2d_equals_full_grid_argmax_bit_for_bit(self, g, step):
+        with np.errstate(all="ignore"):
+            out = es_2d(g, step=step)
+        assert (out.beta1.hex(), out.beta2.hex(), out.ssr.hex()) == full_grid_es2d(g, step)
+
+    @pytest.mark.parametrize("step", ES2D_STEPS)
+    @pytest.mark.parametrize("name", ES2D_DRAWS)
+    def test_es2d_draws_take_their_way(self, name, step):
+        g = ScalarGains(*ES2D_DRAWS[name])
+        grid = pa._grid(step)
+        n = grid.size
+        with np.errstate(all="ignore"):
+            out = es_2d(g, step=step)
+            values = pa._objective(grid[:, None], grid[None, :], g)
+        assert (out.beta1.hex(), out.beta2.hex(), out.ssr.hex()) == full_grid_es2d(g, step)
+        assert out.diagnostics["evaluations"] == n * n
+        scored, slack = out.diagnostics["scored"], pa._es2d_slack(g)
+        if name == "overflow":
+            assert slack == math.inf and np.isnan(values).any()
+            assert scored == n * n
+        elif name == "cancelling":
+            # the slack follows the terms (about 160 bits), not the rounding
+            # noise that R is, so it keeps every cell
+            assert slack > 100 * pa.ES2D_SLACK > 1e4 * np.abs(values).max()
+            assert scored == n * n
+        elif name == "interior":
+            assert 0.0 < out.beta1 < 1.0 and 0.0 < out.beta2 < 1.0
+        elif name == "boundary-only":
+            assert (out.beta1, out.beta2) == (1.0, 1.0)
+            assert scored == 4 * n - 4
+        else:
+            assert (values == values.max()).sum(axis=0).max() == n  # a whole column ties
+            assert out.beta1 == 0.0
 
     def test_es1d_monotone_scenario(self):
         g = ScalarGains(2.0, 0.5, 3.0, 0.8, 0.0, 0.0, 1.0, 1.0, 0.5, 0.5, 0.5)
