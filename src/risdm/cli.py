@@ -10,8 +10,10 @@ Subcommands::
 
 Omitting --config uses the built-in default scenario.  In a sweep, es1d
 and es2d search their fixed grids (steps 0.001 and 0.01) and hicf seeds
-its restarts with each point's sub-seed.  Exit code 0 on success, 2 on an
-unknown or malformed argument, 1 with a diagnostic on stderr otherwise.
+its restarts with each point's sub-seed.  pa-surface scores the same
+split grid, at es2d's step unless --step says otherwise.  Exit code 0 on
+success, 2 on an unknown or malformed argument, 1 with a diagnostic on
+stderr otherwise.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import json
 import sys
 
 from .geometry import ScenarioConfig, default_config, geometry_summary
+from .power_allocation import DEFAULT_STEP_2D
 from .ris import MODES as RIS_MODES
 from .sim import AXES, METHODS, PA_MODES, SweepSpec, pa_surface, run_sweep, write_csv
 
@@ -61,7 +64,7 @@ def build_parser():
 
     surface = sub.add_parser("pa-surface", help="SSR over the (beta1, beta2) grid")
     surface.add_argument("--config", default=None)
-    surface.add_argument("--step", type=float, default=0.01)
+    surface.add_argument("--step", type=float, default=DEFAULT_STEP_2D)
     surface.add_argument("--method", default="max-sv", choices=METHODS)
     surface.add_argument("--ris", default="gpg", choices=RIS_MODES)
     surface.add_argument("--out", required=True)

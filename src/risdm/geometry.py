@@ -253,6 +253,17 @@ class ScenarioConfig:
         for name in ("beta1", "beta2"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ConfigError(f"{name} must lie in [0, 1]")
+        for name in ("Pa_dbm", "Pb_dbm", "sigma2_e_dbm"):
+            try:
+                dbm_to_mw(getattr(self, name))
+            except OverflowError:
+                raise ConfigError(f"{name} = {getattr(self, name)!r} dBm overflows in mW") from None
+        # a transmit power may underflow to 0 mW, a noise power may not
+        for name, noise in (("sigma2_e_dbm", self.sigma2_e_mw),
+                            ("noise_ratio x sigma2_e_dbm", self.sigma2_a_mw)):
+            if not (math.isfinite(noise) and noise > 0.0):
+                raise ConfigError(f"{name} gives a noise power of {noise!r} mW; "
+                                  "it must be finite and > 0")
         object.__setattr__(self, "pathloss_exp", _entries(
             self.pathloss_exp, "pathloss_exp", "classes", LINK_CLASSES, _number, LINK_CLASSES))
         if not isinstance(self.placement, Placement):

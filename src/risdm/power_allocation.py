@@ -16,7 +16,11 @@ Four strategies over the split factors (beta1, beta2):
 A Newton stage whose every start fails, or Ferrari, degrades to the
 companion-matrix root oracle (:func:`companion_roots`, also the check the
 closed-form root finders are tested against), which ends the pipeline;
-an exactly-degenerate sextic falls back to the 1-D grid search.
+an exactly-degenerate sextic falls back to the 1-D grid search.  A closed
+form whose Python-float power overflows (``OverflowError``, where numpy
+would round to inf) has failed, and takes its stage's fallback: overflowing
+rate quartics make a degenerate sextic, and an overflowing Ferrari hands
+over to the companion oracle.
 
 Every stage runs on Python scalars in the operation order of the numpy
 form it replaced (the sextic's products and monic division, the
@@ -33,10 +37,11 @@ releases that follow C99's mixed-mode rules (3.14 on) can differ in
 signed zeros.  The check of Ferrari's roots is a Python complex Horner
 loop, which gives the same bits on every CPU, where
 ``np.abs(np.polyval(...))`` varies in the last bits with the CPU's fused
-multiply-adds.  The grid searches score a cached read-only ``linspace``
-per step with the rate expression directly, a grid over [0, 1] needing
-no range check, and report the chosen grid value, which has the scalar
-objective's bits.
+multiply-adds.  Every split grid, the searches' and ``sim.pa_surface``'s,
+is :func:`_grid`: the exact values i / n, cached read-only per step.  The
+searches score it with the rate expression directly, a grid over [0, 1]
+needing no range check, and report the chosen grid value, which has the
+scalar objective's bits.
 
 ``es2d`` scores the grid's edges, then only the interior rows and
 columns that the bound R(beta1, beta2) <= R(beta1, 0) + R(0, beta2)
@@ -78,7 +83,8 @@ class DegeneratePolynomialError(ValueError):
 
 
 class DegenerateSexticError(ValueError):
-    """The sextic's leading normalizer q1 q7 - q2 q6 vanished."""
+    """The sextic's leading normalizer q1 q7 - q2 q6 vanished, or the
+    sextic could not be formed in floats (an overflow)."""
 
 
 class NewtonError(RuntimeError):
@@ -157,10 +163,14 @@ def sextic_coeffs(g):
     Raises
     ------
     DegenerateSexticError
-        If the leading normalizer vanishes (or monicizing overflows); the
-        optimizer then falls back to the 1-D grid search.
+        If the leading normalizer vanishes, or the rate quartics' powers or
+        the monicizing overflow; the optimizer then falls back to the 1-D
+        grid search.
     """
-    (q1, q2, q3, q4, q5), (q6, q7, q8, q9, q10) = quartic_pair(g)
+    try:
+        (q1, q2, q3, q4, q5), (q6, q7, q8, q9, q10) = quartic_pair(g)
+    except OverflowError as err:
+        raise DegenerateSexticError(f"the rate quartics overflow: {err}") from err
     lead = q1 * q7 - q2 * q6
     tail = [
         2.0 * q1 * q8 - 2.0 * q3 * q6,
@@ -321,7 +331,7 @@ def _resolvent_shifts(gamma1, gamma2):
 
 
 def _ferrari(a1, a2, a3, a4):
-    """:func:`ferrari_roots` on finite real scalars of one type."""
+    """:func:`ferrari_roots` on finite Python floats."""
     gamma1 = (3.0 * a1 * a3 - 12.0 * a4 - a2**2) / 3.0
     gamma2 = (
         -2.0 * a2**3 + 9.0 * a1 * a2 * a3 + 72.0 * a2 * a4
@@ -330,7 +340,7 @@ def _ferrari(a1, a2, a3, a4):
     odd_term = 4.0 * a1 * a2 - 8.0 * a3 - a1**3
     scale = max(1.0, abs(a1), abs(a2), abs(a3), abs(a4))
     bound = FERRARI_RESIDUAL_TOL * scale
-    quartic = [1.0, float(a1), float(a2), float(a3), float(a4)]
+    quartic = [1.0, a1, a2, a3, a4]
     a1_sq = a1**2
     base, pivot, offset = a2 / 3.0, a1_sq / 4.0 - a2, -a1 / 4.0
 
@@ -372,9 +382,8 @@ def ferrari_roots(a1, a2, a3, a4):
     tried, then the biquadratic branch, then the companion oracle.
 
     The coefficients are taken as Python floats whatever the caller
-    passes.  A power beyond the float range raises in Python, where numpy
-    rounds it to inf; the formula then runs on numpy scalars, so an
-    overflow takes the branch it took there.
+    passes.  A power beyond the float range raises ``OverflowError``, a
+    failure of the formula like any other: the companion oracle answers.
     """
     for coeff in (a1, a2, a3, a4):
         if not math.isfinite(coeff):
@@ -382,8 +391,8 @@ def ferrari_roots(a1, a2, a3, a4):
     coeffs = float(a1), float(a2), float(a3), float(a4)
     try:
         return _ferrari(*coeffs)
-    except OverflowError:
-        return _ferrari(*np.array(coeffs))
+    except OverflowError:  # a power beyond the float range fails the formula
+        return companion_roots([1.0, *coeffs]), True
 
 
 def check_seed(seed):
@@ -406,8 +415,11 @@ def grid_intervals(step):
 
 @lru_cache(maxsize=8)
 def _grid(step):
-    """The search grid of a step: built once, read-only and shared."""
-    grid = np.linspace(0.0, 1.0, grid_intervals(step) + 1)
+    """The split grid of a step, the exact values i / n (n intervals):
+    built once, read-only, and shared by the grid searches and the
+    power-split surface."""
+    n = grid_intervals(step)
+    grid = np.arange(n + 1) / n
     grid.flags.writeable = False
     return grid
 

@@ -28,6 +28,9 @@ the floats to 12 significant digits, every other field through ``str()``.
 its beta values, not one record per cell; :func:`emit_csv` writes the
 same rows from it, formatting each beta1's leading columns and each
 beta2's trailing columns once and each beta1's SSR row in one ``%``.
+The surface scores the split grid of the grid searches
+(``power_allocation._grid``), at es2d's step by default, so its best cell
+is es2d's and its diagonal's best cell es1d's, bit for bit.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from .beamforming import (
 from .channels import build_channels, effective_channels
 from .geometry import COINCIDENT_M, InvalidGeometryError, ScenarioConfig, build_geometry
 from .geometry import _is_integer, _is_number
-from .power_allocation import allocate, grid_intervals
+from .power_allocation import DEFAULT_STEP_2D, _grid, allocate, grid_intervals
 from .rates import _objective, scalar_gains, ssr
 from .ris import MODES as RIS_MODES
 from .ris import SEEDED_MODES, reflections_for
@@ -308,9 +311,9 @@ MAX_SURFACE_POINTS = 1001
 class Surface:
     """The SSR over the (beta1, beta2) grid of one point design.
 
-    ``ssr[i, j]`` is the clamped SSR at ``(betas[i], betas[j])``; the
-    grid values are ``i / n``.  ``len()`` counts the cells, the records
-    :func:`emit_csv` writes for it.
+    ``ssr[i, j]`` is the clamped SSR at ``(betas[i], betas[j])``; ``betas``
+    is the grid searches' split grid as a list, the values ``i / n``.
+    ``len()`` counts the cells, the records :func:`emit_csv` writes for it.
     """
 
     __slots__ = ("method", "ris_mode", "seed", "betas", "ssr")
@@ -323,12 +326,14 @@ class Surface:
         return self.ssr.size
 
 
-def pa_surface(config, step=0.01, method="max-sv", ris_mode="gpg"):
+def pa_surface(config, step=DEFAULT_STEP_2D, method="max-sv", ris_mode="gpg"):
     """The :class:`Surface` of the config's beamformers, frozen at the config split.
 
     ``step`` must lie in (0, 0.5], no finer than ``MIN_GRID_STEP``, with
-    at most ``MAX_SURFACE_POINTS`` grid points per axis.  The CSV holds
-    one record per cell, the axis column carrying beta1.
+    at most ``MAX_SURFACE_POINTS`` grid points per axis; it defaults to
+    es2d's, ``DEFAULT_STEP_2D``, whose grid the surface then scores cell
+    for cell.  The CSV holds one record per cell, the axis column carrying
+    beta1.
     """
     n = grid_intervals(step)
     if n + 1 > MAX_SURFACE_POINTS:
@@ -337,11 +342,11 @@ def pa_surface(config, step=0.01, method="max-sv", ris_mode="gpg"):
             f"{MAX_SURFACE_POINTS ** 2} of a {MAX_SURFACE_POINTS}-point grid"
         )
     _, _, gains = point_design(StageMemo(), sweep_point(config), method, ris_mode, config.seed)
-    betas = [i / n for i in range(n + 1)]
-    axis = np.array(betas)
-    values = _objective(axis[:, None], axis[None, :], gains)
+    grid = _grid(step)
+    values = _objective(grid[:, None], grid[None, :], gains)
     # max(0, R) of each cell: NaN and -0.0 become 0.0
-    return Surface(method, ris_mode, config.seed, betas, np.where(values > 0.0, values, 0.0))
+    return Surface(method, ris_mode, config.seed, grid.tolist(),
+                   np.where(values > 0.0, values, 0.0))
 
 
 # One CSV row: the floats to 12 significant digits, the rest through str().

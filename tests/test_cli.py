@@ -223,6 +223,14 @@ class TestSweepCommand:
         assert proc.returncode == 1
         assert "surprise" in proc.stderr
 
+    def test_power_whose_gains_overflow_hicf(self, tmp_path):
+        # 3000 dBm once made hicf's rate quartics raise OverflowError
+        out = tmp_path / "o.csv"
+        proc = run_cli("sweep", "--axis", "power_dbm", "--values", "3000",
+                       "--pa", "fixed,es2d,hicf", "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        assert len(out.read_text().splitlines()) == 4
+
     def test_builtin_default_config(self, tmp_path):
         out = tmp_path / "sweep.csv"
         proc = run_cli("sweep", "--axis", "elements_m", "--values", "8,16", "--out", str(out))
@@ -311,6 +319,15 @@ class TestScenarioDump:
         proc = run_cli("scenario", "dump")
         assert proc.returncode == 0, proc.stderr
         assert len(json.loads(proc.stdout)["links"]) == 14
+
+    def test_power_overflowing_in_mw_is_diagnosed(self, tmp_path):
+        doc = json.loads(default_config().to_json())
+        doc["Pa_dbm"] = 4000
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        proc = run_cli("scenario", "dump", "--config", str(bad))
+        assert proc.returncode == 1
+        assert proc.stderr == "error: Pa_dbm = 4000.0 dBm overflows in mW\n"
 
     def test_missing_file_is_diagnosed(self):
         proc = run_cli("scenario", "dump", "--config", "/nonexistent.json")

@@ -255,6 +255,27 @@ class TestConfigIngestion:
         geom = build_geometry(ScenarioConfig.from_dict(doc))
         assert geom[("a", "e")].distance == 75.0 and geom[("a", "e")].theta_t == 1.2
 
+    @pytest.mark.parametrize("name", ["Pa_dbm", "Pb_dbm", "sigma2_e_dbm"])
+    def test_power_overflowing_in_mw_rejected(self, default_cfg, name):
+        # 4000 dBm once escaped as "(34, 'Numerical result out of range')"
+        doc = default_cfg.to_dict()
+        doc[name] = 4000.0
+        assert_rejected(doc, re.escape(f"{name} = 4000.0 dBm overflows in mW"))
+
+    @pytest.mark.parametrize("changes, name, noise", [
+        ({"sigma2_e_dbm": -4000.0}, "sigma2_e_dbm", "0.0"),
+        ({"sigma2_e_dbm": -3000.0, "noise_ratio": 1e-300}, "noise_ratio x sigma2_e_dbm", "0.0"),
+        ({"sigma2_e_dbm": 3000.0, "noise_ratio": 1e300}, "noise_ratio x sigma2_e_dbm", "inf"),
+    ])
+    def test_noise_power_must_be_finite_and_positive(self, default_cfg, changes, name, noise):
+        # -4000 dBm once failed every sweep point on "sigma2_a must be finite and > 0"
+        doc = {**default_cfg.to_dict(), **changes}
+        assert_rejected(doc, re.escape(f"{name} gives a noise power of {noise} mW"))
+
+    def test_transmit_power_may_underflow_to_zero(self, default_cfg):
+        cfg = default_cfg.replace(Pa_dbm=-4000.0, Pb_dbm=-4000.0)
+        assert cfg.pa_mw == cfg.pb_mw == 0.0
+
     def test_dbm_conversion(self, default_cfg):
         assert default_cfg.pa_mw == pytest.approx(10 ** 2.7)
         assert default_cfg.sigma2_a_mw == pytest.approx(1e-7, rel=1e-9)

@@ -408,7 +408,8 @@ def numpy_scalar_shifts(gamma1, gamma2):
 
 
 def numpy_scalar_ferrari(a1, a2, a3, a4):
-    """The numpy-scalar Ferrari form that ferrari_roots must reproduce bit for bit."""
+    """The numpy-scalar Ferrari form that ferrari_roots must reproduce bit for
+    bit wherever the formula on Python floats does not overflow."""
     a1, a2, a3, a4 = np.array((a1, a2, a3, a4), dtype=float)
     gamma1 = (3.0 * a1 * a3 - 12.0 * a4 - a2**2) / 3.0
     gamma2 = (
@@ -445,6 +446,11 @@ def numpy_scalar_ferrari(a1, a2, a3, a4):
     if abs(odd_term) < ETA1_DEGENERATE_TOL * scale and pa._residuals_within(quartic, roots, bound):
         return roots, False
 
+    return companion_roots([1.0, a1, a2, a3, a4]), True
+
+
+def companion_ferrari(a1, a2, a3, a4):
+    """What ferrari_roots returns when the formula overflows: the oracle's roots."""
     return companion_roots([1.0, a1, a2, a3, a4]), True
 
 
@@ -586,7 +592,7 @@ wide_quartics = st.one_of(
 # sign of the discriminant (beta^4 = 1, and four complex roots), the
 # biquadratic branch ((beta - 0.5)^4, where every shift makes eta1
 # vanish), the companion oracle (a pinned hicf quartic), and two whose
-# powers overflow a float, so that the numpy-scalar pass runs.
+# powers overflow a float, so that the companion oracle answers for them too.
 FERRARI_BRANCHES = {
     "disc>=0": [0.0, 0.0, 0.0, -1.0],
     "disc<0": [1.0, 2.0, 3.0, 4.0],
@@ -847,20 +853,33 @@ class TestFerrari:
     @example(a=FERRARI_BRANCHES["overflow-biquadratic"])
     @example(a=FERRARI_BRANCHES["overflow-companion"])
     def test_matches_numpy_scalar_form_bit_for_bit(self, a):
-        assert ferrari_outcome(ferrari_roots, a) == ferrari_outcome(numpy_scalar_ferrari, a)
+        # a power beyond the float range fails the formula, and the
+        # companion oracle answers; elsewhere the numpy-scalar form's bits
+        a = [float(c) for c in a]
+        if ferrari_outcome(pa._ferrari, a) is OverflowError:
+            want = ferrari_outcome(companion_ferrari, a)
+        else:
+            want = ferrari_outcome(numpy_scalar_ferrari, a)
+        assert ferrari_outcome(ferrari_roots, a) == want
 
     @pytest.mark.parametrize("branch", FERRARI_BRANCHES)
     def test_examples_take_their_branch(self, monkeypatch, branch):
         a = FERRARI_BRANCHES[branch]
         outcome = ferrari_outcome(ferrari_roots, a)
-        assert outcome[1] is branch.endswith("companion")
+        assert outcome[1] is (branch.endswith("companion") or branch.startswith("overflow"))
         if branch.startswith("overflow"):
-            with pytest.raises(OverflowError):  # so the numpy-scalar pass gave the outcome
+            with pytest.raises(OverflowError):  # so the companion oracle gave the outcome
                 pa._ferrari(*a)
+            assert outcome == ferrari_outcome(companion_ferrari, a)
         monkeypatch.setattr(pa, "_resolvent_shifts", lambda gamma1, gamma2: [])
-        from_resolvent = ferrari_outcome(ferrari_roots, a) != outcome
-        assert from_resolvent is branch.startswith("disc")
-        if from_resolvent:
+        patched = ferrari_outcome(ferrari_roots, a)
+        # overflow-biquadratic overflows in the resolvent alone: without it
+        # the biquadratic branch answers
+        from_resolvent = patched != outcome
+        assert from_resolvent is (branch.startswith("disc") or branch == "overflow-biquadratic")
+        if branch == "overflow-biquadratic":
+            assert patched[1] is False
+        if branch.startswith("disc"):
             a1, a2, a3, a4 = a
             gamma1 = (3.0 * a1 * a3 - 12.0 * a4 - a2**2) / 3.0
             gamma2 = (-2.0 * a2**3 + 9.0 * a1 * a2 * a3 + 72.0 * a2 * a4
@@ -897,6 +916,17 @@ wide_gains = st.builds(
              min_size=8, max_size=8),
     st.lists(st.floats(-4.0, 4.0).map(lambda e: 10.0 ** e), min_size=3, max_size=3),
 )
+
+# Valid gains over the whole float range: s from 1e-300 to 1e300 or exactly
+# 0, noise from 1e-300 to 1e300.  The rate quartics' powers overflow a float
+# once the gains pass about 1e154.
+extreme_gains = st.builds(
+    lambda s, noise: ScalarGains(*s, *noise),
+    st.lists(st.one_of(st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e), st.just(0.0)),
+             min_size=8, max_size=8),
+    st.lists(st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e), min_size=3, max_size=3),
+)
+OVERFLOWING_GAINS = ScalarGains(*(1e160,) * 8, 1.0, 1.0, 1.0)
 
 # One draw per way through es2d's pruning (s1..s8, sigma2_a, sigma2_b, sigma2_e):
 # s / sigma overflows, so the slack is infinite, every cell is kept and the
@@ -1046,17 +1076,18 @@ class TestGridSearches:
     def test_grid_is_cached_read_only_and_shared(self):
         grid = pa._grid(0.01)
         assert pa._grid(0.01) is grid
-        assert np.array_equal(grid, np.linspace(0.0, 1.0, 101))
+        assert [b.hex() for b in grid.tolist()] == [(i / 100).hex() for i in range(101)]
         assert not grid.flags.writeable
         with pytest.raises(ValueError):
             grid[1] = 2.0
 
     @pytest.mark.parametrize("step", [0.5, 0.05, 0.01, 1e-3])
     def test_outcomes_equal_range_checked_path(self, rng, step):
-        # the grids score a cached linspace; the expression on a fresh one
+        # the grids score a cached i / n grid; the expression on a fresh one
         # picks the same split, and the range-checked ssr there gives the
         # outcome's rate, bit for bit
-        grid = np.linspace(0.0, 1.0, pa.grid_intervals(step) + 1)
+        n = pa.grid_intervals(step)
+        grid = np.array([i / n for i in range(n + 1)])
         for _ in range(10):
             g = random_gains(rng)
             k = int(np.argmax(pa._objective(grid, grid, g)))
@@ -1197,6 +1228,29 @@ class TestHicf:
         assert out.method == "hicf"
         assert out.diagnostics["fallbacks"] == ["degenerate-sextic->es1d"]
         assert out.ssr == pytest.approx(es_1d(g).ssr)
+
+    def test_overflowing_quartics_fall_back_to_grid(self):
+        with pytest.raises(OverflowError):
+            quartic_pair(OVERFLOWING_GAINS)
+        with pytest.raises(DegenerateSexticError, match="the rate quartics overflow"):
+            sextic_coeffs(OVERFLOWING_GAINS)
+        with np.errstate(all="ignore"):
+            out = hicf(OVERFLOWING_GAINS, seed=0)
+        assert out.diagnostics["fallbacks"] == ["degenerate-sextic->es1d"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=extreme_gains, seed=st.integers(0, 2**32))
+    @example(g=OVERFLOWING_GAINS, seed=0)
+    def test_never_raises_on_extreme_gains(self, g, seed):
+        # an overflow takes its stage's fallback; the grid fallback's
+        # outcome is es1d's, bit for bit
+        with np.errstate(all="ignore"):
+            out = hicf(g, seed=seed)
+            if "degenerate-sextic->es1d" in out.diagnostics["fallbacks"]:
+                grid = es_1d(g)
+                assert (out.beta1.hex(), out.beta2.hex(), out.ssr.hex()) == (
+                    grid.beta1.hex(), grid.beta2.hex(), grid.ssr.hex())
+        assert 0.0 <= out.beta1 == out.beta2 <= 1.0
 
     # s1 == s2 degenerates the sextic, so hicf never draws a restart there;
     # the pinned gains run both Newton stages and draw from the seed

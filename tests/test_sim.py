@@ -535,7 +535,7 @@ class TestPaSurface:
         best = float(surface.ssr.max())
         gains = pipeline_gains(cfg)
         out = es_2d(gains, step=0.05)
-        assert best == pytest.approx(out.ssr, abs=1e-12)
+        assert best == out.ssr
 
     def test_diagonal_matches_1d_search_samples(self):
         cfg = small_cfg()
@@ -543,7 +543,38 @@ class TestPaSurface:
         gains = pipeline_gains(cfg)
         diag = {b: surface.ssr[i, i] for i, b in enumerate(surface.betas)}
         out = es_1d(gains, step=0.05)
-        assert max(diag.values()) == pytest.approx(out.ssr, abs=1e-12)
+        assert max(diag.values()) == out.ssr
+
+    def test_default_surface_is_the_default_es2d_grid(self):
+        cfg = small_cfg()
+        surface = pa_surface(cfg)
+        out = allocate(pipeline_gains(cfg, seed=cfg.seed), "es2d")
+        i, j = divmod(int(np.argmax(surface.ssr)), len(surface.betas))
+        assert len(surface) == out.diagnostics["evaluations"]
+        assert (surface.betas[i], surface.betas[j], float(surface.ssr[i, j])) == (
+            out.beta1, out.beta2, out.ssr)
+
+    @pytest.mark.parametrize("step", [0.5, 0.1, 0.05, 0.01, 0.002])
+    @pytest.mark.parametrize("ris_mode", ["gpg", "random", "none"])
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("m", [16, 100])
+    def test_best_cells_are_the_grid_searches_bit_for_bit(self, m, method, ris_mode, step):
+        # the surface scores es2d's grid: its best cell is es2d's, and its
+        # diagonal's best cell es1d's, with the same SSR bits and, where
+        # that SSR is > 0, the same split (an all-zero surface's first
+        # cell is its best)
+        cfg = small_cfg(M=m)
+        surface = pa_surface(cfg, step=step, method=method, ris_mode=ris_mode)
+        gains = pipeline_gains(cfg, ris_mode=ris_mode, method=method, seed=cfg.seed)
+        betas, diag = surface.betas, surface.ssr.diagonal()
+        for out, (i, j), best in (
+            (es_2d(gains, step=step), divmod(int(np.argmax(surface.ssr)), len(betas)),
+             surface.ssr.max()),
+            (es_1d(gains, step=step), (int(np.argmax(diag)),) * 2, diag.max()),
+        ):
+            assert float(best).hex() == out.ssr.hex()
+            if out.ssr > 0.0:
+                assert (betas[i].hex(), betas[j].hex()) == (out.beta1.hex(), out.beta2.hex())
 
     @pytest.mark.parametrize("step", [-0.1, 0.0, 0.7, float("nan")])
     def test_bad_step_rejected(self, step):
