@@ -5,10 +5,11 @@ h(theta_r) h(theta_t)^H of the receive and transmit steering vectors; path
 gains stay out of the link matrices and enter the effective channels as
 sqrt-composite weights, mirroring the system equations.  A surface enters
 the cascades as its M reflection coefficients, never as an M x M matrix:
-the diagonal product runs in 32-column blocks (the last one 32 to 63
-wide), all full blocks of a link in one stacked matmul, so the cost of a
-cascade grows linearly in M and each term keeps the bits of the dense
-product.
+the diagonal product runs in 8-column blocks (the last one 8 to 15 wide),
+all full blocks of a link in one stacked matmul, so the cost of a cascade
+grows linearly in M and each term keeps the bits of the dense product.
+Unit phasors are built from real cosines and sines (``unit_phasor``), with
+the bits of the complex exponential they replace.
 """
 
 from __future__ import annotations
@@ -26,13 +27,30 @@ def steering_vector(theta, n, d_over_lambda):
 
     Entry n is (1/sqrt(N)) exp(j 2 pi Psi(n)) with the phase ramp
     Psi(n) = -(n - (N+1)/2) (d/lambda) cos(theta), n = 1..N, so the ramp is
-    antisymmetric about the array center and the vector has unit norm.
+    antisymmetric about the array center and the vector has unit norm.  The
+    phasor is ``unit_phasor(2 pi Psi)``, bit for bit ``np.exp(2j * np.pi * Psi)``.
     """
     if n < 1:
         raise InvalidGeometryError(f"array size must be >= 1, got {n}")
     if not 0.0 < theta < math.pi:
         raise InvalidGeometryError(f"steering angle must lie in (0, pi), got {theta}")
-    return np.exp(2j * np.pi * phase_ramp(theta, n, d_over_lambda)) / math.sqrt(n)
+    return unit_phasor(2.0 * np.pi * phase_ramp(theta, n, d_over_lambda)) / math.sqrt(n)
+
+
+def unit_phasor(x):
+    """exp(j x) for a real array ``x``, written as cos x + j sin x.
+
+    Bit for bit ``np.exp(1j * x)`` wherever numpy's complex exp returns the
+    real ``np.cos`` and ``np.sin`` of the imaginary part (numpy 2.4 on
+    x86-64 does, with its SIMD targets on or off; ``tests/test_channels.py``
+    checks it), without the complex product and exponential.  That
+    imaginary part is ``0.0 + x``, which turns -0 into +0.
+    """
+    x = 0.0 + x
+    out = np.empty(x.shape, dtype=complex)
+    np.cos(x, out=out.real)
+    np.sin(x, out=out.imag)
+    return out
 
 
 def phase_ramp(theta, n, d_over_lambda):
@@ -106,15 +124,21 @@ EFFECTIVE_LINKS = (("h_a", "b", "a"), ("h_b", "a", "b"), ("h_e1", "a", "e"), ("h
 
 # a @ diag(d) is taken in column blocks that start at multiples of
 # _DIAG_BLOCK and are _DIAG_BLOCK wide, except the last, which is
-# _DIAG_BLOCK to 2 * _DIAG_BLOCK - 1 wide.  The zeros of a dense diag(d) add
-# exact zeros in gemm, so each output column depends only on its own product
-# and on its place in the kernel's unroll grid.  Aligned starts keep that grid
-# as in the dense product, and the minimum width keeps narrow tails off other
-# kernel paths (a one-column block rounds differently), so every term is
-# bit-identical to the dense a @ diag(d) wherever that product is itself
-# column-local (OpenBLAS's Haswell and Zen kernels break this for some row
-# counts at M >= 193: README "Reproducibility").
-_DIAG_BLOCK = 32
+# _DIAG_BLOCK to 2 * _DIAG_BLOCK - 1 wide (8 to 15).  The zeros of a dense
+# diag(d) add exact zeros in gemm, so each output column depends only on its
+# own product and on its place in the kernel's unroll grid.  Aligned starts
+# keep that grid as in the dense product, and the minimum width keeps narrow
+# tails off other kernel paths (a one-column block rounds differently), so
+# every term is bit-identical to the dense a @ diag(d) wherever that product
+# is itself column-local (OpenBLAS's Haswell and Zen kernels break this for
+# some row counts at M >= 193: README "Reproducibility").  A w-wide block
+# does w multiply-adds per output column, w - 1 of them against exact zeros,
+# so narrow blocks waste less until the gemm calls' own cost dominates.  One
+# 8 x 4000 link took 548, 400, 473 and 526 us at w = 4, 8, 16 and 32 under
+# OpenBLAS 0.3.31's SkylakeX kernels (2-vCPU Xeon, one thread), 408, 471,
+# 722 and 1261 us under its Sandybridge and 332, 285, 373 and 600 us under
+# its Haswell kernels.
+_DIAG_BLOCK = 8
 
 
 def _surface_terms(channels, ris, reflection):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import phase_ramp
+from .channels import phase_ramp, unit_phasor
 from .geometry import InvalidGeometryError
 
 MODES = ("gpg", "random", "none", "ris1-only", "ris2-only")
@@ -46,8 +46,11 @@ class RisReflection:
         object.__setattr__(self, "phases", phases)
 
     def coefficients(self):
-        """The M complex reflection coefficients amplitude * exp(j phase)."""
-        return self.amplitudes * np.exp(1j * self.phases)
+        """The M complex reflection coefficients amplitude * exp(j phase).
+
+        The phasor is ``unit_phasor(phase)``, bit for bit ``np.exp(1j * phase)``.
+        """
+        return self.amplitudes * unit_phasor(self.phases)
 
 
 def leg_phases(geom, which_ris, config):
@@ -74,13 +77,14 @@ def synthesis_phase(theta1, theta2):
     combined reflected power: the parallelogram diagonal of the two unit
     leg phasors, rotated onto the positive real axis.  Antipodal legs
     (|theta2 - theta1| = pi) leave any phase powerless; those elements get
-    phi = -theta1 and are flagged.
+    phi = -theta1 and are flagged.  The leg phasors come from
+    ``unit_phasor``, bit for bit ``np.exp(1j * theta)``.
 
     Returns (phases in [0, 2 pi), flags).
     """
     theta1 = np.asarray(theta1, dtype=float)
     theta2 = np.asarray(theta2, dtype=float)
-    total = np.exp(1j * theta1) + np.exp(1j * theta2)
+    total = unit_phasor(theta1) + unit_phasor(theta2)
     degenerate = np.abs(total) < ANTIPODAL_TOL
     phi = np.where(degenerate, -theta1, -np.angle(np.where(degenerate, 1.0, total)))
     phases = np.mod(phi, 2.0 * np.pi)

@@ -12,6 +12,7 @@ from risdm.channels import (
     effective_channels,
     phase_ramp,
     steering_vector,
+    unit_phasor,
 )
 from risdm.geometry import (
     InvalidGeometryError,
@@ -68,6 +69,28 @@ class TestSteeringVector:
         # a default spacing could hide a mismatch with the scenario's d_over_lambda
         with pytest.raises(TypeError, match="d_over_lambda"):
             func(math.pi / 3, 4)
+
+
+def test_unit_phasor_is_complex_exp_bit_for_bit(rng):
+    # Compared as bits: np.array_equal treats -0 and +0 as equal.
+    def bits(a):
+        return np.ascontiguousarray(a).view(np.uint64)
+
+    tiny = np.finfo(float).smallest_subnormal
+    x = np.concatenate([
+        [0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, 1e-300, np.pi, -np.pi, 1e4, -1e4],
+        rng.uniform(-1e4, 1e4, 20000),
+        rng.uniform(-2 * np.pi, 2 * np.pi, 20000),
+        np.sign(rng.uniform(-1, 1, 2000)) * 10.0 ** rng.uniform(-320, 4, 2000),
+    ])
+    assert np.array_equal(bits(unit_phasor(x)), bits(np.exp(1j * x)))
+    # An odd length puts an exact zero at the ramp's centre, whose sign is
+    # the one 2j * pi * ramp forms.
+    for n in [1, 2, 3, 4, 7, 8, 100, 101, 1024, 1025, 4000, 4001]:
+        for _ in range(5):
+            theta = float(rng.uniform(1e-3, math.pi - 1e-3))
+            want = np.exp(2j * np.pi * phase_ramp(theta, n, 0.5)) / math.sqrt(n)
+            assert np.array_equal(bits(steering_vector(theta, n, 0.5)), bits(want))
 
 
 def unit_gain_geometry(cfg):
@@ -235,11 +258,12 @@ def path_links(tx, rx):
 
 class TestPathTerms:
     # Block edges of the column-blocked diagonal product: one block up to
-    # M = 63, then 32-column blocks starting at multiples of 32, the last
-    # one 32..63 wide (a new block starts at M = 64, 96, 128, 160, ...).
+    # M = 15, then 8-column blocks starting at multiples of 8, the last one
+    # 8..15 wide (a new block starts at M = 16, 24, 32, ...).
     # M = 1537 is a large M whose dense reference stays near 36 MiB.
     @pytest.mark.parametrize("m", [
-        1, 7, 63, 64, 65, 100, 127, 128, 129, 130, 193, 1025, 95, 96, 97, 159, 160, 161, 1537])
+        1, 7, 63, 64, 65, 100, 127, 128, 129, 130, 193, 1025, 95, 96, 97, 159, 160, 161, 1537,
+        8, 15, 16, 17, 23, 24, 25, 31, 33])
     @pytest.mark.parametrize("mode", MODES)
     def test_bit_identical_to_dense_assembly(self, m, mode):
         self.check_bit_identical(default_config(M=m), mode)

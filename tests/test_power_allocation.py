@@ -1002,7 +1002,7 @@ class TestGridSearches:
             g = random_gains(rng)
             evaluated.clear()
             out = es_2d(g, step=0.01)
-            grid = np.linspace(0.0, 1.0, 101)
+            grid = pa._grid(0.01)
             mesh = score(*np.meshgrid(grid, grid, indexing="ij"), g)
             i, j = np.unravel_index(np.argmax(mesh), mesh.shape)
             assert (out.beta1, out.beta2) == (grid[i], grid[j])
