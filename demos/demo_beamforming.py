@@ -8,7 +8,7 @@ zero-forcing path separation at every receiver.
 import numpy as np
 
 from risdm import build_channels, build_geometry, default_config
-from risdm.beamforming import eve_arrivals, mrc_weights, receiver_zf
+from risdm.beamforming import receiver_zf, zf_mrc
 from risdm.rates import rates_matrix_form, ssr
 from risdm.sim import StageMemo, point_design, sweep_point
 
@@ -35,7 +35,7 @@ for method in ("max-sv", "leakage"):
 print("\nEve's four-branch zero-forcing separation (max-sv design):")
 eff, bf, _ = point_design(memo, point, "max-sv", "gpg", 0)
 zf = receiver_zf(channels, "e")
-vecs, weights = zf[0], mrc_weights(zf, eve_arrivals(eff, bf.v_at, bf.v_bt, cfg))
+vecs, weights = zf[0], zf_mrc(zf, eff, "e", bf.v_at, bf.v_bt, cfg)[1]
 steer = [channels.arrival_steering(tx, "e") for tx in ("i1", "i2", "a", "b")]
 names = ("surface-1", "surface-2", "Alice", "Bob")
 for i, (v, w, name) in enumerate(zip(vecs, weights, names)):

@@ -18,9 +18,11 @@ compute each part once per distinct input: the ZF vectors of a receiver
 (:func:`receiver_zf`) read only its arrival steerings, the max-sv vectors
 (:func:`max_sv_beamformers`) only the effective channels, and the leakage
 transmitters (:func:`leakage_transmitters`) the links, powers and split.
+A ZF+MRC combiner (:func:`zf_mrc`) reads a receiver's ZF vectors, the
+effective channels' path terms, the transmit vectors and the split; it
+alone knows which path term feeds which branch.
 :func:`risdm.sim.point_design` is the one caller that composes these
-parts, and the ZF+MRC combiners (:func:`zf_mrc`) that read the effective
-channels, into a :class:`BeamformerSet`, with each part memoized under the
+parts into a :class:`BeamformerSet`, with each part memoized under the
 inputs it reads; it holds the only branch on the method.
 """
 
@@ -203,49 +205,30 @@ def receiver_zf(channels, rx):
     return _zf_branches(steerings)
 
 
-def _mrc_weight(signal):
-    """Unit-magnitude combining weight conj(s)/|s|; 0 for a dead branch."""
-    mag = abs(signal)
-    if mag < 1e-300:
-        return 0.0
-    return np.conj(signal) / mag
+def zf_mrc(zf, eff, rx, v_at, v_bt, config):
+    """(combiner, weights): the unit-norm ZF+MRC combiner of receiver ``rx``.
 
-
-def mrc_weights(zf, arrivals):
-    """The unit-magnitude branch weights of one ZF+MRC combiner.
-
-    ``zf`` is a :func:`receiver_zf` result and ``arrivals[i]`` the message
-    signal vector arriving along branch i; each weight phase-aligns its
-    branch to it, and a dropped branch weighs 0.
+    ``zf`` is ``rx``'s :func:`receiver_zf` result.  Branch i's arrival is
+    the message signal it delivers, read from the path terms of ``eff``
+    (surface 1, surface 2, direct) in ``ZF_BRANCHES[rx]`` order: Alice's
+    stream at Bob, Bob's at Alice, and at Eve both streams at their
+    configured amplitudes sqrt(beta P) on each surface branch and one
+    stream, unscaled, on each direct branch.  Each weight is conj(s)/|s|
+    of its branch signal s, 0 for a dropped or dead branch; the combiner
+    sums the ZF vectors so weighted.
     """
+    if rx == "e":
+        from_a, from_b = eff.paths["h_e1"], eff.paths["h_e2"]
+        amp_a = math.sqrt(config.beta1 * config.pa_mw)
+        amp_b = math.sqrt(config.beta2 * config.pb_mw)
+        arrivals = [amp_a * from_a[k] @ v_at + amp_b * from_b[k] @ v_bt for k in (0, 1)]
+        arrivals += [from_a[2] @ v_at, from_b[2] @ v_bt]
+    else:
+        arrivals = [term @ (v_at if rx == "b" else v_bt) for term in eff.paths["h_" + rx]]
     vecs, dropped = zf
-    return [
-        0.0 if drop else _mrc_weight(v.conj() @ y) for v, y, drop in zip(vecs, arrivals, dropped)
-    ]
-
-
-def zf_mrc(zf, arrivals):
-    """Unit-norm ZF-separating, coherently-recombining combiner.
-
-    Sums the ZF sub-vectors of ``zf``, each phase-aligned to its arrival.
-    """
-    vecs, _ = zf
-    weights = mrc_weights(zf, arrivals)
-    return _unit(sum(np.conj(w) * v for w, v in zip(weights, vecs)))
-
-
-def eve_arrivals(eff, v_at, v_bt, config):
-    """The message signal arriving along each of Eve's four branches.
-
-    Branch order: surface-1 reflection, surface-2 reflection, Alice direct,
-    Bob direct.  A surface branch carries both message streams at their
-    configured powers.
-    """
-    from_a, from_b = eff.paths["h_e1"], eff.paths["h_e2"]
-    amp_a = math.sqrt(config.beta1 * config.pa_mw)
-    amp_b = math.sqrt(config.beta2 * config.pb_mw)
-    arrivals = [amp_a * from_a[k] @ v_at + amp_b * from_b[k] @ v_bt for k in (0, 1)]
-    return arrivals + [from_a[2] @ v_at, from_b[2] @ v_bt]
+    signals = [0.0 if drop else v.conj() @ y for v, y, drop in zip(vecs, arrivals, dropped)]
+    weights = [0.0 if abs(s) < 1e-300 else np.conj(s) / abs(s) for s in signals]
+    return _unit(sum(np.conj(w) * v for w, v in zip(weights, vecs))), weights
 
 
 def _leakage_matrices(channels, side):

@@ -4,7 +4,8 @@ A sweep walks one axis (transmit power, element count, split factor, or
 Alice-Bob distance) over a value list crossed with beamforming methods,
 reflection modes, and power-allocation modes.  Each (value, method,
 reflection mode, trial) unit runs the geometry-to-gains chain
-(:func:`point_design`) and every power-allocation mode, but each stage
+(:func:`point_design`: channels, transmit vectors, receivers, gains)
+and every power-allocation mode, but each stage
 is computed once per distinct input it reads, through a
 :class:`StageMemo` that lives for one sweep; its ``get(key, compute)``
 calls a zero-argument ``compute`` only for a key it has not stored.
@@ -44,7 +45,6 @@ import numpy as np
 
 from .beamforming import (
     BeamformerSet,
-    eve_arrivals,
     leakage_transmitters,
     max_sv_beamformers,
     receiver_zf,
@@ -228,6 +228,9 @@ def point_design(memo, point, method, ris_mode, seed):
     * leakage transmitters: the site, powers and split;
     * the leakage receivers, Eve's combiner and the set's gains: the
       effective channels, method, powers and split, in one entry.
+
+    Each ZF+MRC receiver is :func:`~risdm.beamforming.zf_mrc` over its
+    memoized ZF vectors, so no path term is read here.
     """
     scenario, site, site_key = point
     channels = memo.get(("channels", site_key), lambda: build_channels(build_geometry(site), site))
@@ -236,8 +239,9 @@ def point_design(memo, point, method, ris_mode, seed):
     eff = memo.get(("eff", eff_key), lambda: effective_channels(
         channels, *reflections_for(ris_mode, channels.geom, site, seed=seed)))
 
-    def zf(rx):
-        return memo.get(("zf", site_key, rx), lambda: receiver_zf(channels, rx))
+    def receiver(rx, v_at, v_bt):
+        zf = memo.get(("zf", site_key, rx), lambda: receiver_zf(channels, rx))
+        return zf_mrc(zf, eff, rx, v_at, v_bt, scenario)[0]
 
     def design():
         if method == "max-sv":
@@ -246,13 +250,10 @@ def point_design(memo, point, method, ris_mode, seed):
         elif method == "leakage":
             v_at, v_bt, w_a, w_b = memo.get(
                 ("leakage", site_key, budget), lambda: leakage_transmitters(channels, scenario))
-            # three-way ZF+MRC receivers, aligned to each path's arrival
-            v_br = zf_mrc(zf("b"), [term @ v_at for term in eff.paths["h_b"]])
-            v_ar = zf_mrc(zf("a"), [term @ v_bt for term in eff.paths["h_a"]])
+            v_br, v_ar = receiver("b", v_at, v_bt), receiver("a", v_at, v_bt)
         else:
             raise ValueError(f"unknown beamforming method '{method}'")
-        v_er = zf_mrc(zf("e"), eve_arrivals(eff, v_at, v_bt, scenario))
-        bf = BeamformerSet(v_at, v_bt, w_a, w_b, v_ar, v_br, v_er)
+        bf = BeamformerSet(v_at, v_bt, w_a, w_b, v_ar, v_br, receiver("e", v_at, v_bt))
         return bf, scalar_gains(eff, bf, scenario)
 
     bf, gains = memo.get(("design", eff_key, method, budget), design)

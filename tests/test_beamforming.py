@@ -10,18 +10,16 @@ import pytest
 from conftest import direct_only, pipeline, random_config
 import risdm.beamforming as beamforming
 from risdm.beamforming import (
+    DegenerateChannelError,
     InsufficientAntennasError,
     InvalidInputError,
     SingularMatrixError,
-    _mrc_weight,
     an_nullspace_design,
     dominant_generalized_eigvec,
     dominant_singular_pair,
-    eve_arrivals,
     leakage_side,
     leakage_transmitters,
     max_sv_beamformers,
-    mrc_weights,
     receiver_zf,
     zf_mrc,
 )
@@ -43,11 +41,6 @@ def max_sv_pairs(eff):
         (eff.h_b if tx == "a" else eff.h_a).shape[1]))
     v_at, v_bt, _, _, v_ar, v_br = max_sv_beamformers(steerings, eff)
     return v_at, v_br, v_bt, v_ar
-
-
-def arrivals_at(eff, v_t, side):
-    """The message signal reaching Alice or Bob along each of its three branches."""
-    return [term @ v_t for term in eff.paths[f"h_{side}"]]
 
 
 class TestMaxSv:
@@ -86,7 +79,7 @@ class TestMaxSv:
     def test_zero_channel_rejected(self):
         eff = direct_only(h_a=np.zeros((4, 4)), h_b=np.zeros((4, 4)),
                           h_e1=np.zeros((4, 4)), h_e2=np.zeros((4, 4)))
-        with pytest.raises(Exception):
+        with pytest.raises(DegenerateChannelError, match="identically zero"):
             max_sv_pairs(eff)
 
 
@@ -239,7 +232,7 @@ class TestEveCombiner:
         assert zf[1] == [True, False, True, False]
         eff = effective_channels(channels, *reflections_for("gpg", geom, cfg))
         v_at, v_bt, *_ = max_sv_beamformers(channels, eff)
-        combiner = zf_mrc(zf, eve_arrivals(eff, v_at, v_bt, cfg))
+        combiner, _ = zf_mrc(zf, eff, "e", v_at, v_bt, cfg)
         assert np.linalg.norm(combiner) == pytest.approx(1.0, abs=1e-12)
         records = run_sweep(cfg, SweepSpec(axis="power_dbm", values=(27.0,),
                                            methods=("max-sv", "leakage"),
@@ -255,7 +248,7 @@ class TestEveCombiner:
         v_at, v_bt, *_ = max_sv_beamformers(channels, eff)
         zf = receiver_zf(channels, "e")
         vecs, dropped = zf
-        weights = mrc_weights(zf, eve_arrivals(eff, v_at, v_bt, default_cfg))
+        _, weights = zf_mrc(zf, eff, "e", v_at, v_bt, default_cfg)
         steer = [channels.arrival_steering(tx, "e") for tx in ("i1", "i2", "a", "b")]
         for i, v in enumerate(vecs):
             if dropped[i]:
@@ -275,7 +268,7 @@ class TestEveCombiner:
         eff = effective_channels(channels, *refls)
         v_at, v_bt, *_ = max_sv_beamformers(channels, eff)
         with pytest.raises(InsufficientAntennasError):
-            zf_mrc(receiver_zf(channels, "e"), eve_arrivals(eff, v_at, v_bt, cfg))
+            zf_mrc(receiver_zf(channels, "e"), eff, "e", v_at, v_bt, cfg)
 
 
 class TestLeakageDesigns:
@@ -442,9 +435,9 @@ class TestThreeWayCombiner:
         geom = build_geometry(cfg)
         channels = build_channels(geom, cfg)
         eff = effective_channels(channels, *reflections_for("gpg", geom, cfg))
-        v_at = leakage_side(channels, cfg, "a")[0]
+        v_at, v_bt = (leakage_side(channels, cfg, side)[0] for side in "ab")
         with pytest.raises(InsufficientAntennasError):
-            zf_mrc(receiver_zf(channels, "b"), arrivals_at(eff, v_at, "b"))
+            zf_mrc(receiver_zf(channels, "b"), eff, "b", v_at, v_bt, cfg)
 
     def test_coherent_recombination_oracle(self, default_cfg):
         # achieved message magnitude vs. an independently recomputed
@@ -453,10 +446,9 @@ class TestThreeWayCombiner:
         channels = build_channels(geom, default_cfg)
         refls = reflections_for("gpg", geom, default_cfg)
         eff = effective_channels(channels, *refls)
-        v_at = leakage_side(channels, default_cfg, "a")[0]
+        v_at, v_bt = (leakage_side(channels, default_cfg, side)[0] for side in "ab")
         zf = receiver_zf(channels, "b")
-        arrivals = arrivals_at(eff, v_at, "b")
-        v_br = zf_mrc(zf, arrivals)
+        v_br, weights = zf_mrc(zf, eff, "b", v_at, v_bt, default_cfg)
         achieved = abs(v_br.conj() @ eff.h_b @ v_at)
 
         t1, t2 = np.diag(refls[0].coefficients()), np.diag(refls[1].coefficients())
@@ -465,7 +457,7 @@ class TestThreeWayCombiner:
             math.sqrt(channels.cascade_gain("a", "i2", "b")) * channels.mat("i2", "b") @ t2 @ channels.mat("a", "i2"),
             math.sqrt(channels.gain("a", "b")) * channels.mat("a", "b"),
         ]
-        vecs, weights = zf[0], mrc_weights(zf, arrivals)
+        vecs = zf[0]
         signals = [abs(v.conj() @ bm @ v_at) for v, bm in zip(vecs, branch_mats)]
         norm = np.linalg.norm(sum(np.conj(w) * v for w, v in zip(weights, vecs)))
         oracle = sum(signals) / norm
@@ -544,20 +536,16 @@ class TestCombinersReadPathTerms:
         else:
             v_at, v_bt = (leakage_side(channels, cfg, side)[0] for side in "ab")
 
-        zf, arrivals = receiver_zf(channels, "e"), eve_arrivals(eff, v_at, v_bt, cfg)
-        vecs, dropped = zf
-        signals = dense_eve_signals(channels, refls, v_at, v_bt, vecs, cfg)
-        want = [0.0 if d else _mrc_weight(s) for s, d in zip(signals, dropped)]
-        assert np.max(np.abs(np.subtract(mrc_weights(zf, arrivals), want))) < 1e-12
-        assert np.max(np.abs(zf_mrc(zf, arrivals) - assembled(vecs, want))) < 1e-12
-
-        for side, v_t in (("b", v_at), ("a", v_bt)):
-            zf, arrivals = receiver_zf(channels, side), arrivals_at(eff, v_t, side)
+        for rx, v_t in (("e", None), ("b", v_at), ("a", v_bt)):
+            zf = receiver_zf(channels, rx)
             vecs, dropped = zf
-            signals = dense_three_way_signals(channels, refls, v_t, vecs, side)
-            want = [0.0 if d else _mrc_weight(s) for s, d in zip(signals, dropped)]
-            assert np.max(np.abs(np.subtract(mrc_weights(zf, arrivals), want))) < 1e-12
-            assert np.max(np.abs(zf_mrc(zf, arrivals) - assembled(vecs, want))) < 1e-12
+            signals = (dense_eve_signals(channels, refls, v_at, v_bt, vecs, cfg) if rx == "e"
+                       else dense_three_way_signals(channels, refls, v_t, vecs, rx))
+            want = [0.0 if d or abs(s) < 1e-300 else np.conj(s) / abs(s)
+                    for s, d in zip(signals, dropped)]
+            combiner, weights = zf_mrc(zf, eff, rx, v_at, v_bt, cfg)
+            assert np.max(np.abs(np.subtract(weights, want))) < 1e-12
+            assert np.max(np.abs(combiner - assembled(vecs, want))) < 1e-12
 
     @pytest.mark.parametrize("method", ["max-sv", "leakage"])
     def test_design_allocates_no_surface_sized_matrix(self, method):

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 
 import risdm.sim
 from conftest import collinear_config, pipeline_gains
+from risdm.beamforming import DegenerateChannelError, receiver_zf
+from risdm.channels import build_channels
 from risdm.geometry import InvalidGeometryError, build_geometry, default_config
 from risdm.power_allocation import allocate, es_1d, es_2d, hicf
 from risdm.rates import ScalarGains, rate_objective, ssr
@@ -246,6 +248,20 @@ class TestRunSweep:
             run_sweep(default_config(), spec)
         message = str(err.value)
         assert "method=leakage" in message and "singular" in message
+
+    @pytest.mark.parametrize("ris_mode", ["none", "ris1-only"])
+    def test_dead_receiver_carries_context(self, ris_mode):
+        # on the Alice-Bob line surface 1 and Alice reach Bob from one
+        # direction, so Bob's ZF drops both branches that carry her message
+        cfg = collinear_config()
+        channels = build_channels(build_geometry(cfg), cfg)
+        assert receiver_zf(channels, "b")[1] == [True, False, True]
+        spec = SweepSpec(axis="power_dbm", values=(27.0,), methods=("leakage",),
+                         ris_modes=(ris_mode,))
+        with pytest.raises(RuntimeError, match=f"ris={ris_mode}") as err:
+            run_sweep(cfg, spec)
+        assert "cannot normalize a zero vector" in str(err.value)
+        assert isinstance(err.value.__cause__, DegenerateChannelError)
 
     def test_surface_on_the_alice_bob_line(self):
         # GPG's phases there round to just below 0 on surface 1
