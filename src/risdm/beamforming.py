@@ -10,8 +10,9 @@ eavesdropper always runs the four-branch ZF combiner.
 Max-sv reads one dominant singular pair per direction
 (:func:`dominant_singular_pair`).  The leakage design builds each side's
 pencil once and takes both of that side's vectors from it
-(:func:`leakage_side`); scipy's generalized eigensolver loads on its
-first call, since no other path needs scipy.
+(:func:`leakage_side`).  Its generalized eigensolver is scipy's compiled
+LAPACK module, loaded on the first leakage design without the rest of
+``scipy.linalg`` (:func:`_lapack`), since no other path needs scipy.
 
 The designs are split by the inputs each part reads, so a sweep can
 compute each part once per distinct input: the ZF vectors of a receiver
@@ -29,6 +30,8 @@ inputs it reads; it holds the only branch on the method.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,19 +111,57 @@ def dominant_singular_pair(a):
     return u[:, 0] * rot, vh[0].conj() * rot
 
 
+def _lapack():
+    """scipy's compiled LAPACK module, loaded without ``scipy.linalg``.
+
+    Importing any module under ``scipy.linalg`` first runs the package's
+    ``__init__``, which loads all of it (some 85 modules) to reach one
+    routine.  So the extension ``scipy.linalg._flapack``, the module
+    ``scipy.linalg.lapack`` re-exports, is loaded straight from scipy's
+    ``linalg`` directory and registered under its own name, where a later
+    ``import scipy.linalg`` finds and reuses it.  A copy already in
+    ``sys.modules`` is used as it is; if the file is not found,
+    ``scipy.linalg.lapack`` is imported instead.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    import scipy
+    from importlib import machinery, util
+
+    finder = machinery.FileFinder(
+        os.path.join(os.path.dirname(scipy.__file__), "linalg"),
+        (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES),
+    )
+    spec = finder.find_spec(name)
+    if spec is None:
+        import scipy.linalg.lapack
+
+        return scipy.linalg.lapack
+    module = util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules[name] = module
+    return module
+
+
 def dominant_generalized_eigvec(a, b):
     """Unit vector maximizing the generalized Rayleigh quotient v^H A v / v^H B v.
 
     A must be Hermitian PSD and B Hermitian positive definite; the result is
     the dominant eigenvector of the pencil (A, B), i.e. of B^{-1} A, with
-    its largest entry real positive.  scipy is imported here, on the first
-    call: importing it costs more than most commands' work.
+    its largest entry real positive.  The pencil goes to LAPACK's
+    ``zhegvd`` with the arguments ``scipy.linalg.eigh(a, b)`` passes for
+    complex input, from the module :func:`_lapack` loads on the first
+    call: importing all of ``scipy.linalg`` costs more than most
+    commands' work.
 
     Raises
     ------
     SingularMatrixError
         If B's eigenvalue spread exceeds 1e14 (condition estimate), rather
         than silently regularizing.
+    numpy.linalg.LinAlgError
+        If ``zhegvd`` reports a failure (non-zero ``info``), as ``eigh`` does.
     """
     a = _check_finite(a, "A")
     b = _check_finite(b, "B")
@@ -131,9 +172,9 @@ def dominant_generalized_eigvec(a, b):
         raise SingularMatrixError(
             f"B is numerically singular (eigenvalue ratio {beig[0] / beig[-1]:.3e})"
         )
-    import scipy.linalg
-
-    _, vecs = scipy.linalg.eigh(a, b)
+    _, vecs, info = _lapack().zhegvd(a, b, itype=1, jobz="V", uplo="L")
+    if info != 0:
+        raise np.linalg.LinAlgError(f"zhegvd failed on the pencil (info = {info})")
     v = vecs[:, -1]
     v = v / np.linalg.norm(v)
     return v * _pivot_phase(v)

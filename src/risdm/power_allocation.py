@@ -358,7 +358,9 @@ def _ferrari(a1, a2, a3, a4):
         if _residuals_within(quartic, roots, bound):
             return roots, False
 
-    # Depressed quartic may be biquadratic: y^4 + p y^2 + r.
+    # Depressed quartic may be biquadratic: y^4 + p y^2 + r, with no odd term.
+    if not abs(odd_term) < ETA1_DEGENERATE_TOL * scale:
+        return companion_roots(quartic), True
     p = a2 - 3.0 * a1_sq / 8.0
     r = a4 - a1 * a3 / 4.0 + a1_sq * a2 / 16.0 - 3.0 * a1**4 / 256.0
     inner = cmath.sqrt(p * p - 4.0 * r)
@@ -366,7 +368,7 @@ def _ferrari(a1, a2, a3, a4):
     for z in ((-p + inner) / 2.0, (-p - inner) / 2.0):
         y = cmath.sqrt(z)
         roots.extend([y - a1 / 4.0, -y - a1 / 4.0])
-    if abs(odd_term) < ETA1_DEGENERATE_TOL * scale and _residuals_within(quartic, roots, bound):
+    if _residuals_within(quartic, roots, bound):
         return roots, False
 
     return companion_roots(quartic), True

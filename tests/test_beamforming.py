@@ -6,6 +6,9 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import direct_only, pipeline, random_config
 import risdm.beamforming as beamforming
@@ -166,6 +169,25 @@ class TestDominantGeneralizedEigvec:
         v = dominant_generalized_eigvec(a, b)
         pivot = v[np.argmax(np.abs(v))]
         assert abs(pivot.imag) < 1e-12 and pivot.real > 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(2, 16), ranks=st.tuples(st.integers(1, 16), st.integers(1, 16)),
+           eps=st.floats(1e-6, 10.0), seed=st.integers(0, 2**32 - 1))
+    def test_bits_equal_scipy_eigh(self, n, ranks, eps, seed):
+        rng = np.random.default_rng(seed)
+        x, y = (rng.standard_normal((n, min(k, n))) + 1j * rng.standard_normal((n, min(k, n)))
+                for k in ranks)
+        a, b = x @ x.conj().T, y @ y.conj().T + eps * np.eye(n)
+        v = scipy.linalg.eigh(a, b)[1][:, -1]
+        v = v / np.linalg.norm(v)
+        reference = v * beamforming._pivot_phase(v)
+        assert dominant_generalized_eigvec(a, b).tobytes() == reference.tobytes()
+
+    def test_lapack_failure_raises(self, monkeypatch):
+        failing = SimpleNamespace(zhegvd=lambda a, b, **kw: (None, None, 3))
+        monkeypatch.setattr(beamforming, "_lapack", lambda: failing)
+        with pytest.raises(np.linalg.LinAlgError, match="info = 3"):
+            dominant_generalized_eigvec(np.eye(2), np.eye(2))
 
 
 class TestAnNullspace:

@@ -1,4 +1,5 @@
-"""scipy stays out of the import graph until a leakage design needs it.
+"""scipy stays out of the import graph until a leakage design needs it,
+and then only its compiled LAPACK module, ``scipy.linalg._flapack``, loads.
 
 Each check runs in a fresh interpreter, because this test process has
 imported scipy already.
@@ -46,17 +47,73 @@ def test_max_sv_commands_leave_scipy_unloaded(tmp_path):
     assert not loaded_after(calls)
 
 
-def test_leakage_sweep_loads_scipy_with_unchanged_bytes(tmp_path):
-    def sweep_bytes(preload, out):
-        run_fresh(f"""
-            import sys
-            {"import scipy.linalg" if preload else ""}
-            import risdm.cli
-            assert risdm.cli.main({SWEEP + ["--out", str(out)]!r}) == 0
-            assert "scipy.linalg" in sys.modules
-        """)
-        return out.read_bytes()
+FLAPACK = "scipy.linalg._flapack"
 
-    lazy = sweep_bytes(False, tmp_path / "lazy.csv")
-    assert lazy == sweep_bytes(True, tmp_path / "preloaded.csv")
+# The first lookup of the LAPACK module, the loader's own, misses; the
+# import system's later lookups find it as before.
+MISS = f"""
+import importlib.machinery
+find_spec, missed = importlib.machinery.FileFinder.find_spec, []
+def miss_once(self, fullname, target=None):
+    if fullname == {FLAPACK!r} and not missed:
+        missed.append(fullname)
+        return None
+    return find_spec(self, fullname, target)
+importlib.machinery.FileFinder.find_spec = miss_once
+"""
+
+# Any lookup of the LAPACK module fails, so a passing run reused a loaded copy.
+NO_LOAD = f"""
+import importlib.machinery
+find_spec = importlib.machinery.FileFinder.find_spec
+def refuse(self, fullname, target=None):
+    assert fullname != {FLAPACK!r}, "the LAPACK module was looked up a second time"
+    return find_spec(self, fullname, target)
+importlib.machinery.FileFinder.find_spec = refuse
+"""
+
+
+def sweep_bytes(out, setup="", check=""):
+    """The CSV of ``SWEEP`` run in a fresh interpreter after ``setup``;
+    ``check`` runs after the sweep."""
+    run_fresh("\n".join([
+        "import sys", setup, "import risdm.cli",
+        f"assert risdm.cli.main({SWEEP + ['--out', str(out)]!r}) == 0", check,
+    ]))
+    return out.read_bytes()
+
+
+def test_leakage_sweep_loads_only_lapack_with_unchanged_bytes(tmp_path):
+    lazy = sweep_bytes(tmp_path / "lazy.csv", check=f"""
+assert "scipy.linalg" not in sys.modules
+assert {FLAPACK!r} in sys.modules
+""")
+    preloaded = sweep_bytes(tmp_path / "preloaded.csv", setup="import scipy.linalg",
+                            check='assert "scipy.linalg" in sys.modules')
+    assert lazy == preloaded
     assert lazy.count(b",leakage,") == 2 * 2 * 2 * 2
+
+
+def test_loader_falls_back_to_scipy_linalg_lapack(tmp_path):
+    lazy = sweep_bytes(tmp_path / "lazy.csv")
+    fallback = sweep_bytes(tmp_path / "fallback.csv", setup=MISS, check="""
+assert missed and "scipy.linalg.lapack" in sys.modules
+""")
+    assert fallback == lazy
+
+
+def test_loader_reuses_a_loaded_scipy_linalg():
+    run_fresh("\n".join(["import sys", "import scipy.linalg", NO_LOAD, f"""
+import risdm.beamforming
+assert risdm.beamforming._lapack() is sys.modules[{FLAPACK!r}]
+"""]))
+
+
+def test_scipy_linalg_reuses_the_loaded_lapack():
+    run_fresh("\n".join(["import sys", "import risdm.beamforming",
+                          "lapack = risdm.beamforming._lapack()", NO_LOAD, f"""
+assert "scipy.linalg" not in sys.modules
+import scipy.linalg
+assert sys.modules[{FLAPACK!r}] is lapack
+assert scipy.linalg.lapack.zhegvd is lapack.zhegvd
+"""]))
