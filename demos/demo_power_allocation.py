@@ -28,7 +28,7 @@ print(f"\nNewton from 0.5     -> beta(1) = {beta_1:.8f}  "
 quintic = deflate(monic, beta_1)
 print("Deflated quintic    ->", np.round(quintic, 6))
 
-out = hicf(g, seed=7)
+out = hicf(g)
 print("\nAll six roots recovered by the pipeline:")
 for root in out.diagnostics["roots"]:
     print(f"  {root:.6f}")
@@ -50,7 +50,7 @@ print(f"\nAgainst the 1e-5 grid oracle: |dbeta| = {abs(out.beta1 - fine.beta1):.
 # the same machinery on a full scenario (surfaces and beamformers designed first)
 cfg = default_config(M=128)
 _, _, gs = point_design(StageMemo(), sweep_point(cfg), "max-sv", "gpg", 0)
-best = hicf(gs, seed=cfg.seed)
+best = hicf(gs)
 equal = allocate(gs, "epa")
 print(f"\nFull scenario at M = {cfg.M} (max-sv + designed surfaces):")
 print(f"  optimized split beta = {best.beta1:.4f}: SSR = {best.ssr:.4f}")

@@ -9,11 +9,10 @@ Subcommands::
     risdm scenario dump --config c.json
 
 Omitting --config uses the built-in default scenario.  In a sweep, es1d
-and es2d search their fixed grids (steps 0.001 and 0.01) and hicf seeds
-its restarts with each point's sub-seed.  pa-surface scores the same
-split grid, at es2d's step unless --step says otherwise.  Exit code 0 on
-success, 2 on an unknown or malformed argument, 1 with a diagnostic on
-stderr otherwise.
+and es2d search their fixed grids (steps 0.001 and 0.01), and no split
+optimizer reads --seed.  pa-surface scores the same split grid, at
+es2d's step unless --step says otherwise.  Exit code 0 on success, 2 on
+an unknown or malformed argument, 1 with a diagnostic on stderr otherwise.
 """
 
 from __future__ import annotations

@@ -4,14 +4,15 @@ Four strategies over the split factors (beta1, beta2):
 
 * ``epa``  : the fixed equal split (0.5, 0.5).
 * ``es2d``: exhaustive grid search over the unit square, scoring only
-  the cells a bound on the boundary cannot rule out (below).
+  the cells a bound on the boundary cannot rule out (:func:`es_2d`).
 * ``es1d``: exhaustive grid search along the diagonal beta1 = beta2.
 * ``hicf`` : hybrid iterative/closed-form.  The diagonal stationarity
   condition is a monic sextic whose coefficients follow from the quartic
   numerator/denominator of the rate expression; two Newton-Raphson root
-  extractions with synthetic deflation reduce it to a quartic solved by
-  Ferrari's radical formula, and the optimum is picked from the root
-  candidates plus the interval boundaries.
+  extractions with synthetic deflation, from fixed starts, reduce it to a
+  quartic solved by Ferrari's radical formula; the optimum is picked from
+  the root candidates plus the interval boundaries, then refined by Newton
+  on the rate's derivative.  A function of the gains alone.
 
 A Newton stage whose every start fails, or Ferrari, degrades to the
 companion-matrix root oracle (:func:`companion_roots`, also the check the
@@ -41,14 +42,8 @@ multiply-adds.  Every split grid, the searches' and ``sim.pa_surface``'s,
 is :func:`_grid`: the exact values i / n, cached read-only per step.  The
 searches score it with the rate expression directly, a grid over [0, 1]
 needing no range check, and report the chosen grid value, which has the
-scalar objective's bits.
-
-``es2d`` scores the grid's edges, then only the interior rows and
-columns that the bound R(beta1, beta2) <= R(beta1, 0) + R(0, beta2)
-(Eve's terms only grow with either split), plus a slack that scales with
-the rate terms and so covers every cell's rounding, cannot rule out.  A
-NaN or an infinite term keeps cells, and the answer, the first maximum
-in beta1-major order, is the whole grid's bit for bit (see :func:`es_2d`).
+scalar objective's bits; es2d's pruned search answers the whole grid's
+maximum bit for bit.
 """
 
 from __future__ import annotations
@@ -60,12 +55,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import _is_integer
 from .rates import _objective, rate_objective, ssr
 
 NEWTON_TOL = 1e-5  # stop when |beta^{p+1} - beta^p| falls below this
 NEWTON_MAX_ITER = 200
 NEWTON_RESTARTS = 8
+REFINE_STEPS = 4  # Newton steps on R' from hicf's best candidate
 DERIVATIVE_TOL = 1e-14
 DEFLATION_RESIDUAL_TOL = 1e-6  # x coefficient scale
 REAL_ROOT_IMAG_TOL = 1e-8
@@ -99,7 +94,7 @@ class DeflationError(ValueError):
 class PaCandidate:
     beta: float
     objective: float  # unclamped rate objective at (beta, beta)
-    origin: str  # newton-1 | newton-2 | ferrari | boundary
+    origin: str  # newton-1 | newton-2 | ferrari | boundary | refined
 
 
 @dataclass(frozen=True)
@@ -397,12 +392,6 @@ def ferrari_roots(a1, a2, a3, a4):
         return companion_roots([1.0, *coeffs]), True
 
 
-def check_seed(seed):
-    """Reject a seed that is not a non-negative integer (a bool is not one)."""
-    if not _is_integer(seed) or seed < 0:
-        raise ValueError("seed must be a non-negative integer")
-
-
 def grid_intervals(step):
     """Intervals of the [0, 1] search grid for a step in (0, 0.5], no finer
     than ``MIN_GRID_STEP``: checked before the division, which overflows
@@ -518,47 +507,40 @@ def es_2d(g, step=DEFAULT_STEP_2D):
     )
 
 
-def _stage_inits(seed, stage, beta1=None):
-    """Deterministic stratified restart points for one Newton stage.
+def _stage_inits(stage, beta1=None):
+    """Fixed stratified start points for one Newton stage, as a list.
 
-    Stage 1 restarts cover (0, 1).  Stage 2 draws from the reduced domain
-    (0, 0.5) u (beta(1), 1); if the finite root beta(1) leaves no such
-    split, from (0, 1) minus a ball of radius 0.02 around beta(1), which
-    leaves at least one side.  A generator: the seeded generator is built,
-    and its eight jitters drawn in one call, only when the caller asks for
-    the first point.  hicf asks for stage 1's points only after the start
-    at 0.5 fails, but stage 2 starts from its first point, so every hicf
-    call that reaches stage 2 draws them.
+    Stage 1 tries 0.5, then the midpoints (k + 0.5) / 8 of eight equal
+    strata of (0, 1).  Stage 2 takes the midpoints of eight equal strata of
+    the reduced domain (0, 0.5) u (beta(1), 1); if the finite root beta(1)
+    leaves no such split, of (0, 1) minus a ball of radius 0.02 around
+    beta(1), which leaves at least one side.
     """
-    # the eight jitters of one random() call are the values of eight uniform() calls
-    jitters = np.random.default_rng(np.random.SeedSequence([seed, stage])).random(
-        NEWTON_RESTARTS).tolist()
     if stage == 1:
-        segments = [(0.0, 1.0)]
+        segments, points = [(0.0, 1.0)], [0.5]
     elif 0.5 < beta1 < 1.0:
-        segments = [(0.0, 0.5), (beta1, 1.0)]
+        segments, points = [(0.0, 0.5), (beta1, 1.0)], []
     else:
         lo = min(max(beta1 - 0.02, 0.0), 1.0)
         hi = min(max(beta1 + 0.02, 0.0), 1.0)
-        segments = [seg for seg in [(0.0, lo), (hi, 1.0)] if seg[0] < seg[1]]
+        segments, points = [seg for seg in [(0.0, lo), (hi, 1.0)] if seg[0] < seg[1]], []
     lengths = [hi - lo for lo, hi in segments]
     total = sum(lengths)
-    for k, jitter in enumerate(jitters):
-        # stratify along the concatenated domain, jitter within the stratum
-        u = (k + jitter) / NEWTON_RESTARTS * total
+    for k in range(NEWTON_RESTARTS):
+        u = (k + 0.5) / NEWTON_RESTARTS * total  # the midpoint along the joined segments
         for (lo, hi), length in zip(segments, lengths):
             if u <= length or (lo, hi) == segments[-1]:
-                yield lo + min(u, length)
+                points.append(lo + min(u, length))
                 break
             u -= length
+    return points
 
 
 def _newton_stage(coeffs, inits):
-    """Try Newton from each initial point until a root deflates.
+    """Try Newton from each initial point, in order, until a root deflates.
 
-    ``coeffs`` is a list of Python floats.  ``inits`` is consumed lazily:
-    points after the first success are never drawn.  A root is accepted
-    when it deflates: the remainder is its residual, checked once.
+    ``coeffs`` is a list of Python floats.  A root is accepted when it
+    deflates: the remainder is its residual, checked once.
 
     Returns (root, quotient, attempts), or (None, None, attempts) when
     every start failed.
@@ -574,20 +556,49 @@ def _newton_stage(coeffs, inits):
     return None, None, attempts
 
 
-def hicf(g, seed=0):
+def _refine(g, beta):
+    """Up to ``REFINE_STEPS`` Newton steps on R'(beta) from ``beta``: the last point reached.
+
+    On the diagonal R ln 2 is a weighted sum of ln L over linear factors
+    L = beta a + (1 - beta) b + noise, each rate term's numerator and
+    denominator (Eve's shared one twice), all positive on [0, 1].  So
+    R' ln 2 is the sum of weight (a - b) / L and R'' ln 2 minus that of
+    weight ((a - b) / L)^2: sums that stay accurate where the expanded
+    sextic's roots cluster.  Stops where R'' >= 0 (or is NaN), where a
+    step would leave [0, 1], and at a fixed point.
+    """
+    s1, s2, s3, s4, s5, s6, s7, s8 = g.as_tuple()
+    leak, sa, sb, se = s7 + s8, g.sigma2_a, g.sigma2_b, g.sigma2_e
+    factors = ((1.0, s1, s2, sa), (-1.0, 0.0, s2, sa), (1.0, s3, s4, sb), (-1.0, 0.0, s4, sb),
+               (-1.0, s5, leak, se), (-1.0, s6, leak, se), (2.0, 0.0, leak, se))
+    for _ in range(REFINE_STEPS):
+        slope = curvature = 0.0
+        for weight, a, b, noise in factors:
+            ratio = (a - b) / (beta * a + (1.0 - beta) * b + noise)
+            slope += weight * ratio
+            curvature -= weight * ratio * ratio
+        if not curvature < 0.0:
+            break
+        beta_next = beta - slope / curvature
+        if not 0.0 <= beta_next <= 1.0 or beta_next == beta:
+            break
+        beta = beta_next
+    return beta
+
+
+def hicf(g):
     """Hybrid iterative/closed-form split optimization on the diagonal.
 
     Pipeline: sextic coefficients; one loop over two Newton stages, each
-    deflating its root: newton-1 from 0.5, then from seeded restarts only
-    if 0.5 fails -> beta(1); newton-2 from seeded points in the reduced
-    domain -> beta(2); Ferrari on the quartic -> beta(3..6).  A stage whose
-    every start fails records ``oracle-fallback:<stage>`` and its
-    polynomial's companion roots, and ends the pipeline.  The unclamped
-    objective at every real root in [0, 1] plus the boundaries gives the
-    argmax (smallest beta on ties), applied to both split factors.
-    ``seed``, a non-negative integer, seeds the restarts.
+    deflating its root: newton-1 from 0.5, then the stratum midpoints of
+    (0, 1) -> beta(1); newton-2 from those of the reduced domain ->
+    beta(2); Ferrari on the quartic -> beta(3..6).  A stage whose every
+    start fails records ``oracle-fallback:<stage>`` and its polynomial's
+    companion roots, and ends the pipeline.  The unclamped objective at
+    every real root in [0, 1] plus the boundaries gives the argmax
+    (smallest beta on ties), which :func:`_refine` moves to a ``refined``
+    candidate only if that scores higher; it applies to both split factors.
     """
-    check_seed(seed)
     diagnostics = {"fallbacks": [], "newton_attempts": {}, "root_residuals": []}
     try:
         sextic = sextic_coeffs(g)
@@ -595,18 +606,11 @@ def hicf(g, seed=0):
         fallback = es_1d(g)
         diagnostics["fallbacks"].append("degenerate-sextic->es1d")
         diagnostics["reason"] = str(err)
-        return replace(
-            fallback, method="hicf",
-            diagnostics={**fallback.diagnostics, **diagnostics},
-        )
-
-    def stage1_starts():  # the seeded restarts are drawn only after 0.5 fails
-        yield 0.5
-        yield from _stage_inits(seed, 1)
+        return replace(fallback, method="hicf", diagnostics={**fallback.diagnostics, **diagnostics})
 
     labeled, poly = [], sextic  # labeled: (root, origin)
     for origin in ("newton-1", "newton-2"):
-        inits = stage1_starts() if origin == "newton-1" else _stage_inits(seed, 2, beta1=root)
+        inits = _stage_inits(1) if origin == "newton-1" else _stage_inits(2, beta1=root)
         root, quotient, attempts = _newton_stage(poly, inits)
         diagnostics["newton_attempts"][origin] = attempts
         if root is None:  # every start failed: the oracle's roots end the pipeline
@@ -634,20 +638,21 @@ def hicf(g, seed=0):
         PaCandidate(beta=beta, objective=rate_objective(beta, beta, g), origin=origin)
         for beta, origin in candidates
     )
-    best = max(evaluated, key=lambda cand: cand.objective)  # first max on ties
-    # max() keeps the earliest maximal element, i.e. the smallest beta.
-    beta = best.beta
-    return PaOutcome(
-        method="hicf", beta1=beta, beta2=beta, ssr=max(0.0, best.objective),
-        candidates=evaluated, diagnostics=diagnostics,
-    )
+    best = max(evaluated, key=lambda cand: cand.objective)  # the first, smallest beta, on ties
+    beta = _refine(g, best.beta)
+    refined = PaCandidate(beta=beta, objective=rate_objective(beta, beta, g), origin="refined")
+    if refined.objective > best.objective:
+        best, evaluated = refined, (*evaluated, refined)
+    return PaOutcome(method="hicf", beta1=best.beta, beta2=best.beta, ssr=max(0.0, best.objective),
+                     candidates=evaluated, diagnostics=diagnostics)
 
 
-def allocate(g, method, seed=0):
+def allocate(g, method, seed=None):
     """Run one power-allocation strategy, ``epa``, ``es1d``, ``es2d`` or
     ``hicf``, and return its outcome.
 
-    The grid searches use their default steps; ``seed`` seeds hicf's restarts.
+    The grid searches use their default steps.  ``seed`` is accepted and
+    unused: every strategy is a function of the gains alone.
     """
     if method == "epa":
         return PaOutcome(
@@ -659,5 +664,5 @@ def allocate(g, method, seed=0):
     if method == "es2d":
         return es_2d(g)
     if method == "hicf":
-        return hicf(g, seed=seed)
+        return hicf(g)
     raise ValueError(f"unknown power-allocation method '{method}'")

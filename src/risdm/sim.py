@@ -11,9 +11,8 @@ is computed once per distinct input it reads, through a
 calls a zero-argument ``compute`` only for a key it has not stored.
 A power or split sweep thus builds its channels once, a mode that reads
 no seed builds its effective channels once per site, a beamformer set
-is stored with its gains, and an optimized split is computed once per
-distinct set of gains; hicf, which reads the unit's sub-seed, runs once
-per unit and is not stored.  Every stage result is
+is stored with its gains, and an optimized split, hicf's included, is
+computed once per distinct set of gains.  Every stage result is
 the one the unit would have computed alone, and records are sorted into
 a deterministic order before emission, so sharing does not change the
 output bytes.
@@ -86,8 +85,8 @@ class SweepSpec:
     """One sweep description: axis, values, and the mode cross product.
 
     Each mode list names at least one mode, and each mode at most once.
-    es1d and es2d search at their default grid steps, and hicf takes each
-    point's sub-seed.
+    es1d and es2d search at their default grid steps; no power-allocation
+    mode reads the seed.
     """
 
     axis: str
@@ -266,9 +265,7 @@ def run_sweep(config, spec):
     Every stage runs once per distinct input within this call (see
     :func:`point_design`), and each axis value is applied once; an
     :func:`~risdm.power_allocation.allocate` outcome is keyed by the mode
-    and the gains, ``hicf`` runs once per unit with the unit's sub-seed,
-    which a stored outcome would almost never meet again, and ``fixed`` is
-    scored at the scenario's split.
+    and the gains, and ``fixed`` is scored at the scenario's split.
     Errors propagate with the offending parameters attached.  Records come
     back sorted.
     """
@@ -292,9 +289,7 @@ def run_sweep(config, spec):
                     b1, b2 = scenario.beta1, scenario.beta2
                     rate = ssr(b1, b2, gains)
                 else:
-                    # hicf reads the unit's sub-seed: an outcome is not worth storing
-                    out = (allocate(gains, pa_mode, seed=seed) if pa_mode == "hicf" else
-                           memo.get(("pa", pa_mode, gains), lambda: allocate(gains, pa_mode)))
+                    out = memo.get(("pa", pa_mode, gains), lambda: allocate(gains, pa_mode))
                     b1, b2, rate = out.beta1, out.beta2, out.ssr
             except Exception as err:
                 raise RuntimeError(f"sweep point failed: {where} pa={pa_mode}: {err}") from err

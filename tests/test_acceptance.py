@@ -143,7 +143,7 @@ def test_criterion_3_root_oracle_equivalence():
         if min_separation(want) < 5e-2:
             continue
         tested += 1
-        out = hicf(g, seed=tested)
+        out = hicf(g)
         if out.diagnostics["fallbacks"]:
             fallbacks += 1
             continue
@@ -163,7 +163,7 @@ def test_criterion_4_hicf_vs_fine_grid():
     worst_ssr = 0.0
     for i in range(100):
         g = random_gains(rng)
-        fast = hicf(g, seed=i)
+        fast = hicf(g)
         fine = es_1d(g, step=1e-5)
         worst_beta = max(worst_beta, abs(fast.beta1 - fine.beta1))
         worst_ssr = max(worst_ssr, abs(fast.ssr - fine.ssr))
@@ -229,7 +229,7 @@ class TestCriterion5Trends:
         cfg = default_config(M=128)
         _, _, _, eff, bf = pipeline(cfg, method="max-sv")
         g = scalar_gains(eff, bf, cfg)
-        fast = hicf(g, seed=cfg.seed)
+        fast = hicf(g)
         equal = allocate(g, "epa")
         assert fast.ssr > equal.ssr
         gain = 100.0 * (fast.ssr - equal.ssr) / equal.ssr

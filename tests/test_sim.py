@@ -219,7 +219,7 @@ class TestRunSweep:
             gains = pipeline_gains(scenario, ris_mode=r.ris_mode, method=r.method, seed=r.seed)
             want = {"es1d": lambda: es_1d(gains, step=1e-3),
                     "es2d": lambda: es_2d(gains, step=1e-2),
-                    "hicf": lambda: hicf(gains, seed=r.seed)}[r.pa_mode]()
+                    "hicf": lambda: hicf(gains)}[r.pa_mode]()
             assert (r.beta1, r.beta2, r.ssr_bits) == (want.beta1, want.beta2, want.ssr)
 
     def test_point_failure_carries_context(self, monkeypatch):
@@ -321,8 +321,8 @@ class TestRunSweep:
             "reflections_for": effective, "effective_channels": effective,
             "receiver_zf": 3, "max_sv_beamformers": effective, "leakage_transmitters": 2,
             "scalar_gains": gains,
-            # epa, es1d and es2d once per set of gains; hicf once per unit (per-trial seed)
-            "allocate": 3 * gains + 2 * 2 * 3 * 2,
+            # epa, es1d, es2d and hicf once per set of gains
+            "allocate": 4 * gains,
         }
 
     def test_all_pa_modes_match_single_mode_sweeps(self):
