@@ -1105,6 +1105,31 @@ class TestHicf:
         else:
             assert all(abs(p - beta1) >= 0.02 - 1e-12 for p in points)
 
+    @pytest.mark.parametrize("stage, beta1, first, segments", [
+        (1, None, [0.5], [(0.0, 1.0)]),
+        (2, 0.75, [], [(0.0, 0.5), (0.75, 1.0)]),
+        (2, 0.999999, [], [(0.0, 0.5), (0.999999, 1.0)]),
+        (2, 0.5, [], [(0.0, 0.5 - 0.02), (0.5 + 0.02, 1.0)]),
+        (2, 0.3, [], [(0.0, 0.3 - 0.02), (0.3 + 0.02, 1.0)]),
+        (2, 0.01, [], [(0.01 + 0.02, 1.0)]),
+        (2, 0.02, [], [(0.02 + 0.02, 1.0)]),
+        (2, 0.98, [], [(0.0, 0.5), (0.98, 1.0)]),
+        (2, 1.0, [], [(0.0, 1.0 - 0.02)]),
+        (2, 1.7, [], [(0.0, 1.0)]),
+        (2, -0.4, [], [(0.0, 1.0)]),
+    ])
+    def test_stage_inits_are_the_stratum_midpoints(self, stage, beta1, first, segments):
+        # the k-th start sits at arc length (k + 0.5) / 8 of the joined segments
+        ends = np.cumsum([hi - lo for lo, hi in segments])
+        want = list(first)
+        for k in range(pa.NEWTON_RESTARTS):
+            u = (k + 0.5) / pa.NEWTON_RESTARTS * ends[-1]
+            i = min(int(np.searchsorted(ends, u)), len(segments) - 1)
+            want.append(segments[i][0] + u - (ends[i - 1] if i else 0.0))
+        got = pa._stage_inits(stage, beta1=beta1)
+        assert type(got) is list and got == pa._stage_inits(stage, beta1=beta1)
+        assert got == pytest.approx(want, rel=0.0, abs=1e-15)
+
     def test_monotone_scenario_boundary_candidate(self):
         g = ScalarGains(2.0, 0.5, 3.0, 0.8, 0.0, 0.0, 1.0, 1.0, 0.5, 0.5, 0.5)
         out = hicf(g)
@@ -1267,6 +1292,26 @@ class TestHicfPinned:
         hicf(ScalarGains(*s, 1.0, 1.0, 1.0))
         assert calls.count(2) == (0 if "oracle-fallback:newton-1" in fallbacks else 1)
 
+    @pytest.mark.parametrize("s, attempts, fallbacks", [row[:1] + row[3:] for row in HICF_PINNED])
+    def test_stage1_restarts_tried_only_after_half_fails(self, monkeypatch, s, attempts, fallbacks):
+        # each stage walks its fixed starts in order and stops at the first
+        # root that deflates: stage 1 leaves 0.5 only when Newton fails there
+        starts = []
+        solve = pa.newton_root
+
+        def recording(coeffs, beta0):
+            starts.append(beta0)
+            return solve(coeffs, beta0)
+
+        monkeypatch.setattr(pa, "newton_root", recording)
+        diag = hicf(ScalarGains(*s, 1.0, 1.0, 1.0)).diagnostics
+        assert starts[0] == 0.5
+        n1 = attempts["newton-1"]
+        want = pa._stage_inits(1)[:n1]
+        if "oracle-fallback:newton-1" not in fallbacks:
+            want += pa._stage_inits(2, beta1=diag["roots"][0].real)[:attempts["newton-2"]]
+        assert starts == want
+
 
 # pa-fuzz gain draws (s1..s8, unit noise powers) whose root clusters near
 # beta -> 1 the fixed Newton starts miss, and the SSR hicf reached on each
@@ -1330,6 +1375,34 @@ class TestHicfIsAFunctionOfTheGains:
         chosen = out.candidates[-1]
         assert chosen.origin == "refined" and chosen.beta == out.beta1
         assert chosen.objective > max(c.objective for c in out.candidates[:-1])
+
+    @pytest.mark.parametrize("s", [row[0] for row in HICF_PINNED] + [s for s, _ in SEEDED_FLOORS])
+    def test_refinement_never_lowers_the_outcome(self, monkeypatch, s):
+        g = ScalarGains(*s, 1.0, 1.0, 1.0)
+        out = hicf(g)
+        monkeypatch.setattr(pa, "REFINE_STEPS", 0)
+        plain = hicf(g)
+        assert all(c.origin != "refined" for c in plain.candidates)
+        assert out.ssr >= plain.ssr
+        if out.candidates[-1].origin == "refined":
+            assert out.candidates[:-1] == plain.candidates
+            assert out.candidates[-1].objective > plain.ssr
+        else:
+            assert outcome_bits(out) == outcome_bits(plain)
+
+    SEED_GAINS = {"degenerate": ScalarGains(1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
+                  "generic": ScalarGains(*HICF_PINNED[0][0], 1.0, 1.0, 1.0)}
+
+    @pytest.mark.parametrize("gains", SEED_GAINS)
+    @pytest.mark.parametrize("seed", [-1, -(2**64), 2.5, np.float64(4.0), "3", True, False,
+                                      None, 0, 2**64 - 1])
+    def test_any_seed_accepted_whatever_the_gains(self, gains, seed):
+        # values a seed check once rejected or sat at its range ends
+        g = self.SEED_GAINS[gains]
+        for method in ("epa", "es1d", "es2d", "hicf"):
+            assert outcome_bits(allocate(g, method, seed=seed)) == outcome_bits(
+                allocate(g, method))
+        assert outcome_bits(allocate(g, "hicf", seed=seed)) == outcome_bits(hicf(g))
 
 
 class TestAllocate:
