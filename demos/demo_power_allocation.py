@@ -1,10 +1,11 @@
 """The hybrid iterative/closed-form power split, stage by stage.
 
 The diagonal (equal-split-factor) secrecy objective is log2 of a ratio of
-two quartics, so its stationary points are roots of a monic sextic.  Two
-Newton extractions with synthetic deflation reduce the sextic to a
-quartic that Ferrari's radical formula finishes; the optimum is the best
-of the root candidates and the interval boundaries.
+two quartics, so its stationary points are roots of a monic sextic, or of
+a quintic where the gains null its leading term.  One Newton extraction
+with synthetic deflation per degree above 4 leaves a quartic that
+Ferrari's radical formula finishes; the optimum is the best of the root
+candidates and the interval boundaries.
 """
 
 import numpy as np
@@ -56,9 +57,10 @@ print(f"\nFull scenario at M = {cfg.M} (max-sv + designed surfaces):")
 print(f"  optimized split beta = {best.beta1:.4f}: SSR = {best.ssr:.4f}")
 print(f"  equal split          : SSR = {equal.ssr:.4f}  "
       f"({100 * (best.ssr - equal.ssr) / equal.ssr:.1f}% gain)")
+print(f"  stationarity polynomial of degree {len(sextic_coeffs(gs)) - 1}: Newton stages "
+      f"{list(best.diagnostics['newton_attempts'])}, then Ferrari")
+print("  (the singular-pair design nulls the noise beams at the receivers, so")
+print("   s2 = s4 = 0 drops the sextic's leading term, and one Newton stage")
+print("   leaves the quartic)")
 if best.diagnostics["fallbacks"]:
-    print(f"  stage fallbacks: {best.diagnostics['fallbacks']}")
-    print("  (the singular-pair design nulls the noise beams at the receivers,")
-    print("   collapsing the denominator quartic; the Newton stages still pin")
-    print("   the interior optimum and the quartic stage defers to the")
-    print("   companion-matrix oracle)")
+    print(f"  stages with no root: {best.diagnostics['fallbacks']}")

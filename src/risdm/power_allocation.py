@@ -7,21 +7,19 @@ Four strategies over the split factors (beta1, beta2):
   the cells a bound on the boundary cannot rule out (:func:`es_2d`).
 * ``es1d``: exhaustive grid search along the diagonal beta1 = beta2.
 * ``hicf`` : hybrid iterative/closed-form.  The diagonal stationarity
-  condition is a monic sextic whose coefficients follow from the quartic
-  numerator/denominator of the rate expression; two Newton-Raphson root
-  extractions with synthetic deflation, from fixed starts, reduce it to a
-  quartic solved by Ferrari's radical formula; the optimum is picked from
-  the root candidates plus the interval boundaries, then refined by Newton
-  on the rate's derivative.  A function of the gains alone.
+  condition is a monic polynomial of degree 6, or lower where the gains
+  make its leading terms vanish; one Newton-Raphson root extraction with
+  synthetic deflation per degree above 4, from fixed starts, reduces it to
+  a quartic solved by Ferrari's radical formula; the optimum is picked from
+  the real roots in [0, 1] plus the interval boundaries, then refined by
+  Newton on the rate's derivative.  A function of the gains alone.
 
-A Newton stage whose every start fails, or Ferrari, degrades to the
-companion-matrix root oracle (:func:`companion_roots`, also the check the
-closed-form root finders are tested against), which ends the pipeline;
-an exactly-degenerate sextic falls back to the 1-D grid search.  A closed
-form whose Python-float power overflows (``OverflowError``, where numpy
-would round to inf) has failed, and takes its stage's fallback: overflowing
-rate quartics make a degenerate sextic, and an overflowing Ferrari hands
-over to the companion oracle.
+Every root comes from a closed form.  A Newton stage whose every start
+fails, or a Ferrari that fails its residual check or whose Python-float
+powers overflow (where numpy would round to inf), adds no roots and
+records ``no-root:<stage>``.  A polynomial of degree below 4 or with a
+coefficient that is not finite falls back to the 1-D grid search.
+:func:`companion_roots` is the closed forms' test oracle, not a stage.
 
 Every stage runs on Python scalars in the operation order of the numpy
 form it replaced (the sextic's products and monic division, the
@@ -60,13 +58,13 @@ from .rates import _objective, rate_objective, ssr
 NEWTON_TOL = 1e-5  # stop when |beta^{p+1} - beta^p| falls below this
 NEWTON_MAX_ITER = 200
 NEWTON_RESTARTS = 8
-REFINE_STEPS = 4  # Newton steps on R' from hicf's best candidate
+REFINE_STEPS = 16  # Newton steps on R' from hicf's best candidate
 DERIVATIVE_TOL = 1e-14
 DEFLATION_RESIDUAL_TOL = 1e-6  # x coefficient scale
 REAL_ROOT_IMAG_TOL = 1e-8
 FERRARI_RESIDUAL_TOL = 1e-7  # x coefficient scale
 ETA1_DEGENERATE_TOL = 1e-10
-DEGENERATE_LEADING_RATIO = 1e-300
+DEGENERATE_LEADING_RATIO = 1e-12
 DEFAULT_STEP_1D = 1e-3
 DEFAULT_STEP_2D = 1e-2
 MIN_GRID_STEP = 1e-9  # 1e9 intervals: 8 GB per float64 grid
@@ -78,8 +76,7 @@ class DegeneratePolynomialError(ValueError):
 
 
 class DegenerateSexticError(ValueError):
-    """The sextic's leading normalizer q1 q7 - q2 q6 vanished, or the
-    sextic could not be formed in floats (an overflow)."""
+    """The stationarity polynomial's degree fell below 4, or it overflowed."""
 
 
 class NewtonError(RuntimeError):
@@ -148,26 +145,31 @@ def quartic_pair(g):
 
 
 def sextic_coeffs(g):
-    """Monic sextic whose real roots in (0, 1) are the diagonal stationary points.
+    """Monic polynomial whose real roots in (0, 1) are the diagonal
+    stationary points: a sextic, or lower where its leading terms vanish.
 
-    The raw stationarity polynomial is N'(beta) D(beta) - N(beta) D'(beta);
-    dividing by its leading coefficient q1 q7 - q2 q6 produces the monic
-    form [1, alpha1, ..., alpha6], returned as a list of Python floats,
-    highest degree first.
+    The raw polynomial is N'(beta) D(beta) - N(beta) D'(beta), with leading
+    coefficient q1 q7 - q2 q6.  While the leading coefficient is zero or
+    below ``DEGENERATE_LEADING_RATIO`` times the largest of the rest, it is
+    dropped: it only adds a root beyond about 1 / ratio, far outside
+    [0, 1].  Max-sv designs null the noise leaks s2 and s4, so q6 and q7
+    vanish and the polynomial is a quintic.  Dividing by the leading
+    coefficient left gives the monic form [1, alpha1, ...], a list of
+    Python floats, highest degree first; |alpha_i| <= 1 / ratio.
 
     Raises
     ------
     DegenerateSexticError
-        If the leading normalizer vanishes, or the rate quartics' powers or
-        the monicizing overflow; the optimizer then falls back to the 1-D
-        grid search.
+        If a coefficient is not finite (the rate quartics' powers overflow
+        included), or the degree falls below 4; the optimizer then falls
+        back to the 1-D grid search.
     """
     try:
         (q1, q2, q3, q4, q5), (q6, q7, q8, q9, q10) = quartic_pair(g)
     except OverflowError as err:
         raise DegenerateSexticError(f"the rate quartics overflow: {err}") from err
-    lead = q1 * q7 - q2 * q6
-    tail = [
+    raw = [
+        q1 * q7 - q2 * q6,
         2.0 * q1 * q8 - 2.0 * q3 * q6,
         3.0 * q1 * q9 + q2 * q8 - q3 * q7 - 3.0 * q4 * q6,
         4.0 * q1 * q10 + 2.0 * q2 * q9 - 2.0 * q4 * q7 - 4.0 * q5 * q6,
@@ -175,14 +177,13 @@ def sextic_coeffs(g):
         2.0 * q3 * q10 - 2.0 * q5 * q8,
         q4 * q10 - q5 * q9,
     ]
-    # a NaN makes the scale NaN, as np.max does, so the test below fails
-    scale = math.nan if any(map(math.isnan, tail)) else max(map(abs, tail))
-    if lead == 0.0 or abs(lead) < DEGENERATE_LEADING_RATIO * scale:
-        raise DegenerateSexticError("leading normalizer q1 q7 - q2 q6 vanished")
-    alpha = [c / lead for c in tail]
-    if not all(map(math.isfinite, alpha)):
-        raise DegenerateSexticError("monic sextic coefficients are not finite")
-    return [1.0, *alpha]
+    if not all(map(math.isfinite, raw)):
+        raise DegenerateSexticError("stationarity polynomial coefficients are not finite")
+    while raw[0] == 0.0 or abs(raw[0]) < DEGENERATE_LEADING_RATIO * max(map(abs, raw[1:])):
+        raw = raw[1:]
+        if len(raw) < 5:
+            raise DegenerateSexticError("stationarity polynomial degree fell below 4")
+    return [1.0, *[c / raw[0] for c in raw[1:]]]
 
 
 def companion_roots(coeffs):
@@ -217,9 +218,11 @@ def _horner(coeffs, x):
 
 
 def _residuals_within(coeffs, roots, bound):
-    """Whether |p(z)| <= bound at every root z, by complex Horner; a NaN
-    residual fails, as it does under ``np.max(...) <= bound``."""
-    return all(abs(_horner(coeffs, complex(z))) <= bound for z in roots)
+    """Whether |p(z)| <= bound at every root z, by complex Horner, where a
+    root outside the unit disc is checked as |z^-n p(z)|, the reversed
+    polynomial at 1/z; a NaN residual fails, as under ``np.max``."""
+    n = len(coeffs) - 1
+    return all(abs(_horner(coeffs, complex(z))) <= bound * max(1.0, abs(z)) ** n for z in roots)
 
 
 def newton_root(coeffs, beta):
@@ -351,11 +354,11 @@ def _ferrari(a1, a2, a3, a4):
             for sign_i in (1.0, -1.0):
                 roots.append(centre + sign_i * eta2 / 2.0)
         if _residuals_within(quartic, roots, bound):
-            return roots, False
+            return roots
 
     # Depressed quartic may be biquadratic: y^4 + p y^2 + r, with no odd term.
     if not abs(odd_term) < ETA1_DEGENERATE_TOL * scale:
-        return companion_roots(quartic), True
+        return []
     p = a2 - 3.0 * a1_sq / 8.0
     r = a4 - a1 * a3 / 4.0 + a1_sq * a2 / 16.0 - 3.0 * a1**4 / 256.0
     inner = cmath.sqrt(p * p - 4.0 * r)
@@ -363,33 +366,29 @@ def _ferrari(a1, a2, a3, a4):
     for z in ((-p + inner) / 2.0, (-p - inner) / 2.0):
         y = cmath.sqrt(z)
         roots.extend([y - a1 / 4.0, -y - a1 / 4.0])
-    if _residuals_within(quartic, roots, bound):
-        return roots, False
-
-    return companion_roots(quartic), True
+    return roots if _residuals_within(quartic, roots, bound) else []
 
 
 def ferrari_roots(a1, a2, a3, a4):
-    """The four complex roots of beta^4 + a1 beta^3 + a2 beta^2 + a3 beta + a4.
+    """The four complex roots of beta^4 + a1 beta^3 + a2 beta^2 + a3 beta + a4
+    by Ferrari's closed form, as a list, or [] when the formula fails.
 
-    Returns (roots, used_companion): the roots are a list of closed-form
-    roots, or the companion oracle's array when ``used_companion`` is True.
     The resolvent shift gamma3 is computed with principal branches; if the
-    chosen resolvent root makes eta1 vanish, the other resolvent roots are
-    tried, then the biquadratic branch, then the companion oracle.
+    chosen resolvent root makes eta1 vanish, or its roots fail the residual
+    check, the other resolvent roots are tried, then the biquadratic
+    branch.  The first branch whose four roots pass the check answers.
 
     The coefficients are taken as Python floats whatever the caller
     passes.  A power beyond the float range raises ``OverflowError``, a
-    failure of the formula like any other: the companion oracle answers.
+    failure of the formula like any other.
     """
     for coeff in (a1, a2, a3, a4):
         if not math.isfinite(coeff):
             raise ValueError("quartic coefficients must be finite")
-    coeffs = float(a1), float(a2), float(a3), float(a4)
     try:
-        return _ferrari(*coeffs)
+        return _ferrari(float(a1), float(a2), float(a3), float(a4))
     except OverflowError:  # a power beyond the float range fails the formula
-        return companion_roots([1.0, *coeffs]), True
+        return []
 
 
 def grid_intervals(step):
@@ -565,12 +564,13 @@ def _refine(g, beta):
     R' ln 2 is the sum of weight (a - b) / L and R'' ln 2 minus that of
     weight ((a - b) / L)^2: sums that stay accurate where the expanded
     sextic's roots cluster.  Stops where R'' >= 0 (or is NaN), where a
-    step would leave [0, 1], and at a fixed point.
+    step would leave [0, 1], and at a fixed point or a last-bit 2-cycle.
     """
     s1, s2, s3, s4, s5, s6, s7, s8 = g.as_tuple()
     leak, sa, sb, se = s7 + s8, g.sigma2_a, g.sigma2_b, g.sigma2_e
     factors = ((1.0, s1, s2, sa), (-1.0, 0.0, s2, sa), (1.0, s3, s4, sb), (-1.0, 0.0, s4, sb),
                (-1.0, s5, leak, se), (-1.0, s6, leak, se), (2.0, 0.0, leak, se))
+    last = None
     for _ in range(REFINE_STEPS):
         slope = curvature = 0.0
         for weight, a, b, noise in factors:
@@ -580,54 +580,54 @@ def _refine(g, beta):
         if not curvature < 0.0:
             break
         beta_next = beta - slope / curvature
-        if not 0.0 <= beta_next <= 1.0 or beta_next == beta:
+        if not 0.0 <= beta_next <= 1.0 or beta_next in (beta, last):
             break
-        beta = beta_next
+        last, beta = beta, beta_next
     return beta
 
 
 def hicf(g):
     """Hybrid iterative/closed-form split optimization on the diagonal.
 
-    Pipeline: sextic coefficients; one loop over two Newton stages, each
-    deflating its root: newton-1 from 0.5, then the stratum midpoints of
-    (0, 1) -> beta(1); newton-2 from those of the reduced domain ->
-    beta(2); Ferrari on the quartic -> beta(3..6).  A stage whose every
-    start fails records ``oracle-fallback:<stage>`` and its polynomial's
-    companion roots, and ends the pipeline.  The unclamped objective at
-    every real root in [0, 1] plus the boundaries gives the argmax
-    (smallest beta on ties), which :func:`_refine` moves to a ``refined``
-    candidate only if that scores higher; it applies to both split factors.
+    Pipeline: the stationarity polynomial (:func:`sextic_coeffs`); one
+    Newton stage per degree above 4, each deflating its root: newton-1 from
+    0.5, then the stratum midpoints of (0, 1) -> beta(1); on a sextic,
+    newton-2 from those of the reduced domain -> beta(2); Ferrari on the
+    quartic left.  A stage whose every start fails, or a Ferrari that fails,
+    records ``no-root:<stage>`` and adds no roots; a failed Newton stage
+    ends the chain.  The unclamped objective at every real root in [0, 1]
+    plus the boundaries gives the argmax (smallest beta on ties), which
+    :func:`_refine` moves to a ``refined`` candidate only if that scores
+    higher; it applies to both split factors.
     """
     diagnostics = {"fallbacks": [], "newton_attempts": {}, "root_residuals": []}
     try:
-        sextic = sextic_coeffs(g)
+        stationary = sextic_coeffs(g)
     except DegenerateSexticError as err:
         fallback = es_1d(g)
         diagnostics["fallbacks"].append("degenerate-sextic->es1d")
         diagnostics["reason"] = str(err)
         return replace(fallback, method="hicf", diagnostics={**fallback.diagnostics, **diagnostics})
 
-    labeled, poly = [], sextic  # labeled: (root, origin)
-    for origin in ("newton-1", "newton-2"):
+    labeled, poly = [], stationary  # labeled: (root, origin)
+    for origin in ("newton-1", "newton-2")[:len(stationary) - 5]:  # one per degree above 4
         inits = _stage_inits(1) if origin == "newton-1" else _stage_inits(2, beta1=root)
         root, quotient, attempts = _newton_stage(poly, inits)
         diagnostics["newton_attempts"][origin] = attempts
-        if root is None:  # every start failed: the oracle's roots end the pipeline
-            diagnostics["fallbacks"].append(f"oracle-fallback:{origin}")
-            labeled.extend((r, origin) for r in companion_roots(poly))
+        if root is None:  # every start failed: the chain ends
+            diagnostics["fallbacks"].append(f"no-root:{origin}")
             break
         labeled.append((root, origin))
         poly = quotient
     else:
-        q_roots, used_oracle = ferrari_roots(*poly[1:])
-        if used_oracle:
-            diagnostics["fallbacks"].append("oracle-fallback:ferrari")
+        q_roots = ferrari_roots(*poly[1:])
+        if not q_roots:
+            diagnostics["fallbacks"].append("no-root:ferrari")
         labeled.extend((r, "ferrari") for r in q_roots)
 
     roots = diagnostics["roots"] = [complex(r) for r, _ in labeled]
     origins = diagnostics["origins"] = [origin for _, origin in labeled]
-    diagnostics["root_residuals"] = [abs(_horner(sextic, z)) for z in roots]
+    diagnostics["root_residuals"] = [abs(_horner(stationary, z)) for z in roots]
 
     candidates = [(z.real, origin) for z, origin in zip(roots, origins)
                   if abs(z.imag) < REAL_ROOT_IMAG_TOL and 0.0 <= z.real <= 1.0]

@@ -130,7 +130,7 @@ def test_criterion_3_root_oracle_equivalence():
     worst_quartic = 0.0
     for _ in range(1000):
         a = rng.uniform(-10, 10, size=4)
-        err = matched_error(np.array(ferrari_roots(*a)[0]), companion_roots([1.0, *a]))
+        err = matched_error(np.array(ferrari_roots(*a)), companion_roots([1.0, *a]))
         worst_quartic = max(worst_quartic, err)
         assert err < 1e-8
 
