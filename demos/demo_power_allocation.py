@@ -1,11 +1,13 @@
 """The hybrid iterative/closed-form power split, stage by stage.
 
 The diagonal (equal-split-factor) secrecy objective is log2 of a ratio of
-two quartics, so its stationary points are roots of a monic sextic, or of
-a quintic where the gains null its leading term.  One Newton extraction
-with synthetic deflation per degree above 4 leaves a quartic that
-Ferrari's radical formula finishes; the optimum is the best of the root
-candidates and the interval boundaries.
+two quartics, N / D, so its stationary points are roots of the sextic
+N'D - ND'.  That sextic always holds Eve's shared denominator Le as a
+factor, whose root lies above 1; divided out, a monic quintic is left, or
+a quartic where the gains null its leading term.  One Newton extraction
+with synthetic deflation leaves a quartic that Ferrari's radical formula
+finishes; the optimum is the best of the refined root candidates and the
+interval boundaries.
 """
 
 import numpy as np
@@ -20,17 +22,17 @@ g = ScalarGains(s1=2.1, s2=0.6, s3=3.4, s4=0.8, s5=0.9, s6=0.5, s7=1.3, s8=1.0,
                 sigma2_a=0.2, sigma2_b=0.25, sigma2_e=0.15)
 
 monic = sextic_coeffs(g)
-print("Monic sextic coefficients (alpha1..alpha6):")
+print("Monic quintic coefficients (alpha1..alpha5):")
 print(" ", np.round(monic[1:], 6))
 
 beta_1 = newton_root(monic, 0.5)
 print(f"\nNewton from 0.5     -> beta(1) = {beta_1:.8f}  "
       f"(|f| = {abs(np.polyval(monic, beta_1)):.2e})")
-quintic = deflate(monic, beta_1)
-print("Deflated quintic    ->", np.round(quintic, 6))
+quartic = deflate(monic, beta_1)
+print("Deflated quartic    ->", np.round(quartic, 6))
 
 out = hicf(g)
-print("\nAll six roots recovered by the pipeline:")
+print("\nAll five roots recovered by the pipeline:")
 for root in out.diagnostics["roots"]:
     print(f"  {root:.6f}")
 print("\nCandidate table after the real-in-[0,1] filter "
@@ -57,10 +59,10 @@ print(f"\nFull scenario at M = {cfg.M} (max-sv + designed surfaces):")
 print(f"  optimized split beta = {best.beta1:.4f}: SSR = {best.ssr:.4f}")
 print(f"  equal split          : SSR = {equal.ssr:.4f}  "
       f"({100 * (best.ssr - equal.ssr) / equal.ssr:.1f}% gain)")
-print(f"  stationarity polynomial of degree {len(sextic_coeffs(gs)) - 1}: Newton stages "
+print(f"  stationarity polynomial of degree {best.diagnostics['degree']}: Newton stages "
       f"{list(best.diagnostics['newton_attempts'])}, then Ferrari")
 print("  (the singular-pair design nulls the noise beams at the receivers, so")
-print("   s2 = s4 = 0 drops the sextic's leading term, and one Newton stage")
-print("   leaves the quartic)")
+print("   s2 = s4 = 0 drops the quintic's leading term, and Ferrari solves")
+print("   the quartic with no Newton stage)")
 if best.diagnostics["fallbacks"]:
     print(f"  stages with no root: {best.diagnostics['fallbacks']}")

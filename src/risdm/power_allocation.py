@@ -6,49 +6,45 @@ Four strategies over the split factors (beta1, beta2):
 * ``es2d``: exhaustive grid search over the unit square, scoring only
   the cells a bound on the boundary cannot rule out (:func:`es_2d`).
 * ``es1d``: exhaustive grid search along the diagonal beta1 = beta2.
-* ``hicf`` : hybrid iterative/closed-form.  The diagonal stationarity
-  condition is a monic polynomial of degree 6, or lower where the gains
-  make its leading terms vanish; one Newton-Raphson root extraction with
-  synthetic deflation per degree above 4, from fixed starts, reduces it to
-  a quartic solved by Ferrari's radical formula; the optimum is picked from
-  the real roots in [0, 1] plus the interval boundaries, then refined by
+* ``hicf`` : hybrid iterative/closed-form.  On the diagonal the rate is a
+  weighted sum of logs of seven linear factors; its stationarity
+  condition, the paper's sextic with Eve's shared denominator divided out
+  (that root lies above 1), is a monic quintic, or a quartic where the
+  gains null its leading term.  One Newton-Raphson root extraction with
+  synthetic deflation, from fixed starts, reduces a quintic to a quartic
+  solved by Ferrari's radical formula; the optimum is picked from the
+  real roots in [0, 1] plus the interval boundaries, each refined by
   Newton on the rate's derivative.  A function of the gains alone.
 
-Every root comes from a closed form.  A Newton stage whose every start
-fails, or a Ferrari that fails its residual check or whose Python-float
-powers overflow (where numpy would round to inf), adds no roots and
-records ``no-root:<stage>``.  A polynomial of degree below 4 or with a
-coefficient that is not finite falls back to the 1-D grid search.
-:func:`companion_roots` is the closed forms' test oracle, not a stage.
+Every root comes from a closed form: a Newton stage whose every start
+fails, or a Ferrari that fails on the quartic and on its reversal, adds
+no roots and records ``no-root:<stage>``, and a polynomial of degree
+below 4 or with a coefficient that is not finite adds es1d's grid point
+as a candidate.  :func:`companion_roots` is the closed forms' test oracle.
 
-Every stage runs on Python scalars in the operation order of the numpy
-form it replaced (the sextic's products and monic division, the
-deflation recurrence, ``np.polyval``'s Horner loop from 0.0, written out
-in Newton for degree <= 6), so outcomes are bit-identical to the array
-forms without their per-call overhead.  The stages take and hand each
-other lists of Python floats.  Ferrari's radicals run on Python floats
-and complex numbers too, keeping numpy's rounding where CPython's
-differs: the real-by-complex quotient takes numpy's complex128 division
-steps (:func:`_real_over_complex`), and the resolvent's fractional
-complex power is numpy's.  Mixed float/complex operations rely on
-CPython promoting the float to ``complex(x, 0.0)``, as numpy does;
-releases that follow C99's mixed-mode rules (3.14 on) can differ in
-signed zeros.  The check of Ferrari's roots is a Python complex Horner
-loop, which gives the same bits on every CPU, where
-``np.abs(np.polyval(...))`` varies in the last bits with the CPU's fused
-multiply-adds.  Every split grid, the searches' and ``sim.pa_surface``'s,
-is :func:`_grid`: the exact values i / n, cached read-only per step.  The
-searches score it with the rate expression directly, a grid over [0, 1]
-needing no range check, and report the chosen grid value, which has the
-scalar objective's bits; es2d's pruned search answers the whole grid's
-maximum bit for bit.
+The root stages run on lists of Python floats.  Newton and deflation keep
+the operation order of the numpy forms they replaced (``np.polyval``'s
+Horner loop from 0.0, the deflation recurrence), so their bits are the
+array forms'.  Ferrari keeps numpy's rounding where CPython's differs:
+the real-by-complex quotient takes numpy's complex128 division steps
+(:func:`_real_over_complex`), and the resolvent's fractional complex
+power is numpy's.  Mixed float/complex operations rely on CPython
+promoting the float to ``complex(x, 0.0)``, as numpy does; releases that
+follow C99's mixed-mode rules (3.14 on) can differ in signed zeros.
+Ferrari's residual check is a Python complex Horner loop, the same bits
+on every CPU, where numpy's complex kernels vary with fused multiply-adds.
+Every split grid, the searches' and ``sim.pa_surface``'s, is
+:func:`_grid`: the exact values i / n, cached read-only per step, scored
+with the rate expression directly; the searches report the chosen grid
+value, which has the scalar objective's bits, and es2d's pruned search
+answers the whole grid's maximum bit for bit.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -57,8 +53,9 @@ from .rates import _objective, rate_objective, ssr
 
 NEWTON_TOL = 1e-5  # stop when |beta^{p+1} - beta^p| falls below this
 NEWTON_MAX_ITER = 200
-NEWTON_RESTARTS = 8
-REFINE_STEPS = 16  # Newton steps on R' from hicf's best candidate
+# Newton's starts: 0.5, then the midpoints of eight equal strata of (0, 1)
+NEWTON_STARTS = (0.5, *((k + 0.5) / 8 for k in range(8)))
+REFINE_STEPS = 16  # Newton steps on R' from each hicf candidate
 DERIVATIVE_TOL = 1e-14
 DEFLATION_RESIDUAL_TOL = 1e-6  # x coefficient scale
 REAL_ROOT_IMAG_TOL = 1e-8
@@ -76,7 +73,7 @@ class DegeneratePolynomialError(ValueError):
 
 
 class DegenerateSexticError(ValueError):
-    """The stationarity polynomial's degree fell below 4, or it overflowed."""
+    """The stationarity polynomial's degree fell below 4, or it is not finite."""
 
 
 class NewtonError(RuntimeError):
@@ -91,7 +88,7 @@ class DeflationError(ValueError):
 class PaCandidate:
     beta: float
     objective: float  # unclamped rate objective at (beta, beta)
-    origin: str  # newton-1 | newton-2 | ferrari | boundary | refined
+    origin: str  # newton-1 | ferrari | boundary | es1d | refined
 
 
 @dataclass(frozen=True)
@@ -106,77 +103,59 @@ class PaOutcome:
     diagnostics: dict
 
 
-def quartic_pair(g):
-    """Numerator and denominator quartics N(beta), D(beta) of the diagonal
-    rate ratio, as tuples of floats, highest-degree coefficient first.
+def _diagonal_factors(g):
+    """The diagonal rate's seven linear factors, as (weight, a, b, noise).
 
-    R(beta) = log2(N(beta) / D(beta)) on the diagonal beta1 = beta2.
+    On beta1 = beta2 = beta, R ln 2 is the sum of weight ln L over the
+    factors L = beta a + (1 - beta) b + noise: each rate term's numerator
+    (weight 1 for Alice's and Bob's, -1 for Eve's two) and denominator
+    (the opposite weight), Eve's shared denominator Le last, with weight 2.
+    All are positive on [0, 1], and the weights sum to 0.
     """
     s1, s2, s3, s4, s5, s6, s7, s8 = g.as_tuple()
-    a = s2 + g.sigma2_a
-    b = s4 + g.sigma2_b
-    c = s7 + s8 + g.sigma2_e
+    leak, sa, sb, se = s7 + s8, g.sigma2_a, g.sigma2_b, g.sigma2_e
+    return ((1.0, s1, s2, sa), (-1.0, 0.0, s2, sa), (1.0, s3, s4, sb), (-1.0, 0.0, s4, sb),
+            (-1.0, s5, leak, se), (-1.0, s6, leak, se), (2.0, 0.0, leak, se))
 
-    q1 = (s1 - s2) * (s3 - s4) * (-s7 - s8) ** 2
-    q2 = (
-        2.0 * (s1 - s2) * (s3 - s4) * (-s7 - s8) * c
-        + ((s1 - s2) * b + (s3 - s4) * a) * (-s7 - s8) ** 2
-    )
-    q3 = (
-        (s1 - s2) * (s3 - s4) * c**2
-        + 2.0 * (-s7 - s8) * c * ((s1 - s2) * b + (s3 - s4) * a)
-        + (-s7 - s8) ** 2 * a * b
-    )
-    q4 = ((s1 - s2) * b + (s3 - s4) * a) * c**2 + 2.0 * (-s7 - s8) * a * b * c
-    q5 = a * b * c**2
-    q6 = s2 * s4 * (s5 - s7 - s8) * (s6 - s7 - s8)
-    q7 = (
-        s2 * s4 * (s5 + s6 - 2.0 * s7 - 2.0 * s8) * c
-        + (s5 - s7 - s8) * (s6 - s7 - s8) * (-s2 * b - s4 * a)
-    )
-    q8 = (
-        s2 * s4 * c**2
-        + (s5 + s6 - 2.0 * s7 - 2.0 * s8) * c * (-s2 * b - s4 * a)
-        + (s5 - s7 - s8) * (s6 - s7 - s8) * a * b
-    )
-    q9 = (-s2 * b - s4 * a) * c**2 + (s5 + s6 - 2.0 * s7 - 2.0 * s8) * c * a * b
-    q10 = a * b * c**2
-    return (q1, q2, q3, q4, q5), (q6, q7, q8, q9, q10)
+
+def _polymul(p, q):
+    """Product of two highest-first coefficient lists."""
+    out = [0.0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
 
 
 def sextic_coeffs(g):
     """Monic polynomial whose real roots in (0, 1) are the diagonal
-    stationary points: a sextic, or lower where its leading terms vanish.
+    stationary points: a quintic, or a quartic where its leading term vanishes.
 
-    The raw polynomial is N'(beta) D(beta) - N(beta) D'(beta), with leading
-    coefficient q1 q7 - q2 q6.  While the leading coefficient is zero or
-    below ``DEGENERATE_LEADING_RATIO`` times the largest of the rest, it is
-    dropped: it only adds a root beyond about 1 / ratio, far outside
-    [0, 1].  Max-sv designs null the noise leaks s2 and s4, so q6 and q7
-    vanish and the polynomial is a quintic.  Dividing by the leading
-    coefficient left gives the monic form [1, alpha1, ...], a list of
-    Python floats, highest degree first; |alpha_i| <= 1 / ratio.
+    With the factors of :func:`_diagonal_factors`, R = log2(N / D) for
+    N = L1 L3 Le^2 and D = L2 L4 L5 L6.  The paper's sextic N'D - ND' is
+    Le times P = (N1' Le + 2 Le' N1) D - N1 Le D', N1 = L1 L3; Le's root,
+    1 + sigma2_e / (s7 + s8), lies above 1, so P is solved instead.  P's
+    beta^6 term cancels, the weights summing to 0, and is dropped.  While
+    the leading coefficient is zero or below ``DEGENERATE_LEADING_RATIO``
+    times the largest of the rest, it is dropped too: it only adds a root
+    beyond about 1 / ratio, far outside [0, 1].  Max-sv designs null the
+    noise leaks s2 and s4, so D is a quadratic and P a quartic.  Dividing
+    by the leading coefficient left gives the monic form [1, alpha1, ...],
+    a list of Python floats, highest degree first; |alpha_i| <= 1 / ratio.
 
     Raises
     ------
     DegenerateSexticError
-        If a coefficient is not finite (the rate quartics' powers overflow
-        included), or the degree falls below 4; the optimizer then falls
-        back to the 1-D grid search.
+        If a coefficient is not finite, or the degree falls below 4; the
+        optimizer then scores the 1-D grid search's point instead.
     """
-    try:
-        (q1, q2, q3, q4, q5), (q6, q7, q8, q9, q10) = quartic_pair(g)
-    except OverflowError as err:
-        raise DegenerateSexticError(f"the rate quartics overflow: {err}") from err
-    raw = [
-        q1 * q7 - q2 * q6,
-        2.0 * q1 * q8 - 2.0 * q3 * q6,
-        3.0 * q1 * q9 + q2 * q8 - q3 * q7 - 3.0 * q4 * q6,
-        4.0 * q1 * q10 + 2.0 * q2 * q9 - 2.0 * q4 * q7 - 4.0 * q5 * q6,
-        3.0 * q2 * q10 + q3 * q9 - q4 * q8 - 3.0 * q5 * q7,
-        2.0 * q3 * q10 - 2.0 * q5 * q8,
-        q4 * q10 - q5 * q9,
-    ]
+    l1, l2, l3, l4, l5, l6, le = [[a - b, b + noise] for _, a, b, noise in _diagonal_factors(g)]
+    n1 = _polymul(l1, l3)  # a quadratic
+    d = _polymul(_polymul(l2, l4), _polymul(l5, l6))  # a quartic
+    outer = [p + 2.0 * le[0] * q for p, q in zip(_polymul([2.0 * n1[0], n1[1]], le), n1)]
+    d_prime = [4.0 * d[0], 3.0 * d[1], 2.0 * d[2], d[3]]
+    left, right = _polymul(outer, d), _polymul(_polymul(n1, le), d_prime)
+    raw = [p - q for p, q in zip(left[1:], right[1:])]  # beta^6 cancels
     if not all(map(math.isfinite, raw)):
         raise DegenerateSexticError("stationarity polynomial coefficients are not finite")
     while raw[0] == 0.0 or abs(raw[0]) < DEGENERATE_LEADING_RATIO * max(map(abs, raw[1:])):
@@ -369,6 +348,14 @@ def _ferrari(a1, a2, a3, a4):
     return roots if _residuals_within(quartic, roots, bound) else []
 
 
+def _ferrari_or_none(a1, a2, a3, a4):
+    """:func:`_ferrari`, with a power beyond the float range as no roots."""
+    try:
+        return _ferrari(a1, a2, a3, a4)
+    except OverflowError:
+        return []
+
+
 def ferrari_roots(a1, a2, a3, a4):
     """The four complex roots of beta^4 + a1 beta^3 + a2 beta^2 + a3 beta + a4
     by Ferrari's closed form, as a list, or [] when the formula fails.
@@ -377,18 +364,27 @@ def ferrari_roots(a1, a2, a3, a4):
     chosen resolvent root makes eta1 vanish, or its roots fail the residual
     check, the other resolvent roots are tried, then the biquadratic
     branch.  The first branch whose four roots pass the check answers.
+    When none does and a4 != 0, the reversed monic quartic (roots 1 / beta)
+    is solved the same way and its roots inverted: a quartic with roots of
+    very different sizes can fail one way and pass the other.
 
     The coefficients are taken as Python floats whatever the caller
-    passes.  A power beyond the float range raises ``OverflowError``, a
-    failure of the formula like any other.
+    passes.  A power beyond the float range, where Python raises
+    ``OverflowError``, is a failure of the formula like any other.
     """
     for coeff in (a1, a2, a3, a4):
         if not math.isfinite(coeff):
             raise ValueError("quartic coefficients must be finite")
-    try:
-        return _ferrari(float(a1), float(a2), float(a3), float(a4))
-    except OverflowError:  # a power beyond the float range fails the formula
+    a1, a2, a3, a4 = float(a1), float(a2), float(a3), float(a4)
+    roots = _ferrari_or_none(a1, a2, a3, a4)
+    if roots or a4 == 0.0:
+        return roots
+    flipped = (a3 / a4, a2 / a4, a1 / a4, 1.0 / a4)
+    if not all(map(math.isfinite, flipped)):
         return []
+    # the reversed constant term is 1 / a4, so a root at 0 passed only through the check's scale
+    flipped_roots = _ferrari_or_none(*flipped)
+    return [_real_over_complex(1.0, y) for y in flipped_roots] if all(flipped_roots) else []
 
 
 def grid_intervals(step):
@@ -506,44 +502,11 @@ def es_2d(g, step=DEFAULT_STEP_2D):
     )
 
 
-def _stage_inits(stage, beta1=None):
-    """Fixed stratified start points for one Newton stage, as a list.
-
-    Stage 1 tries 0.5, then the midpoints (k + 0.5) / 8 of eight equal
-    strata of (0, 1).  Stage 2 takes the midpoints of eight equal strata of
-    the reduced domain (0, 0.5) u (beta(1), 1); if the finite root beta(1)
-    leaves no such split, of (0, 1) minus a ball of radius 0.02 around
-    beta(1), which leaves at least one side.
-    """
-    if stage == 1:
-        segments, points = [(0.0, 1.0)], [0.5]
-    elif 0.5 < beta1 < 1.0:
-        segments, points = [(0.0, 0.5), (beta1, 1.0)], []
-    else:
-        lo = min(max(beta1 - 0.02, 0.0), 1.0)
-        hi = min(max(beta1 + 0.02, 0.0), 1.0)
-        segments, points = [seg for seg in [(0.0, lo), (hi, 1.0)] if seg[0] < seg[1]], []
-    lengths = [hi - lo for lo, hi in segments]
-    total = sum(lengths)
-    for k in range(NEWTON_RESTARTS):
-        u = (k + 0.5) / NEWTON_RESTARTS * total  # the midpoint along the joined segments
-        for (lo, hi), length in zip(segments, lengths):
-            if u <= length or (lo, hi) == segments[-1]:
-                points.append(lo + min(u, length))
-                break
-            u -= length
-    return points
-
-
 def _newton_stage(coeffs, inits):
-    """Try Newton from each initial point, in order, until a root deflates.
-
-    ``coeffs`` is a list of Python floats.  A root is accepted when it
-    deflates: the remainder is its residual, checked once.
-
-    Returns (root, quotient, attempts), or (None, None, attempts) when
-    every start failed.
-    """
+    """Newton on a list of Python floats from each start in turn, until a
+    root deflates (the remainder is its residual, checked once).  Returns
+    (root, quotient, attempts), or (None, None, attempts) when every start
+    fails."""
     attempts = 0
     for beta0 in inits:
         attempts += 1
@@ -558,25 +521,22 @@ def _newton_stage(coeffs, inits):
 def _refine(g, beta):
     """Up to ``REFINE_STEPS`` Newton steps on R'(beta) from ``beta``: the last point reached.
 
-    On the diagonal R ln 2 is a weighted sum of ln L over linear factors
-    L = beta a + (1 - beta) b + noise, each rate term's numerator and
-    denominator (Eve's shared one twice), all positive on [0, 1].  So
-    R' ln 2 is the sum of weight (a - b) / L and R'' ln 2 minus that of
-    weight ((a - b) / L)^2: sums that stay accurate where the expanded
-    sextic's roots cluster.  Stops where R'' >= 0 (or is NaN), where a
-    step would leave [0, 1], and at a fixed point or a last-bit 2-cycle.
+    Over the factors of :func:`_diagonal_factors`, R' ln 2 is the sum of
+    weight (a - b) / L and R'' ln 2 minus that of weight ((a - b) / L)^2:
+    sums that stay accurate where the expanded polynomial's roots cluster.
+    Stops where R'' >= 0 (or is NaN), where a step would leave [0, 1], and
+    at a fixed point or a last-bit 2-cycle.
     """
-    s1, s2, s3, s4, s5, s6, s7, s8 = g.as_tuple()
-    leak, sa, sb, se = s7 + s8, g.sigma2_a, g.sigma2_b, g.sigma2_e
-    factors = ((1.0, s1, s2, sa), (-1.0, 0.0, s2, sa), (1.0, s3, s4, sb), (-1.0, 0.0, s4, sb),
-               (-1.0, s5, leak, se), (-1.0, s6, leak, se), (2.0, 0.0, leak, se))
+    factors = [(weight, a - b, a, b, noise) for weight, a, b, noise in _diagonal_factors(g)]
     last = None
     for _ in range(REFINE_STEPS):
         slope = curvature = 0.0
-        for weight, a, b, noise in factors:
-            ratio = (a - b) / (beta * a + (1.0 - beta) * b + noise)
-            slope += weight * ratio
-            curvature -= weight * ratio * ratio
+        rest = 1.0 - beta
+        for weight, span, a, b, noise in factors:
+            ratio = span / (beta * a + rest * b + noise)
+            term = weight * ratio
+            slope += term
+            curvature -= term * ratio
         if not curvature < 0.0:
             break
         beta_next = beta - slope / curvature
@@ -589,58 +549,56 @@ def _refine(g, beta):
 def hicf(g):
     """Hybrid iterative/closed-form split optimization on the diagonal.
 
-    Pipeline: the stationarity polynomial (:func:`sextic_coeffs`); one
-    Newton stage per degree above 4, each deflating its root: newton-1 from
-    0.5, then the stratum midpoints of (0, 1) -> beta(1); on a sextic,
-    newton-2 from those of the reduced domain -> beta(2); Ferrari on the
-    quartic left.  A stage whose every start fails, or a Ferrari that fails,
-    records ``no-root:<stage>`` and adds no roots; a failed Newton stage
-    ends the chain.  The unclamped objective at every real root in [0, 1]
-    plus the boundaries gives the argmax (smallest beta on ties), which
-    :func:`_refine` moves to a ``refined`` candidate only if that scores
-    higher; it applies to both split factors.
+    Pipeline: the stationarity polynomial (:func:`sextic_coeffs`); on a
+    quintic, one Newton stage (``newton-1``) from ``NEWTON_STARTS`` whose
+    root deflates it; Ferrari on the quartic.  A Newton stage whose every
+    start fails, or a Ferrari that fails, records ``no-root:<stage>`` and
+    adds no roots; a failed Newton stage ends the chain.  A degenerate
+    polynomial records ``degenerate-sextic->es1d`` and adds es1d's grid
+    point as a candidate.  The candidates are the real roots in [0, 1] and
+    the boundaries; :func:`_refine` runs from each, and the best point
+    reached becomes a ``refined`` candidate when it scores higher than
+    every candidate.  The argmax of the unclamped objective (smallest beta
+    on ties) applies to both split factors.  ``diagnostics["degree"]`` is
+    the polynomial's degree, None where it degenerates.
     """
-    diagnostics = {"fallbacks": [], "newton_attempts": {}, "root_residuals": []}
+    diagnostics = {"fallbacks": [], "newton_attempts": {}, "degree": None, "root_residuals": []}
+    labeled, candidates = [], [(0.0, "boundary"), (1.0, "boundary")]  # labeled: (root, origin)
     try:
         stationary = sextic_coeffs(g)
     except DegenerateSexticError as err:
-        fallback = es_1d(g)
         diagnostics["fallbacks"].append("degenerate-sextic->es1d")
         diagnostics["reason"] = str(err)
-        return replace(fallback, method="hicf", diagnostics={**fallback.diagnostics, **diagnostics})
-
-    labeled, poly = [], stationary  # labeled: (root, origin)
-    for origin in ("newton-1", "newton-2")[:len(stationary) - 5]:  # one per degree above 4
-        inits = _stage_inits(1) if origin == "newton-1" else _stage_inits(2, beta1=root)
-        root, quotient, attempts = _newton_stage(poly, inits)
-        diagnostics["newton_attempts"][origin] = attempts
-        if root is None:  # every start failed: the chain ends
-            diagnostics["fallbacks"].append(f"no-root:{origin}")
-            break
-        labeled.append((root, origin))
-        poly = quotient
+        candidates.append((es_1d(g).beta1, "es1d"))
     else:
-        q_roots = ferrari_roots(*poly[1:])
-        if not q_roots:
-            diagnostics["fallbacks"].append("no-root:ferrari")
-        labeled.extend((r, "ferrari") for r in q_roots)
+        diagnostics["degree"] = len(stationary) - 1
+        poly = stationary
+        if len(poly) == 6:  # a quintic: one Newton root deflates it to a quartic
+            root, poly, attempts = _newton_stage(poly, NEWTON_STARTS)
+            diagnostics["newton_attempts"]["newton-1"] = attempts
+            if root is None:  # every start failed: the chain ends
+                diagnostics["fallbacks"].append("no-root:newton-1")
+            else:
+                labeled.append((root, "newton-1"))
+        if poly is not None:
+            q_roots = ferrari_roots(*poly[1:])
+            if not q_roots:
+                diagnostics["fallbacks"].append("no-root:ferrari")
+            labeled.extend((r, "ferrari") for r in q_roots)
+        diagnostics["root_residuals"] = [abs(_horner(stationary, complex(r))) for r, _ in labeled]
 
     roots = diagnostics["roots"] = [complex(r) for r, _ in labeled]
     origins = diagnostics["origins"] = [origin for _, origin in labeled]
-    diagnostics["root_residuals"] = [abs(_horner(stationary, z)) for z in roots]
 
-    candidates = [(z.real, origin) for z, origin in zip(roots, origins)
-                  if abs(z.imag) < REAL_ROOT_IMAG_TOL and 0.0 <= z.real <= 1.0]
-    candidates.extend([(0.0, "boundary"), (1.0, "boundary")])
+    candidates.extend((z.real, origin) for z, origin in zip(roots, origins)
+                      if abs(z.imag) < REAL_ROOT_IMAG_TOL and 0.0 <= z.real <= 1.0)
     candidates.sort(key=lambda item: item[0])  # smallest beta wins ties
 
-    evaluated = tuple(
-        PaCandidate(beta=beta, objective=rate_objective(beta, beta, g), origin=origin)
-        for beta, origin in candidates
-    )
+    evaluated = tuple(PaCandidate(b, rate_objective(b, b, g), origin) for b, origin in candidates)
     best = max(evaluated, key=lambda cand: cand.objective)  # the first, smallest beta, on ties
-    beta = _refine(g, best.beta)
-    refined = PaCandidate(beta=beta, objective=rate_objective(beta, beta, g), origin="refined")
+    ends = [_refine(g, cand.beta) for cand in evaluated]
+    refined = max((PaCandidate(b, rate_objective(b, b, g), "refined") for b in ends),
+                  key=lambda cand: cand.objective)
     if refined.objective > best.objective:
         best, evaluated = refined, (*evaluated, refined)
     return PaOutcome(method="hicf", beta1=best.beta, beta2=best.beta, ssr=max(0.0, best.objective),

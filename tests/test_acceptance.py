@@ -26,7 +26,6 @@ from risdm.power_allocation import (
     es_1d,
     ferrari_roots,
     hicf,
-    quartic_pair,
     sextic_coeffs,
 )
 from risdm.rates import rate_objective, rates_matrix_form, scalar_gains, ssr
@@ -89,7 +88,17 @@ def test_criterion_1_dual_form_equivalence():
     return f"worst |diff| = {worst:.2e}"
 
 
-@criterion(2, "stationarity sextic matches N'D - ND' and rate derivative")
+def diagonal_factors(g):
+    """The linear factors L1, L2, L3, L4, L5, L6, Le of the diagonal rate, as
+    highest-first numpy arrays: R = log2(L1 L3 Le^2 / (L2 L4 L5 L6))."""
+    s1, s2, s3, s4, s5, s6, s7, s8 = g.as_tuple()
+    leak, sa, sb, se = s7 + s8, g.sigma2_a, g.sigma2_b, g.sigma2_e
+    return [np.array([a - b, b + noise], dtype=float) for a, b, noise in (
+        (s1, s2, sa), (0.0, s2, sa), (s3, s4, sb), (0.0, s4, sb),
+        (s5, leak, se), (s6, leak, se), (0.0, leak, se))]
+
+
+@criterion(2, "stationarity polynomial times Le matches N'D - ND' and rate derivative")
 def test_criterion_2_stationarity_algebra():
     rng = np.random.default_rng(202)
     worst_rel = 0.0
@@ -97,14 +106,16 @@ def test_criterion_2_stationarity_algebra():
     stationary_checked = 0
     for _ in range(100):
         g = random_gains(rng)
-        num, den = quartic_pair(g)
-        lead = num[0] * den[1] - num[1] * den[0]
+        l1, l2, l3, l4, l5, l6, le = diagonal_factors(g)
+        num = np.polymul(np.polymul(l1, l3), np.polymul(le, le))
+        den = np.polymul(np.polymul(l2, l4), np.polymul(l5, l6))
+        raw = np.polysub(np.polymul(np.polyder(num), den), np.polymul(num, np.polyder(den)))
         sc = np.array(sextic_coeffs(g))
-        raw = lead * sc
+        # raw = Le lead P: its beta^(deg P + 1) term is Le's slope times lead
+        lead = raw[raw.size - sc.size - 1] / le[0]
         for beta in rng.uniform(0.0, 1.0, size=10):
-            lhs = lead * np.polyval(sc, beta)
-            rhs = (np.polyval(np.polyder(num), beta) * np.polyval(den, beta)
-                   - np.polyval(num, beta) * np.polyval(np.polyder(den), beta))
+            lhs = lead * np.polyval(le, beta) * np.polyval(sc, beta)
+            rhs = np.polyval(raw, beta)
             rel = abs(lhs - rhs) / max(np.polyval(np.abs(raw), beta), 1e-300)
             worst_rel = max(worst_rel, rel)
             assert rel < 1e-9

@@ -1,4 +1,4 @@
-"""Sextic construction, root-finding stages, and the split optimizers."""
+"""Stationarity polynomial construction, root-finding stages, and the split optimizers."""
 
 import cmath
 import json
@@ -39,7 +39,6 @@ from risdm.power_allocation import (
     ferrari_roots,
     hicf,
     newton_root,
-    quartic_pair,
     sextic_coeffs,
 )
 from risdm.rates import ScalarGains, rate_objective, ssr
@@ -48,300 +47,352 @@ from risdm.sim import SweepSpec, run_sweep
 
 # hicf outcomes pinned bit for bit: (s1..s8 with unit noise powers,
 # float.hex of beta1 and of ssr, newton_attempts, fallbacks).
-# Log-uniform draws on [1e-3, 1e3]; they cover interior, near-1 and
-# boundary optima, stage-1 restarts after 0.5 fails, refined optima, each
-# Newton stage that finds no root, and quartics with roots beyond 100 that
-# Ferrari solves (rows 17-19).
+# Rows 0-19 are log-uniform draws on [1e-3, 1e3]; they cover interior,
+# near-1 and boundary optima, Newton restarts after 0.5 fails (row 16),
+# refined optima, and quartics with roots beyond 100 that Ferrari solves
+# (rows 17-19).  Row 20 is a draw whose Newton stage finds no root
+# (pa-fuzz seed 1 draw 162), row 21
+# a quartic (s2 = s4 = 0) that Ferrari solves only reversed, and row 22
+# the degenerate polynomial of s1..s8 = 0.
 HICF_PINNED = [
     (
         (0.14907047155068237, 656.950251787758, 50.073848558124425, 0.024562155746005024,
          0.3289669525199102, 0.11137672294570371, 0.07807832493559855, 1.3712145629219694),
         "0x1.0000000000000p+0", "0x1.53fd2a58313bcp+2",
-        {"newton-1": 1, "newton-2": 1}, [],
+        {"newton-1": 1}, [],
     ),
     (
         (0.5068434056413071, 1.1462564497367027, 0.024343139522199325, 49.92157177768129,
          337.67133391143415, 96.58575931207682, 5.565951253777117, 0.9260253631008347),
         "0x0.0p+0", "0x0.0p+0",
-        {"newton-1": 1, "newton-2": 1}, [],
+        {"newton-1": 1}, [],
     ),
     (
         (174.38301658686635, 41.57730537698671, 3.5819024072617074, 0.1810346668110375,
          6.154614716771423, 0.03531454880366598, 4.21557067771349, 1.8665012096042901),
         "0x1.0000000000000p+0", "0x1.b0ba43f126180p+2",
-        {"newton-1": 1, "newton-2": 1}, [],
+        {"newton-1": 1}, [],
     ),
     (
         (124.87440439859883, 0.08908916472635055, 558.2855590874965, 229.56177579174908,
          0.0037131940795006382, 0.0012282702535025593, 0.3296466954536965, 339.7331652897927),
         "0x1.0000000000000p+0", "0x1.0189e3aceecb3p+4",
-        {"newton-1": 9}, ["no-root:newton-1"],
+        {"newton-1": 1}, [],
     ),
     (
         (0.004105110971823435, 13.88832552914032, 1.5110081990176563, 0.004069843625398475,
          0.09899313777160122, 0.6359924221556292, 12.325628543383505, 0.0011863315741247255),
-        "0x1.964c7ab7e383fp-1", "0x1.d3dbdd354092fp-1",
-        {"newton-1": 1, "newton-2": 1}, [],
+        "0x1.964c7ab7e16ebp-1", "0x1.d3dbdd3540927p-1",
+        {"newton-1": 1}, [],
     ),
     (
         (80.16002135576662, 0.022069268708924658, 0.00907276575214212, 8.578327787616352,
          2.2652651415944716, 457.43006932972054, 69.37984938172688, 50.947963329990074),
-        "0x1.4f2ea7159dfeep-2", "0x1.9e1f3a443846cp+1",
-        {"newton-1": 1, "newton-2": 1}, [],
+        "0x1.4f2ea71640593p-2", "0x1.9e1f3a443846ap+1",
+        {"newton-1": 1}, [],
     ),
     (
         (0.0013795112422231553, 30.8641913955548, 0.6219651944181606, 0.005930648631534586,
          0.004532269087689847, 9.625800420651919, 302.43024175446067, 120.0349334899484),
-        "0x1.8e6fd55f1c36ep-1", "0x1.d63975bdb34a9p-2",
-        {"newton-1": 1, "newton-2": 8}, ["no-root:newton-2"],
+        "0x1.8e6fd55f1c370p-1", "0x1.d63975bdb34a9p-2",
+        {"newton-1": 1}, [],
     ),
     (
         (69.35356340964309, 0.04947456643013238, 0.1299099903936103, 240.93040267664313,
          6.080639981859475, 841.0466726001818, 0.0032351542083720822, 15.487596195362483),
-        "0x1.5f4f596c4620bp-5", "0x1.a241120b6ceb0p-3",
-        {"newton-1": 1, "newton-2": 1}, [],
+        "0x1.5f4f596a178aap-5", "0x1.a241120b6cea8p-3",
+        {"newton-1": 1}, [],
     ),
     (
         (12.47556010291356, 0.06897730230999162, 48.28519271269322, 1.8388851686981982,
          0.004187732386175481, 0.8153017686640883, 165.76850511600003, 7.201969968750622),
-        "0x1.f1caa637c017cp-1", "0x1.2142c2a568062p+3",
-        {"newton-1": 1, "newton-2": 1}, [],
+        "0x1.f1caa647c9360p-1", "0x1.2142c2a568063p+3",
+        {"newton-1": 1}, [],
     ),
     (
         (0.002684564935972255, 87.94813822136099, 27.01740587754708, 12.880911162127925,
          19.38579544144748, 0.8609946632761494, 0.013516931700704369, 0.15740247323391443),
         "0x0.0p+0", "0x0.0p+0",
-        {"newton-1": 1, "newton-2": 8}, ["no-root:newton-2"],
+        {"newton-1": 1}, [],
     ),
     (
         (597.5792360340379, 67.31308896001931, 40.27584436354652, 47.10145356467428,
          2.9806706310090276, 69.54738379297827, 64.73848303146944, 8.259748183377317),
         "0x1.fcdb57cc5a385p-1", "0x1.a077697096908p+2",
-        {"newton-1": 1, "newton-2": 1}, [],
+        {"newton-1": 1}, [],
     ),
     (
         (1.782314066024167, 0.2610904972869544, 16.98917328025931, 205.25853204389367,
          5.091995436588671, 0.016633925539582078, 0.7013201137739461, 534.650055344248),
         "0x1.fdcf01f05d95dp-1", "0x1.b8878fa9f59cfp+1",
-        {"newton-1": 1, "newton-2": 1}, [],
+        {"newton-1": 1}, [],
     ),
     (
         (0.0027615440227246797, 441.21746743388366, 432.9565164304392, 238.15327209695351,
          7.17383081839623, 0.04504357042344653, 0.002447561546976658, 0.9108818047893349),
         "0x1.0000000000000p+0", "0x1.6aee8c216b218p+2",
-        {"newton-1": 1, "newton-2": 8}, ["no-root:newton-2"],
+        {"newton-1": 1}, [],
     ),
     (
         (57.389005042276594, 0.0019939999719597876, 0.002312188297268879, 2.501780527790416,
          416.5216935255755, 20.674182093718827, 0.04178736869795908, 0.0032540762974316365),
         "0x0.0p+0", "0x0.0p+0",
-        {"newton-1": 2, "newton-2": 1}, [],
+        {"newton-1": 1}, [],
     ),
     (
         (29.50180318895187, 0.005330111728119473, 0.0019945347540420333, 0.0033464104234697573,
          86.27935759023974, 0.07249496260005873, 0.06314530096550339, 0.14842699637242135),
         "0x0.0p+0", "0x0.0p+0",
-        {"newton-1": 2, "newton-2": 1}, [],
+        {"newton-1": 1}, [],
     ),
     (
         (0.3026970885938632, 43.44896745924584, 0.0013702301400249886, 28.565992688683338,
          155.32379892787736, 0.09461090121254598, 923.8819642720069, 3.3428575704566854),
         "0x0.0p+0", "0x0.0p+0",
-        {"newton-1": 9}, ["no-root:newton-1"],
+        {"newton-1": 1}, [],
     ),
     (
         (157.15560953812607, 0.12680012138586716, 1.241884669212918, 113.98035656093485,
          4.147196345919341, 0.0073997990243644335, 0.005282097872077341, 0.00273343473196345),
         "0x1.0000000000000p+0", "0x1.861c814f1acebp+2",
-        {"newton-1": 3, "newton-2": 8}, ["no-root:newton-2"],
+        {"newton-1": 8}, [],
     ),
     (
         (2.2753946483391316, 0.01438441784546954, 0.0011652953035099021, 0.004848329516208722,
          94.25924116201666, 0.2330537358725576, 1.2105403228385696, 2.564144687276931),
         "0x0.0p+0", "0x0.0p+0",
-        {"newton-1": 1, "newton-2": 1}, [],
+        {"newton-1": 1}, [],
     ),
     (
         (0.002101926103631508, 0.005118654959161805, 0.4656849396238597, 0.00743928759951712,
          10.961545227618869, 66.2657919325932, 88.28465251798355, 338.11955275750995),
-        "0x1.69e25cfdb5604p-2", "0x1.52763364108fap-4",
-        {"newton-1": 1, "newton-2": 1}, [],
+        "0x1.69e25cfdb535cp-2", "0x1.52763364108f9p-4",
+        {"newton-1": 1}, [],
     ),
     (
         (0.026729966076360332, 18.402038061942868, 609.3823687188313, 0.0015221642556673058,
          0.09438477634655676, 0.03048676223221444, 0.0021533128538410535, 0.001007892391066122),
         "0x1.0000000000000p+0", "0x1.23c821ec30dd3p+3",
-        {"newton-1": 8, "newton-2": 5}, [],
+        {"newton-1": 1}, [],
+    ),
+    (
+        (273.75360406507974, 13.592090244681017, 0.06072713167324652, 39.170363431463606,
+         0.09535796715042384, 0.0055621558481210595, 0.056727867593960285, 0.001892955702630258),
+        "0x1.0000000000000p+0", "0x1.01864ba1b4ad2p+3",
+        {"newton-1": 9}, ["no-root:newton-1"],
+    ),
+    (
+        (1.0, 0.0, 1.0, 0.0,
+         1.0, 1000.0, 1000.0, 0.001),
+        "0x1.555595c7e3a43p-2", "0x1.f5fdfb4f06bfcp-3",
+        {}, [],
+    ),
+    (
+        (0.0, 0.0, 0.0, 0.0,
+         0.0, 0.0, 0.0, 0.0),
+        "0x0.0p+0", "0x0.0p+0",
+        {}, ["degenerate-sextic->es1d"],
     ),
 ]
-
 
 # diagnostics["roots"] (real and imaginary part) and
 # diagnostics["root_residuals"] of each HICF_PINNED row, as float.hex.
 HICF_PINNED_ROOTS = [
     (
-        [("0x1.10a81a6f805f3p+0", "0x0.0p+0"),
-         ("0x1.a94ce9b97c63cp+1", "0x0.0p+0"),
-         ("0x1.e7c50d70a22fep+0", "0x0.0p+0"),
-         ("0x1.b0a34b1d61430p+0", "0x0.0p+0"),
-         ("0x1.fc8da742dccbap-1", "0x1.0b3ff8bacae5ap-5"),
-         ("0x1.fc8da742dccbap-1", "-0x1.0b3ff8bacae5ap-5")],
-        ["0x0.0p+0", "0x1.7fb6a00000000p-30", "0x1.1d96000000000p-31",
-         "0x1.a8c2000000000p-32", "0x1.acc1afcdaad0ap-35", "0x1.acc1afcdaad0ap-35"],
+        [("0x1.10a81a6f8c6e3p+0", "0x0.0p+0"),
+         ("0x1.a94ce9b961528p+1", "0x0.0p+0"),
+         ("0x1.e7c50d7b13af0p+0", "0x0.0p+0"),
+         ("0x1.fc8da7481b365p-1", "0x1.0b3ff5523cd2cp-5"),
+         ("0x1.fc8da7481b365p-1", "-0x1.0b3ff5523cd2cp-5")],
+        ["0x1.0600000000000p-43", "0x1.7000000000000p-44", "0x1.0200000000000p-43",
+         "0x1.0c009abedec97p-43", "0x1.0c009abedec97p-43"],
     ),
     (
-        [("0x1.03bd26e846334p+0", "0x0.0p+0"),
-         ("-0x1.abe7a2ff8d287p-5", "0x0.0p+0"),
-         ("0x1.d42620bb6db60p+0", "0x1.72d4498d21fc0p-1"),
-         ("0x1.d42620bb6db60p+0", "-0x1.72d4498d21fc0p-1"),
-         ("0x1.276eec20b0db6p+0", "0x0.0p+0"),
-         ("0x1.06974778704b6p+0", "0x0.0p+0")],
-        ["0x1.d000000000000p-50", "0x1.b0c0000000000p-45", "0x1.27c0000000000p-44",
-         "0x1.27c0000000000p-44", "0x1.7300000000000p-47", "0x1.6800000000000p-50"],
+        [("0x1.03bd26e841474p+0", "0x0.0p+0"),
+         ("0x1.d42620bb6db30p+0", "0x1.72d4498d21f15p-1"),
+         ("0x1.d42620bb6db30p+0", "-0x1.72d4498d21f15p-1"),
+         ("0x1.069747787562cp+0", "0x0.0p+0"),
+         ("-0x1.abe7a2ff8ce00p-5", "0x0.0p+0")],
+        ["0x1.8000000000000p-52", "0x1.e08e0d1d2fb85p-48", "0x1.e08e0d1d2fb85p-48",
+         "0x1.0000000000000p-55", "0x1.5400000000000p-49"],
     ),
     (
-        [("0x1.2a17468468ce9p+0", "0x0.0p+0"),
-         ("0x1.2db4478045aa4p+0", "0x0.0p+0"),
-         ("0x1.ca09d10d2ecd8p+3", "0x0.0p+0"),
-         ("-0x1.55eebed7f3950p-2", "0x0.0p+0"),
-         ("0x1.109a4b37784c0p+0", "0x1.21f6840b59ce4p-2"),
-         ("0x1.109a4b37784c0p+0", "-0x1.21f6840b59ce4p-2")],
-        ["0x1.0370000000000p-38", "0x1.0310000000000p-38", "0x1.03ad600000000p-30",
-         "0x1.91c0000000000p-39", "0x1.00fa377fc7336p-38", "0x1.00fa377fc7336p-38"],
+        [("0x1.2db44780df08cp+0", "0x0.0p+0"),
+         ("0x1.ca09d10d2ecd6p+3", "0x0.0p+0"),
+         ("-0x1.55eebed826bf0p-2", "0x0.0p+0"),
+         ("0x1.109a4b36e0258p+0", "0x1.21f6840cc4cdcp-2"),
+         ("0x1.109a4b36e0258p+0", "-0x1.21f6840cc4cdcp-2")],
+        ["0x1.1f8c800000000p-31", "0x1.33ec200000000p-31", "0x1.1f87400000000p-31",
+         "0x1.1f8ce000240e7p-31", "0x1.1f8ce000240e7p-31"],
     ),
     (
-        [],
-        [],
+        [("0x1.00b7198d94a4dp+0", "0x0.0p+0"),
+         ("0x1.087cfaa486e99p+1", "0x0.0p+0"),
+         ("0x1.00c9e8010c06ep+0", "0x0.0p+0"),
+         ("0x1.00c126826fc80p+0", "0x0.0p+0"),
+         ("-0x1.38da710dd0cd6p-2", "0x0.0p+0")],
+        ["0x1.3300000000000p-45", "0x1.4500000000000p-45", "0x1.3100000000000p-45",
+         "0x1.3300000000000p-45", "0x1.2e00000000000p-45"],
     ),
     (
-        [("0x1.964c7ab7e383fp-1", "0x0.0p+0"),
-         ("0x1.120f28bbce189p+0", "0x0.0p+0"),
-         ("0x1.7cd7636f87142p+0", "0x0.0p+0"),
-         ("0x1.18a68af3981bap+0", "0x0.0p+0"),
-         ("0x1.14c4895b40e2dp+0", "0x0.0p+0"),
-         ("0x1.12cf9450b83ebp+0", "0x0.0p+0")],
-        ["0x1.8000000000000p-50", "0x1.0000000000000p-52", "0x1.0e00000000000p-45",
-         "0x1.0000000000000p-52", "0x1.6000000000000p-49", "0x1.a000000000000p-49"],
+        [("0x1.964c7ab7e16ebp-1", "0x0.0p+0"),
+         ("0x1.7cd7636f87cc0p+0", "0x0.0p+0"),
+         ("0x1.18a68ad7733bcp+0", "0x0.0p+0"),
+         ("0x1.12cf926b1d37ep+0", "0x0.0p+0"),
+         ("0x1.120f29f2864a2p+0", "0x0.0p+0")],
+        ["0x1.6800000000000p-47", "0x1.c400000000000p-46", "0x1.3000000000000p-48",
+         "0x1.e000000000000p-49", "0x1.0000000000000p-48"],
     ),
     (
-        [("0x1.0220a53e8c102p+0", "0x0.0p+0"),
-         ("0x1.4f2ea7159dfeep-2", "0x0.0p+0"),
-         ("0x1.1ddf46cd308f0p+0", "0x1.9c157c7178d21p-7"),
-         ("0x1.1ddf46cd308f0p+0", "-0x1.9c157c7178d21p-7"),
-         ("0x1.0bf0ea4bfaf8cp+0", "0x0.0p+0"),
-         ("-0x1.11607db7c4372p+0", "0x0.0p+0")],
-        ["0x0.0p+0", "0x1.187fc00000000p-36", "0x1.67598f055f0f5p-39",
-         "0x1.67598f055f0f5p-39", "0x1.f920000000000p-41", "0x1.ab98000000000p-35"],
+        [("0x1.4f2ea71640593p-2", "0x0.0p+0"),
+         ("0x1.1ddf46d38df88p+0", "0x1.9c158c318cc49p-7"),
+         ("0x1.1ddf46d38df88p+0", "-0x1.9c158c318cc49p-7"),
+         ("0x1.0bf0ea3f18130p+0", "0x0.0p+0"),
+         ("-0x1.11607db7c604cp+0", "0x0.0p+0")],
+        ["0x1.6d00000000000p-42", "0x1.6cf00000ca077p-42", "0x1.6cf00000ca077p-42",
+         "0x1.6cd0000000000p-42", "0x1.6ba0000000000p-42"],
     ),
     (
-        [("0x1.8e6fd55db0577p-1", "0x0.0p+0")],
-        ["0x1.2c00000000000p-42"],
+        [("0x1.8e6fd55dfe34cp-1", "0x0.0p+0"),
+         ("0x1.45be5cb1415f2p+0", "0x0.0p+0"),
+         ("0x1.0878c8e2bae8cp+0", "0x0.0p+0"),
+         ("0x1.0825c440357a9p+0", "0x0.0p+0"),
+         ("0x1.009c899d594e9p+0", "0x0.0p+0")],
+        ["0x1.0650000000000p-40", "0x1.0d70000000000p-40", "0x1.0a60000000000p-40",
+         "0x1.0a40000000000p-40", "0x1.09b0000000000p-40"],
     ),
     (
-        [("0x1.000924d508e56p+0", "0x0.0p+0"),
-         ("0x1.5f4f596c4620bp-5", "0x0.0p+0"),
-         ("0x1.32706b98384b6p+1", "0x0.0p+0"),
-         ("0x1.1086a1aa92053p+0", "0x0.0p+0"),
-         ("0x1.02271b7e435c2p+0", "0x0.0p+0"),
-         ("-0x1.51783d5196288p-4", "0x0.0p+0")],
-        ["0x1.353b100000000p-38", "0x1.353b100000000p-38", "0x1.388e600000000p-38",
-         "0x1.3552a00000000p-38", "0x1.3545780000000p-38", "0x1.353c380000000p-38"],
+        [("0x1.32706b9838213p+1", "0x0.0p+0"),
+         ("0x1.02271b625fd98p+0", "0x0.0p+0"),
+         ("0x1.000924ed9816cp+0", "0x0.0p+0"),
+         ("0x1.5f4f596a178aap-5", "0x0.0p+0"),
+         ("-0x1.51783d50dd2a5p-4", "0x0.0p+0")],
+        ["0x1.7408000000000p-46", "0x1.6e00000000000p-46", "0x1.6ee8000000000p-46",
+         "0x1.7548000000000p-46", "0x1.7570000000000p-46"],
     ),
     (
-        [("0x1.f1caa637c017cp-1", "0x0.0p+0"),
-         ("-0x1.2d6b77ce3f7cdp-4", "0x0.0p+0"),
-         ("0x1.6e2e12ee58ae2p+1", "0x0.0p+0"),
-         ("0x1.0b20096cc5479p+0", "0x0.0p+0"),
-         ("0x1.017dde1f5804bp+0", "0x0.0p+0"),
-         ("0x1.017b141b74b65p+0", "0x0.0p+0")],
-        ["0x1.7078000000000p-42", "0x1.1930000000000p-43", "0x1.105e000000000p-40",
-         "0x1.90a8000000000p-42", "0x1.7e00000000000p-42", "0x1.7e58000000000p-42"],
+        [("0x1.f1caa647c9360p-1", "0x0.0p+0"),
+         ("0x1.6e2e12ee58bafp+1", "0x0.0p+0"),
+         ("0x1.0b200964a39d2p+0", "0x0.0p+0"),
+         ("0x1.017e0f8ca79dcp+0", "0x0.0p+0"),
+         ("-0x1.2d6b77ce3ad80p-4", "0x0.0p+0")],
+        ["0x1.e57c000000000p-41", "0x1.d42c000000000p-41", "0x1.e590000000000p-41",
+         "0x1.e590000000000p-41", "0x1.e4c0000000000p-41"],
     ),
     (
-        [("0x1.0cc57625fb861p-1", "0x0.0p+0")],
-        ["0x1.76fab00000000p-30"],
+        [("0x1.0cc57626bf952p-1", "0x0.0p+0"),
+         ("0x1.02eb5da016c60p+0", "0x1.85e4d98d2aaaep-10"),
+         ("0x1.02eb5da016c60p+0", "-0x1.85e4d98d2aaaep-10"),
+         ("-0x1.0e43d6e3ea9a0p+0", "0x1.71680d623182dp-1"),
+         ("-0x1.0e43d6e3ea9a0p+0", "-0x1.71680d623182dp-1")],
+        ["0x1.4e26a00000000p-33", "0x1.4e26800000000p-33", "0x1.4e26800000000p-33",
+         "0x1.4e26c0000dca4p-33", "0x1.4e26c0000dca4p-33"],
     ),
     (
-        [("0x1.fcdb57cbe6ea6p-1", "0x0.0p+0"),
-         ("0x1.0381c595cd3dap+0", "0x0.0p+0"),
-         ("0x1.8605dbb79a2e4p+0", "0x1.82c2179603f9fp+1"),
-         ("0x1.8605dbb79a2e4p+0", "-0x1.82c2179603f9fp+1"),
-         ("0x1.083918eee1bd5p+0", "0x0.0p+0"),
-         ("0x1.040386af156b3p+0", "0x0.0p+0")],
-        ["0x1.0000000000000p-48", "0x1.9800000000000p-42", "0x1.dfac7e571c7bfp-35",
-         "0x1.dfac7e571c7bfp-35", "0x1.8100000000000p-41", "0x1.b000000000000p-42"],
+        [("0x1.fcdb57cb1b092p-1", "0x0.0p+0"),
+         ("0x1.8605dbb79a45ap+0", "0x1.82c2179603fedp+1"),
+         ("0x1.8605dbb79a45ap+0", "-0x1.82c2179603fedp+1"),
+         ("0x1.08391908e9786p+0", "0x0.0p+0"),
+         ("0x1.040385b935222p+0", "0x0.0p+0")],
+        ["0x1.4400000000000p-40", "0x1.76dc6e453b620p-40", "0x1.76dc6e453b620p-40",
+         "0x1.4500000000000p-40", "0x1.4500000000000p-40"],
     ),
     (
-        [("0x1.fdcf031027fdfp-1", "0x0.0p+0"),
-         ("0x1.0079e5c23b148p+0", "0x0.0p+0"),
-         ("0x1.0aa87edce177fp+0", "0x1.4659338dd52a5p-2"),
-         ("0x1.0aa87edce177fp+0", "-0x1.4659338dd52a5p-2"),
-         ("0x1.01de9d05ea5c9p+0", "0x0.0p+0"),
-         ("0x1.007ef72426d79p+0", "0x0.0p+0")],
-        ["0x1.4000000000000p-50", "0x1.0000000000000p-51", "0x1.b304b53bfaa6ap-44",
-         "0x1.b304b53bfaa6ap-44", "0x1.8000000000000p-49", "0x0.0p+0"],
+        [("0x1.fdcf01c1bce30p-1", "0x0.0p+0"),
+         ("0x1.0aa87edcdf07fp+0", "0x1.4659338e0e2dap-2"),
+         ("0x1.0aa87edcdf07fp+0", "-0x1.4659338e0e2dap-2"),
+         ("0x1.01de9e0304675p+0", "0x0.0p+0"),
+         ("0x1.007e71dd617adp+0", "0x0.0p+0")],
+        ["0x1.7a00000000000p-45", "0x1.a5379fe5d2d00p-45", "0x1.a5379fe5d2d00p-45",
+         "0x1.7c00000000000p-45", "0x1.7400000000000p-45"],
     ),
     (
-        [("0x1.5e63e36a1b5b1p-2", "0x0.0p+0")],
-        ["0x0.0p+0"],
+        [("0x1.5e63e36a172c3p-2", "0x0.0p+0"),
+         ("0x1.0094f256019e0p+0", "0x1.cdaa14d31cdadp-14"),
+         ("0x1.0094f256019e0p+0", "-0x1.cdaa14d31cdadp-14"),
+         ("0x1.2b9ec9e1edec0p+1", "0x0.0p+0"),
+         ("-0x1.1c33e5898647dp+6", "0x0.0p+0")],
+        ["0x1.0428000000000p-34", "0x1.2d1000005bb78p-34", "0x1.2d1000005bb78p-34",
+         "0x1.0ec8000000000p-34", "0x1.178d950000000p-22"],
     ),
     (
-        [("0x1.7102dc158efb6p+0", "0x0.0p+0"),
-         ("0x1.5c3b8847e49a7p+0", "0x0.0p+0"),
-         ("-0x1.1d64483e9e880p-6", "0x1.6cbce57690f12p-6"),
-         ("-0x1.1d64483e9e880p-6", "-0x1.6cbce57690f12p-6"),
-         ("0x1.733a77c876efdp+4", "0x0.0p+0"),
-         ("-0x1.9a4d273199e51p+4", "0x0.0p+0")],
-        ["0x1.4076124000000p-27", "0x1.1c1ea98000000p-27", "0x1.5d0872cbbe0a7p-27",
-         "0x1.5d0872cbbe0a7p-27", "0x1.4fbb5bbba0000p-18", "0x1.cf869bec60000p-18"],
+        [("0x1.7102dc15566c5p+0", "0x0.0p+0"),
+         ("-0x1.1d64483ddce00p-6", "0x1.6cbce5944edecp-6"),
+         ("-0x1.1d64483ddce00p-6", "-0x1.6cbce5944edecp-6"),
+         ("0x1.5c3b884816fe8p+0", "0x0.0p+0"),
+         ("-0x1.9a4d273199ea8p+4", "0x0.0p+0")],
+        ["0x1.9d1a080000000p-33", "0x1.a07706ca00995p-33", "0x1.a07706ca00995p-33",
+         "0x1.9d1a1a0000000p-33", "0x1.9d2f710000000p-32"],
     ),
     (
-        [("0x1.7239e62e3e642p+3", "0x0.0p+0"),
-         ("0x1.6e7f3ff7c1c71p+2", "0x0.0p+0"),
-         ("-0x1.e56bff099c000p-7", "0x1.3046c2e490443p-2"),
-         ("-0x1.e56bff099c000p-7", "-0x1.3046c2e490443p-2"),
-         ("0x1.e1a6cb72d026dp+7", "0x0.0p+0"),
-         ("-0x1.4cf05495baa51p+9", "0x0.0p+0")],
-        ["0x1.1ac0000000000p-23", "0x1.0c05900000000p-13", "0x1.2e31dec4bd341p-11",
-         "0x1.2e31dec4bd341p-11", "0x1.450f071800000p-1", "0x1.c4a6aa6480000p+0"],
+        [("0x1.7239e62e3e645p+3", "0x0.0p+0"),
+         ("-0x1.e56bff087a000p-7", "0x1.3046c2e424932p-2"),
+         ("-0x1.e56bff087a000p-7", "-0x1.3046c2e424932p-2"),
+         ("0x1.e1a6cb72d0264p+7", "0x0.0p+0"),
+         ("-0x1.4cf05495baa64p+9", "0x0.0p+0")],
+        ["0x1.2300000000000p-27", "0x1.0aebbb024dbf4p-13", "0x1.0aebbb024dbf4p-13",
+         "0x1.2e3599c000000p-9", "0x1.564caac000000p-6"],
     ),
     (
-        [],
-        [],
+        [("0x1.00540bccd485ep+0", "0x0.0p+0"),
+         ("0x1.08f53c9ee0492p+0", "0x1.f47604a7a04a6p-12"),
+         ("0x1.08f53c9ee0492p+0", "-0x1.f47604a7a04a6p-12"),
+         ("0x1.061b1c116298ap+0", "0x1.8bf04aa608269p-7"),
+         ("0x1.061b1c116298ap+0", "-0x1.8bf04aa608269p-7")],
+        ["0x1.8000000000000p-49", "0x1.b06b28767a687p-41", "0x1.b06b28767a687p-41",
+         "0x1.48794da1c3b91p-41", "0x1.48794da1c3b91p-41"],
     ),
     (
-        [("0x1.f707f5bd9255ep+6", "0x0.0p+0")],
-        ["0x1.4bda6d0000000p-13"],
+        [("-0x1.007a8a46b99d6p+7", "0x0.0p+0"),
+         ("0x1.fd0257ff11068p-1", "0x1.8dab8788b0682p-3"),
+         ("0x1.fd0257ff11068p-1", "-0x1.8dab8788b0682p-3"),
+         ("0x1.de4708c3b5978p-5", "0x1.8e89998aa7c9ep+0"),
+         ("0x1.de4708c3b5978p-5", "-0x1.8e89998aa7c9ep+0")],
+        ["0x1.abf5c20000000p-21", "0x1.abf5b80000003p-21", "0x1.abf5b80000003p-21",
+         "0x1.abf5b60000075p-21", "0x1.abf5b60000075p-21"],
     ),
     (
-        [("0x1.6ee61dd3ea118p+0", "0x0.0p+0"),
-         ("0x1.43d1fa7e2e33ep+0", "0x0.0p+0"),
-         ("0x1.a824c046ade50p+12", "0x0.0p+0"),
-         ("0x1.172e309f87810p+7", "0x0.0p+0"),
-         ("-0x1.7a53c978e0000p-5", "0x1.695cf9ad985d6p-1"),
-         ("-0x1.7a53c978e0000p-5", "-0x1.695cf9ad985d6p-1")],
-        ["0x1.543bc00000000p-14", "0x1.4c04400000000p-14", "0x1.f59bf5e457033p+23",
-         "0x1.715501fd80000p+0", "0x1.1556f28a170e6p-10", "0x1.1556f28a170e6p-10"],
+        [("0x1.6ee61dd328255p+0", "0x0.0p+0"),
+         ("0x1.a824c046adb60p+12", "0x0.0p+0"),
+         ("0x1.172e309f87830p+7", "0x0.0p+0"),
+         ("-0x1.7a53c97c48000p-5", "0x1.695cf9ad985d6p-1"),
+         ("-0x1.7a53c97c48000p-5", "-0x1.695cf9ad985d6p-1")],
+        ["0x1.3d99400000000p-15", "0x1.3978067c43800p+9", "0x1.9df5b20000000p-9",
+         "0x1.7413ad527aa54p-11", "0x1.7413ad527aa54p-11"],
     ),
     (
-        [("0x1.69e25cfdb5604p-2", "0x0.0p+0"),
-         ("0x1.0099b1cda7002p+0", "0x0.0p+0"),
-         ("0x1.a53ca016b64c7p+15", "0x0.0p+0"),
+        [("0x1.69e25cfdb535cp-2", "0x0.0p+0"),
+         ("0x1.a53ca016b69cep+15", "0x0.0p+0"),
          ("0x1.4bd1f4a89bb00p+7", "0x0.0p+0"),
          ("0x1.01c480f5c1effp+1", "0x0.0p+0"),
          ("0x1.0c65151d94202p+0", "0x0.0p+0")],
-        ["0x0.0p+0", "0x1.8000000000000p-26", "0x1.c2b68e0af72d7p+40",
-         "0x1.36aa28bcc0000p+5", "0x1.34f3e50000000p-2", "0x1.7b43300000000p-8"],
+        ["0x1.a400000000000p-22", "0x1.b1875725ee47dp+24", "0x1.fbbb568000000p-3",
+         "0x1.31736d2000000p-2", "0x1.013f39c000000p-3"],
     ),
     (
-        [("0x1.0ade6d716a5b1p+4", "0x0.0p+0"),
-         ("-0x1.3c3938c7e2451p+4", "0x0.0p+0"),
-         ("0x1.473bff3b71488p+13", "0x0.0p+0"),
-         ("0x1.3d55c57047a30p+8", "0x0.0p+0"),
-         ("0x1.0ddb28c013000p+0", "0x1.5f86d3df006fap-5"),
-         ("0x1.0ddb28c013000p+0", "-0x1.5f86d3df006fap-5")],
-        ["0x1.8800000000000p-16", "0x1.f600000000000p-15", "0x1.3db85c0bd62a0p+25",
-         "0x1.b115cf0000000p+2", "0x1.45a67b35acf8dp+0", "0x1.45a67b35acf8dp+0"],
+        [("0x1.0ade6d716a5afp+4", "0x0.0p+0"),
+         ("0x1.473bff3b71481p+13", "0x0.0p+0"),
+         ("-0x1.3c3938c7e2400p+4", "0x0.0p+0"),
+         ("0x1.0ddb28c013000p+0", "0x1.5f86eb2cd6cc2p-5"),
+         ("0x1.0ddb28c013000p+0", "-0x1.5f86eb2cd6cc2p-5")],
+        ["0x1.1c00000000000p-24", "0x1.e9aa59333e400p+12", "0x1.8daf000000000p-15",
+         "0x1.1bf81e6f923d7p-7", "0x1.1bf81e6f923d7p-7"],
+    ),
+    (
+        [],
+        [],
+    ),
+    (
+        [("0x1.555595c7e3a43p-2", "0x0.0p+0"),
+         ("0x1.00c4bd3c5be6ep+0", "0x0.0p+0"),
+         ("0x1.6e93daa96d21cp+20", "0x0.0p+0"),
+         ("-0x1.0000000000001p+0", "-0x0.0p+0")],
+        ["0x1.0000000000000p-34", "0x1.2000000000000p-31", "0x1.04708fc326c62p+50",
+         "0x1.8000000000000p-31"],
+    ),
+    (
+        [],
+        [],
     ),
 ]
 
@@ -421,6 +472,27 @@ def numpy_scalar_ferrari(a1, a2, a3, a4):
     return []
 
 
+def numpy_scalar_quartic(a1, a2, a3, a4):
+    """ferrari_roots's numpy-scalar form: the quartic's roots, else the
+    reversed quartic's inverted (by numpy's complex division) unless one
+    is 0; a form whose powers overflow a float gives none."""
+    def solve(*a):
+        try:
+            pa._ferrari(*a)
+        except OverflowError:
+            return []
+        return numpy_scalar_ferrari(*a)
+
+    roots = solve(a1, a2, a3, a4)
+    if roots or a4 == 0.0:
+        return roots
+    flipped = (a3 / a4, a2 / a4, a1 / a4, 1.0 / a4)
+    if not all(map(math.isfinite, flipped)):
+        return []
+    roots = solve(*flipped)
+    return [1.0 / np.complex128(y) for y in roots] if all(roots) else []
+
+
 def ferrari_outcome(solver, a):
     """float.hex of each root, or the error's type."""
     with np.errstate(all="ignore"):  # the numpy form rounds overflows to inf
@@ -429,30 +501,6 @@ def ferrari_outcome(solver, a):
         except ArithmeticError as err:
             return type(err)
     return [(z.real.hex(), z.imag.hex()) for z in map(complex, roots)]
-
-
-def array_sextic(g):
-    """The np.array formula that sextic_coeffs must reproduce bit for bit,
-    leading terms dropped while they stay below the ratio."""
-    num, den = map(np.array, quartic_pair(g))
-    q1, q2, q3, q4, q5 = num
-    q6, q7, q8, q9, q10 = den
-    raw = np.array([
-        q1 * q7 - q2 * q6,
-        2.0 * q1 * q8 - 2.0 * q3 * q6,
-        3.0 * q1 * q9 + q2 * q8 - q3 * q7 - 3.0 * q4 * q6,
-        4.0 * q1 * q10 + 2.0 * q2 * q9 - 2.0 * q4 * q7 - 4.0 * q5 * q6,
-        3.0 * q2 * q10 + q3 * q9 - q4 * q8 - 3.0 * q5 * q7,
-        2.0 * q3 * q10 - 2.0 * q5 * q8,
-        q4 * q10 - q5 * q9,
-    ])
-    if not np.all(np.isfinite(raw)):
-        raise DegenerateSexticError("stationarity polynomial coefficients are not finite")
-    while raw[0] == 0.0 or abs(raw[0]) < DEGENERATE_LEADING_RATIO * np.max(np.abs(raw[1:])):
-        raw = raw[1:]  # a leading term this small only adds a root beyond 1e12
-        if raw.size < 5:
-            raise DegenerateSexticError("stationarity polynomial degree fell below 4")
-    return np.array([1.0, *(raw[1:] / raw[0])])
 
 
 def array_deflate(coeffs, root):
@@ -498,7 +546,7 @@ monic_polys = st.one_of(
 
 
 # Gains and noise powers: log-uniform like the benchmark's draws, plus small
-# integers, whose ties (s1 = s2, all ones) hit the degenerate sextic, and
+# integers, whose ties (s1 = s2, all ones) lower the degree or degenerate it, and
 # extremes, whose products overflow to inf and NaN.
 _gain = st.one_of(
     st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
@@ -542,17 +590,22 @@ wide_quartics = st.one_of(
 # biquadratic branch ((beta - 0.5)^4, where every shift makes eta1
 # vanish), a pinned hicf quartic with roots near 6786 and 140 that passes
 # only because roots outside the unit disc are checked on the reversed
-# polynomial, a quartic no branch solves (roots near -3.1e5 and 1.02, from
-# gains with s2 = s4 = 0), and two whose powers overflow a float, so that
-# no roots come back.
+# polynomial, two hicf quartics from gains with s2 = s4 = 0 that only the
+# reversed quartic solves (roots near 1.5e6, -1, 1.003 and 1/3, from
+# s = (1, 0, 1, 0, 1, 1000, 1000, 0.001); and near -3.1e5 and 1.02), one
+# whose powers overflow a float but whose reversal passes, and two that
+# no form solves, one of them by overflowing both ways.
 FERRARI_BRANCHES = {
     "disc>=0": [0.0, 0.0, 0.0, -1.0],
     "disc<0": [1.0, 2.0, 3.0, 4.0],
     "biquadratic": [-2.0, 1.5, -0.5, 0.0625],
     "large-roots": [-6925.794792058536, 946661.437585781, 84032.67767247418, 473904.938939017],
-    "no-root": [309722.36820564396, 185116.27291934966, 168745.5647974005, -691300.4448231596],
-    "overflow-biquadratic": [2.080535099589462e16, 1.07901913528735e-41,
-                             -1.7211219990760307e-107, -3.7754064759765633e146],
+    "reversed": [-1501502.0030385058, 505008.50650943356, 1504507.004033572, -502004.50551436737],
+    "reversed-complex": [309722.36820564396, 185116.27291934966, 168745.5647974005,
+                         -691300.4448231596],
+    "overflow-reversed": [2.080535099589462e16, 1.07901913528735e-41,
+                          -1.7211219990760307e-107, -3.7754064759765633e146],
+    "no-root": [-1439582.007802343, -40.98755659102859, 1.526155036496721e-06, 0.5177436363633461],
     "overflow-no-root": [1e80, 1.0, 1.0, 1.0],
 }
 
@@ -571,76 +624,119 @@ def min_pairwise_distance(roots):
     return d.min()
 
 
+def linear_factors(g):
+    """The diagonal rate's linear factors L1, L2, L3, L4, L5, L6, Le as
+    highest-first numpy coefficient arrays, written out from the gains."""
+    s1, s2, s3, s4, s5, s6, s7, s8 = g.as_tuple()
+    leak, sa, sb, se = s7 + s8, g.sigma2_a, g.sigma2_b, g.sigma2_e
+    return [np.array([a - b, b + noise], dtype=float) for a, b, noise in (
+        (s1, s2, sa), (0.0, s2, sa), (s3, s4, sb), (0.0, s4, sb),
+        (s5, leak, se), (s6, leak, se), (0.0, leak, se))]
+
+
+def rate_ratio(g):
+    """N and D of R = log2(N / D) on the diagonal, by np.polymul."""
+    l1, l2, l3, l4, l5, l6, le = linear_factors(g)
+    return (np.polymul(np.polymul(l1, l3), np.polymul(le, le)),
+            np.polymul(np.polymul(l2, l4), np.polymul(l5, l6)))
+
+
 class TestSexticCoeffs:
-    def test_zero_gains_quartics_and_degeneracy(self):
+    def test_zero_gains_are_degenerate(self):
         g = ScalarGains(0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1)
-        num, den = quartic_pair(g)
-        assert num == (0.0, 0.0, 0.0, 0.0, 1.0) and den == (0.0, 0.0, 0.0, 0.0, 1.0)
         with pytest.raises(DegenerateSexticError, match="degree fell below 4"):
             sextic_coeffs(g)  # every stationarity coefficient vanishes
 
-    def test_all_ones_is_a_quintic(self):
-        # s1 = s2 zeroes q1 and the sextic's leading term: the quintic is left
+    def test_all_ones_is_a_quartic(self):
+        # s1 = s2 and s3 = s4 make N1 = L1 L3 constant: the quartic is left
         g = ScalarGains(1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1)
-        num, den = quartic_pair(g)
-        assert np.allclose(num, [0.0, 0.0, 16.0, -48.0, 36.0])
+        num, den = rate_ratio(g)
+        assert np.allclose(num, [16.0, -48.0, 36.0])  # np.polymul trims leading zeros
         assert np.allclose(den, [1.0, -10.0, 37.0, -60.0, 36.0])
-        # N = 4 (2 beta - 3)^2 and D = ((beta - 2)(beta - 3))^2: the roots are
-        # 3, 2, 1.5 and (3 +- sqrt 3) / 2
-        assert sextic_coeffs(g) == pytest.approx([1.0, -9.5, 34.5, -59.25, 47.25, -13.5], abs=1e-12)
+        # N = 4 (2 beta - 3)^2 and D = ((beta - 2)(beta - 3))^2: N'D - ND'
+        # has roots 3, 2, 1.5 and (3 +- sqrt 3) / 2, and Le = 3 - 2 beta
+        # takes 1.5
+        assert sextic_coeffs(g) == pytest.approx([1.0, -8.0, 22.5, -25.5, 9.0], abs=1e-12)
 
     @pytest.mark.parametrize("s, degree", [
-        ((1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0), 5),  # q6 = q7 = 0: the lead vanishes
-        ((0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0), 4),  # q1 = 0 as well
-        ((1.0, 1e-30, 1.0, 1e-30, 1.0, 1.0, 1.0, 1.0), 5),  # a lead 1e-30 of the rest
-        ((1.0, 1e-3, 1.0, 1e-3, 1.0, 1.0, 1.0, 1.0), 6),
+        ((1.0, 1e-3, 1.0, 1e-3, 1.0, 1.0, 1.0, 1.0), 5),
+        ((1.0, 1e-30, 1.0, 1e-30, 1.0, 1.0, 1.0, 1.0), 4),  # a lead 1e-30 of the rest
+        ((1.0, 0.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0), 4),  # D is a quadratic
+        ((0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0), None),  # N1 is linear as well
     ])
     def test_degree_follows_the_gains(self, s, degree):
-        assert len(sextic_coeffs(ScalarGains(*s, 1.0, 1.0, 1.0))) == degree + 1
+        g = ScalarGains(*s, 1.0, 1.0, 1.0)
+        if degree is None:
+            with pytest.raises(DegenerateSexticError, match="degree fell below 4"):
+                sextic_coeffs(g)
+        else:
+            assert len(sextic_coeffs(g)) == degree + 1
+        assert hicf(g).diagnostics["degree"] == degree
+
+    def test_generic_gains_record_a_quintic(self, rng):
+        for _ in range(20):
+            out = hicf(random_gains(rng))
+            assert out.diagnostics["degree"] == 5
+            assert list(out.diagnostics["newton_attempts"]) == ["newton-1"]
 
     @pytest.mark.parametrize("power_dbm", [0.0, 27.0, 40.0])
-    def test_max_sv_default_scene_is_a_quintic(self, power_dbm):
-        # s2 and s4 are about 1e-40 to 1e-35 against s1 of 3e-7 to 3e-3
+    def test_max_sv_default_scene_is_a_quartic(self, power_dbm):
+        # s2 and s4 are about 1e-40 to 1e-35 against s1 of 3e-7 to 3e-3:
+        # Ferrari solves the quartic with no Newton stage
         cfg = default_config(Pa_dbm=power_dbm, Pb_dbm=power_dbm)
         g = pipeline_gains(cfg, method="max-sv")
-        assert len(sextic_coeffs(g)) == 6
+        assert len(sextic_coeffs(g)) == 5
         out = hicf(g)
-        assert out.diagnostics["fallbacks"] == []
-        assert list(out.diagnostics["newton_attempts"]) == ["newton-1"]
+        assert out.diagnostics["degree"] == 4
+        assert out.diagnostics["fallbacks"] == [] and out.diagnostics["newton_attempts"] == {}
+        assert set(out.diagnostics["origins"]) == {"ferrari"}
 
     def test_hand_substituted_point(self):
-        # s = (3,1,2,1,1,1,1,1), all noise 1: exact integer arithmetic
+        # s = (3,1,2,1,1,1,1,1), all noise 1: exact integer arithmetic.
+        # N'D - ND' = -80 b^6 + 668 b^5 - 1838 b^4 + 1128 b^3 + 3138 b^2
+        # - 5400 b + 2376 = (3 - 2 b)(40 b^5 - 274 b^4 + 508 b^3 + 198 b^2
+        # - 1272 b + 792)
         g = ScalarGains(3, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1)
-        assert np.concatenate(quartic_pair(g)) == pytest.approx(
+        num, den = rate_ratio(g)
+        assert np.concatenate([num, den]) == pytest.approx(
             (8, 0, -38, 6, 36, 1, -10, 37, -60, 36), abs=1e-12)
         assert sextic_coeffs(g)[1:] == pytest.approx(
-            (-8.35, 22.975, -14.1, -39.225, 67.5, -29.7), abs=1e-12)
+            (-6.85, 12.7, 4.95, -31.8, 19.8), abs=1e-12)
 
-    def test_derivative_identity(self, rng):
-        # (q1 q7 - q2 q6) f(beta) == N'(beta) D(beta) - N(beta) D'(beta),
-        # relative to the natural evaluation scale sum_i |c_i| beta^i
+    def test_eve_denominator_identity(self, rng):
+        # Le(beta) lead P(beta) == N'(beta) D(beta) - N(beta) D'(beta),
+        # relative to the natural evaluation scale of N'D - ND'; lead is P's
+        # leading coefficient, read off the beta^(deg P + 1) term of
+        # N'D - ND', which is Le's slope times lead
         for _ in range(100):
             g = random_gains(rng)
-            num, den = quartic_pair(g)
-            lead = num[0] * den[1] - num[1] * den[0]
-            sc = np.array(sextic_coeffs(g))
-            raw = lead * sc
+            num, den = rate_ratio(g)
+            le = linear_factors(g)[-1]
+            raw = np.polysub(np.polymul(np.polyder(num), den), np.polymul(num, np.polyder(den)))
+            poly = np.array(sextic_coeffs(g))
+            lead = raw[raw.size - poly.size - 1] / le[0]
             for beta in rng.uniform(0, 1, size=10):
-                lhs = lead * np.polyval(sc, beta)
-                rhs = (np.polyval(np.polyder(num), beta) * np.polyval(den, beta)
-                       - np.polyval(num, beta) * np.polyval(np.polyder(den), beta))
+                lhs = lead * np.polyval(le, beta) * np.polyval(poly, beta)
                 scale = np.polyval(np.abs(raw), beta)
-                assert abs(lhs - rhs) < 1e-9 * max(scale, 1e-300)
+                assert abs(lhs - np.polyval(raw, beta)) < 1e-9 * max(scale, 1e-300)
 
     @settings(max_examples=400, deadline=None)
     @given(g=scalar_gains_st)
-    def test_matches_array_formula_bit_for_bit(self, g):
-        with np.errstate(all="ignore"):  # overflow is part of what is compared
-            want = hex_outcome(array_sextic, g)
-        assert hex_outcome(sextic_coeffs, g) == want
+    def test_monic_of_degree_four_or_five_or_refused(self, g):
+        # the lead left is at least the ratio times the rest: the drop rule ran
+        with np.errstate(all="ignore"):
+            try:
+                poly = sextic_coeffs(g)
+            except DegenerateSexticError as err:
+                assert str(err) in ("stationarity polynomial degree fell below 4",
+                                    "stationarity polynomial coefficients are not finite")
+                return
+        assert len(poly) in (5, 6) and poly[0] == 1.0
+        assert all(map(math.isfinite, poly))
+        assert max(map(abs, poly[1:])) <= 1.0 / DEGENERATE_LEADING_RATIO
 
     def test_roots_are_stationary_points(self, rng):
-        # restricted to scenarios whose sextic roots are resolvable: root
+        # restricted to scenarios whose polynomial roots are resolvable: root
         # accuracy (and hence the stationarity residual) degrades without
         # bound as roots coalesce
         found = 0
@@ -781,10 +877,9 @@ class TestFerrari:
     def test_pinned_quartics_with_large_roots(self):
         # rows 17-19 deflate to quartics with a root beyond 100: their
         # roots pass on the reversed polynomial, not on the plain bound
-        for s in [row[0] for row in HICF_PINNED[17:]]:
+        for s in [row[0] for row in HICF_PINNED[17:20]]:
             g = ScalarGains(*s, 1.0, 1.0, 1.0)
-            root1, root2 = hicf(g).diagnostics["roots"][:2]
-            quartic = deflate(deflate(sextic_coeffs(g), root1.real), root2.real)
+            quartic = deflate(sextic_coeffs(g), hicf(g).diagnostics["roots"][0].real)
             roots = ferrari_roots(*quartic[1:])
             assert len(roots) == 4 and max(map(abs, roots)) > 100.0
             bound = FERRARI_RESIDUAL_TOL * max(1.0, *map(abs, quartic[1:]))
@@ -833,36 +928,40 @@ class TestFerrari:
     @example(a=FERRARI_BRANCHES["disc<0"])
     @example(a=FERRARI_BRANCHES["biquadratic"])
     @example(a=FERRARI_BRANCHES["large-roots"])
+    @example(a=FERRARI_BRANCHES["reversed"])
+    @example(a=FERRARI_BRANCHES["reversed-complex"])
+    @example(a=FERRARI_BRANCHES["overflow-reversed"])
     @example(a=FERRARI_BRANCHES["no-root"])
-    @example(a=FERRARI_BRANCHES["overflow-biquadratic"])
     @example(a=FERRARI_BRANCHES["overflow-no-root"])
+    @example(a=[1.0, 0.0, 1e16, 1.0])  # the reversal's check passes a root at 0
     def test_matches_numpy_scalar_form_bit_for_bit(self, a):
-        # a power beyond the float range fails the formula, which returns
-        # no roots; elsewhere the numpy-scalar form's bits
+        # a power beyond the float range fails the formula, which gives no
+        # roots that way; elsewhere the numpy-scalar form's bits
         a = [float(c) for c in a]
-        if ferrari_outcome(pa._ferrari, a) is OverflowError:
-            want = []
-        else:
-            want = ferrari_outcome(numpy_scalar_ferrari, a)
-        assert ferrari_outcome(ferrari_roots, a) == want
+        assert ferrari_outcome(ferrari_roots, a) == ferrari_outcome(numpy_scalar_quartic, a)
 
     @pytest.mark.parametrize("branch", FERRARI_BRANCHES)
     def test_examples_take_their_branch(self, monkeypatch, branch):
         a = FERRARI_BRANCHES[branch]
         outcome = ferrari_outcome(ferrari_roots, a)
-        assert (outcome == []) is (branch.endswith("no-root") or branch.startswith("overflow"))
-        if branch.startswith("overflow"):
-            with pytest.raises(OverflowError):  # so the formula failed
-                pa._ferrari(*a)
+        direct = ferrari_outcome(pa._ferrari, a)
+        assert (outcome == []) is branch.endswith("no-root")
+        assert (direct is OverflowError) is branch.startswith("overflow")
+        # the reversed quartic answers where the quartic itself gives no roots
+        assert (direct in ([], OverflowError)) is ("reversed" in branch or
+                                                   branch.endswith("no-root"))
+        if branch.startswith("reversed"):
+            flipped = ferrari_outcome(pa._ferrari, [a[2] / a[3], a[1] / a[3], a[0] / a[3], 1 / a[3]])
+            assert len(flipped) == len(outcome) == 4
         monkeypatch.setattr(pa, "_resolvent_shifts", lambda gamma1, gamma2: [])
         patched = ferrari_outcome(ferrari_roots, a)
-        # overflow-biquadratic overflows in the resolvent alone: without it
-        # the biquadratic branch answers
-        from_resolvent = patched != outcome
-        assert from_resolvent is (
-            branch.startswith("disc") or branch in ("large-roots", "overflow-biquadratic"))
-        if branch == "overflow-biquadratic":
-            assert len(patched) == 4
+        if branch == "overflow-reversed":
+            # it overflows in the resolvent alone: without it the
+            # biquadratic branch answers the quartic itself
+            assert len(ferrari_outcome(pa._ferrari, a)) == 4
+        elif direct not in ([], OverflowError):
+            from_resolvent = patched != outcome
+            assert from_resolvent is (branch.startswith("disc") or branch == "large-roots")
         if branch.startswith("disc"):
             a1, a2, a3, a4 = a
             gamma1 = (3.0 * a1 * a3 - 12.0 * a4 - a2**2) / 3.0
@@ -870,6 +969,16 @@ class TestFerrari:
                       - 27.0 * a3**2 - 27.0 * a1**2 * a4) / 27.0
             disc = gamma2**2 / 4.0 + gamma1**3 / 27.0
             assert (disc >= 0.0) is (branch == "disc>=0")
+
+    def test_the_reversal_adds_roots_only_where_there_were_none(self):
+        # hicf's quartic for s = (1, 0, 1, 0, 1, 1000, 1000, 0.001), unit
+        # noise: every form of the quartic itself fails its check
+        a = FERRARI_BRANCHES["reversed"]
+        assert pa._ferrari(*a) == []
+        roots = sorted(z.real for z in ferrari_roots(*a))
+        want = sorted(companion_roots([1.0, *a]).real)
+        assert np.allclose(roots, want, rtol=1e-9)
+        assert roots[0] == pytest.approx(-1.0) and roots[1] == pytest.approx(1.0 / 3.0, abs=1e-5)
 
     @settings(max_examples=400, deadline=None)
     @given(a=quartics)
@@ -1100,42 +1209,8 @@ class TestHicf:
         assert quotient == deflate(coeffs, root) and attempts == 2
         assert pa._newton_stage([1.0, 0.0, 1.0], [0.0, 0.7]) == (None, None, 2)
 
-    @settings(max_examples=200, deadline=None)
-    @given(beta1=st.floats(allow_nan=False, allow_infinity=False))
-    def test_stage2_restarts_avoid_the_first_root(self, beta1):
-        # every finite beta(1) leaves a non-empty stage-2 domain
-        points = pa._stage_inits(2, beta1=beta1)
-        assert len(points) == pa.NEWTON_RESTARTS
-        assert all(-1e-12 <= p <= 1.0 + 1e-12 for p in points)
-        if 0.5 < beta1 < 1.0:
-            assert all(p <= 0.5 or p >= beta1 for p in points)
-        else:
-            assert all(abs(p - beta1) >= 0.02 - 1e-12 for p in points)
-
-    @pytest.mark.parametrize("stage, beta1, first, segments", [
-        (1, None, [0.5], [(0.0, 1.0)]),
-        (2, 0.75, [], [(0.0, 0.5), (0.75, 1.0)]),
-        (2, 0.999999, [], [(0.0, 0.5), (0.999999, 1.0)]),
-        (2, 0.5, [], [(0.0, 0.5 - 0.02), (0.5 + 0.02, 1.0)]),
-        (2, 0.3, [], [(0.0, 0.3 - 0.02), (0.3 + 0.02, 1.0)]),
-        (2, 0.01, [], [(0.01 + 0.02, 1.0)]),
-        (2, 0.02, [], [(0.02 + 0.02, 1.0)]),
-        (2, 0.98, [], [(0.0, 0.5), (0.98, 1.0)]),
-        (2, 1.0, [], [(0.0, 1.0 - 0.02)]),
-        (2, 1.7, [], [(0.0, 1.0)]),
-        (2, -0.4, [], [(0.0, 1.0)]),
-    ])
-    def test_stage_inits_are_the_stratum_midpoints(self, stage, beta1, first, segments):
-        # the k-th start sits at arc length (k + 0.5) / 8 of the joined segments
-        ends = np.cumsum([hi - lo for lo, hi in segments])
-        want = list(first)
-        for k in range(pa.NEWTON_RESTARTS):
-            u = (k + 0.5) / pa.NEWTON_RESTARTS * ends[-1]
-            i = min(int(np.searchsorted(ends, u)), len(segments) - 1)
-            want.append(segments[i][0] + u - (ends[i - 1] if i else 0.0))
-        got = pa._stage_inits(stage, beta1=beta1)
-        assert type(got) is list and got == pa._stage_inits(stage, beta1=beta1)
-        assert got == pytest.approx(want, rel=0.0, abs=1e-15)
+    def test_newton_starts_are_half_then_the_stratum_midpoints(self):
+        assert pa.NEWTON_STARTS == (0.5, *[(k + 0.5) / 8 for k in range(8)])
 
     def test_monotone_scenario_boundary_candidate(self):
         g = ScalarGains(2.0, 0.5, 3.0, 0.8, 0.0, 0.0, 1.0, 1.0, 0.5, 0.5, 0.5)
@@ -1152,7 +1227,7 @@ class TestHicf:
             assert abs(oh.ssr - oe.ssr) <= 1e-6
 
     def test_root_multiset_matches_companion(self, rng):
-        # scenarios with clustered sextic roots are skipped: per-root
+        # scenarios with clustered polynomial roots are skipped: per-root
         # matching below 1e-6 is only well-posed when the roots are
         # resolvable by any method, the oracle included
         fallbacks = 0
@@ -1179,7 +1254,7 @@ class TestHicf:
                 continue
             sc = sextic_coeffs(g)
             bound = 1e-6 * max(np.abs(sc))
-            assert len(out.diagnostics["root_residuals"]) == 6
+            assert len(out.diagnostics["root_residuals"]) == 5
             assert max(out.diagnostics["root_residuals"]) <= bound
 
     def test_reconstruction_of_sextic(self, rng):
@@ -1214,31 +1289,40 @@ class TestHicf:
         assert 0.0 <= out.beta1 <= 1.0 and out.beta1 == out.beta2
         assert out.ssr == pytest.approx(ssr(out.beta1, out.beta2, g), abs=1e-12)
         origins = {c.origin for c in out.candidates}
-        assert origins <= {"newton-1", "newton-2", "ferrari", "boundary", "refined"}
+        assert origins <= {"newton-1", "ferrari", "boundary", "refined"}
         assert {"boundary"} <= origins
 
-    def test_degenerate_sextic_falls_back_to_grid(self):
+    def test_degenerate_sextic_scores_the_grid_point(self):
         g = ScalarGains(0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1)  # every coefficient vanishes
         out = hicf(g)
         assert out.method == "hicf"
         assert out.diagnostics["fallbacks"] == ["degenerate-sextic->es1d"]
-        assert out.ssr == pytest.approx(es_1d(g).ssr)
+        assert out.diagnostics["degree"] is None and out.diagnostics["roots"] == []
+        assert [c.origin for c in out.candidates] == ["boundary", "es1d", "boundary"]
+        assert out.ssr == es_1d(g).ssr == 0.0
 
-    def test_all_ones_quintic_scores_at_least_the_grid(self):
+    def test_degenerate_sextic_refines_the_grid_point(self):
+        # s1 = s2 = 0 and s4 = 0 leave a cubic: the refinement from es1d's
+        # grid point reaches the fine grid's optimum
+        g = ScalarGains(0.0, 0.0, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0)
+        out = hicf(g)
+        assert out.diagnostics["fallbacks"] == ["degenerate-sextic->es1d"]
+        assert out.ssr >= es_1d(g).ssr
+        assert out.ssr >= es_1d(g, step=1e-5).ssr - 1e-12
+
+    def test_all_ones_quartic_scores_at_least_the_grid(self):
         g = ScalarGains(1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1)
         out = hicf(g)
-        assert out.diagnostics["fallbacks"] == []
-        assert list(out.diagnostics["newton_attempts"]) == ["newton-1"]
-        assert len(out.diagnostics["roots"]) == 5
+        assert out.diagnostics["fallbacks"] == [] and out.diagnostics["newton_attempts"] == {}
+        assert len(out.diagnostics["roots"]) == 4
         assert out.beta1 == pytest.approx((3.0 - math.sqrt(3.0)) / 2.0, abs=1e-12)
         assert out.ssr >= es_1d(g).ssr
 
-    def test_overflowing_quartics_fall_back_to_grid(self):
-        with pytest.raises(OverflowError):
-            quartic_pair(OVERFLOWING_GAINS)
-        with pytest.raises(DegenerateSexticError, match="the rate quartics overflow"):
-            sextic_coeffs(OVERFLOWING_GAINS)
+    def test_overflowing_gains_fall_back_to_grid(self):
+        # products beyond the float range are inf, and their differences NaN
         with np.errstate(all="ignore"):
+            with pytest.raises(DegenerateSexticError, match="not finite"):
+                sextic_coeffs(OVERFLOWING_GAINS)
             out = hicf(OVERFLOWING_GAINS)
         assert out.diagnostics["fallbacks"] == ["degenerate-sextic->es1d"]
 
@@ -1246,24 +1330,30 @@ class TestHicf:
     @given(g=extreme_gains)
     @example(g=OVERFLOWING_GAINS)
     def test_never_raises_on_extreme_gains(self, g):
-        # an overflow takes its stage's fallback; the grid fallback's
-        # outcome is es1d's, bit for bit
+        # an overflow takes its stage's fallback; the grid fallback scores
+        # es1d's point among its candidates
         with np.errstate(all="ignore"):
             out = hicf(g)
             if "degenerate-sextic->es1d" in out.diagnostics["fallbacks"]:
                 grid = es_1d(g)
-                assert (out.beta1.hex(), out.beta2.hex(), out.ssr.hex()) == (
-                    grid.beta1.hex(), grid.beta2.hex(), grid.ssr.hex())
+                assert grid.beta1 in [c.beta for c in out.candidates if c.origin == "es1d"]
         assert 0.0 <= out.beta1 == out.beta2 <= 1.0
 
     @settings(max_examples=300, deadline=None)
     @given(g=zero_leak_gains)
     @example(g=ScalarGains(1.0, 0.0, 1.0, 0.0, 1.0, 1000.0, 1000.0, 0.001, 1.0, 1.0, 1.0))
     def test_zero_noise_leaks_find_the_oracle_roots_in_the_unit_interval(self, g):
-        # the example's quartic (roots near 1.5e6, -1 and 1.00) defeats
-        # Ferrari, which loses no root in [0, 1]
-        poly = sextic_coeffs(g)
-        assert len(poly) <= 6
+        # the example's quartic (roots near 1.5e6, -1, 1.003 and 1/3) is
+        # solved only reversed, and no root in [0, 1] is lost; a polynomial
+        # that degenerates scores es1d's point instead
+        try:
+            poly = sextic_coeffs(g)
+        except DegenerateSexticError:
+            out = hicf(g)
+            assert out.diagnostics["fallbacks"] == ["degenerate-sextic->es1d"]
+            assert out.ssr >= es_1d(g).ssr
+            return
+        assert len(poly) <= 5
 
         def unit_interval(roots):
             return sorted(z.real for z in map(complex, roots)
@@ -1275,21 +1365,21 @@ class TestHicf:
         assert all(abs(x - y) <= 1e-6 for x, y in zip(got, want))
 
     def test_large_root_quartic_keeps_its_interior_optimum(self):
-        # s2 = s4 = 0 with unequal noise powers: the quintic's quartic has a
-        # root near -1.2e4, and the interior optimum 0.106 comes from
-        # Ferrari only when that root is checked on the reversed polynomial
+        # s2 = s4 = 0 with unequal noise powers: the quartic has a root
+        # near -1.2e4, and the interior optimum 0.106 comes from Ferrari
+        # only when that root is checked on the reversed polynomial
         g = ScalarGains(119.80610261772773, 0.0, 0.0040245001717925544, 0.0,
                         0.0013037954411192596, 27.26248006218798, 0.16261680531496212,
                         0.04679056785876473, 0.05913072505353595, 98.1983756555373,
                         0.0746540536147829)
         out = hicf(g)
-        assert out.diagnostics["fallbacks"] == [] and len(out.diagnostics["roots"]) == 5
+        assert out.diagnostics["fallbacks"] == [] and len(out.diagnostics["roots"]) == 4
         assert out.beta1 == pytest.approx(0.1061, abs=1e-4)
         assert out.ssr >= es_1d(g, step=1e-5).ssr
 
     def test_max_sv_scenario_near_degenerate_sextic(self):
         # the singular-pair design nulls the noise beams at the receivers,
-        # so s2 = s4 ~ 0 and the sextic's leading term drops out; the
+        # so s2 = s4 ~ 0 and the quintic's leading term drops out; the
         # optimizer must still match the fine grid through its candidates
         cfg = default_config(M=128)
         g = pipeline_gains(cfg, method="max-sv")
@@ -1319,23 +1409,11 @@ class TestHicfPinned:
             assert (root.real.hex(), root.imag.hex()) == (re_hex, im_hex)
             assert residual.hex() == residual_hex
 
-    @pytest.mark.parametrize("s, fallbacks", [row[:1] + row[4:] for row in HICF_PINNED])
-    def test_stage2_starts_built_once_only_after_newton1_succeeds(self, monkeypatch, s, fallbacks):
-        calls = []
-        build = pa._stage_inits
-
-        def counting(stage, beta1=None):
-            calls.append(stage)
-            return build(stage, beta1=beta1)
-
-        monkeypatch.setattr(pa, "_stage_inits", counting)
-        hicf(ScalarGains(*s, 1.0, 1.0, 1.0))
-        assert calls.count(2) == (0 if "no-root:newton-1" in fallbacks else 1)
-
     @pytest.mark.parametrize("s, attempts, fallbacks", [row[:1] + row[3:] for row in HICF_PINNED])
-    def test_stage1_restarts_tried_only_after_half_fails(self, monkeypatch, s, attempts, fallbacks):
-        # each stage walks its fixed starts in order and stops at the first
-        # root that deflates: stage 1 leaves 0.5 only when Newton fails there
+    def test_restarts_tried_only_after_half_fails(self, monkeypatch, s, attempts, fallbacks):
+        # the Newton stage walks its fixed starts in order and stops at the
+        # first root that deflates: it leaves 0.5 only when Newton fails
+        # there, and a quartic or a degenerate polynomial runs no Newton
         starts = []
         solve = pa.newton_root
 
@@ -1344,13 +1422,8 @@ class TestHicfPinned:
             return solve(coeffs, beta0)
 
         monkeypatch.setattr(pa, "newton_root", recording)
-        diag = hicf(ScalarGains(*s, 1.0, 1.0, 1.0)).diagnostics
-        assert starts[0] == 0.5
-        n1 = attempts["newton-1"]
-        want = pa._stage_inits(1)[:n1]
-        if "no-root:newton-1" not in fallbacks:
-            want += pa._stage_inits(2, beta1=diag["roots"][0].real)[:attempts["newton-2"]]
-        assert starts == want
+        hicf(ScalarGains(*s, 1.0, 1.0, 1.0))
+        assert starts == list(pa.NEWTON_STARTS[:attempts.get("newton-1", 0)])
 
 
 # pa-fuzz gain draws (s1..s8, unit noise powers) whose root clusters near
@@ -1369,6 +1442,23 @@ SEEDED_FLOORS = [
     ((0.017220016739889443, 516.7017558726817, 3.2419954733030387, 0.476318673922515,
       0.02637924156386193, 0.00200466473005201, 537.6602377724203, 0.29147678030487884),
      2.073957105461273),
+]
+
+
+# Log-uniform gain draws (s1..s8, unit noise powers) and the SSR hicf
+# reached on each from the sextic N'D - ND'; on the quintic, refining only
+# the best candidate lands up to 0.049 bits below it, and refining every
+# candidate reaches it.
+EVERY_CANDIDATE_FLOORS = [
+    ((0.2040617201096504, 242.62171376915848, 56.0104688921828, 533.8493694935678,
+      1.3533613246725098, 0.0013818441488185236, 944.8347185871497, 658.1908709947212),
+     4.937086658341237),
+    ((0.012986894726117122, 422.41686105662626, 4.9998239512950775, 509.55686242134243,
+      0.004554573170080197, 3.237472895163764, 782.2206491716502, 0.25130720486523617),
+     0.6310908613469561),
+    ((0.14897197901539064, 122.29925086165025, 0.0016199527327738462, 57.708775164847346,
+      0.003938376488045496, 0.052777587064150845, 522.161770012595, 7.487857427910222),
+     0.12928488501079538),
 ]
 
 
@@ -1416,6 +1506,16 @@ class TestHicfIsAFunctionOfTheGains:
         assert chosen.origin == "refined" and chosen.beta == out.beta1
         assert chosen.objective > max(c.objective for c in out.candidates[:-1])
 
+    @pytest.mark.parametrize("s, floor", EVERY_CANDIDATE_FLOORS)
+    def test_refinement_from_every_candidate_reaches_the_sextic_outcome(self, s, floor):
+        g = ScalarGains(*s, 1.0, 1.0, 1.0)
+        out = hicf(g)
+        assert out.ssr >= floor - 1e-12
+        assert out.candidates[-1].origin == "refined"
+        best = max(out.candidates[:-1], key=lambda c: c.objective)
+        beta = pa._refine(g, best.beta)  # the best candidate alone falls short
+        assert rate_objective(beta, beta, g) < floor - 1e-12
+
     @pytest.mark.parametrize("s", [row[0] for row in HICF_PINNED] + [s for s, _ in SEEDED_FLOORS])
     def test_refinement_never_lowers_the_outcome(self, monkeypatch, s):
         g = ScalarGains(*s, 1.0, 1.0, 1.0)
@@ -1430,19 +1530,18 @@ class TestHicfIsAFunctionOfTheGains:
         else:
             assert outcome_bits(out) == outcome_bits(plain)
 
-    # pa-fuzz seed 11 draw 297: newton-1 finds no root, and only the
-    # refinement from the boundary reaches the seeded reference's SSR
+    # pa-fuzz seed 11 draw 297: Newton found no root of its sextic, and
+    # only the refinement from the boundary reached the seeded reference's
+    # SSR; Newton finds a root of its quintic
     NO_ROOT_DRAW = ScalarGains(0.00586557305415664, 205.22975627282844, 1.207010821496805,
                                1.1114023114303844, 0.015662876696468462, 0.0012893086617353326,
                                807.7870508801361, 0.10232316634903894, 1.0, 1.0, 1.0)
     NO_ROOT_FLOOR = 1.1354766164054013
 
-    def test_refinement_reaches_the_reference_with_no_root(self, monkeypatch):
+    def test_quintic_root_reaches_the_reference_where_the_sextic_had_none(self):
         out = hicf(self.NO_ROOT_DRAW)
-        assert out.diagnostics["fallbacks"] == ["no-root:newton-1"]
+        assert out.diagnostics["fallbacks"] == [] and "newton-1" in out.diagnostics["origins"]
         assert out.ssr >= self.NO_ROOT_FLOOR - 1e-12
-        monkeypatch.setattr(pa, "REFINE_STEPS", 4)  # too few steps from beta = 1
-        assert hicf(self.NO_ROOT_DRAW).ssr < self.NO_ROOT_FLOOR - 1e-12
 
     def test_refinement_stops_on_a_two_point_cycle(self, monkeypatch):
         # pa-fuzz seed 1 draw 18: from its best root the Newton steps on R'
