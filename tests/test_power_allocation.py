@@ -1425,6 +1425,41 @@ class TestHicfPinned:
         hicf(ScalarGains(*s, 1.0, 1.0, 1.0))
         assert starts == list(pa.NEWTON_STARTS[:attempts.get("newton-1", 0)])
 
+    @pytest.mark.parametrize("s, fallbacks", [row[:1] + row[4:] for row in HICF_PINNED])
+    def test_one_newton_stage_only_on_a_quintic(self, monkeypatch, s, fallbacks):
+        # a quintic runs one Newton stage from NEWTON_STARTS and Ferrari on
+        # its deflated quartic; a quartic goes straight to Ferrari; a failed
+        # stage or a degenerate polynomial runs no Ferrari
+        stages, quartics = [], []
+        stage, solve = pa._newton_stage, pa.ferrari_roots
+
+        def recording_stage(coeffs, inits):
+            stages.append((list(coeffs), tuple(inits)))
+            return stage(coeffs, inits)
+
+        def recording_ferrari(*a):
+            quartics.append(list(a))
+            return solve(*a)
+
+        monkeypatch.setattr(pa, "_newton_stage", recording_stage)
+        monkeypatch.setattr(pa, "ferrari_roots", recording_ferrari)
+        g = ScalarGains(*s, 1.0, 1.0, 1.0)
+        diag = hicf(g).diagnostics
+        if "degenerate-sextic->es1d" in fallbacks:
+            assert diag["degree"] is None and stages == quartics == []
+            return
+        poly = sextic_coeffs(g)
+        assert diag["degree"] == len(poly) - 1
+        if diag["degree"] == 4:
+            assert stages == [] and quartics == [poly[1:]]
+            return
+        assert stages == [(poly, pa.NEWTON_STARTS)]
+        if "no-root:newton-1" in fallbacks:
+            assert quartics == []
+        else:
+            assert diag["origins"][0] == "newton-1"
+            assert quartics == [deflate(poly, diag["roots"][0].real)[1:]]
+
 
 # pa-fuzz gain draws (s1..s8, unit noise powers) whose root clusters near
 # beta -> 1 the fixed Newton starts miss, and the SSR hicf reached on each
