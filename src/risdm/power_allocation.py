@@ -11,16 +11,20 @@ Four strategies over the split factors (beta1, beta2):
   condition, the paper's sextic with Eve's shared denominator divided out
   (that root lies above 1), is a monic quintic, or a quartic where the
   gains null its leading term.  One Newton-Raphson root extraction with
-  synthetic deflation, from fixed starts, reduces a quintic to a quartic
-  solved by Ferrari's radical formula; the optimum is picked from the
-  real roots in [0, 1] plus the interval boundaries, each refined by
-  Newton on the rate's derivative.  A function of the gains alone.
+  synthetic deflation, from fixed starts of at most ``NEWTON_MAX_ITER``
+  = 30 steps each, reduces a quintic to a quartic solved by Ferrari's
+  radical formula; the optimum is picked from the real roots in [0, 1]
+  plus the interval boundaries, each refined by Newton on the rate's
+  derivative.  A function of the gains alone.
 
-Every root comes from a closed form: a Newton stage whose every start
-fails, or a Ferrari that fails on the quartic and on its reversal, adds
-no roots and records ``no-root:<stage>``, and a polynomial of degree
-below 4 or with a coefficient that is not finite adds es1d's grid point
-as a candidate.  :func:`companion_roots` is the closed forms' test oracle.
+Every root comes from a closed form.  Where one is missing, es1d's grid
+point is scored instead: a Newton stage whose every start fails, or a
+Ferrari that fails on the quartic and on its reversal, adds no roots and
+records ``no-root:<stage>``, a polynomial of degree below 4 or with a
+coefficient that is not finite records ``degenerate-sextic->es1d``, and
+each adds es1d's grid point as a candidate.  So the cap can lose only a
+root that the 1e-3 grid and the refinement from it also miss.
+:func:`companion_roots` is the closed forms' test oracle.
 
 The root stages run on lists of Python floats.  Newton and deflation keep
 the operation order of the numpy forms they replaced (``np.polyval``'s
@@ -49,10 +53,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .rates import _objective, rate_objective, ssr
+from .rates import _objective, ssr
 
 NEWTON_TOL = 1e-5  # stop when |beta^{p+1} - beta^p| falls below this
-NEWTON_MAX_ITER = 200
+NEWTON_MAX_ITER = 30  # steps per start; a stage with no root scores es1d's grid point
 # Newton's starts: 0.5, then the midpoints of eight equal strata of (0, 1)
 NEWTON_STARTS = (0.5, *((k + 0.5) / 8 for k in range(8)))
 REFINE_STEPS = 16  # Newton steps on R' from each hicf candidate
@@ -104,27 +108,21 @@ class PaOutcome:
 
 
 def _diagonal_factors(g):
-    """The diagonal rate's seven linear factors, as (weight, a, b, noise).
+    """The diagonal rate's seven linear factors, as (weight, a - b, a, b, noise).
 
     On beta1 = beta2 = beta, R ln 2 is the sum of weight ln L over the
-    factors L = beta a + (1 - beta) b + noise: each rate term's numerator
-    (weight 1 for Alice's and Bob's, -1 for Eve's two) and denominator
-    (the opposite weight), Eve's shared denominator Le last, with weight 2.
-    All are positive on [0, 1], and the weights sum to 0.
+    factors L = beta a + (1 - beta) b + noise = (a - b) beta + b + noise:
+    each rate term's numerator (weight 1 for Alice's and Bob's, -1 for
+    Eve's two) and denominator (the opposite weight), Eve's shared
+    denominator Le last, with weight 2.  All are positive on [0, 1], and
+    the weights sum to 0.  :func:`hicf` builds them once for the
+    polynomial and the refinement.
     """
     s1, s2, s3, s4, s5, s6, s7, s8 = g.as_tuple()
     leak, sa, sb, se = s7 + s8, g.sigma2_a, g.sigma2_b, g.sigma2_e
-    return ((1.0, s1, s2, sa), (-1.0, 0.0, s2, sa), (1.0, s3, s4, sb), (-1.0, 0.0, s4, sb),
-            (-1.0, s5, leak, se), (-1.0, s6, leak, se), (2.0, 0.0, leak, se))
-
-
-def _polymul(p, q):
-    """Product of two highest-first coefficient lists."""
-    out = [0.0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return out
+    return tuple((weight, a - b, a, b, noise) for weight, a, b, noise in (
+        (1.0, s1, s2, sa), (-1.0, 0.0, s2, sa), (1.0, s3, s4, sb), (-1.0, 0.0, s4, sb),
+        (-1.0, s5, leak, se), (-1.0, s6, leak, se), (2.0, 0.0, leak, se)))
 
 
 def sextic_coeffs(g):
@@ -149,13 +147,50 @@ def sextic_coeffs(g):
         If a coefficient is not finite, or the degree falls below 4; the
         optimizer then scores the 1-D grid search's point instead.
     """
-    l1, l2, l3, l4, l5, l6, le = [[a - b, b + noise] for _, a, b, noise in _diagonal_factors(g)]
-    n1 = _polymul(l1, l3)  # a quadratic
-    d = _polymul(_polymul(l2, l4), _polymul(l5, l6))  # a quartic
-    outer = [p + 2.0 * le[0] * q for p, q in zip(_polymul([2.0 * n1[0], n1[1]], le), n1)]
-    d_prime = [4.0 * d[0], 3.0 * d[1], 2.0 * d[2], d[3]]
-    left, right = _polymul(outer, d), _polymul(_polymul(n1, le), d_prime)
-    raw = [p - q for p, q in zip(left[1:], right[1:])]  # beta^6 cancels
+    return _stationary(_diagonal_factors(g))
+
+
+def _stationary(factors):
+    """:func:`sextic_coeffs` from the factors of :func:`_diagonal_factors`.
+
+    Each factor is the line u beta + v, u = a - b and v = b + noise.  The
+    products are written out in the order of a generic product of
+    highest-first coefficient lists, in which coefficient k of p q is
+    0.0 + p0 q_k + p1 q_(k-1) + ..., summed from the left, so every
+    coefficient has that product's bits.
+    """
+    (_, u1, _, b1, n1), (_, u2, _, b2, n2), (_, u3, _, b3, n3), (_, u4, _, b4, n4), \
+        (_, u5, _, b5, n5), (_, u6, _, b6, n6), (_, ue, _, be, ne) = factors
+    v1, v2, v3, v4, v5, v6, ve = b1 + n1, b2 + n2, b3 + n3, b4 + n4, b5 + n5, b6 + n6, be + ne
+    # N1 = L1 L3 as m, and D = (L2 L4)(L5 L6) as x times y
+    m0, m1, m2 = 0.0 + u1 * u3, 0.0 + u1 * v3 + v1 * u3, 0.0 + v1 * v3
+    x0, x1, x2 = 0.0 + u2 * u4, 0.0 + u2 * v4 + v2 * u4, 0.0 + v2 * v4
+    y0, y1, y2 = 0.0 + u5 * u6, 0.0 + u5 * v6 + v5 * u6, 0.0 + v5 * v6
+    d0 = 0.0 + x0 * y0
+    d1 = 0.0 + x0 * y1 + x1 * y0
+    d2 = 0.0 + x0 * y2 + x1 * y1 + x2 * y0
+    d3 = 0.0 + x1 * y2 + x2 * y1
+    d4 = 0.0 + x2 * y2
+    # outer = N1' Le + 2 Le' N1, the first product as [2 m0, m1] times Le
+    twice, lead = 2.0 * m0, 2.0 * ue
+    o0 = 0.0 + twice * ue + lead * m0
+    o1 = 0.0 + twice * ve + m1 * ue + lead * m1
+    o2 = 0.0 + m1 * ve + lead * m2
+    # D' and N1 Le
+    e0, e1, e2, e3 = 4.0 * d0, 3.0 * d1, 2.0 * d2, d3
+    c0 = 0.0 + m0 * ue
+    c1 = 0.0 + m0 * ve + m1 * ue
+    c2 = 0.0 + m1 * ve + m2 * ue
+    c3 = 0.0 + m2 * ve
+    # outer D - N1 Le D', its beta^6 term cancelling
+    raw = [
+        (0.0 + o0 * d1 + o1 * d0) - (0.0 + c0 * e1 + c1 * e0),
+        (0.0 + o0 * d2 + o1 * d1 + o2 * d0) - (0.0 + c0 * e2 + c1 * e1 + c2 * e0),
+        (0.0 + o0 * d3 + o1 * d2 + o2 * d1) - (0.0 + c0 * e3 + c1 * e2 + c2 * e1 + c3 * e0),
+        (0.0 + o0 * d4 + o1 * d3 + o2 * d2) - (0.0 + c1 * e3 + c2 * e2 + c3 * e1),
+        (0.0 + o1 * d4 + o2 * d3) - (0.0 + c2 * e3 + c3 * e2),
+        (0.0 + o2 * d4) - (0.0 + c3 * e3),
+    ]
     if not all(map(math.isfinite, raw)):
         raise DegenerateSexticError("stationarity polynomial coefficients are not finite")
     while raw[0] == 0.0 or abs(raw[0]) < DEGENERATE_LEADING_RATIO * max(map(abs, raw[1:])):
@@ -210,8 +245,9 @@ def newton_root(coeffs, beta):
 
     Iterates beta <- beta - f(beta)/f'(beta) until the step is <=
     ``NEWTON_TOL``.  Raises :class:`NewtonError` when the derivative
-    vanishes or ``NEWTON_MAX_ITER`` iterations do not converge, and
-    ``ValueError`` for a degree above 6.
+    vanishes or ``NEWTON_MAX_ITER`` (30) iterations do not converge, and
+    ``ValueError`` for a degree above 6.  hicf then tries its next start;
+    when every start fails it scores es1d's grid point instead.
 
     The polynomial and its derivative are zero-padded on the left to
     degree 6 and 5 and evaluated as two written-out Horner expressions
@@ -518,27 +554,33 @@ def _newton_stage(coeffs, inits):
     return None, None, attempts
 
 
-def _refine(g, beta):
+def _refine(factors, beta):
     """Up to ``REFINE_STEPS`` Newton steps on R'(beta) from ``beta``: the last point reached.
 
     Over the factors of :func:`_diagonal_factors`, R' ln 2 is the sum of
     weight (a - b) / L and R'' ln 2 minus that of weight ((a - b) / L)^2:
     sums that stay accurate where the expanded polynomial's roots cluster.
-    Stops where R'' >= 0 (or is NaN), where a step would leave [0, 1], and
-    at a fixed point or a last-bit 2-cycle.
+    The seven terms are written out with their weights' signs, summed from
+    0.0 in the factors' order.  Stops where R'' >= 0 (or is NaN), where a
+    step would leave [0, 1], and at a fixed point or a last-bit 2-cycle.
     """
-    factors = [(weight, a - b, a, b, noise) for weight, a, b, noise in _diagonal_factors(g)]
+    (_, u1, a1, b1, n1), (_, u2, a2, b2, n2), (_, u3, a3, b3, n3), (_, u4, a4, b4, n4), \
+        (_, u5, a5, b5, n5), (_, u6, a6, b6, n6), (_, ue, ae, be, ne) = factors
     last = None
     for _ in range(REFINE_STEPS):
-        slope = curvature = 0.0
         rest = 1.0 - beta
-        for weight, span, a, b, noise in factors:
-            ratio = span / (beta * a + rest * b + noise)
-            term = weight * ratio
-            slope += term
-            curvature -= term * ratio
+        r1 = u1 / (beta * a1 + rest * b1 + n1)
+        r2 = u2 / (beta * a2 + rest * b2 + n2)
+        r3 = u3 / (beta * a3 + rest * b3 + n3)
+        r4 = u4 / (beta * a4 + rest * b4 + n4)
+        r5 = u5 / (beta * a5 + rest * b5 + n5)
+        r6 = u6 / (beta * a6 + rest * b6 + n6)
+        re = ue / (beta * ae + rest * be + ne)
+        twice = 2.0 * re  # Le's weight
+        curvature = 0.0 - r1 * r1 + r2 * r2 - r3 * r3 + r4 * r4 + r5 * r5 + r6 * r6 - twice * re
         if not curvature < 0.0:
             break
+        slope = 0.0 + r1 - r2 + r3 - r4 - r5 - r6 + twice
         beta_next = beta - slope / curvature
         if not 0.0 <= beta_next <= 1.0 or beta_next in (beta, last):
             break
@@ -550,26 +592,29 @@ def hicf(g):
     """Hybrid iterative/closed-form split optimization on the diagonal.
 
     Pipeline: the stationarity polynomial (:func:`sextic_coeffs`); on a
-    quintic, one Newton stage (``newton-1``) from ``NEWTON_STARTS`` whose
-    root deflates it; Ferrari on the quartic.  A Newton stage whose every
-    start fails, or a Ferrari that fails, records ``no-root:<stage>`` and
-    adds no roots; a failed Newton stage ends the chain.  A degenerate
-    polynomial records ``degenerate-sextic->es1d`` and adds es1d's grid
-    point as a candidate.  The candidates are the real roots in [0, 1] and
-    the boundaries; :func:`_refine` runs from each, and the best point
-    reached becomes a ``refined`` candidate when it scores higher than
-    every candidate.  The argmax of the unclamped objective (smallest beta
-    on ties) applies to both split factors.  ``diagnostics["degree"]`` is
-    the polynomial's degree, None where it degenerates.
+    quintic, one Newton stage (``newton-1``) from ``NEWTON_STARTS``, each
+    start capped at ``NEWTON_MAX_ITER`` steps, whose root deflates it;
+    Ferrari on the quartic.  A Newton stage whose every start fails, or a
+    Ferrari that fails, records ``no-root:<stage>``; a failed Newton stage
+    ends the chain.  A degenerate polynomial records
+    ``degenerate-sextic->es1d``.  Whenever a closed-form root is missing
+    in one of these three ways, es1d's grid point is a candidate (origin
+    ``es1d``).  The candidates are the real roots in [0, 1], that grid
+    point and the boundaries; :func:`_refine` runs from each, and the best
+    point reached becomes a ``refined`` candidate when it scores higher
+    than every candidate.  The argmax of the unclamped objective
+    (smallest beta on ties) applies to both split factors.
+    ``diagnostics["degree"]`` is the polynomial's degree, None where it
+    degenerates.
     """
+    factors = _diagonal_factors(g)
     diagnostics = {"fallbacks": [], "newton_attempts": {}, "degree": None, "root_residuals": []}
     labeled, candidates = [], [(0.0, "boundary"), (1.0, "boundary")]  # labeled: (root, origin)
     try:
-        stationary = sextic_coeffs(g)
+        stationary = _stationary(factors)
     except DegenerateSexticError as err:
         diagnostics["fallbacks"].append("degenerate-sextic->es1d")
         diagnostics["reason"] = str(err)
-        candidates.append((es_1d(g).beta1, "es1d"))
     else:
         diagnostics["degree"] = len(stationary) - 1
         poly = stationary
@@ -586,6 +631,8 @@ def hicf(g):
                 diagnostics["fallbacks"].append("no-root:ferrari")
             labeled.extend((r, "ferrari") for r in q_roots)
         diagnostics["root_residuals"] = [abs(_horner(stationary, complex(r))) for r, _ in labeled]
+    if diagnostics["fallbacks"]:  # a closed-form root is missing: score es1d's grid point
+        candidates.append((es_1d(g).beta1, "es1d"))
 
     roots = diagnostics["roots"] = [complex(r) for r, _ in labeled]
     origins = diagnostics["origins"] = [origin for _, origin in labeled]
@@ -594,11 +641,13 @@ def hicf(g):
                       if abs(z.imag) < REAL_ROOT_IMAG_TOL and 0.0 <= z.real <= 1.0)
     candidates.sort(key=lambda item: item[0])  # smallest beta wins ties
 
-    evaluated = tuple(PaCandidate(b, rate_objective(b, b, g), origin) for b, origin in candidates)
+    def score(beta, origin):  # rate_objective's bits; every candidate lies in [0, 1]
+        return PaCandidate(beta, float(_objective(beta, beta, g)), origin)
+
+    evaluated = tuple(score(b, origin) for b, origin in candidates)
     best = max(evaluated, key=lambda cand: cand.objective)  # the first, smallest beta, on ties
-    ends = [_refine(g, cand.beta) for cand in evaluated]
-    refined = max((PaCandidate(b, rate_objective(b, b, g), "refined") for b in ends),
-                  key=lambda cand: cand.objective)
+    ends = [_refine(factors, cand.beta) for cand in evaluated]
+    refined = max((score(b, "refined") for b in ends), key=lambda cand: cand.objective)
     if refined.objective > best.objective:
         best, evaluated = refined, (*evaluated, refined)
     return PaOutcome(method="hicf", beta1=best.beta, beta2=best.beta, ssr=max(0.0, best.objective),

@@ -48,9 +48,10 @@ from risdm.sim import SweepSpec, run_sweep
 # hicf outcomes pinned bit for bit: (s1..s8 with unit noise powers,
 # float.hex of beta1 and of ssr, newton_attempts, fallbacks).
 # Rows 0-19 are log-uniform draws on [1e-3, 1e3]; they cover interior,
-# near-1 and boundary optima, Newton restarts after 0.5 fails (row 16),
-# refined optima, and quartics with roots beyond 100 that Ferrari solves
-# (rows 17-19).  Row 20 is a draw whose Newton stage finds no root
+# near-1 and boundary optima, Newton restarts after 0.5 fails (row 13),
+# Newton stages that find no root within NEWTON_MAX_ITER steps (rows 14
+# and 16), refined optima, and quartics with roots beyond 100 that Ferrari
+# solves (rows 17-19).  Row 20 is a draw whose Newton stage finds no root
 # (pa-fuzz seed 1 draw 162), row 21
 # a quartic (s2 = s4 = 0) that Ferrari solves only reversed, and row 22
 # the degenerate polynomial of s1..s8 = 0.
@@ -137,13 +138,13 @@ HICF_PINNED = [
         (57.389005042276594, 0.0019939999719597876, 0.002312188297268879, 2.501780527790416,
          416.5216935255755, 20.674182093718827, 0.04178736869795908, 0.0032540762974316365),
         "0x0.0p+0", "0x0.0p+0",
-        {"newton-1": 1}, [],
+        {"newton-1": 8}, [],
     ),
     (
         (29.50180318895187, 0.005330111728119473, 0.0019945347540420333, 0.0033464104234697573,
          86.27935759023974, 0.07249496260005873, 0.06314530096550339, 0.14842699637242135),
         "0x0.0p+0", "0x0.0p+0",
-        {"newton-1": 1}, [],
+        {"newton-1": 9}, ["no-root:newton-1"],
     ),
     (
         (0.3026970885938632, 43.44896745924584, 0.0013702301400249886, 28.565992688683338,
@@ -155,7 +156,7 @@ HICF_PINNED = [
         (157.15560953812607, 0.12680012138586716, 1.241884669212918, 113.98035656093485,
          4.147196345919341, 0.0073997990243644335, 0.005282097872077341, 0.00273343473196345),
         "0x1.0000000000000p+0", "0x1.861c814f1acebp+2",
-        {"newton-1": 8}, [],
+        {"newton-1": 9}, ["no-root:newton-1"],
     ),
     (
         (2.2753946483391316, 0.01438441784546954, 0.0011652953035099021, 0.004848329516208722,
@@ -316,22 +317,17 @@ HICF_PINNED_ROOTS = [
          "0x1.0ec8000000000p-34", "0x1.178d950000000p-22"],
     ),
     (
-        [("0x1.7102dc15566c5p+0", "0x0.0p+0"),
-         ("-0x1.1d64483ddce00p-6", "0x1.6cbce5944edecp-6"),
-         ("-0x1.1d64483ddce00p-6", "-0x1.6cbce5944edecp-6"),
-         ("0x1.5c3b884816fe8p+0", "0x0.0p+0"),
+        [("0x1.7102dc152a547p+0", "0x0.0p+0"),
+         ("-0x1.1d64483e8cc00p-6", "0x1.6cbce5ab1e761p-6"),
+         ("-0x1.1d64483e8cc00p-6", "-0x1.6cbce5ab1e761p-6"),
+         ("0x1.5c3b884848958p+0", "0x0.0p+0"),
          ("-0x1.9a4d273199ea8p+4", "0x0.0p+0")],
-        ["0x1.9d1a080000000p-33", "0x1.a07706ca00995p-33", "0x1.a07706ca00995p-33",
-         "0x1.9d1a1a0000000p-33", "0x1.9d2f710000000p-32"],
+        ["0x1.9bf8000000000p-43", "0x1.28ac40a42ad83p-40", "0x1.28ac40a42ad83p-40",
+         "0x1.a108000000000p-43", "0x1.9d2f710000000p-32"],
     ),
     (
-        [("0x1.7239e62e3e645p+3", "0x0.0p+0"),
-         ("-0x1.e56bff087a000p-7", "0x1.3046c2e424932p-2"),
-         ("-0x1.e56bff087a000p-7", "-0x1.3046c2e424932p-2"),
-         ("0x1.e1a6cb72d0264p+7", "0x0.0p+0"),
-         ("-0x1.4cf05495baa64p+9", "0x0.0p+0")],
-        ["0x1.2300000000000p-27", "0x1.0aebbb024dbf4p-13", "0x1.0aebbb024dbf4p-13",
-         "0x1.2e3599c000000p-9", "0x1.564caac000000p-6"],
+        [],
+        [],
     ),
     (
         [("0x1.00540bccd485ep+0", "0x0.0p+0"),
@@ -343,13 +339,8 @@ HICF_PINNED_ROOTS = [
          "0x1.48794da1c3b91p-41", "0x1.48794da1c3b91p-41"],
     ),
     (
-        [("-0x1.007a8a46b99d6p+7", "0x0.0p+0"),
-         ("0x1.fd0257ff11068p-1", "0x1.8dab8788b0682p-3"),
-         ("0x1.fd0257ff11068p-1", "-0x1.8dab8788b0682p-3"),
-         ("0x1.de4708c3b5978p-5", "0x1.8e89998aa7c9ep+0"),
-         ("0x1.de4708c3b5978p-5", "-0x1.8e89998aa7c9ep+0")],
-        ["0x1.abf5c20000000p-21", "0x1.abf5b80000003p-21", "0x1.abf5b80000003p-21",
-         "0x1.abf5b60000075p-21", "0x1.abf5b60000075p-21"],
+        [],
+        [],
     ),
     (
         [("0x1.6ee61dd328255p+0", "0x0.0p+0"),
@@ -558,11 +549,30 @@ scalar_gains_st = st.builds(
     st.lists(_gain.filter(lambda v: v > 0.0), min_size=3, max_size=3),
 )
 
+# ... and with -0.0, which ScalarGains accepts, among the gains: a product
+# of a signed zero and a negative number is -0.0, which 0.0 + -0.0 turns to 0.0.
+signed_zero_gains = st.builds(
+    lambda s, noise: ScalarGains(*s, *noise),
+    st.lists(st.one_of(_gain, st.just(-0.0)), min_size=8, max_size=8),
+    st.lists(_gain.filter(lambda v: v > 0.0), min_size=3, max_size=3),
+)
+
 # Gains whose noise leaks s2 and s4 are zero, as max-sv designs make
 # them: the other s log-uniform on [1e-3, 1e3], unit noise powers.
 zero_leak_gains = st.lists(st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e),
                            min_size=6, max_size=6).map(
     lambda s: ScalarGains(s[0], 0.0, s[1], 0.0, *s[2:], 1.0, 1.0, 1.0))
+
+# Log-uniform gains on [1e-3, 1e3], some with s2 = s4 = 0, with unit or
+# log-uniform noise powers.
+_log_uniform = st.floats(-3.0, 3.0).map(lambda e: 10.0 ** e)
+log_uniform_gains = st.builds(
+    lambda s, zero_leaks, noise: ScalarGains(
+        s[0], 0.0 if zero_leaks else s[1], s[2], 0.0 if zero_leaks else s[3], *s[4:], *noise),
+    st.lists(_log_uniform, min_size=8, max_size=8),
+    st.booleans(),
+    st.one_of(st.just([1.0, 1.0, 1.0]), st.lists(_log_uniform, min_size=3, max_size=3)),
+)
 
 # Real polynomials of degree 0-6 with signed zeros anywhere, the leading
 # coefficient included, and Newton starts on both sides of zero.
@@ -641,6 +651,60 @@ def rate_ratio(g):
             np.polymul(np.polymul(l2, l4), np.polymul(l5, l6)))
 
 
+def list_polymul(p, q):
+    """Product of two highest-first coefficient lists, summed term by term."""
+    out = [0.0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def generic_sextic(g):
+    """sextic_coeffs by generic list products: the summation order whose
+    bits its written-out products must keep."""
+    l1, l2, l3, l4, l5, l6, le = [f.tolist() for f in linear_factors(g)]
+    n1 = list_polymul(l1, l3)
+    d = list_polymul(list_polymul(l2, l4), list_polymul(l5, l6))
+    outer = [p + 2.0 * le[0] * q for p, q in zip(list_polymul([2.0 * n1[0], n1[1]], le), n1)]
+    d_prime = [4.0 * d[0], 3.0 * d[1], 2.0 * d[2], d[3]]
+    left, right = list_polymul(outer, d), list_polymul(list_polymul(n1, le), d_prime)
+    raw = [p - q for p, q in zip(left[1:], right[1:])]
+    if not all(map(math.isfinite, raw)):
+        raise DegenerateSexticError("stationarity polynomial coefficients are not finite")
+    while raw[0] == 0.0 or abs(raw[0]) < pa.DEGENERATE_LEADING_RATIO * max(map(abs, raw[1:])):
+        raw = raw[1:]
+        if len(raw) < 5:
+            raise DegenerateSexticError("stationarity polynomial degree fell below 4")
+    return [1.0, *[c / raw[0] for c in raw[1:]]]
+
+
+def loop_refine(g, beta):
+    """_refine as a loop over the weighted factors: the summation order
+    whose bits its written-out sums must keep."""
+    s1, s2, s3, s4, s5, s6, s7, s8 = g.as_tuple()
+    leak, sa, sb, se = s7 + s8, g.sigma2_a, g.sigma2_b, g.sigma2_e
+    factors = [(weight, a - b, a, b, noise) for weight, a, b, noise in (
+        (1.0, s1, s2, sa), (-1.0, 0.0, s2, sa), (1.0, s3, s4, sb), (-1.0, 0.0, s4, sb),
+        (-1.0, s5, leak, se), (-1.0, s6, leak, se), (2.0, 0.0, leak, se))]
+    last = None
+    for _ in range(pa.REFINE_STEPS):
+        slope = curvature = 0.0
+        rest = 1.0 - beta
+        for weight, span, a, b, noise in factors:
+            ratio = span / (beta * a + rest * b + noise)
+            term = weight * ratio
+            slope += term
+            curvature -= term * ratio
+        if not curvature < 0.0:
+            break
+        beta_next = beta - slope / curvature
+        if not 0.0 <= beta_next <= 1.0 or beta_next in (beta, last):
+            break
+        last, beta = beta, beta_next
+    return beta
+
+
 class TestSexticCoeffs:
     def test_zero_gains_are_degenerate(self):
         g = ScalarGains(0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1)
@@ -702,6 +766,16 @@ class TestSexticCoeffs:
             (8, 0, -38, 6, 36, 1, -10, 37, -60, 36), abs=1e-12)
         assert sextic_coeffs(g)[1:] == pytest.approx(
             (-6.85, 12.7, 4.95, -31.8, 19.8), abs=1e-12)
+
+    @pytest.mark.parametrize("s", [row[0] for row in HICF_PINNED])
+    def test_written_out_products_keep_the_generic_order_on_pinned_rows(self, s):
+        g = ScalarGains(*s, 1.0, 1.0, 1.0)
+        assert hex_outcome(sextic_coeffs, g) == hex_outcome(generic_sextic, g)
+
+    @settings(max_examples=400, deadline=None)
+    @given(g=st.one_of(signed_zero_gains, log_uniform_gains, zero_leak_gains))
+    def test_written_out_products_keep_the_generic_order(self, g):
+        assert hex_outcome(sextic_coeffs, g) == hex_outcome(generic_sextic, g)
 
     def test_eve_denominator_identity(self, rng):
         # Le(beta) lead P(beta) == N'(beta) D(beta) - N(beta) D'(beta),
@@ -1289,7 +1363,7 @@ class TestHicf:
         assert 0.0 <= out.beta1 <= 1.0 and out.beta1 == out.beta2
         assert out.ssr == pytest.approx(ssr(out.beta1, out.beta2, g), abs=1e-12)
         origins = {c.origin for c in out.candidates}
-        assert origins <= {"newton-1", "ferrari", "boundary", "refined"}
+        assert origins <= {"newton-1", "ferrari", "boundary", "es1d", "refined"}
         assert {"boundary"} <= origins
 
     def test_degenerate_sextic_scores_the_grid_point(self):
@@ -1309,6 +1383,57 @@ class TestHicf:
         assert out.diagnostics["fallbacks"] == ["degenerate-sextic->es1d"]
         assert out.ssr >= es_1d(g).ssr
         assert out.ssr >= es_1d(g, step=1e-5).ssr - 1e-12
+
+    # pa-fuzz seed 56 draw 672: every Newton start fails within
+    # NEWTON_MAX_ITER = 30 steps, where with 200 Newton converged from 0.5;
+    # the SSR hicf reached with 200
+    CAPPED_DRAW = ScalarGains(4.553191914942458, 472.6133778806927, 0.0044511912261501665,
+                              37.704513666875265, 2.0748337110711477, 0.008663849482288618,
+                              597.5323682952483, 0.21424778164407418, 1.0, 1.0, 1.0)
+    CAPPED_FLOOR = 0.8499985901311349
+
+    def test_the_newton_cap_keeps_the_uncapped_outcome(self, monkeypatch):
+        out = hicf(self.CAPPED_DRAW)
+        assert out.diagnostics["fallbacks"] == ["no-root:newton-1"]
+        assert "es1d" in [c.origin for c in out.candidates]
+        assert out.ssr >= self.CAPPED_FLOOR - 1e-12
+        monkeypatch.setattr(pa, "NEWTON_MAX_ITER", 200)
+        assert hicf(self.CAPPED_DRAW).diagnostics["fallbacks"] == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(g=log_uniform_gains)
+    @example(g=ScalarGains(*HICF_PINNED[14][0], 1.0, 1.0, 1.0))
+    @example(g=ScalarGains(*HICF_PINNED[16][0], 1.0, 1.0, 1.0))
+    @example(g=ScalarGains(*HICF_PINNED[20][0], 1.0, 1.0, 1.0))
+    @example(g=CAPPED_DRAW)
+    @example(g=ScalarGains(0.0014077959374925906, 0.0, 1.7624809798033079, 0.0,
+                           0.030655332339052044, 0.011148399104936852, 0.006120356622683544,
+                           0.007355744483003195, 0.05077650759281266, 0.07411600673321053,
+                           32.91906935281592))
+    def test_a_missing_root_scores_the_grid_point(self, g):
+        # the examples: three Newton stages with no root, the capped draw,
+        # and a degenerate cubic under log-uniform noise powers
+        out = hicf(g)
+        fallbacks = out.diagnostics["fallbacks"]
+        grid_points = [c.beta for c in out.candidates if c.origin == "es1d"]
+        if not fallbacks:
+            assert grid_points == []
+            return
+        assert len(fallbacks) == 1
+        assert fallbacks[0].startswith("no-root:") or fallbacks == ["degenerate-sextic->es1d"]
+        grid = es_1d(g)
+        assert grid_points == [grid.beta1]
+        assert out.ssr >= grid.ssr
+
+    @pytest.mark.parametrize("row", [0, 21])  # a quintic and a quartic
+    def test_a_failed_ferrari_scores_the_grid_point(self, monkeypatch, row):
+        g = ScalarGains(*HICF_PINNED[row][0], 1.0, 1.0, 1.0)
+        monkeypatch.setattr(pa, "ferrari_roots", lambda *a: [])
+        out = hicf(g)
+        assert out.diagnostics["fallbacks"] == ["no-root:ferrari"]
+        grid = es_1d(g)
+        assert [c.beta for c in out.candidates if c.origin == "es1d"] == [grid.beta1]
+        assert out.ssr >= grid.ssr
 
     def test_all_ones_quartic_scores_at_least_the_grid(self):
         g = ScalarGains(1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1)
@@ -1330,11 +1455,11 @@ class TestHicf:
     @given(g=extreme_gains)
     @example(g=OVERFLOWING_GAINS)
     def test_never_raises_on_extreme_gains(self, g):
-        # an overflow takes its stage's fallback; the grid fallback scores
+        # an overflow takes its stage's fallback, and every fallback scores
         # es1d's point among its candidates
         with np.errstate(all="ignore"):
             out = hicf(g)
-            if "degenerate-sextic->es1d" in out.diagnostics["fallbacks"]:
+            if out.diagnostics["fallbacks"]:
                 grid = es_1d(g)
                 assert grid.beta1 in [c.beta for c in out.candidates if c.origin == "es1d"]
         assert 0.0 <= out.beta1 == out.beta2 <= 1.0
@@ -1548,7 +1673,8 @@ class TestHicfIsAFunctionOfTheGains:
         assert out.ssr >= floor - 1e-12
         assert out.candidates[-1].origin == "refined"
         best = max(out.candidates[:-1], key=lambda c: c.objective)
-        beta = pa._refine(g, best.beta)  # the best candidate alone falls short
+        # the best candidate alone falls short
+        beta = pa._refine(pa._diagonal_factors(g), best.beta)
         assert rate_objective(beta, beta, g) < floor - 1e-12
 
     @pytest.mark.parametrize("s", [row[0] for row in HICF_PINNED] + [s for s, _ in SEEDED_FLOORS])
@@ -1578,6 +1704,19 @@ class TestHicfIsAFunctionOfTheGains:
         assert out.diagnostics["fallbacks"] == [] and "newton-1" in out.diagnostics["origins"]
         assert out.ssr >= self.NO_ROOT_FLOOR - 1e-12
 
+    @pytest.mark.parametrize("s", [row[0] for row in HICF_PINNED] + [s for s, _ in SEEDED_FLOORS])
+    def test_written_out_refinement_keeps_the_loop_order_on_pinned_rows(self, s):
+        g = ScalarGains(*s, 1.0, 1.0, 1.0)
+        factors = pa._diagonal_factors(g)
+        for cand in hicf(g).candidates:
+            assert pa._refine(factors, cand.beta).hex() == loop_refine(g, cand.beta).hex()
+
+    @settings(max_examples=400, deadline=None)
+    @given(g=st.one_of(signed_zero_gains, log_uniform_gains),
+           beta=st.one_of(st.floats(0.0, 1.0), st.sampled_from([-0.0, 1.0])))
+    def test_written_out_refinement_keeps_the_loop_order(self, g, beta):
+        assert pa._refine(pa._diagonal_factors(g), beta).hex() == loop_refine(g, beta).hex()
+
     def test_refinement_stops_on_a_two_point_cycle(self, monkeypatch):
         # pa-fuzz seed 1 draw 18: from its best root the Newton steps on R'
         # end bouncing between two floats 11 units in the last place apart;
@@ -1590,7 +1729,7 @@ class TestHicfIsAFunctionOfTheGains:
         ends = set()
         for steps in (14, 15, 16, 17):
             monkeypatch.setattr(pa, "REFINE_STEPS", steps)
-            ends.add(pa._refine(g, start.beta))
+            ends.add(pa._refine(pa._diagonal_factors(g), start.beta))
         assert len(ends) == 1
 
     SEED_GAINS = {"degenerate": ScalarGains(0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1),
