@@ -26,17 +26,14 @@ each adds es1d's grid point as a candidate.  So the cap can lose only a
 root that the 1e-3 grid and the refinement from it also miss.
 :func:`companion_roots` is the closed forms' test oracle.
 
-The root stages run on lists of Python floats.  Newton and deflation keep
-the operation order of the numpy forms they replaced (``np.polyval``'s
-Horner loop from 0.0, the deflation recurrence), so their bits are the
-array forms'.  Ferrari keeps numpy's rounding where CPython's differs:
-the real-by-complex quotient takes numpy's complex128 division steps
-(:func:`_real_over_complex`), and the resolvent's fractional complex
-power is numpy's.  Mixed float/complex operations rely on CPython
-promoting the float to ``complex(x, 0.0)``, as numpy does; releases that
-follow C99's mixed-mode rules (3.14 on) can differ in signed zeros.
-Ferrari's residual check is a Python complex Horner loop, the same bits
-on every CPU, where numpy's complex kernels vary with fused multiply-adds.
+The root stages run on Python floats and complex numbers, with no numpy.
+Newton and deflation keep the operation order of the numpy forms they
+replaced (``np.polyval``'s Horner loop from 0.0, the deflation
+recurrence), so their bits are the array forms'.  Ferrari's residual
+check is a Python complex Horner loop, the same bits on every CPU.
+Mixed float/complex operations rely on CPython promoting the float to
+``complex(x, 0.0)``; releases that follow C99's mixed-mode rules (3.14
+on) can differ in signed zeros.
 Every split grid, the searches' and ``sim.pa_surface``'s, is
 :func:`_grid`: the exact values i / n, cached read-only per step, scored
 with the rate expression directly; the searches report the chosen grid
@@ -222,8 +219,7 @@ def _horner(coeffs, x):
 
     The operation sequence of ``np.polyval`` (``y = y * x + c`` from
     y = 0), so for a real x the result is bit-identical, without its
-    per-call array overhead.  A complex x gives the same bits on every
-    CPU; numpy's complex kernels do not (see the module docstring).
+    per-call array overhead.  A complex x gives the same bits on every CPU.
     """
     y = 0.0
     for c in coeffs:
@@ -308,23 +304,6 @@ _OMEGA = cmath.exp(2j * cmath.pi / 3.0)
 _OMEGA_PAIRS = tuple((_OMEGA**k, _OMEGA**-k) for k in range(3))
 
 
-def _real_over_complex(x, z):
-    """x / z for a real x, in numpy's complex128 operation order.
-
-    numpy divides (x, 0) by z with the ratio of z's smaller part to its
-    larger one and one reciprocal; CPython's complex division rounds
-    differently.  z must not be zero.
-    """
-    zr, zi = z.real, z.imag
-    if abs(zr) >= abs(zi):
-        rat = zi / zr
-        scl = 1.0 / (zr + zi * rat)
-        return complex((x + 0.0 * rat) * scl, (0.0 - x * rat) * scl)
-    rat = zr / zi
-    scl = 1.0 / (zi + zr * rat)
-    return complex((x * rat + 0.0) * scl, (0.0 * rat - x) * scl)
-
-
 def _resolvent_shifts(gamma1, gamma2):
     """The three roots of the depressed resolvent cubic z^3 + gamma1 z + gamma2.
 
@@ -337,8 +316,7 @@ def _resolvent_shifts(gamma1, gamma2):
         t1 = complex(math.copysign(abs(-gamma2 / 2.0 + sq) ** (1.0 / 3.0), -gamma2 / 2.0 + sq))
         t2 = complex(math.copysign(abs(-gamma2 / 2.0 - sq) ** (1.0 / 3.0), -gamma2 / 2.0 - sq))
     else:
-        # numpy's complex power: CPython's rounds differently
-        t1 = complex(np.complex128(-gamma2 / 2.0 + 1j * math.sqrt(-disc)) ** (1.0 / 3.0))
+        t1 = complex(-gamma2 / 2.0, math.sqrt(-disc)) ** (1.0 / 3.0)
         t2 = t1.conjugate()
     return [t1 * w + t2 * w_inv for w, w_inv in _OMEGA_PAIRS]
 
@@ -364,7 +342,7 @@ def _ferrari(a1, a2, a3, a4):
         even = 0.75 * a1_sq - eta1**2 - 2.0 * a2
         roots = []
         for sign_s in (1.0, -1.0):
-            eta2 = cmath.sqrt(even + _real_over_complex(sign_s * odd_term, 4.0 * eta1))
+            eta2 = cmath.sqrt(even + sign_s * odd_term / (4.0 * eta1))
             centre = offset + sign_s * eta1 / 2.0
             for sign_i in (1.0, -1.0):
                 roots.append(centre + sign_i * eta2 / 2.0)
@@ -420,7 +398,7 @@ def ferrari_roots(a1, a2, a3, a4):
         return []
     # the reversed constant term is 1 / a4, so a root at 0 passed only through the check's scale
     flipped_roots = _ferrari_or_none(*flipped)
-    return [_real_over_complex(1.0, y) for y in flipped_roots] if all(flipped_roots) else []
+    return [1.0 / y for y in flipped_roots] if all(flipped_roots) else []
 
 
 def grid_intervals(step):

@@ -23,10 +23,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# each rate term's message gain and noise power
+_SNR_TERMS = (("s1", "sigma2_a"), ("s3", "sigma2_b"), ("s5", "sigma2_e"), ("s6", "sigma2_e"))
+
 
 @dataclass(frozen=True)
 class ScalarGains:
-    """The eight link-budget scalars plus the three noise powers (all mW)."""
+    """The eight link-budget scalars plus the three noise powers (all mW).
+
+    Each rate term's full-power SNR, s1 / sigma2_a, s3 / sigma2_b,
+    s5 / sigma2_e and s6 / sigma2_e, must be finite: gains that overflow
+    one are refused, naming each such term, so no rate term is infinite
+    or NaN.
+    """
 
     s1: float
     s2: float
@@ -49,6 +58,10 @@ class ScalarGains:
             v = getattr(self, name)
             if not np.isfinite(v) or v <= 0:
                 raise ValueError(f"{name} must be finite and > 0, got {v}")
+        over = [f"{s} / {sigma}" for s, sigma in _SNR_TERMS
+                if not np.isfinite(float(getattr(self, s)) / float(getattr(self, sigma)))]
+        if over:
+            raise ValueError(f"full-power SNR is not finite: {', '.join(over)}")
 
     def as_tuple(self):
         return (self.s1, self.s2, self.s3, self.s4, self.s5, self.s6, self.s7, self.s8)

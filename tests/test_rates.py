@@ -73,6 +73,22 @@ class TestScalarGains:
         with pytest.raises(ValueError):
             ScalarGains(1, 1, 1, 1, 1, 1, 1, 1, 0.0, 1, 1)
 
+    @pytest.mark.parametrize("gains, terms", [
+        ((1e300,) * 8 + (1e-300,) * 3,
+         "s1 / sigma2_a, s3 / sigma2_b, s5 / sigma2_e, s6 / sigma2_e"),
+        ((1e200, 0, 1, 0, 1, 1, 1, 1, 1e-200, 1, 1), "s1 / sigma2_a"),
+        ((1, 0, 1, 0, 1, 1e300, 1, 1, 1, 1, 1e-10), "s6 / sigma2_e"),
+    ])
+    def test_overflowing_snr_refused_naming_its_terms(self, gains, terms):
+        with pytest.raises(ValueError, match=f"full-power SNR is not finite: {re.escape(terms)}$"):
+            ScalarGains(*gains)
+
+    def test_finite_snr_and_overflowing_leaks_accepted(self):
+        # s1 / sigma2_a = 1e308 is finite, and the leaks s2, s4, s7, s8 sit
+        # only in denominators, so their ratios to the noise may overflow
+        g = ScalarGains(1e300, 1e300, 1, 1e300, 1, 1, 1e300, 1e300, 1e-8, 1e-10, 1e-10)
+        assert 0.0 <= ssr(0.5, 0.5, g) < math.inf
+
 
 class TestObjective:
     def test_no_message_power_gives_zero(self, rng):
