@@ -13,9 +13,9 @@ Four strategies over the split factors (beta1, beta2):
   gains null its leading term.  One Newton-Raphson root extraction with
   synthetic deflation, from fixed starts of at most ``NEWTON_MAX_ITER``
   = 30 steps each, reduces a quintic to a quartic solved by Ferrari's
-  radical formula; the optimum is picked from the real roots in [0, 1]
-  plus the interval boundaries, each refined by Newton on the rate's
-  derivative.  A function of the gains alone.
+  radical formula; the optimum is picked from the real part of every
+  closed-form root in [0, 1] plus the interval boundaries, each refined
+  by Newton on the rate's derivative.  A function of the gains alone.
 
 Every root comes from a closed form.  Where one is missing, es1d's grid
 point is scored instead: a Newton stage whose every start fails, or a
@@ -24,7 +24,6 @@ records ``no-root:<stage>``, a polynomial of degree below 4 or with a
 coefficient that is not finite records ``degenerate-sextic->es1d``, and
 each adds es1d's grid point as a candidate.  So the cap can lose only a
 root that the 1e-3 grid and the refinement from it also miss.
-:func:`companion_roots` is the closed forms' test oracle.
 
 The root stages run on Python floats and complex numbers, with no numpy.
 Newton and deflation keep the operation order of the numpy forms they
@@ -59,7 +58,6 @@ NEWTON_STARTS = (0.5, *((k + 0.5) / 8 for k in range(8)))
 REFINE_STEPS = 16  # Newton steps on R' from each hicf candidate
 DERIVATIVE_TOL = 1e-14
 DEFLATION_RESIDUAL_TOL = 1e-6  # x coefficient scale
-REAL_ROOT_IMAG_TOL = 1e-8
 FERRARI_RESIDUAL_TOL = 1e-7  # x coefficient scale
 ETA1_DEGENERATE_TOL = 1e-10
 DEGENERATE_LEADING_RATIO = 1e-12
@@ -67,10 +65,6 @@ DEFAULT_STEP_1D = 1e-3
 DEFAULT_STEP_2D = 1e-2
 MIN_GRID_STEP = 1e-9  # 1e9 intervals: 8 GB per float64 grid
 ES2D_SLACK = 1e-12  # es2d's pruning slack per unit of rate-term scale
-
-
-class DegeneratePolynomialError(ValueError):
-    """Raised when a polynomial's leading coefficient vanishes."""
 
 
 class DegenerateSexticError(ValueError):
@@ -195,23 +189,6 @@ def _stationary(factors):
         if len(raw) < 5:
             raise DegenerateSexticError("stationarity polynomial degree fell below 4")
     return [1.0, *[c / raw[0] for c in raw[1:]]]
-
-
-def companion_roots(coeffs):
-    """All roots of a real-coefficient polynomial via companion-matrix eigenvalues.
-
-    ``coeffs`` is highest-degree first.  The polynomial is normalized to
-    monic form; this is the independent oracle the closed-form root finders
-    are checked against.
-    """
-    c = np.atleast_1d(np.asarray(coeffs, dtype=float))
-    if c.ndim != 1 or c.size < 2:
-        raise ValueError("need a polynomial of degree >= 1")
-    if not np.all(np.isfinite(c)):
-        raise ValueError("coefficients contain non-finite values")
-    if c[0] == 0.0:
-        raise DegeneratePolynomialError("leading coefficient is zero")
-    return np.roots(c)
 
 
 def _horner(coeffs, x):
@@ -454,8 +431,7 @@ def _boundary(step):
 
 def _es2d_slack(g):
     """``ES2D_SLACK`` times 1 plus the four rate terms' values at full power
-    with only their noise, the most each can take: an infinite term makes it
-    infinite."""
+    with only their noise, the most each can take."""
     bounds = ((g.s1, g.sigma2_a), (g.s3, g.sigma2_b), (g.s5, g.sigma2_e), (g.s6, g.sigma2_e))
     return ES2D_SLACK * (1.0 + sum(math.log2(1.0 + float(s) / float(sigma))
                                    for s, sigma in bounds))
@@ -479,12 +455,10 @@ def es_2d(g, step=DEFAULT_STEP_2D):
     term's value at full power with only its noise, which bounds that term
     in every cell.  It thus bounds the rounding of the three cells a test
     compares, numpy's log2 error included, however much the large terms
-    cancel, which a slack relative to R would not.  A NaN in a test keeps
-    its row or column, and an infinite term makes the slack infinite and
-    keeps every cell.  So a dropped cell lies strictly below ``best``, and
-    the C-order-first maximum of the scored cells (the first NaN, if any,
-    as under ``np.argmax``) is the full grid's: ties break toward smaller
-    beta1, then smaller beta2.  Each scored value is the full grid's bits.
+    cancel, which a slack relative to R would not.  So a dropped cell lies
+    strictly below ``best``, and the C-order-first maximum of the scored
+    cells is the full grid's: ties break toward smaller beta1, then smaller
+    beta2.  Each scored value is the full grid's bits.
 
     ``diagnostics["evaluations"]`` is the grid size and ``"scored"`` the
     number of cells whose objective was computed.
@@ -498,16 +472,17 @@ def es_2d(g, step=DEFAULT_STEP_2D):
     # R(beta_i, 0) of the interior rows and R(0, beta_j) of the interior columns
     row_edge, col_edge = edge[n:3 * n - 4:2], edge[1:n - 1]
     slack = _es2d_slack(g)
-    rows = np.flatnonzero(~(row_edge + (col_edge.max() + slack) < best)) + 1
+    rows = np.flatnonzero(row_edge + (col_edge.max() + slack) >= best) + 1
     # with no row left there is no sub-grid, whatever the columns
-    cols = np.flatnonzero(~(col_edge + (row_edge.max() + slack) < best)) + 1 if rows.size else rows
+    cols = np.flatnonzero(col_edge + (row_edge.max() + slack) >= best) + 1 if rows.size else rows
     k, value = int(flat[k]), best
     if cols.size:
         values = _objective(grid[rows, None], grid[None, cols], g)
         r, c = divmod(int(np.argmax(values)), cols.size)
-        # argmax's rules over the two candidates in C order: the first NaN, else the first maximum
-        cells = sorted([(k, value), (int(rows[r]) * n + int(cols[c]), values[r, c])])
-        k, value = cells[int(np.argmax([v for _, v in cells]))]
+        cell, cell_value = int(rows[r]) * n + int(cols[c]), values[r, c]
+        # the larger value wins; on a tie the first in C order
+        if cell_value > value or cell_value == value and cell < k:
+            k, value = cell, cell_value
     i, j = divmod(k, n)
     return PaOutcome(  # a grid value has the scalar objective's bits
         method="es2d", beta1=float(grid[i]), beta2=float(grid[j]), ssr=max(0.0, float(value)),
@@ -577,10 +552,10 @@ def hicf(g):
     ends the chain.  A degenerate polynomial records
     ``degenerate-sextic->es1d``.  Whenever a closed-form root is missing
     in one of these three ways, es1d's grid point is a candidate (origin
-    ``es1d``).  The candidates are the real roots in [0, 1], that grid
-    point and the boundaries; :func:`_refine` runs from each, and the best
-    point reached becomes a ``refined`` candidate when it scores higher
-    than every candidate.  The argmax of the unclamped objective
+    ``es1d``).  The candidates are the real part of every closed-form root
+    in [0, 1], that grid point and the boundaries; :func:`_refine` runs
+    from each, and the best point reached becomes a ``refined`` candidate
+    when it scores higher than every candidate.  The argmax of the unclamped objective
     (smallest beta on ties) applies to both split factors.
     ``diagnostics["degree"]`` is the polynomial's degree, None where it
     degenerates.
@@ -616,7 +591,7 @@ def hicf(g):
     origins = diagnostics["origins"] = [origin for _, origin in labeled]
 
     candidates.extend((z.real, origin) for z, origin in zip(roots, origins)
-                      if abs(z.imag) < REAL_ROOT_IMAG_TOL and 0.0 <= z.real <= 1.0)
+                      if 0.0 <= z.real <= 1.0)
     candidates.sort(key=lambda item: item[0])  # smallest beta wins ties
 
     def score(beta, origin):  # rate_objective's bits; every candidate lies in [0, 1]

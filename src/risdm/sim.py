@@ -340,7 +340,7 @@ def pa_surface(config, step=DEFAULT_STEP_2D, method="max-sv", ris_mode="gpg"):
     _, _, gains = point_design(StageMemo(), sweep_point(config), method, ris_mode, config.seed)
     grid = _grid(step)
     values = _objective(grid[:, None], grid[None, :], gains)
-    # max(0, R) of each cell: NaN and -0.0 become 0.0
+    # max(0, R) of each cell: -0.0 becomes 0.0
     return Surface(method, ris_mode, config.seed, grid.tolist(),
                    np.where(values > 0.0, values, 0.0))
 

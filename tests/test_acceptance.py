@@ -18,11 +18,11 @@ import pytest
 from scipy.optimize import linear_sum_assignment
 
 from conftest import pipeline, random_config, random_gains
+from root_oracles import companion_roots
 from risdm.beamforming import _leakage_matrices, leakage_side, receiver_zf
 from risdm.geometry import build_geometry, default_config
 from risdm.power_allocation import (
     allocate,
-    companion_roots,
     es_1d,
     ferrari_roots,
     hicf,

@@ -15,6 +15,8 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 
 from conftest import pipeline_gains, random_gains
+import root_oracles
+from root_oracles import DegeneratePolynomialError, certified_diagonal, companion_roots
 import risdm.power_allocation as pa
 from risdm.geometry import default_config
 from risdm.power_allocation import (
@@ -26,11 +28,9 @@ from risdm.power_allocation import (
     NEWTON_MAX_ITER,
     NEWTON_TOL,
     DeflationError,
-    DegeneratePolynomialError,
     DegenerateSexticError,
     NewtonError,
     allocate,
-    companion_roots,
     deflate,
     es_1d,
     es_2d,
@@ -1427,7 +1427,7 @@ class TestHicf:
 
         def unit_interval(roots):
             return sorted(z.real for z in map(complex, roots)
-                          if abs(z.imag) < pa.REAL_ROOT_IMAG_TOL and 0.0 <= z.real <= 1.0)
+                          if abs(z.imag) < 1e-8 and 0.0 <= z.real <= 1.0)
 
         got = unit_interval(hicf(g).diagnostics["roots"])
         want = unit_interval(companion_roots(poly))
@@ -1567,6 +1567,63 @@ EVERY_CANDIDATE_FLOORS = [
 ]
 
 
+# Draw 1926 (0-based) of random.Random(7), s_i = 10 ** uniform(-3, 3), unit
+# noise powers: P's five roots cluster at 0.9956-1.0094, and the real root
+# near the optimum comes out of the closed forms as the complex pair
+# 0.99576 +- 0.00262j.  CLUSTER_BETA and CLUSTER_OPTIMUM: its exact
+# diagonal optimum, and the certificate's value there.
+CLUSTER_DRAW = ScalarGains(0.04631958894879632, 36.61095223221955, 0.0035749699578407085,
+                           891.3587991186657, 0.007378990100207308, 0.0177611880643381,
+                           36.57659860879133, 293.9856298902047, 1.0, 1.0, 1.0)
+CLUSTER_BETA, CLUSTER_OPTIMUM = 0.9955962, 0.04256657784923216
+
+
+class TestHicfAgainstTheCertificate:
+    def test_certificate_finds_the_known_optimum(self):
+        # all-ones gains: the optimum is the quartic's root (3 - sqrt 3) / 2
+        g = ScalarGains(1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1)
+        beta, value = certified_diagonal(g)
+        assert beta == pytest.approx((3.0 - math.sqrt(3.0)) / 2.0, abs=1e-15)
+        assert value == rate_objective(beta, beta, g)
+
+    def test_certificate_bounds_the_fine_grid(self, rng):
+        for _ in range(10):
+            g = random_gains(rng)
+            assert certified_diagonal(g)[1] >= es_1d(g, step=1e-5).ssr - 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(roots=st.lists(st.integers(-4, 12), min_size=1, max_size=6))
+    def test_sturm_count_is_the_distinct_roots_in_the_interval(self, roots):
+        # prod (8 beta - k): its square-free part's Sturm chain counts the
+        # distinct k / 8 in (0, 1]
+        p = [1]
+        for k in roots:
+            p = root_oracles._mul(p, [-k, 8])
+        sqf = root_oracles._divmod(p, root_oracles._gcd(p, root_oracles._derivative(p)))[0]
+        chain = root_oracles._sturm_chain(sqf)
+        count = (root_oracles._sign_changes(chain, 0.0)
+                 - root_oracles._sign_changes(chain, 1.0))
+        assert count == len({k for k in roots if 0 < k <= 8})
+
+    def test_certificate_of_a_constant_rate(self):
+        # every gain zero: R' vanishes, and the boundaries are all there is
+        assert certified_diagonal(ScalarGains(0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1)) == (0.0, 0.0)
+
+    def test_root_cluster_near_one_reaches_the_optimum(self):
+        out = hicf(CLUSTER_DRAW)
+        assert out.diagnostics["fallbacks"] == []
+        assert out.ssr >= CLUSTER_OPTIMUM - 1e-12
+        assert abs(out.beta1 - CLUSTER_BETA) <= 1e-6
+        assert abs(certified_diagonal(CLUSTER_DRAW)[1] - CLUSTER_OPTIMUM) <= 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(g=log_uniform_gains)
+    @example(g=CLUSTER_DRAW)
+    def test_never_below_the_certificate(self, g):
+        out = hicf(g)
+        assert rate_objective(out.beta1, out.beta1, g) >= certified_diagonal(g)[1] - 1e-12
+
+
 def outcome_bits(out):
     """float.hex of beta1, beta2, SSR and every root of a hicf outcome."""
     roots = out.diagnostics.get("roots", [])
@@ -1695,10 +1752,10 @@ class TestHicfIsAFunctionOfTheGains:
 class TestHicfUsesNoOracle:
     @pytest.fixture(autouse=True)
     def no_oracle(self, monkeypatch):
-        def refuse(coeffs):
-            raise AssertionError("hicf reached companion_roots")
+        def refuse(*args, **kwargs):
+            raise AssertionError("hicf reached numpy.roots")
 
-        monkeypatch.setattr(pa, "companion_roots", refuse)
+        monkeypatch.setattr(np, "roots", refuse)
 
     @pytest.mark.parametrize("s, beta_hex, ssr_hex, attempts, fallbacks", HICF_PINNED)
     def test_pinned_rows(self, s, beta_hex, ssr_hex, attempts, fallbacks):
