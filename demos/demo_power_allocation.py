@@ -13,7 +13,7 @@ interval boundaries.
 import numpy as np
 
 from risdm import default_config
-from risdm.power_allocation import allocate, deflate, es_1d, hicf, newton_root, sextic_coeffs
+from risdm.power_allocation import _newton_stage, allocate, es_1d, hicf, sextic_coeffs
 from risdm.rates import ScalarGains
 from risdm.sim import StageMemo, point_design, sweep_point
 
@@ -25,18 +25,17 @@ monic = sextic_coeffs(g)
 print("Monic quintic coefficients (alpha1..alpha5):")
 print(" ", np.round(monic[1:], 6))
 
-beta_1 = newton_root(monic, 0.5)
-print(f"\nNewton from 0.5     -> beta(1) = {beta_1:.8f}  "
+beta_1, quartic, tried = _newton_stage(monic)
+print(f"\nNewton, start {tried} of 9 -> beta(1) = {beta_1:.8f}  "
       f"(|f| = {abs(np.polyval(monic, beta_1)):.2e})")
-quartic = deflate(monic, beta_1)
-print("Deflated quartic    ->", np.round(quartic, 6))
+print("Deflated quartic      ->", np.round(quartic, 6))
 
 out = hicf(g)
 print("\nAll five roots recovered by the pipeline:")
 for root in out.diagnostics["roots"]:
     print(f"  {root:.6f}")
-print("\nCandidate table after the real-in-[0,1] filter "
-      "(origin, beta, unclamped objective):")
+print("\nCandidates: the real part of every root in [0, 1], the boundaries, and a\n"
+      "refined point where it scores higher (origin, beta, unclamped objective):")
 for cand in out.candidates:
     marker = " <- chosen" if cand.beta == out.beta1 else ""
     print(f"  {cand.origin:>9} {cand.beta:10.6f} {cand.objective:12.6f}{marker}")

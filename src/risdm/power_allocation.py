@@ -26,10 +26,10 @@ each adds es1d's grid point as a candidate.  So the cap can lose only a
 root that the 1e-3 grid and the refinement from it also miss.
 
 The root stages run on Python floats and complex numbers, with no numpy.
-Newton and deflation keep the operation order of the numpy forms they
-replaced (``np.polyval``'s Horner loop from 0.0, the deflation
-recurrence), so their bits are the array forms'.  Ferrari's residual
-check is a Python complex Horner loop, the same bits on every CPU.
+The Newton stage solves only the quintic, its Horner passes and
+deflation written out in the operations of the numpy forms they replaced,
+so its bits are theirs.  Ferrari's residual check is a Python complex
+Horner loop, the same bits on every CPU.
 Mixed float/complex operations rely on CPython promoting the float to
 ``complex(x, 0.0)``; releases that follow C99's mixed-mode rules (3.14
 on) can differ in signed zeros.
@@ -69,14 +69,6 @@ ES2D_SLACK = 1e-12  # es2d's pruning slack per unit of rate-term scale
 
 class DegenerateSexticError(ValueError):
     """The stationarity polynomial's degree fell below 4, or it is not finite."""
-
-
-class NewtonError(RuntimeError):
-    """Newton iteration failed: derivative vanished or no convergence."""
-
-
-class DeflationError(ValueError):
-    """Refused to deflate: the claimed root has too large a residual."""
 
 
 @dataclass(frozen=True)
@@ -212,70 +204,6 @@ def _residuals_within(coeffs, roots, bound):
     return all(abs(_horner(coeffs, complex(z))) <= bound * max(1.0, abs(z)) ** n for z in roots)
 
 
-def newton_root(coeffs, beta):
-    """Newton-Raphson on a real polynomial of degree <= 6, a list of Python
-    floats with the highest-degree coefficient first.
-
-    Iterates beta <- beta - f(beta)/f'(beta) until the step is <=
-    ``NEWTON_TOL``.  Raises :class:`NewtonError` when the derivative
-    vanishes or ``NEWTON_MAX_ITER`` (30) iterations do not converge, and
-    ``ValueError`` for a degree above 6.  hicf then tries its next start;
-    when every start fails it scores es1d's grid point instead.
-
-    The polynomial and its derivative are zero-padded on the left to
-    degree 6 and 5 and evaluated as two written-out Horner expressions
-    from 0.0, ``np.polyval``'s order: each leading zero leaves the
-    accumulator at +0.0, so every degree gives ``np.polyval``'s bits.
-    """
-    n = len(coeffs) - 1
-    if n > 6:
-        raise ValueError(f"newton_root takes a degree of at most 6, got {n}")
-    deriv = [coeffs[i] * (n - i) for i in range(n)]  # np.polyder's products
-    c0, c1, c2, c3, c4, c5, c6 = [0.0] * (6 - n) + list(coeffs)
-    d0, d1, d2, d3, d4, d5 = [0.0] * (6 - n) + deriv
-    tol, min_slope = NEWTON_TOL, DERIVATIVE_TOL  # locals: the loop reads them every step
-    for _ in range(NEWTON_MAX_ITER):
-        # two passes: a fused f, f' pass would round differently
-        fval = ((((((0.0 * beta + c0) * beta + c1) * beta + c2) * beta + c3) * beta + c4)
-                * beta + c5) * beta + c6
-        gval = ((((((0.0 * beta + d0) * beta + d1) * beta + d2) * beta + d3) * beta + d4)
-                * beta + d5)
-        if abs(gval) < min_slope:
-            raise NewtonError(f"derivative vanished at beta={beta!r}")
-        beta_next = beta - fval / gval
-        if not math.isfinite(beta_next):
-            raise NewtonError("iteration left the finite domain")
-        if abs(beta_next - beta) <= tol:
-            return beta_next
-        beta = beta_next
-    raise NewtonError(f"no convergence within {NEWTON_MAX_ITER} iterations")
-
-
-def deflate(coeffs, root):
-    """Synthetic division of a monic polynomial, a list of Python floats, by
-    (beta - root); returns the quotient as a list.
-
-    Quotient coefficients follow the recurrence
-    alpha_bar_i = alpha_i + root * alpha_bar_{i-1}; the remainder is the
-    polynomial value at the root, in ``np.polyval``'s operations, and must
-    be negligible, else :class:`DeflationError`.
-    """
-    # Python's max skips a NaN that np.max would return; the residual is
-    # then NaN too, and the test below passes under either scale.
-    scale = max(map(abs, coeffs))
-    acc = coeffs[0]
-    quotient = [acc]
-    for c in coeffs[1:-1]:
-        acc = c + root * acc
-        quotient.append(acc)
-    residual = coeffs[-1] + root * acc
-    if abs(residual) > DEFLATION_RESIDUAL_TOL * scale:
-        raise DeflationError(
-            f"residual {abs(residual):.3e} exceeds {DEFLATION_RESIDUAL_TOL:.0e} x scale {scale:.3e}"
-        )
-    return quotient
-
-
 # The cube roots of unity as (omega**k, omega**-k), k = 0, 1, 2.
 _OMEGA = cmath.exp(2j * cmath.pi / 3.0)
 _OMEGA_PAIRS = tuple((_OMEGA**k, _OMEGA**-k) for k in range(3))
@@ -339,14 +267,6 @@ def _ferrari(a1, a2, a3, a4):
     return roots if _residuals_within(quartic, roots, bound) else []
 
 
-def _ferrari_or_none(a1, a2, a3, a4):
-    """:func:`_ferrari`, with a power beyond the float range as no roots."""
-    try:
-        return _ferrari(a1, a2, a3, a4)
-    except OverflowError:
-        return []
-
-
 def ferrari_roots(a1, a2, a3, a4):
     """The four complex roots of beta^4 + a1 beta^3 + a2 beta^2 + a3 beta + a4
     by Ferrari's closed form, as a list, or [] when the formula fails.
@@ -367,14 +287,20 @@ def ferrari_roots(a1, a2, a3, a4):
         if not math.isfinite(coeff):
             raise ValueError("quartic coefficients must be finite")
     a1, a2, a3, a4 = float(a1), float(a2), float(a3), float(a4)
-    roots = _ferrari_or_none(a1, a2, a3, a4)
+    try:
+        roots = _ferrari(a1, a2, a3, a4)
+    except OverflowError:
+        roots = []
     if roots or a4 == 0.0:
         return roots
     flipped = (a3 / a4, a2 / a4, a1 / a4, 1.0 / a4)
     if not all(map(math.isfinite, flipped)):
         return []
+    try:
+        flipped_roots = _ferrari(*flipped)
+    except OverflowError:
+        return []
     # the reversed constant term is 1 / a4, so a root at 0 passed only through the check's scale
-    flipped_roots = _ferrari_or_none(*flipped)
     return [1.0 / y for y in flipped_roots] if all(flipped_roots) else []
 
 
@@ -491,20 +417,44 @@ def es_2d(g, step=DEFAULT_STEP_2D):
     )
 
 
-def _newton_stage(coeffs, inits):
-    """Newton on a list of Python floats from each start in turn, until a
-    root deflates (the remainder is its residual, checked once).  Returns
-    (root, quotient, attempts), or (None, None, attempts) when every start
-    fails."""
-    attempts = 0
-    for beta0 in inits:
-        attempts += 1
-        try:
-            root = newton_root(coeffs, beta0)
-            return root, deflate(coeffs, root), attempts
-        except (NewtonError, DeflationError):
-            continue
-    return None, None, attempts
+def _newton_stage(quintic):
+    """One Newton-Raphson root of the monic quintic [1, a1, ..., a5], a list
+    of Python floats, and the quartic [1, q1, ..., q4] it deflates to.
+
+    From each of ``NEWTON_STARTS`` in turn, beta <- beta - f / f' until a
+    step is <= ``NEWTON_TOL``.  A start fails where |f'| < ``DERIVATIVE_TOL``,
+    where a step is not finite, after ``NEWTON_MAX_ITER`` steps, and where
+    the root's remainder exceeds ``DEFLATION_RESIDUAL_TOL`` times the
+    largest |coefficient| (a NaN remainder passes).  Returns (root,
+    quartic, starts tried), or (None, None, 9) when every start fails.
+
+    f and f' are two Horner passes (a fused pass would round differently)
+    in ``np.polyval``'s operations on the polynomial and ``np.polyder``'s
+    products, whose accumulator is exactly 1.0 (5.0 for f') before a1
+    (4 a1) on a monic quintic, so they have its bits.
+    """
+    _, a1, a2, a3, a4, a5 = quintic
+    d1, d2, d3 = 4.0 * a1, 3.0 * a2, 2.0 * a3
+    bound = DEFLATION_RESIDUAL_TOL * max(map(abs, quintic))
+    tol, min_slope = NEWTON_TOL, DERIVATIVE_TOL  # locals: the loop reads them every step
+    for tried, beta in enumerate(NEWTON_STARTS, 1):
+        for _ in range(NEWTON_MAX_ITER):
+            slope = (((5.0 * beta + d1) * beta + d2) * beta + d3) * beta + a4
+            if abs(slope) < min_slope:
+                break
+            r = beta - (((((beta + a1) * beta + a2) * beta + a3) * beta + a4) * beta + a5) / slope
+            if not math.isfinite(r):
+                break
+            if abs(r - beta) <= tol:
+                q1 = a1 + r
+                q2 = a2 + r * q1
+                q3 = a3 + r * q2
+                q4 = a4 + r * q3
+                if not abs(a5 + r * q4) > bound:
+                    return r, [1.0, q1, q2, q3, q4], tried
+                break
+            beta = r
+    return None, None, len(NEWTON_STARTS)
 
 
 def _refine(factors, beta):
@@ -572,7 +522,7 @@ def hicf(g):
         diagnostics["degree"] = len(stationary) - 1
         poly = stationary
         if len(poly) == 6:  # a quintic: one Newton root deflates it to a quartic
-            root, poly, attempts = _newton_stage(poly, NEWTON_STARTS)
+            root, poly, attempts = _newton_stage(poly)
             diagnostics["newton_attempts"]["newton-1"] = attempts
             if root is None:  # every start failed: the chain ends
                 diagnostics["fallbacks"].append("no-root:newton-1")

@@ -18,6 +18,7 @@ from conftest import pipeline_gains, random_gains
 import root_oracles
 from root_oracles import DegeneratePolynomialError, certified_diagonal, companion_roots
 import risdm.power_allocation as pa
+from risdm import sim
 from risdm.geometry import default_config
 from risdm.power_allocation import (
     DEFLATION_RESIDUAL_TOL,
@@ -26,17 +27,14 @@ from risdm.power_allocation import (
     FERRARI_RESIDUAL_TOL,
     MIN_GRID_STEP,
     NEWTON_MAX_ITER,
+    NEWTON_STARTS,
     NEWTON_TOL,
-    DeflationError,
     DegenerateSexticError,
-    NewtonError,
     allocate,
-    deflate,
     es_1d,
     es_2d,
     ferrari_roots,
     hicf,
-    newton_root,
     sextic_coeffs,
 )
 from risdm.rates import ScalarGains, rate_objective, ssr
@@ -386,23 +384,25 @@ HICF_PINNED_ROOTS = [
 ]
 
 
-def polyval_newton(coeffs, beta0, tol=NEWTON_TOL, max_iter=NEWTON_MAX_ITER):
-    """The np.polyval Newton loop that newton_root must reproduce bit for bit."""
+def polyval_newton(coeffs, beta0, max_iter=NEWTON_MAX_ITER):
+    """The np.polyval Newton loop that the Newton stage must reproduce bit
+    for bit: the root, or None where the start fails."""
     coeffs = np.asarray(coeffs, dtype=float)
     deriv = np.polyder(coeffs)
     beta = float(beta0)
-    for _ in range(max_iter):
-        fval = np.polyval(coeffs, beta)
-        gval = np.polyval(deriv, beta)
-        if abs(gval) < DERIVATIVE_TOL:
-            raise NewtonError("derivative vanished")
-        beta_next = beta - fval / gval
-        if not math.isfinite(beta_next):
-            raise NewtonError("left the finite domain")
-        if abs(beta_next - beta) <= tol:
-            return beta_next
-        beta = beta_next
-    raise NewtonError("no convergence")
+    with np.errstate(all="ignore"):
+        for _ in range(max_iter):
+            fval = np.polyval(coeffs, beta)
+            gval = np.polyval(deriv, beta)
+            if abs(gval) < DERIVATIVE_TOL:
+                return None
+            beta_next = beta - fval / gval
+            if not math.isfinite(beta_next):
+                return None
+            if abs(beta_next - beta) <= NEWTON_TOL:
+                return beta_next
+            beta = beta_next
+    return None
 
 
 def ferrari_outcome(solver, a):
@@ -415,45 +415,70 @@ def ferrari_outcome(solver, a):
 
 
 def array_deflate(coeffs, root):
-    """The np.empty recurrence that deflate must reproduce bit for bit."""
+    """The np.empty recurrence that the Newton stage's deflation must
+    reproduce bit for bit: the quotient, or None where the remainder
+    exceeds the bound."""
     coeffs = np.asarray(coeffs, dtype=float)
     scale = np.max(np.abs(coeffs))
     quotient = np.empty(coeffs.size - 1)
     acc = coeffs[0]
     quotient[0] = acc
-    for i in range(1, coeffs.size - 1):
-        acc = coeffs[i] + root * acc
-        quotient[i] = acc
-    residual = coeffs[-1] + root * acc
+    with np.errstate(all="ignore"):
+        for i in range(1, coeffs.size - 1):
+            acc = coeffs[i] + root * acc
+            quotient[i] = acc
+        residual = coeffs[-1] + root * acc
     if abs(residual) > DEFLATION_RESIDUAL_TOL * scale:
-        raise DeflationError(
-            f"residual {abs(residual):.3e} exceeds {DEFLATION_RESIDUAL_TOL:.0e} x scale {scale:.3e}"
-        )
+        return None
     return quotient
+
+
+def mirror_stage(quintic):
+    """The Newton stage by the mirrors: polyval_newton, then array_deflate,
+    from each of NEWTON_STARTS in turn, until a root deflates."""
+    for tried, beta0 in enumerate(NEWTON_STARTS, 1):
+        root = polyval_newton(quintic, beta0)
+        quotient = None if root is None else array_deflate(quintic, root)
+        if quotient is not None:
+            return root, quotient.tolist(), tried
+    return None, None, len(NEWTON_STARTS)
+
+
+def stage_bits(outcome):
+    """float.hex of a Newton stage's root and quartic, and its starts tried."""
+    root, quartic, tried = outcome
+    return (None if root is None else float(root).hex(),
+            None if quartic is None else [float(c).hex() for c in quartic], tried)
 
 
 def hex_outcome(fn, *args):
     """float.hex of each returned coefficient, or the error's type and text."""
     try:
         return [float(c).hex() for c in fn(*args)]
-    except (DegenerateSexticError, DeflationError) as err:
+    except DegenerateSexticError as err:
         return type(err), str(err)
 
 
-def newton_outcome(solver, coeffs, beta0):
-    try:
-        return solver(coeffs, beta0).hex()
-    except NewtonError:
-        return NewtonError
-
-
-# Monic quintics and sextics, from raw coefficients or from real roots
-# (so that both convergent and failing starts are common).
+# Signed zeros, which a monic polynomial's coefficients can hold: 0.0 divided
+# by a negative leading coefficient is -0.0.
+_signed_zero = st.sampled_from([0.0, -0.0])
+# Monic quintics, from raw coefficients (signed zeros among them) or from
+# real roots (so that both convergent and failing starts are common).
 _coefficient = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
-monic_polys = st.one_of(
-    st.lists(_coefficient, min_size=5, max_size=6).map(lambda c: [1.0, *c]),
-    st.lists(st.floats(-1.0, 2.0), min_size=5, max_size=6).map(lambda r: np.poly(r).tolist()),
+quintics = st.one_of(
+    st.lists(st.one_of(_signed_zero, _coefficient), min_size=5, max_size=5).map(
+        lambda c: [1.0, *c]),
+    st.lists(st.floats(-1.0, 2.0), min_size=5, max_size=5).map(lambda r: np.poly(r).tolist()),
 )
+
+# Quintics on which the first start, 0.5, fails in each way a start can,
+# and the second converges and deflates; and two on which every start fails.
+# (beta - 0.5)^2 (beta - 2)(beta^2 + 1) has f' = 0 at 0.5, exactly.
+SLOPE_QUINTIC = np.poly([0.5, 0.5, 2.0, 1j, -1j]).real.tolist()
+CAP_QUINTIC = [1.0, 5.0, -4.0, 3.0, 5.0, 7.0]
+REMAINDER_QUINTIC = [1.0, 3004.0, 803863.0, 3243541.0, -3847977.0, 396995.0]
+NON_FINITE_QUINTIC = [1.0, 0.0, 0.0, 0.0, 0.0, 1e308]
+ALL_CAP_QUINTIC = np.poly([-3.0] * 5).tolist()  # (beta + 3)^5: linear convergence
 
 
 # Gains and noise powers: log-uniform like the benchmark's draws, plus small
@@ -493,12 +518,6 @@ log_uniform_gains = st.builds(
     st.booleans(),
     st.one_of(st.just([1.0, 1.0, 1.0]), st.lists(_log_uniform, min_size=3, max_size=3)),
 )
-
-# Real polynomials of degree 0-6 with signed zeros anywhere, the leading
-# coefficient included, and Newton starts on both sides of zero.
-_signed_zero = st.sampled_from([0.0, -0.0])
-any_degree_polys = st.lists(st.one_of(_signed_zero, _coefficient), min_size=1, max_size=7)
-newton_starts = st.one_of(st.floats(0.0, 1.0), st.floats(-2.0, 2.0), _signed_zero)
 
 # Monic quartics: random coefficients, or real roots (repeated ones included).
 quartics = st.one_of(
@@ -751,83 +770,73 @@ class TestSexticCoeffs:
         assert found > 20  # generic gains do produce interior stationary points
 
 
-class TestNewton:
+class TestNewtonStage:
     def test_known_factorization(self):
-        coeffs = np.polymul([1.0, -1.0, 0.21], [1.0, 0, 0, 0, 1.0]).tolist()
-        root = newton_root(coeffs, 0.5)
-        assert min(abs(root - 0.3), abs(root - 0.7)) < 1e-8
-        assert abs(np.polyval(coeffs, root)) < 1e-10
-
-    def test_linear_one_step(self):
-        assert newton_root([1.0, -0.4], 123.0) == pytest.approx(0.4, abs=1e-15)
+        # (beta - 0.3)(beta - 0.7)(beta^2 + 1)(beta + 2): the root found
+        # deflates to the quartic of the other four
+        roots = [0.3, 0.7, 1j, -1j, -2.0]
+        root, quartic, tried = pa._newton_stage(np.poly(roots).real.tolist())
+        assert tried == 1 and abs(np.polyval(np.poly(roots).real, root)) < 1e-9
+        found = min((0.3, 0.7), key=lambda r: abs(r - root))
+        assert abs(root - found) < 1e-8
+        rest = [r for r in roots if r != found]
+        assert np.allclose(quartic, np.poly(rest).real, atol=1e-8)
 
     def test_double_root_converges_linearly(self):
-        coeffs = np.polymul([1.0, -1.0, 0.25], [1.0, 0, 0, 0, 1.0]).tolist()
-        root = newton_root(coeffs, 0.3)
-        assert abs(root - 0.5) < 1e-4
-
-    def test_divergence_reported(self):
-        # derivative vanishes at the start point of beta^2 + 1
-        with pytest.raises(NewtonError):
-            newton_root([1.0, 0.0, 1.0], 0.0)
-
-    def test_max_iter_exhaustion(self):
-        with pytest.raises(NewtonError):
-            newton_root([1.0, 0.0, 1.0], 0.7)  # no real root
-
-    @settings(max_examples=600, deadline=None)
-    @given(coeffs=st.one_of(monic_polys, any_degree_polys), beta0=newton_starts)
-    @example(coeffs=[3.0], beta0=0.5)  # degree 0: the derivative vanishes
-    @example(coeffs=[-0.0, 1.0, -0.5], beta0=-0.0)
-    @example(coeffs=[0.0, 0.0, 0.0, 0.0, 2.0, -1.0, 0.0], beta0=-1.5)
-    def test_matches_polyval_loop_bit_for_bit(self, coeffs, beta0):
-        # zero-padded to degree 6, every degree keeps np.polyval's bits
-        assert newton_outcome(newton_root, coeffs, beta0) == newton_outcome(
-            polyval_newton, coeffs, beta0)
-
-    def test_degree_above_six_rejected(self):
-        with pytest.raises(ValueError, match="degree of at most 6, got 7"):
-            newton_root([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, -0.5], 0.5)
-
-
-class TestDeflation:
-    def test_sextic_known_root(self, rng):
-        rest = rng.uniform(-2, 2, size=5)
-        coeffs = np.polymul([1.0, -0.3], np.concatenate([[1.0], rest])).tolist()
-        quotient = deflate(coeffs, 0.3)
-        want = np.sort_complex(np.roots(np.concatenate([[1.0], rest])))
-        got = np.sort_complex(np.roots(quotient))
-        assert np.allclose(got, want, atol=1e-8)
-
-    def test_zero_root_exact(self):
-        q = np.array([1.0, 2.0, 3.0])
-        coeffs = np.append(q, 0.0).tolist()  # beta * q(beta)
-        assert np.array_equal(deflate(coeffs, 0.0), q)
-
-    def test_two_term_recurrence(self):
-        # (beta - 1)(beta - 2) deflated at 1 -> beta - 2
-        assert np.allclose(deflate([1.0, -3.0, 2.0], 1.0), [1.0, -2.0])
+        roots = [0.4, 0.4, 1j, -1j, -2.0]
+        root, quartic, tried = pa._newton_stage(np.poly(roots).real.tolist())
+        assert tried == 1 and abs(root - 0.4) < 1e-4
+        assert np.allclose(quartic, np.poly(roots[1:]).real, atol=1e-3)
 
     def test_reconstruction(self, rng):
+        # (beta - root) times the quartic gives back the quintic
         for _ in range(50):
-            roots = rng.uniform(-2, 2, size=6)
-            coeffs = np.poly(roots)
-            quotient = deflate(coeffs.tolist(), float(roots[0]))
-            back = np.polymul([1.0, -roots[0]], quotient)
-            assert np.allclose(back, coeffs, atol=1e-8)
+            quintic = np.poly(rng.uniform(-2, 2, size=5))
+            root, quartic, _ = pa._newton_stage(quintic.tolist())
+            assert np.allclose(np.polymul([1.0, -root], quartic), quintic, atol=1e-8)
 
-    def test_refuses_non_root(self):
-        with pytest.raises(DeflationError):
-            deflate([1.0, -3.0, 2.0], 0.5)
+    def test_vanishing_slope_moves_to_the_next_start(self):
+        assert np.polyval(np.polyder(SLOPE_QUINTIC), 0.5) == 0.0
+        root, _, tried = pa._newton_stage(SLOPE_QUINTIC)
+        assert tried == 2 and abs(root - 0.5) < 1e-4
+
+    def test_the_step_cap_moves_to_the_next_start(self):
+        # from 0.5 Newton converges, but not within NEWTON_MAX_ITER steps
+        assert polyval_newton(CAP_QUINTIC, 0.5) is None
+        assert polyval_newton(CAP_QUINTIC, 0.5, max_iter=10 * NEWTON_MAX_ITER) is not None
+        root, _, tried = pa._newton_stage(CAP_QUINTIC)
+        assert tried == 2 and abs(np.polyval(CAP_QUINTIC, root)) < 1e-9
+
+    def test_a_remainder_over_the_bound_moves_to_the_next_start(self):
+        # from 0.5 Newton converges near -2707.5, where the remainder exceeds
+        # DEFLATION_RESIDUAL_TOL times the largest coefficient
+        far = polyval_newton(REMAINDER_QUINTIC, 0.5)
+        assert far < -2000.0 and array_deflate(REMAINDER_QUINTIC, far) is None
+        root, quartic, tried = pa._newton_stage(REMAINDER_QUINTIC)
+        assert tried == 2 and 0.0 < root < 1.0
+        assert quartic == array_deflate(REMAINDER_QUINTIC, root).tolist()
+
+    def test_a_step_that_is_not_finite_fails_the_start(self):
+        with np.errstate(over="ignore"):
+            first_step = 0.5 - np.polyval(NON_FINITE_QUINTIC, 0.5) / np.polyval(
+                np.polyder(NON_FINITE_QUINTIC), 0.5)
+        assert not math.isfinite(first_step)
+        assert pa._newton_stage(NON_FINITE_QUINTIC) == (None, None, len(NEWTON_STARTS))
+
+    def test_every_start_capped(self):
+        assert all(polyval_newton(ALL_CAP_QUINTIC, beta0) is None for beta0 in NEWTON_STARTS)
+        assert pa._newton_stage(ALL_CAP_QUINTIC) == (None, None, len(NEWTON_STARTS))
 
     @settings(max_examples=400, deadline=None)
-    @given(roots=st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=7),
-           shift=st.one_of(st.just(0.0), st.floats(-1e-3, 1e-3)))
-    def test_matches_array_recurrence_bit_for_bit(self, roots, shift):
-        # at a root, near one (a small residual may pass) or off one
-        coeffs = np.poly(roots).tolist()
-        root = roots[0] + shift
-        assert hex_outcome(deflate, coeffs, root) == hex_outcome(array_deflate, coeffs, root)
+    @given(quintic=quintics)
+    @example(quintic=SLOPE_QUINTIC)
+    @example(quintic=CAP_QUINTIC)
+    @example(quintic=REMAINDER_QUINTIC)
+    @example(quintic=NON_FINITE_QUINTIC)
+    @example(quintic=ALL_CAP_QUINTIC)
+    @example(quintic=[1.0, -0.0, 0.0, -0.0, 0.0, -0.0])  # beta^5: f' = 0 at the root
+    def test_matches_the_array_mirrors_bit_for_bit(self, quintic):
+        assert stage_bits(pa._newton_stage(quintic)) == stage_bits(mirror_stage(quintic))
 
 
 class TestCompanionRoots:
@@ -874,7 +883,8 @@ class TestFerrari:
         # roots pass on the reversed polynomial, not on the plain bound
         for s in [row[0] for row in HICF_PINNED[17:20]]:
             g = ScalarGains(*s, 1.0, 1.0, 1.0)
-            quartic = deflate(sextic_coeffs(g), hicf(g).diagnostics["roots"][0].real)
+            root, quartic, _ = pa._newton_stage(sextic_coeffs(g))
+            assert root == hicf(g).diagnostics["roots"][0].real
             roots = ferrari_roots(*quartic[1:])
             assert len(roots) == 4 and max(map(abs, roots)) > 100.0
             bound = FERRARI_RESIDUAL_TOL * max(1.0, *map(abs, quartic[1:]))
@@ -941,7 +951,7 @@ class TestFerrari:
         if roots and not within([1.0, *a], roots):
             a1, a2, a3, a4 = a
             flipped = [1.0, a3 / a4, a2 / a4, a1 / a4, 1.0 / a4]
-            solved = pa._ferrari_or_none(*flipped[1:])
+            solved = pa._ferrari(*flipped[1:])
             assert within(flipped, solved) and [1.0 / y for y in solved] == roots
 
     @pytest.mark.parametrize("branch", FERRARI_BRANCHES)
@@ -1220,14 +1230,6 @@ class TestGridSearches:
 
 
 class TestHicf:
-    def test_newton_stage_accepts_the_first_root_that_deflates(self):
-        # (beta - 0.3)(beta - 0.7): f' vanishes at 0.5, Newton from 0.2 converges
-        coeffs = [1.0, -1.0, 0.21]
-        root, quotient, attempts = pa._newton_stage(coeffs, [0.5, 0.2, 0.9])
-        assert root == newton_root(coeffs, 0.2) and abs(root - 0.3) < 1e-9
-        assert quotient == deflate(coeffs, root) and attempts == 2
-        assert pa._newton_stage([1.0, 0.0, 1.0], [0.0, 0.7]) == (None, None, 2)
-
     def test_newton_starts_are_half_then_the_stratum_midpoints(self):
         assert pa.NEWTON_STARTS == (0.5, *[(k + 0.5) / 8 for k in range(8)])
 
@@ -1485,15 +1487,16 @@ class TestHicfPinned:
         # first root that deflates: it leaves 0.5 only when Newton fails
         # there, and a quartic or a degenerate polynomial runs no Newton
         starts = []
-        solve = pa.newton_root
 
-        def recording(coeffs, beta0):
-            starts.append(beta0)
-            return solve(coeffs, beta0)
+        class RecordingStarts(tuple):  # records each start the stage draws
+            def __iter__(self):
+                for beta0 in tuple.__iter__(self):
+                    starts.append(beta0)
+                    yield beta0
 
-        monkeypatch.setattr(pa, "newton_root", recording)
+        monkeypatch.setattr(pa, "NEWTON_STARTS", RecordingStarts(pa.NEWTON_STARTS))
         hicf(ScalarGains(*s, 1.0, 1.0, 1.0))
-        assert starts == list(pa.NEWTON_STARTS[:attempts.get("newton-1", 0)])
+        assert starts == list(NEWTON_STARTS[:attempts.get("newton-1", 0)])
 
     @pytest.mark.parametrize("s, fallbacks", [row[:1] + row[4:] for row in HICF_PINNED])
     def test_one_newton_stage_only_on_a_quintic(self, monkeypatch, s, fallbacks):
@@ -1503,9 +1506,9 @@ class TestHicfPinned:
         stages, quartics = [], []
         stage, solve = pa._newton_stage, pa.ferrari_roots
 
-        def recording_stage(coeffs, inits):
-            stages.append((list(coeffs), tuple(inits)))
-            return stage(coeffs, inits)
+        def recording_stage(quintic):
+            stages.append(list(quintic))
+            return stage(quintic)
 
         def recording_ferrari(*a):
             quartics.append(list(a))
@@ -1523,12 +1526,12 @@ class TestHicfPinned:
         if diag["degree"] == 4:
             assert stages == [] and quartics == [poly[1:]]
             return
-        assert stages == [(poly, pa.NEWTON_STARTS)]
+        assert stages == [poly]
         if "no-root:newton-1" in fallbacks:
             assert quartics == []
         else:
             assert diag["origins"][0] == "newton-1"
-            assert quartics == [deflate(poly, diag["roots"][0].real)[1:]]
+            assert quartics == [array_deflate(poly, diag["roots"][0].real)[1:].tolist()]
 
 
 # pa-fuzz gain draws (s1..s8, unit noise powers) whose root clusters near
@@ -1622,6 +1625,26 @@ class TestHicfAgainstTheCertificate:
     def test_never_below_the_certificate(self, g):
         out = hicf(g)
         assert rate_objective(out.beta1, out.beta1, g) >= certified_diagonal(g)[1] - 1e-12
+
+    def test_never_below_the_certificate_on_the_power_sweep(self, monkeypatch):
+        # the pipeline's own gains: the 72 distinct gain sets of the default
+        # scene's power sweep (0-40 dBm in steps of 5, both designs,
+        # gpg/random/none, 2 trials, seed 3), max-sv's quartics among them
+        outcomes, solve = {}, sim.allocate
+
+        def recording(g, method):
+            outcomes[g] = solve(g, method)
+            return outcomes[g]
+
+        monkeypatch.setattr(sim, "allocate", recording)
+        spec = SweepSpec(axis="power_dbm", values=tuple(range(0, 45, 5)),
+                         methods=("max-sv", "leakage"), ris_modes=("gpg", "random", "none"),
+                         pa_modes=("hicf",), trials=2, seed=3)
+        run_sweep(default_config(), spec)
+        assert len(outcomes) == 72
+        assert {out.diagnostics["degree"] for out in outcomes.values()} == {4, 5}
+        for g, out in outcomes.items():
+            assert rate_objective(out.beta1, out.beta1, g) >= certified_diagonal(g)[1] - 1e-12
 
 
 def outcome_bits(out):
