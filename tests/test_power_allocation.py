@@ -827,6 +827,41 @@ class TestNewtonStage:
         assert all(polyval_newton(ALL_CAP_QUINTIC, beta0) is None for beta0 in NEWTON_STARTS)
         assert pa._newton_stage(ALL_CAP_QUINTIC) == (None, None, len(NEWTON_STARTS))
 
+    def test_an_exact_root_at_the_first_start_deflates_exactly(self):
+        # (beta - 0.5)(beta^4 + 1): f(0.5) is exactly 0, so the first step
+        # stays put and the remainder is exactly 0
+        assert pa._newton_stage([1.0, -0.5, 0.0, 0.0, 1.0, -0.5]) == (
+            0.5, [1.0, 0.0, 0.0, 0.0, 1.0], 1)
+
+    def test_a_root_outside_the_unit_interval_is_accepted(self):
+        # (beta - 3)(beta^2 + 1)(beta^2 + 4): the stage takes any real root;
+        # only the candidates keep [0, 1]
+        quintic = np.poly([3.0, 1j, -1j, 2j, -2j]).real.tolist()
+        assert pa._newton_stage(quintic) == (3.0, [1.0, 0.0, 5.0, 0.0, 4.0], 1)
+
+    def test_the_quartic_keeps_the_other_four_roots(self, rng):
+        # (beta - 0.3) times a quartic of two complex pairs: 0.3 is the only
+        # real root, and the quartic the stage returns has the pairs' roots
+        for _ in range(20):
+            u, w = rng.uniform(-2.0, 2.0, size=2)
+            v, x = rng.uniform(0.5, 2.0, size=2)
+            rest = [complex(u, v), complex(u, -v), complex(w, x), complex(w, -x)]
+            root, quartic, tried = pa._newton_stage(np.poly([0.3, *rest]).real.tolist())
+            assert tried == 1 and abs(root - 0.3) < 1e-8
+            assert np.allclose(np.sort_complex(np.roots(quartic)), np.sort_complex(rest),
+                               atol=1e-8)
+
+    def test_matches_the_array_mirrors_on_pipeline_quintics(self, default_cfg):
+        # leakage's gains give quintics: the stage keeps the mirrors' bits on them
+        quintics = {tuple(sextic_coeffs(pipeline_gains(default_cfg, ris_mode=mode,
+                                                       method="leakage", seed=seed)))
+                    for mode in ("gpg", "random", "none") for seed in range(3)}
+        assert len(quintics) >= 3 and all(len(q) == 6 for q in quintics)
+        for quintic in map(list, quintics):
+            outcome = pa._newton_stage(quintic)
+            assert outcome[0] is not None
+            assert stage_bits(outcome) == stage_bits(mirror_stage(quintic))
+
     @settings(max_examples=400, deadline=None)
     @given(quintic=quintics)
     @example(quintic=SLOPE_QUINTIC)
