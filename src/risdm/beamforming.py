@@ -17,11 +17,12 @@ LAPACK module, loaded on the first leakage design without the rest of
 The designs are split by the inputs each part reads, so a sweep can
 compute each part once per distinct input: the ZF vectors of a receiver
 (:func:`receiver_zf`) read only its arrival steerings, the max-sv vectors
-(:func:`max_sv_beamformers`) only the effective channels, and the leakage
-transmitters (:func:`leakage_transmitters`) the links, powers and split.
+(:func:`max_sv_beamformers`) only the effective channels, and each side's
+leakage vectors (:func:`leakage_side`) the links, powers and split.
 A ZF+MRC combiner (:func:`zf_mrc`) reads a receiver's ZF vectors, the
 effective channels' path terms, the transmit vectors and the split; it
-alone knows which path term feeds which branch.
+alone knows which path term feeds which branch.  A dropped ZF branch
+carries the zero vector, so its signal, and with it its weight, is 0.
 :func:`risdm.sim.point_design` is the one caller that composes these
 parts into a :class:`BeamformerSet`, with each part memoized under the
 inputs it reads; it holds the only branch on the method.
@@ -209,16 +210,24 @@ def an_nullspace_design(v_cm, h_eve_departure):
 ZF_BRANCHES = {"a": ("i1", "i2", "b"), "b": ("i1", "i2", "a"), "e": ("i1", "i2", "a", "b")}
 
 
-def _zf_branches(steerings):
-    """Per-branch ZF vectors: each nulls every other arrival steering.
+def receiver_zf(channels, rx):
+    """ZF vectors and drop flags of receiver ``rx`` over its ``ZF_BRANCHES``.
 
-    Returns (vectors, dropped) where dropped marks branches whose desired
-    direction was annihilated by the nulling projector.
+    Each branch's vector nulls every other arrival steering; a branch
+    whose desired direction the nulling projector annihilates is dropped
+    and carries the zero vector.  Reads only the arrival steerings, so one
+    channel set has one result per receiver, whatever the powers, split
+    or reflections.
     """
-    n = steerings[0].size
+    steerings = [channels.arrival_steering(tx, rx) for tx in ZF_BRANCHES[rx]]
+    n, k = steerings[0].size, len(steerings)
+    if n < k:
+        raise InsufficientAntennasError(
+            f"receiver '{rx}' needs >= {k} antennas for {k}-way ZF, has {n}"
+        )
     vectors, dropped = [], []
     for i, h_i in enumerate(steerings):
-        others = np.vstack([steerings[j].conj() for j in range(len(steerings)) if j != i])
+        others = np.vstack([steerings[j].conj() for j in range(k) if j != i])
         gram = others @ others.conj().T
         proj = np.eye(n) - others.conj().T @ np.linalg.pinv(gram) @ others
         v_i = proj @ h_i
@@ -231,21 +240,6 @@ def _zf_branches(steerings):
     return vectors, dropped
 
 
-def receiver_zf(channels, rx):
-    """ZF vectors and drop flags of receiver ``rx`` over its ``ZF_BRANCHES``.
-
-    Reads only the arrival steerings, so one channel set has one result
-    per receiver, whatever the powers, split or reflections.
-    """
-    steerings = [channels.arrival_steering(tx, rx) for tx in ZF_BRANCHES[rx]]
-    n, k = steerings[0].size, len(steerings)
-    if n < k:
-        raise InsufficientAntennasError(
-            f"receiver '{rx}' needs >= {k} antennas for {k}-way ZF, has {n}"
-        )
-    return _zf_branches(steerings)
-
-
 def zf_mrc(zf, eff, rx, v_at, v_bt, config):
     """(combiner, weights): the unit-norm ZF+MRC combiner of receiver ``rx``.
 
@@ -255,8 +249,8 @@ def zf_mrc(zf, eff, rx, v_at, v_bt, config):
     stream at Bob, Bob's at Alice, and at Eve both streams at their
     configured amplitudes sqrt(beta P) on each surface branch and one
     stream, unscaled, on each direct branch.  Each weight is conj(s)/|s|
-    of its branch signal s, 0 for a dropped or dead branch; the combiner
-    sums the ZF vectors so weighted.
+    of its branch signal s, 0 for a dead branch (a dropped branch's zero
+    vector gives s = 0); the combiner sums the ZF vectors so weighted.
     """
     if rx == "e":
         from_a, from_b = eff.paths["h_e1"], eff.paths["h_e2"]
@@ -266,8 +260,8 @@ def zf_mrc(zf, eff, rx, v_at, v_bt, config):
         arrivals += [from_a[2] @ v_at, from_b[2] @ v_bt]
     else:
         arrivals = [term @ (v_at if rx == "b" else v_bt) for term in eff.paths["h_" + rx]]
-    vecs, dropped = zf
-    signals = [0.0 if drop else v.conj() @ y for v, y, drop in zip(vecs, arrivals, dropped)]
+    vecs = zf[0]
+    signals = [v.conj() @ y for v, y in zip(vecs, arrivals)]
     weights = [0.0 if abs(s) < 1e-300 else np.conj(s) / abs(s) for s in signals]
     return _unit(sum(np.conj(w) * v for w, v in zip(weights, vecs))), weights
 
@@ -335,12 +329,3 @@ def max_sv_beamformers(channels, eff):
     w_b, _ = an_nullspace_design(v_bt, channels.departure_steering("b", "e"))
     return v_at, v_bt, w_a, w_b, v_ar, v_br
 
-
-def leakage_transmitters(channels, config):
-    """The SLNR message and LANSR noise vectors (v_at, v_bt, w_a, w_b).
-
-    Reads the link matrices, powers and split; no reflection.  Each side's
-    pencil is built once, by :func:`leakage_side`.
-    """
-    (v_at, w_a), (v_bt, w_b) = (leakage_side(channels, config, side) for side in "ab")
-    return v_at, v_bt, w_a, w_b

@@ -42,7 +42,8 @@ class ConfigError(ValueError):
 
 
 class InvalidGeometryError(ValueError):
-    """Raised for coincident nodes or end-fire link angles."""
+    """Raised for coincident nodes, end-fire link angles or a link whose
+    path gain is not a finite number."""
 
 
 def link_class(tx, rx):
@@ -51,10 +52,23 @@ def link_class(tx, rx):
 
 
 def path_loss(d, alpha, c):
-    """Linear path gain alpha / d^c at distance d meters."""
+    """Linear path gain alpha / d^c at distance d meters.
+
+    Raises :class:`InvalidGeometryError` for a distance that is not
+    positive or a gain that is not a finite number, including a d^c that
+    overflows or underflows to 0.
+    """
     if d <= 0:
-        raise InvalidGeometryError(f"distance must be positive, got {d}")
-    return alpha / d**c
+        raise InvalidGeometryError(f"distance d = {d!r} m must be positive (exponent c = {c!r})")
+    try:
+        gain = alpha / d**c
+    except (OverflowError, ZeroDivisionError):
+        gain = math.nan
+    if not math.isfinite(gain):
+        raise InvalidGeometryError(
+            f"path gain alpha / d^c is not a finite number "
+            f"(distance d = {d!r} m, exponent c = {c!r}, alpha = {alpha!r})")
+    return gain
 
 
 def fold_angle(ray_angle, orientation):
@@ -308,7 +322,11 @@ class ScenarioConfig:
     @classmethod
     def from_file(cls, path):
         with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                doc = json.load(fh)
+            except ValueError as err:  # malformed JSON or not UTF-8
+                raise ConfigError(f"{path}: {err}") from None
+        return cls.from_dict(doc)
 
     def to_dict(self):
         return asdict(self)
@@ -372,7 +390,10 @@ def build_geometry(config):
                     f"link {tx}->{rx}: {name}={ang:.6f} falls on the array axis "
                     f"(end-fire); adjust the placement or pin the angle"
                 )
-        gain = path_loss(dist, config.pathloss_alpha, config.pathloss_exp[link_class(tx, rx)])
+        try:
+            gain = path_loss(dist, config.pathloss_alpha, config.pathloss_exp[link_class(tx, rx)])
+        except InvalidGeometryError as err:
+            raise InvalidGeometryError(f"link {tx}->{rx}: {err}") from None
         geom[(tx, rx)] = Link(theta_t=theta_t, theta_r=theta_r, distance=dist, gain=gain)
     return geom
 

@@ -44,7 +44,7 @@ import numpy as np
 
 from .beamforming import (
     BeamformerSet,
-    leakage_transmitters,
+    leakage_side,
     max_sv_beamformers,
     receiver_zf,
     zf_mrc,
@@ -224,7 +224,8 @@ def point_design(memo, point, method, ris_mode, seed):
       seed for a mode in ``ris.SEEDED_MODES``;
     * ZF vectors: the site and the receiver;
     * max-sv design: the effective channels;
-    * leakage transmitters: the site, powers and split;
+    * leakage transmit vectors, :func:`~risdm.beamforming.leakage_side`
+      of Alice and of Bob: the site, powers and split;
     * the leakage receivers, Eve's combiner and the set's gains: the
       effective channels, method, powers and split, in one entry.
 
@@ -247,8 +248,9 @@ def point_design(memo, point, method, ris_mode, seed):
             v_at, v_bt, w_a, w_b, v_ar, v_br = memo.get(
                 ("max-sv", eff_key), lambda: max_sv_beamformers(channels, eff))
         elif method == "leakage":
-            v_at, v_bt, w_a, w_b = memo.get(
-                ("leakage", site_key, budget), lambda: leakage_transmitters(channels, scenario))
+            (v_at, w_a), (v_bt, w_b) = memo.get(
+                ("leakage", site_key, budget),
+                lambda: [leakage_side(channels, scenario, side) for side in "ab"])
             v_br, v_ar = receiver("b", v_at, v_bt), receiver("a", v_at, v_bt)
         else:
             raise ValueError(f"unknown beamforming method '{method}'")

@@ -10,7 +10,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import direct_only, pipeline, random_config
+from conftest import collinear_config, direct_only, pipeline, random_config
 import risdm.beamforming as beamforming
 from risdm.beamforming import (
     DegenerateChannelError,
@@ -21,7 +21,6 @@ from risdm.beamforming import (
     dominant_generalized_eigvec,
     dominant_singular_pair,
     leakage_side,
-    leakage_transmitters,
     max_sv_beamformers,
     receiver_zf,
     zf_mrc,
@@ -421,6 +420,8 @@ class TestLeakageDesigns:
 
 
     def test_pencils_built_once_per_side(self, default_cfg, monkeypatch):
+        # a leakage point builds each side's pencil once, and its transmit
+        # vectors are that side's leakage_side vectors
         channels = build_channels(build_geometry(default_cfg), default_cfg)
         built = []
         real = beamforming._leakage_matrices
@@ -430,9 +431,9 @@ class TestLeakageDesigns:
             return real(channels_, side)
 
         monkeypatch.setattr(beamforming, "_leakage_matrices", counting)
-        v_at, v_bt, w_a, w_b = leakage_transmitters(channels, default_cfg)
+        _, bf, _ = point_design(StageMemo(), sweep_point(default_cfg), "leakage", "gpg", 0)
         assert built == ["a", "b"]
-        for side, v, w in (("a", v_at, w_a), ("b", v_bt, w_b)):
+        for side, v, w in (("a", bf.v_at, bf.w_a), ("b", bf.v_bt, bf.w_b)):
             v_side, w_side = leakage_side(channels, default_cfg, side)
             assert np.array_equal(v, v_side) and np.array_equal(w, w_side)
 
@@ -451,6 +452,21 @@ class TestThreeWayCombiner:
             for j, h in enumerate(steer):
                 if j != i:
                     assert abs(h.conj() @ v) < 1e-9
+
+    @pytest.mark.parametrize("method", ["max-sv", "leakage"])
+    def test_dropped_branches_are_zero_and_weigh_nothing(self, method):
+        # on the Alice-Bob line Bob's ZF drops surface 1 and the direct
+        # path; their zero vectors carry no signal, so zf_mrc weighs them 0
+        cfg = collinear_config()
+        channels = build_channels(build_geometry(cfg), cfg)
+        eff, bf, _ = point_design(StageMemo(), sweep_point(cfg), method, "gpg", 0)
+        zf = receiver_zf(channels, "b")
+        assert zf[1] == [True, False, True]
+        _, weights = zf_mrc(zf, eff, "b", bf.v_at, bf.v_bt, cfg)
+        for i in (0, 2):
+            assert np.array_equal(zf[0][i], np.zeros(cfg.Nb, dtype=complex))
+            assert weights[i] == 0.0
+        assert abs(abs(weights[1]) - 1.0) < 1e-12
 
     def test_insufficient_antennas(self):
         cfg = default_config(Nb=2)

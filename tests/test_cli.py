@@ -329,6 +329,15 @@ class TestScenarioDump:
         assert proc.returncode == 1
         assert proc.stderr == "error: Pa_dbm = 4000.0 dBm overflows in mW\n"
 
+    def test_malformed_json_names_the_file(self, tmp_path):
+        # once printed only the decoder's message, with no file name
+        bad = tmp_path / "bad.json"
+        bad.write_text("{'Pa_dbm': 27}")
+        proc = run_cli("scenario", "dump", "--config", str(bad))
+        assert proc.returncode == 1
+        assert proc.stderr == (f"error: {bad}: Expecting property name enclosed in double "
+                               "quotes: line 1 column 2 (char 1)\n")
+
     def test_missing_file_is_diagnosed(self):
         proc = run_cli("scenario", "dump", "--config", "/nonexistent.json")
         assert proc.returncode == 1

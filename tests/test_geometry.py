@@ -21,6 +21,7 @@ from risdm.geometry import (
     link_class,
     path_loss,
 )
+from risdm.sim import apply_axis
 
 
 def assert_rejected(doc, match):
@@ -53,6 +54,45 @@ class TestPathLoss:
         d = np.linspace(1.0, 500.0, 200)
         g = [path_loss(x, 1e-3, 2.7) for x in d]
         assert all(a > b for a, b in zip(g, g[1:]))
+
+
+def assert_link_refused(cfg, link, distance, exponent):
+    """build_geometry refuses ``cfg`` naming the link, distance and exponent."""
+    with pytest.raises(InvalidGeometryError) as err:
+        build_geometry(cfg)
+    message = str(err.value)
+    assert message.startswith(f"link {link}: ")
+    assert f"distance d = {distance!r} m" in message and f"exponent c = {exponent!r}" in message
+
+
+def pinned_a_e(cfg, distance):
+    placement = cfg.placement
+    return cfg.replace(placement=Placement(
+        positions=placement.positions, orientations=placement.orientations,
+        pinned={"a->e": {"distance": distance}}))
+
+
+class TestGainNotFinite:
+    # each once failed without naming the link: an errno text, a division
+    # by zero, or numpy warnings and "matrix contains non-finite entries"
+
+    def test_far_distance_overflows(self, default_cfg):
+        assert_link_refused(apply_axis(default_cfg, "distance_ab", 1e300), "a->b", 1e300, 4.5)
+
+    def test_large_exponent_overflows(self, default_cfg):
+        cfg = default_cfg.replace(pathloss_exp={"direct": 400.0, "ris": 2.0})
+        distance = build_geometry(default_cfg)[("a", "b")].distance
+        assert_link_refused(cfg, "a->b", distance, 400.0)
+
+    def test_tiny_distance_underflows(self, default_cfg):
+        assert_link_refused(pinned_a_e(default_cfg, 1e-200), "a->e", 1e-200, 4.5)
+
+    def test_gain_overflows_to_inf(self, default_cfg):
+        cfg = pinned_a_e(default_cfg.replace(pathloss_alpha=1e300), 1e-10)
+        assert_link_refused(cfg, "a->e", 1e-10, 4.5)
+
+    def test_negative_distance(self, default_cfg):
+        assert_link_refused(pinned_a_e(default_cfg, -5.0), "a->e", -5.0, 4.5)
 
 
 class TestDefaultLayout:

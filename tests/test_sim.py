@@ -302,7 +302,7 @@ class TestRunSweep:
 
         stages = ("apply_axis", "sweep_point", "build_geometry", "build_channels",
                   "reflections_for", "effective_channels", "receiver_zf", "max_sv_beamformers",
-                  "leakage_transmitters", "scalar_gains", "allocate")
+                  "leakage_side", "scalar_gains", "allocate")
         for name in stages:
             counting(name)
         spec = SweepSpec(
@@ -319,7 +319,8 @@ class TestRunSweep:
             "apply_axis": 2, "sweep_point": 2,  # once per axis value
             "build_geometry": 1, "build_channels": 1,
             "reflections_for": effective, "effective_channels": effective,
-            "receiver_zf": 3, "max_sv_beamformers": effective, "leakage_transmitters": 2,
+            # leakage_side: both sides at each of the two budgets
+            "receiver_zf": 3, "max_sv_beamformers": effective, "leakage_side": 2 * 2,
             "scalar_gains": gains,
             # epa, es1d, es2d and hicf once per set of gains
             "allocate": 4 * gains,
