@@ -8,7 +8,7 @@ zero-forcing path separation at every receiver.
 import numpy as np
 
 from risdm import build_channels, build_geometry, default_config
-from risdm.beamforming import receiver_zf, zf_mrc
+from risdm.beamforming import ZF_BRANCHES, receiver_zf, zf_mrc
 from risdm.rates import rates_matrix_form, ssr
 from risdm.sim import StageMemo, point_design, sweep_point
 
@@ -35,10 +35,10 @@ for method in ("max-sv", "leakage"):
 print("\nEve's four-branch zero-forcing separation (max-sv design):")
 eff, bf, _ = point_design(memo, point, "max-sv", "gpg", 0)
 zf = receiver_zf(channels, "e")
-vecs, weights = zf[0], zf_mrc(zf, eff, "e", bf.v_at, bf.v_bt, cfg)[1]
-steer = [channels.arrival_steering(tx, "e") for tx in ("i1", "i2", "a", "b")]
+weights = zf_mrc(zf, eff, "e", bf.v_at, bf.v_bt, cfg)[1]
+steer = [channels.arrival_steering(tx, "e") for tx in ZF_BRANCHES["e"]]
 names = ("surface-1", "surface-2", "Alice", "Bob")
-for i, (v, w, name) in enumerate(zip(vecs, weights, names)):
+for i, (v, w, name) in enumerate(zip(zf, weights, names)):
     nulls = max(abs(steer[j].conj() @ v) for j in range(4) if j != i)
     print(f"  branch {name:>9}: |weight| = {abs(w):.3f}, "
           f"worst residual toward nulled arrivals = {nulls:.2e}")

@@ -21,8 +21,8 @@ compute each part once per distinct input: the ZF vectors of a receiver
 leakage vectors (:func:`leakage_side`) the links, powers and split.
 A ZF+MRC combiner (:func:`zf_mrc`) reads a receiver's ZF vectors, the
 effective channels' path terms, the transmit vectors and the split; it
-alone knows which path term feeds which branch.  A dropped ZF branch
-carries the zero vector, so its signal, and with it its weight, is 0.
+reads each branch's term under the branch's ``ZF_BRANCHES`` name.  A
+dropped ZF branch is the zero vector, so its signal and weight are 0.
 :func:`risdm.sim.point_design` is the one caller that composes these
 parts into a :class:`BeamformerSet`, with each part memoized under the
 inputs it reads; it holds the only branch on the method.
@@ -205,19 +205,19 @@ def an_nullspace_design(v_cm, h_eve_departure):
     return _unit(t @ (u / np.linalg.norm(u))), False
 
 
-# Arrival branches of each ZF receiver, in branch order: surface-1
-# reflection, surface-2 reflection, then the direct path(s).
+# Each ZF receiver's arrival branches in branch order, named as the path
+# terms are keyed: surface 1, surface 2, then the direct transmitter(s).
 ZF_BRANCHES = {"a": ("i1", "i2", "b"), "b": ("i1", "i2", "a"), "e": ("i1", "i2", "a", "b")}
 
 
 def receiver_zf(channels, rx):
-    """ZF vectors and drop flags of receiver ``rx`` over its ``ZF_BRANCHES``.
+    """The ZF vectors of receiver ``rx``, one per branch of ``ZF_BRANCHES[rx]``.
 
-    Each branch's vector nulls every other arrival steering; a branch
-    whose desired direction the nulling projector annihilates is dropped
-    and carries the zero vector.  Reads only the arrival steerings, so one
-    channel set has one result per receiver, whatever the powers, split
-    or reflections.
+    Each branch's vector nulls every other arrival steering.  A branch
+    whose projected steering is shorter than ``DEGENERATE_BRANCH_TOL`` is
+    dropped: its vector is exactly ``np.zeros(n)``.  Reads only the
+    arrival steerings, so one channel set has one result per receiver,
+    whatever the powers, split or reflections.
     """
     steerings = [channels.arrival_steering(tx, rx) for tx in ZF_BRANCHES[rx]]
     n, k = steerings[0].size, len(steerings)
@@ -225,45 +225,42 @@ def receiver_zf(channels, rx):
         raise InsufficientAntennasError(
             f"receiver '{rx}' needs >= {k} antennas for {k}-way ZF, has {n}"
         )
-    vectors, dropped = [], []
+    vectors = []
     for i, h_i in enumerate(steerings):
         others = np.vstack([steerings[j].conj() for j in range(k) if j != i])
         gram = others @ others.conj().T
         proj = np.eye(n) - others.conj().T @ np.linalg.pinv(gram) @ others
         v_i = proj @ h_i
-        if np.linalg.norm(v_i) < DEGENERATE_BRANCH_TOL:
-            vectors.append(np.zeros(n, dtype=complex))
-            dropped.append(True)
-        else:
-            vectors.append(v_i)
-            dropped.append(False)
-    return vectors, dropped
+        vectors.append(np.zeros(n, dtype=complex) if np.linalg.norm(v_i) < DEGENERATE_BRANCH_TOL
+                       else v_i)
+    return vectors
 
 
 def zf_mrc(zf, eff, rx, v_at, v_bt, config):
     """(combiner, weights): the unit-norm ZF+MRC combiner of receiver ``rx``.
 
-    ``zf`` is ``rx``'s :func:`receiver_zf` result.  Branch i's arrival is
-    the message signal it delivers, read from the path terms of ``eff``
-    (surface 1, surface 2, direct) in ``ZF_BRANCHES[rx]`` order: Alice's
-    stream at Bob, Bob's at Alice, and at Eve both streams at their
-    configured amplitudes sqrt(beta P) on each surface branch and one
-    stream, unscaled, on each direct branch.  Each weight is conj(s)/|s|
-    of its branch signal s, 0 for a dead branch (a dropped branch's zero
-    vector gives s = 0); the combiner sums the ZF vectors so weighted.
+    ``zf`` is ``rx``'s :func:`receiver_zf` result.  Branch ``node``'s
+    arrival is the message signal it delivers, read from the path term of
+    ``eff`` keyed ``node``: Alice's stream at Bob, Bob's at Alice, and at
+    Eve both streams at their configured amplitudes sqrt(beta P) on each
+    surface branch and one stream, unscaled, on each direct branch.  Each
+    weight is conj(s)/|s| of its branch signal s, 0 for a dead branch (a
+    dropped branch's zero vector gives s = 0); the combiner sums the ZF
+    vectors so weighted.
     """
     if rx == "e":
         from_a, from_b = eff.paths["h_e1"], eff.paths["h_e2"]
         amp_a = math.sqrt(config.beta1 * config.pa_mw)
         amp_b = math.sqrt(config.beta2 * config.pb_mw)
-        arrivals = [amp_a * from_a[k] @ v_at + amp_b * from_b[k] @ v_bt for k in (0, 1)]
-        arrivals += [from_a[2] @ v_at, from_b[2] @ v_bt]
+        arrivals = {ris: amp_a * from_a[ris] @ v_at + amp_b * from_b[ris] @ v_bt
+                    for ris in ("i1", "i2")}
+        arrivals.update(a=from_a["a"] @ v_at, b=from_b["b"] @ v_bt)
     else:
-        arrivals = [term @ (v_at if rx == "b" else v_bt) for term in eff.paths["h_" + rx]]
-    vecs = zf[0]
-    signals = [v.conj() @ y for v, y in zip(vecs, arrivals)]
+        v_t = v_at if rx == "b" else v_bt
+        arrivals = {node: term @ v_t for node, term in eff.paths["h_" + rx].items()}
+    signals = [v.conj() @ arrivals[node] for v, node in zip(zf, ZF_BRANCHES[rx])]
     weights = [0.0 if abs(s) < 1e-300 else np.conj(s) / abs(s) for s in signals]
-    return _unit(sum(np.conj(w) * v for w, v in zip(weights, vecs))), weights
+    return _unit(sum(np.conj(w) * v for w, v in zip(weights, zf))), weights
 
 
 def _leakage_matrices(channels, side):

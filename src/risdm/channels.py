@@ -1,9 +1,11 @@
 """Steering vectors, rank-1 LoS link matrices, and cascaded effective channels.
 
 Each directed link (tx -> rx) is the unit-spectral-norm outer product
-h(theta_r) h(theta_t)^H of the receive and transmit steering vectors; path
+h(theta_r) h(theta_t)^H of the receive and transmit steering vectors, which
+the channel set keeps, so no later stage computes a steering vector; path
 gains stay out of the link matrices and enter the effective channels as
-sqrt-composite weights, mirroring the system equations.  A surface enters
+sqrt-composite weights, mirroring the system equations.  Each effective
+channel keeps its three path terms, keyed by the node each passes through.  A surface enters
 the cascades as its M reflection coefficients, never as an M x M matrix:
 the diagonal product runs in 8-column blocks (the last one 8 to 15 wide),
 all full blocks of a link in one stacked matmul, so the cost of a cascade
@@ -61,14 +63,15 @@ def phase_ramp(theta, n, d_over_lambda):
 
 @dataclass(frozen=True)
 class ChannelSet:
-    """All fourteen rank-1 link matrices plus the link geometry behind them.
+    """All fourteen links: their geometry, steering pairs and rank-1 matrices.
 
-    ``mats[(tx, rx)]`` has shape (size(rx), size(tx)).  Gains are linear;
-    composite two-hop gains are products of the constituent link gains.
+    ``steering[(tx, rx)]`` is the pair (h_r, h_t) and ``mats[(tx, rx)]``
+    its outer product h_r h_t^H, of shape (size(rx), size(tx)).  Gains are
+    linear; composite two-hop gains are products of the link gains.
     """
 
-    config: object
     geom: dict
+    steering: dict
     mats: dict
 
     def mat(self, tx, rx):
@@ -83,32 +86,32 @@ class ChannelSet:
 
     def departure_steering(self, tx, rx):
         """h(theta_t) of the link, sized by the transmitter array."""
-        link = self.geom[(tx, rx)]
-        return steering_vector(link.theta_t, self.config.node_size(tx), self.config.d_over_lambda)
+        return self.steering[(tx, rx)][1]
 
     def arrival_steering(self, tx, rx):
         """h(theta_r) of the link, sized by the receiver array."""
-        link = self.geom[(tx, rx)]
-        return steering_vector(link.theta_r, self.config.node_size(rx), self.config.d_over_lambda)
+        return self.steering[(tx, rx)][0]
 
 
 def build_channels(geom, config):
-    """Rank-1 LoS matrix h(theta_r) h(theta_t)^H for every directed link."""
-    mats = {}
+    """The steering pair (h_r, h_t) and rank-1 LoS matrix h_r h_t^H of every link."""
+    steering, mats = {}, {}
     for tx, rx in LINKS:
         link = geom[(tx, rx)]
         h_r = steering_vector(link.theta_r, config.node_size(rx), config.d_over_lambda)
         h_t = steering_vector(link.theta_t, config.node_size(tx), config.d_over_lambda)
+        steering[(tx, rx)] = h_r, h_t
         mats[(tx, rx)] = np.outer(h_r, h_t.conj())
-    return ChannelSet(config=config, geom=geom, mats=mats)
+    return ChannelSet(geom=geom, steering=steering, mats=mats)
 
 
 @dataclass(frozen=True)
 class EffectiveChannels:
     """The four cascaded end-to-end channels as functions of (Theta1, Theta2).
 
-    ``paths[name]`` holds the surface-1, surface-2 and direct terms of the
-    channel ``name``; their sum is the channel.
+    ``paths[name]`` holds the channel's terms keyed by the node each passes
+    through, e.g. ``paths["h_b"] == {"i1": ..., "i2": ..., "a": ...}``; the
+    channel is their sum, in that order.
     """
 
     h_a: np.ndarray  # Na x Nb, Bob -> Alice
@@ -151,7 +154,7 @@ def _surface_terms(channels, ris, reflection):
     so each block rounds as that product does.  The last block is one 2-D
     product.
     """
-    d, size = reflection.coefficients(), channels.config.M
+    d, size = reflection.coefficients(), channels.arrival_steering("a", ris).size
     if d.shape != (size,):
         raise InvalidGeometryError(f"reflection has {d.size} elements, expected {size}")
     w = _DIAG_BLOCK
@@ -189,10 +192,9 @@ def effective_channels(channels, reflection1, reflection2):
     """
     surface1 = _surface_terms(channels, "i1", reflection1)
     surface2 = _surface_terms(channels, "i2", reflection2)
-    paths = {
-        name: (p1, p2, math.sqrt(channels.gain(tx, rx)) * channels.mat(tx, rx))
-        for (name, tx, rx), p1, p2 in zip(EFFECTIVE_LINKS, surface1, surface2)
-    }
-    return EffectiveChannels(
-        **{name: p1 + p2 + direct for name, (p1, p2, direct) in paths.items()}, paths=paths
-    )
+    chans, paths = {}, {}
+    for (name, tx, rx), p1, p2 in zip(EFFECTIVE_LINKS, surface1, surface2):
+        direct = math.sqrt(channels.gain(tx, rx)) * channels.mat(tx, rx)
+        paths[name] = {"i1": p1, "i2": p2, tx: direct}
+        chans[name] = p1 + p2 + direct
+    return EffectiveChannels(**chans, paths=paths)

@@ -55,8 +55,8 @@ def path_loss(d, alpha, c):
     """Linear path gain alpha / d^c at distance d meters.
 
     Raises :class:`InvalidGeometryError` for a distance that is not
-    positive or a gain that is not a finite number, including a d^c that
-    overflows or underflows to 0.
+    positive and for a gain that is 0 or not finite, including where d^c
+    overflows or underflows to 0; a subnormal gain is kept.
     """
     if d <= 0:
         raise InvalidGeometryError(f"distance d = {d!r} m must be positive (exponent c = {c!r})")
@@ -64,9 +64,10 @@ def path_loss(d, alpha, c):
         gain = alpha / d**c
     except (OverflowError, ZeroDivisionError):
         gain = math.nan
-    if not math.isfinite(gain):
+    if gain == 0.0 or not math.isfinite(gain):
+        what = "underflows to 0" if gain == 0.0 else "is not a finite number"
         raise InvalidGeometryError(
-            f"path gain alpha / d^c is not a finite number "
+            f"path gain alpha / d^c {what} "
             f"(distance d = {d!r} m, exponent c = {c!r}, alpha = {alpha!r})")
     return gain
 

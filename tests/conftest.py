@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import risdm
-from risdm.channels import EffectiveChannels, build_channels
+from risdm.channels import EFFECTIVE_LINKS, EffectiveChannels, build_channels
 from risdm.geometry import (
     NODES,
     InvalidGeometryError,
@@ -84,7 +84,9 @@ def random_gains(rng):
 def direct_only(h_a, h_b, h_e1, h_e2):
     """Hand-built effective channels whose every channel is its direct term."""
     chans = {"h_a": h_a, "h_b": h_b, "h_e1": h_e1, "h_e2": h_e2}
-    return EffectiveChannels(**chans, paths={k: (0 * h, 0 * h, h) for k, h in chans.items()})
+    return EffectiveChannels(**chans, paths={
+        name: {"i1": 0 * chans[name], "i2": 0 * chans[name], tx: chans[name]}
+        for name, tx, _ in EFFECTIVE_LINKS})
 
 
 def pipeline(cfg, ris_mode="gpg", method="max-sv", seed=0):

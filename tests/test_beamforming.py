@@ -121,6 +121,10 @@ class TestDominantSingularPair:
         with pytest.raises(InvalidInputError):
             dominant_singular_pair(bad)
 
+    def test_rejects_empty(self):
+        with pytest.raises(InvalidInputError, match="^matrix is empty$"):
+            dominant_singular_pair(np.zeros((0, 3)))
+
 
 class TestDominantGeneralizedEigvec:
     def test_diagonal_a(self):
@@ -135,6 +139,14 @@ class TestDominantGeneralizedEigvec:
         b = np.diag([1.0, 1e-16])
         with pytest.raises(SingularMatrixError):
             dominant_generalized_eigvec(np.eye(2), b)
+
+    @pytest.mark.parametrize("a, b", [
+        (np.ones((2, 3)), np.ones((2, 3))),
+        (np.eye(2), np.eye(3)),
+    ], ids=["non-square", "mismatched"])
+    def test_shapes_rejected(self, a, b):
+        with pytest.raises(InvalidInputError, match="^A and B must be square and of equal size$"):
+            dominant_generalized_eigvec(a, b)
 
     @staticmethod
     def quotient(a, b, vecs):
@@ -234,7 +246,7 @@ class TestEveCombiner:
         cfg = default_config(Ne=4, placement=Placement(
             positions=placement.positions, orientations=placement.orientations, pinned=pinned))
         channels = build_channels(build_geometry(cfg), cfg)
-        vecs, _ = receiver_zf(channels, "e")
+        vecs = receiver_zf(channels, "e")
         steer = [channels.arrival_steering(tx, "e") for tx in ("i1", "i2", "a", "b")]
         for v, h in zip(vecs, steer):
             corr = abs(h.conj() @ v) / np.linalg.norm(v)
@@ -250,7 +262,7 @@ class TestEveCombiner:
         geom = build_geometry(cfg)
         channels = build_channels(geom, cfg)
         zf = receiver_zf(channels, "e")
-        assert zf[1] == [True, False, True, False]
+        assert [not v.any() for v in zf] == [True, False, True, False]
         eff = effective_channels(channels, *reflections_for("gpg", geom, cfg))
         v_at, v_bt, *_ = max_sv_beamformers(channels, eff)
         combiner, _ = zf_mrc(zf, eff, "e", v_at, v_bt, cfg)
@@ -267,9 +279,9 @@ class TestEveCombiner:
         refls = reflections_for("gpg", geom, default_cfg)
         eff = effective_channels(channels, *refls)
         v_at, v_bt, *_ = max_sv_beamformers(channels, eff)
-        zf = receiver_zf(channels, "e")
-        vecs, dropped = zf
-        _, weights = zf_mrc(zf, eff, "e", v_at, v_bt, default_cfg)
+        vecs = receiver_zf(channels, "e")
+        dropped = [not v.any() for v in vecs]
+        _, weights = zf_mrc(vecs, eff, "e", v_at, v_bt, default_cfg)
         steer = [channels.arrival_steering(tx, "e") for tx in ("i1", "i2", "a", "b")]
         for i, v in enumerate(vecs):
             if dropped[i]:
@@ -444,10 +456,10 @@ class TestThreeWayCombiner:
         channels = build_channels(geom, default_cfg)
         eff = effective_channels(channels, *reflections_for("gpg", geom, default_cfg))
         v_at = leakage_side(channels, default_cfg, "a")[0]
-        vecs, dropped = receiver_zf(channels, "b")
+        vecs = receiver_zf(channels, "b")
         steer = [channels.arrival_steering(tx, "b") for tx in ("i1", "i2", "a")]
         for i, v in enumerate(vecs):
-            if dropped[i]:
+            if not v.any():
                 continue
             for j, h in enumerate(steer):
                 if j != i:
@@ -461,10 +473,10 @@ class TestThreeWayCombiner:
         channels = build_channels(build_geometry(cfg), cfg)
         eff, bf, _ = point_design(StageMemo(), sweep_point(cfg), method, "gpg", 0)
         zf = receiver_zf(channels, "b")
-        assert zf[1] == [True, False, True]
+        assert [not v.any() for v in zf] == [True, False, True]
         _, weights = zf_mrc(zf, eff, "b", bf.v_at, bf.v_bt, cfg)
         for i in (0, 2):
-            assert np.array_equal(zf[0][i], np.zeros(cfg.Nb, dtype=complex))
+            assert np.array_equal(zf[i], np.zeros(cfg.Nb, dtype=complex))
             assert weights[i] == 0.0
         assert abs(abs(weights[1]) - 1.0) < 1e-12
 
@@ -495,9 +507,8 @@ class TestThreeWayCombiner:
             math.sqrt(channels.cascade_gain("a", "i2", "b")) * channels.mat("i2", "b") @ t2 @ channels.mat("a", "i2"),
             math.sqrt(channels.gain("a", "b")) * channels.mat("a", "b"),
         ]
-        vecs = zf[0]
-        signals = [abs(v.conj() @ bm @ v_at) for v, bm in zip(vecs, branch_mats)]
-        norm = np.linalg.norm(sum(np.conj(w) * v for w, v in zip(weights, vecs)))
+        signals = [abs(v.conj() @ bm @ v_at) for v, bm in zip(zf, branch_mats)]
+        norm = np.linalg.norm(sum(np.conj(w) * v for w, v in zip(weights, zf)))
         oracle = sum(signals) / norm
         assert achieved >= 0.999 * oracle
 
@@ -575,13 +586,12 @@ class TestCombinersReadPathTerms:
             v_at, v_bt = (leakage_side(channels, cfg, side)[0] for side in "ab")
 
         for rx, v_t in (("e", None), ("b", v_at), ("a", v_bt)):
-            zf = receiver_zf(channels, rx)
-            vecs, dropped = zf
+            vecs = receiver_zf(channels, rx)
             signals = (dense_eve_signals(channels, refls, v_at, v_bt, vecs, cfg) if rx == "e"
                        else dense_three_way_signals(channels, refls, v_t, vecs, rx))
-            want = [0.0 if d or abs(s) < 1e-300 else np.conj(s) / abs(s)
-                    for s, d in zip(signals, dropped)]
-            combiner, weights = zf_mrc(zf, eff, rx, v_at, v_bt, cfg)
+            want = [0.0 if not v.any() or abs(s) < 1e-300 else np.conj(s) / abs(s)
+                    for s, v in zip(signals, vecs)]
+            combiner, weights = zf_mrc(vecs, eff, rx, v_at, v_bt, cfg)
             assert np.max(np.abs(np.subtract(weights, want))) < 1e-12
             assert np.max(np.abs(combiner - assembled(vecs, want))) < 1e-12
 

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from risdm.beamforming import ZF_BRANCHES
 from risdm.channels import (
     EFFECTIVE_LINKS,
     build_channels,
@@ -252,8 +253,8 @@ def pinned_config(link, distance):
 
 
 def path_links(tx, rx):
-    """The directed links traversed by the surface-1, surface-2 and direct terms."""
-    return [{(tx, "i1"), ("i1", rx)}, {(tx, "i2"), ("i2", rx)}, {(tx, rx)}]
+    """The directed links each path term traverses, keyed as the terms are."""
+    return {"i1": {(tx, "i1"), ("i1", rx)}, "i2": {(tx, "i2"), ("i2", rx)}, tx: {(tx, rx)}}
 
 
 class TestPathTerms:
@@ -288,8 +289,18 @@ class TestPathTerms:
         channels = build_channels(geom, default_cfg)
         eff = effective_channels(channels, *reflections_for("gpg", geom, default_cfg))
         assert set(eff.paths) == {name for name, _, _ in EFFECTIVE_LINKS}
-        for name, (p1, p2, direct) in eff.paths.items():
-            assert np.array_equal(p1 + p2 + direct, getattr(eff, name))
+        for name, tx, _ in EFFECTIVE_LINKS:
+            terms = eff.paths[name]
+            assert np.array_equal(terms["i1"] + terms["i2"] + terms[tx], getattr(eff, name))
+
+    def test_terms_keyed_by_the_node_they_pass_through(self, default_cfg):
+        geom = build_geometry(default_cfg)
+        channels = build_channels(geom, default_cfg)
+        eff = effective_channels(channels, *reflections_for("gpg", geom, default_cfg))
+        for name, tx, rx in EFFECTIVE_LINKS:
+            assert set(eff.paths[name]) == {"i1", "i2", tx}, name
+            if rx != "e":
+                assert set(eff.paths[name]) == set(ZF_BRANCHES[rx]), name
 
     @pytest.mark.parametrize("link", [
         ("a", "i1"), ("b", "i1"), ("i1", "a"), ("i2", "e"), ("a", "b"), ("b", "a"), ("b", "e"),
@@ -303,9 +314,9 @@ class TestPathTerms:
         base = terms(default_cfg)
         moved = terms(pinned_config(link, 300.0))
         for name, tx, rx in EFFECTIVE_LINKS:
-            for k, traversed in enumerate(path_links(tx, rx)):
-                unchanged = np.array_equal(base[name][k], moved[name][k])
-                assert unchanged == (link not in traversed), (name, k)
+            for node, traversed in path_links(tx, rx).items():
+                unchanged = np.array_equal(base[name][node], moved[name][node])
+                assert unchanged == (link not in traversed), (name, node)
 
     def test_peak_memory_one_surface_at_a_time(self):
         m = 1024

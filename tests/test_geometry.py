@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from risdm.geometry import (
     link_class,
     path_loss,
 )
-from risdm.sim import apply_axis
+from risdm.sim import SweepSpec, apply_axis, run_sweep
 
 
 def assert_rejected(doc, match):
@@ -63,6 +64,7 @@ def assert_link_refused(cfg, link, distance, exponent):
     message = str(err.value)
     assert message.startswith(f"link {link}: ")
     assert f"distance d = {distance!r} m" in message and f"exponent c = {exponent!r}" in message
+    return message
 
 
 def pinned_a_e(cfg, distance):
@@ -93,6 +95,20 @@ class TestGainNotFinite:
 
     def test_negative_distance(self, default_cfg):
         assert_link_refused(pinned_a_e(default_cfg, -5.0), "a->e", -5.0, 4.5)
+
+    def test_gain_underflows_to_zero(self, default_cfg):
+        # once refused only at the beamformers, as "effective channel is identically zero"
+        distance = build_geometry(default_cfg)[("a", "b")].distance
+        cfg = default_cfg.replace(pathloss_alpha=1e-320)
+        assert "path gain alpha / d^c underflows to 0" in assert_link_refused(
+            cfg, "a->b", distance, 4.5)
+
+    def test_subnormal_gain_is_kept(self, default_cfg):
+        # a gain this small carries no rate, and the sweep says so
+        cfg = default_cfg.replace(pathloss_alpha=1e-300)
+        assert 0.0 < build_geometry(cfg)[("a", "b")].gain < sys.float_info.min
+        records = run_sweep(cfg, SweepSpec(axis="power_dbm", values=(27.0,)))
+        assert [r.ssr_bits for r in records] == [0.0]
 
 
 class TestDefaultLayout:
@@ -161,6 +177,16 @@ class TestDefaultLayout:
             path_loss(55.0, cfg.pathloss_alpha, cfg.pathloss_exp["direct"]))
         # non-pinned angle still derived
         assert geom[("a", "b")].theta_r == build_geometry(cfg)[("a", "b")].theta_r
+
+    @pytest.mark.parametrize("theta", [0.0, math.pi])
+    def test_end_fire_pin_rejected(self, theta):
+        placement = default_placement()
+        cfg = default_config(placement=Placement(
+            positions=placement.positions, orientations=placement.orientations,
+            pinned={"a->b": {"theta_t": theta}}))
+        with pytest.raises(InvalidGeometryError, match=re.escape(
+                f"link a->b: theta_t={theta:.6f} falls on the array axis (end-fire)")):
+            build_geometry(cfg)
 
     def test_all_fourteen_links_present(self, default_cfg):
         geom = build_geometry(default_cfg)
@@ -256,6 +282,14 @@ class TestConfigIngestion:
         doc = default_cfg.to_dict()
         doc[name] = value
         assert_rejected(doc, re.escape(f"{name} must be a whole number"))
+
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("name", ["Na", "Nb", "Ne", "M", "d_over_lambda", "noise_ratio",
+                                      "pathloss_alpha"])
+    def test_non_positive_value_rejected(self, default_cfg, name, value):
+        doc = default_cfg.to_dict()
+        doc[name] = value
+        assert_rejected(doc, f"^{name} must be positive$")
 
     @pytest.mark.parametrize("kind, value", [("positions", [1.0, 2.0]), ("orientations", 0.5)])
     def test_unknown_node_rejected(self, default_cfg, kind, value):

@@ -557,6 +557,8 @@ FERRARI_BRANCHES = {
                           -1.7211219990760307e-107, -3.7754064759765633e146],
     "no-root": [-1439582.007802343, -40.98755659102859, 1.526155036496721e-06, 0.5177436363633461],
     "overflow-no-root": [1e80, 1.0, 1.0, 1.0],
+    # the formula overflows, and the reversed coefficients (a3 / a4 = inf) are not finite
+    "overflow-unreversible-no-root": [0.0, 0.0, 1e300, 1e-10],
 }
 
 
@@ -944,6 +946,13 @@ class TestFerrari:
             worst = max(worst, matched_root_error(got, want))
         assert worst < 1e-8
 
+    @pytest.mark.parametrize("k", range(4))
+    def test_nan_coefficient_rejected(self, k):
+        a = [1.0, 2.0, 3.0, 4.0]
+        a[k] = math.nan
+        with pytest.raises(ValueError, match="^quartic coefficients must be finite$"):
+            ferrari_roots(*a)
+
     def test_repeated_roots(self):
         coeffs = np.poly([0.5, 0.5, -1.0, 2.0])
         got = ferrari_roots(*coeffs[1:])
@@ -972,6 +981,7 @@ class TestFerrari:
     @example(a=FERRARI_BRANCHES["overflow-reversed"])
     @example(a=FERRARI_BRANCHES["no-root"])
     @example(a=FERRARI_BRANCHES["overflow-no-root"])
+    @example(a=FERRARI_BRANCHES["overflow-unreversible-no-root"])
     @example(a=[1.0, 0.0, 1e16, 1.0])  # the reversal's check passes a root at 0
     def test_roots_pass_the_check_of_the_quartic_they_solve(self, a):
         # never raises: no roots, or four that pass the quartic's residual

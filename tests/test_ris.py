@@ -163,6 +163,22 @@ class TestBaselines:
         with pytest.raises(Exception):
             RisReflection(amplitudes=np.array([1.0]), phases=np.array([7.0]))
 
+    @pytest.mark.parametrize("amplitudes, phases", [
+        (np.ones(3), np.zeros(2)),
+        (np.ones((2, 2)), np.zeros((2, 2))),
+        (np.ones(0), np.zeros(0)),
+    ], ids=["unequal-length", "2-d", "empty"])
+    def test_malformed_arrays_rejected(self, amplitudes, phases):
+        with pytest.raises(InvalidGeometryError,
+                           match="^amplitudes and phases must be equal-length 1-D arrays$"):
+            RisReflection(amplitudes=amplitudes, phases=phases)
+
+    @pytest.mark.parametrize("make", [lambda m: random_phases(m, seed=1), zero_reflection],
+                             ids=["random", "zero"])
+    def test_no_elements_rejected(self, make):
+        with pytest.raises(InvalidGeometryError, match="^element count must be >= 1, got 0$"):
+            make(0)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_phase_rejected(self, bad):
         with pytest.raises(InvalidGeometryError, match="phases must lie in"):

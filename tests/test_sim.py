@@ -11,11 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import risdm.channels
 import risdm.sim
 from conftest import collinear_config, pipeline_gains
 from risdm.beamforming import DegenerateChannelError, receiver_zf
 from risdm.channels import build_channels
-from risdm.geometry import InvalidGeometryError, build_geometry, default_config
+from risdm.geometry import LINKS, InvalidGeometryError, build_geometry, default_config
 from risdm.power_allocation import allocate, es_1d, es_2d, hicf
 from risdm.rates import ScalarGains, rate_objective, ssr
 from risdm.ris import MODES as RIS_MODES
@@ -141,6 +142,10 @@ class TestSweepSpec:
         geom = build_geometry(moved)
         assert geom[("a", "b")].theta_t == pytest.approx(5 * math.pi / 9, abs=1e-12)
 
+    def test_unknown_axis_rejected(self):
+        with pytest.raises(ValueError, match="^unknown sweep axis 'bogus'$"):
+            apply_axis(small_cfg(), "bogus", 1.0)
+
     def test_distance_axis_on_coincident_alice_and_bob(self):
         # the distance axis once divided by the zero Alice-Bob distance
         cfg = small_cfg()
@@ -255,7 +260,7 @@ class TestRunSweep:
         # direction, so Bob's ZF drops both branches that carry her message
         cfg = collinear_config()
         channels = build_channels(build_geometry(cfg), cfg)
-        assert receiver_zf(channels, "b")[1] == [True, False, True]
+        assert [not v.any() for v in receiver_zf(channels, "b")] == [True, False, True]
         spec = SweepSpec(axis="power_dbm", values=(27.0,), methods=("leakage",),
                          ris_modes=(ris_mode,))
         with pytest.raises(RuntimeError, match=f"ris={ris_mode}") as err:
@@ -325,6 +330,22 @@ class TestRunSweep:
             # epa, es1d, es2d and hicf once per set of gains
             "allocate": 4 * gains,
         }
+
+    def test_steering_vectors_built_once_per_site(self, monkeypatch):
+        # two per link, in build_channels; the receivers and max-sv read
+        # the stored vectors
+        calls = []
+        real = risdm.channels.steering_vector
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(risdm.channels, "steering_vector", counting)
+        memo, point = StageMemo(), sweep_point(small_cfg())
+        for method, ris_mode in product(METHODS, RIS_MODES):
+            point_design(memo, point, method, ris_mode, 0)
+        assert len(calls) == 2 * len(LINKS) == 28
 
     def test_all_pa_modes_match_single_mode_sweeps(self):
         cfg = small_cfg()
