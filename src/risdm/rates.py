@@ -101,10 +101,11 @@ def scalar_gains(eff, bf, config):
 
 
 def _objective(beta1, beta2, g):
-    d_e = (1.0 - beta1) * g.s7 + (1.0 - beta2) * g.s8 + g.sigma2_e
+    rest1, rest2 = 1.0 - beta1, 1.0 - beta2
+    d_e = rest1 * g.s7 + rest2 * g.s8 + g.sigma2_e
     return (
-        np.log2(1.0 + beta2 * g.s1 / ((1.0 - beta2) * g.s2 + g.sigma2_a))
-        + np.log2(1.0 + beta1 * g.s3 / ((1.0 - beta1) * g.s4 + g.sigma2_b))
+        np.log2(1.0 + beta2 * g.s1 / (rest2 * g.s2 + g.sigma2_a))
+        + np.log2(1.0 + beta1 * g.s3 / (rest1 * g.s4 + g.sigma2_b))
         - np.log2(1.0 + beta1 * g.s5 / d_e)
         - np.log2(1.0 + beta2 * g.s6 / d_e)
     )

@@ -1,7 +1,9 @@
 """Transmit, noise, and receive beamformer contracts."""
 
 import math
+import sys
 import tracemalloc
+from importlib import machinery
 from types import SimpleNamespace
 
 import numpy as np
@@ -29,6 +31,8 @@ from risdm.channels import build_channels, effective_channels
 from risdm.geometry import Placement, build_geometry, default_config, default_placement
 from risdm.ris import reflections_for
 from risdm.sim import StageMemo, SweepSpec, point_design, run_sweep, sweep_point
+
+FLAPACK = "scipy.linalg._flapack"
 
 
 def random_unit(rng, n, count=1):
@@ -193,6 +197,24 @@ class TestDominantGeneralizedEigvec:
         v = v / np.linalg.norm(v)
         reference = v * beamforming._pivot_phase(v)
         assert dominant_generalized_eigvec(a, b).tobytes() == reference.tobytes()
+
+    def test_loader_registers_the_lapack_module_with_the_same_bits(self, monkeypatch):
+        # the process has loaded scipy.linalg already: drop the module so the
+        # loader's own body runs (monkeypatch puts the original back)
+        a = np.array([[2.0, 1j], [-1j, 3.0]])
+        b = np.array([[1.0, 0.25], [0.25, 2.0]], dtype=complex)
+        want = dominant_generalized_eigvec(a, b).tobytes()
+        loaded = sys.modules[FLAPACK]
+        monkeypatch.delitem(sys.modules, FLAPACK)
+        lapack = beamforming._lapack()
+        assert sys.modules[FLAPACK] is lapack and lapack is not loaded
+        assert dominant_generalized_eigvec(a, b).tobytes() == want
+
+    def test_loader_falls_back_to_scipy_linalg_lapack(self, monkeypatch):
+        monkeypatch.delitem(sys.modules, FLAPACK)
+        monkeypatch.setattr(machinery.FileFinder, "find_spec",
+                            lambda self, fullname, target=None: None)
+        assert beamforming._lapack() is scipy.linalg.lapack
 
     def test_lapack_failure_raises(self, monkeypatch):
         failing = SimpleNamespace(zhegvd=lambda a, b, **kw: (None, None, 3))

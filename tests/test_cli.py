@@ -345,6 +345,10 @@ class TestScenarioDump:
 
 
 class TestMainInProcess:
+    def test_scenario_dump_prints_the_built_in_geometry(self, capsys):
+        assert cli.main(["scenario", "dump"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["links"]) == 14
+
     def test_repeated_calls_share_one_parser(self, config_path, tmp_path, capsys):
         surface = ["pa-surface", "--config", config_path, "--step", "0.5"]
         sweep = ["sweep", "--config", config_path, "--axis", "power_dbm", "--values", "7,27",

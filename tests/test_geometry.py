@@ -214,6 +214,18 @@ class TestConfigIngestion:
         again = ScenarioConfig.from_json(doc)
         assert again == default_cfg
 
+    @pytest.mark.parametrize("content, reason", [
+        (b"{'Pa_dbm': 27}", "Expecting property name enclosed in double quotes"),
+        (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff in position 0"),
+    ])
+    def test_unreadable_file_names_its_path(self, tmp_path, content, reason):
+        # malformed JSON, and bytes that are not UTF-8
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError) as err:
+            ScenarioConfig.from_file(path)
+        assert str(err.value).startswith(f"{path}: {reason}")
+
     def test_unknown_field_rejected(self, default_cfg):
         doc = default_cfg.to_dict()
         doc["bogus_knob"] = 1

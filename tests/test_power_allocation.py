@@ -983,12 +983,18 @@ class TestFerrari:
     @example(a=FERRARI_BRANCHES["overflow-no-root"])
     @example(a=FERRARI_BRANCHES["overflow-unreversible-no-root"])
     @example(a=[1.0, 0.0, 1e16, 1.0])  # the reversal's check passes a root at 0
+    @example(a=[0.0, 1e52, 1.0, 1e77])  # roots near 4e77, whose 4th power overflows
     def test_roots_pass_the_check_of_the_quartic_they_solve(self, a):
         # never raises: no roots, or four that pass the quartic's residual
-        # check, or else the inverted roots of its reversal, which pass that one's
+        # check, or else the inverted roots of its reversal, which pass that one's.
+        # The check raises OverflowError where a root's power leaves the float
+        # range, which ferrari_roots takes as a failure like any other.
         def within(quartic, roots):
-            return pa._residuals_within(quartic, roots, FERRARI_RESIDUAL_TOL * max(
-                1.0, *map(abs, quartic[1:])))
+            try:
+                return pa._residuals_within(quartic, roots, FERRARI_RESIDUAL_TOL * max(
+                    1.0, *map(abs, quartic[1:])))
+            except OverflowError:
+                return False
 
         a = [float(c) for c in a]
         roots = ferrari_roots(*a)
@@ -1697,6 +1703,57 @@ def outcome_bits(out):
     roots = out.diagnostics.get("roots", [])
     return [out.beta1.hex(), out.beta2.hex(), out.ssr.hex(),
             *[(z.real.hex(), z.imag.hex()) for z in roots]]
+
+
+def loop_scoring(g, out):
+    """hicf's scoring as a loop, the reference for its table of scores:
+    the candidates rebuilt from ``out``'s diagnostics, each scored with
+    rate_objective, refined from each, and the first best end appended
+    only when it scores strictly higher.  Returns (beta, objective) of the
+    choice and the (beta, objective, origin) candidates."""
+    diagnostics = out.diagnostics
+    candidates = [(0.0, "boundary"), (1.0, "boundary")]
+    if diagnostics["fallbacks"]:
+        candidates.append((es_1d(g).beta1, "es1d"))
+    candidates.extend((z.real, origin) for z, origin in zip(diagnostics["roots"],
+                                                          diagnostics["origins"])
+                      if 0.0 <= z.real <= 1.0)
+    candidates.sort(key=lambda item: item[0])
+    scored = [(b, rate_objective(b, b, g), origin) for b, origin in candidates]
+    best = max(scored, key=lambda cand: cand[1])
+    factors = pa._diagonal_factors(g)
+    ends = [pa._refine(factors, b) for b, _, _ in scored]
+    refined = max(((b, rate_objective(b, b, g), "refined") for b in ends),
+                  key=lambda cand: cand[1])
+    if refined[1] > best[1]:
+        best = refined
+        scored.append(refined)
+    return best[:2], scored
+
+
+def pinned_examples(test):
+    """Every ``HICF_PINNED`` row, with unit noise powers, as an example of ``g``."""
+    for row in HICF_PINNED:
+        test = example(g=ScalarGains(*row[0], 1.0, 1.0, 1.0))(test)
+    return test
+
+
+class TestHicfScoring:
+    @settings(max_examples=400, deadline=None)
+    @given(g=st.one_of(log_uniform_gains, wide_gains, extreme_gains, signed_zero_gains))
+    @pinned_examples
+    @example(g=ScalarGains(-0.0, 3.2541027086604313, 0.0, 3.0, 0.0, -0.0, 2.0, 0.0,
+                           1.0, 1.0, 1.0))
+    def test_scores_equal_the_loop_reference(self, g):
+        # -0.0 and 0.0 share a key of hicf's table: signed-zero gains such
+        # as the example reach Ferrari roots at both, beside the 0.0 boundary
+        with np.errstate(all="ignore"):
+            out = hicf(g)
+            (beta, objective), scored = loop_scoring(g, out)
+        assert [out.beta1.hex(), out.beta2.hex(), out.ssr.hex()] == [
+            beta.hex(), beta.hex(), max(0.0, objective).hex()]
+        assert [(c.beta.hex(), c.objective.hex(), c.origin) for c in out.candidates] == [
+            (b.hex(), value.hex(), origin) for b, value, origin in scored]
 
 
 class TestHicfIsAFunctionOfTheGains:
