@@ -409,7 +409,7 @@ def es_2d(g, step=DEFAULT_STEP_2D):
     row_edge, col_edge = edge[n:3 * n - 4:2], edge[1:n - 1]
     slack = _es2d_slack(g)
     row_top, reach = row_edge.max(), col_edge.max() + slack
-    # the best row fails the test, so every row does (float addition is monotone)
+    # when the best row fails the test every row does (float addition is monotone)
     if not row_top + reach < best:
         rows = (row_edge + reach >= best).nonzero()[0] + 1
         # with no row left there is no sub-grid, whatever the columns

@@ -983,7 +983,7 @@ class TestFerrari:
     @example(a=FERRARI_BRANCHES["overflow-no-root"])
     @example(a=FERRARI_BRANCHES["overflow-unreversible-no-root"])
     @example(a=[1.0, 0.0, 1e16, 1.0])  # the reversal's check passes a root at 0
-    @example(a=[0.0, 1e52, 1.0, 1e77])  # roots near 4e77, whose 4th power overflows
+    @example(a=[0.0, 1e52, 1.0, 1e77])  # answered with roots at -4e77: the power overflows
     def test_roots_pass_the_check_of_the_quartic_they_solve(self, a):
         # never raises: no roots, or four that pass the quartic's residual
         # check, or else the inverted roots of its reversal, which pass that one's.
